@@ -21,13 +21,14 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from . import casebook
-from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, GaugeError,
-                    SystemDescriptor, gauge_A_zero, gauge_f_zero,
+from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, EquivalenceTransform,
+                    GaugeError, SystemDescriptor, gauge_A_zero, gauge_f_zero,
                     gauge_traceless, verify_equivalence)
 from .integrate import IntegrationError, integrate_auto, residual
 from .linalg import LinalgError
-from .matfun import (CONJ_EXP, CONSTANT, POLYNOMIAL, MatrixFunction,
+from .matfun import (CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
                      RepresentationError, ScalarFunction, VectorFunction)
+from .numutil import uniform_grid
 from .scalars import Field, FieldError, ToleranceConfig
 from .symalg import (CASE_BASIS_TEXT, ClassificationError, SymmetryVectorField,
                      classify, similar_constant_coeff, similar_structured)
@@ -90,10 +91,21 @@ class SchemaError(ValueError):
 
 def _decode_entry(x):
     if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise SchemaError(f"bad numeric entry {x!r}")
+        value = float(x)
+    elif isinstance(x, (list, tuple)) and len(x) == 2:
+        value = complex(float(x[0]), float(x[1]))
+    else:
+        raise SchemaError(f"bad numeric entry {x!r}")
+    if not np.isfinite(value):
+        raise SchemaError(f"non-finite numeric entry {x!r}")
+    return value
+
+
+def _decode_grid(data):
+    grid = np.asarray(data, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise SchemaError("non-finite time value")
+    return grid
 
 
 def _decode_array(data):
@@ -138,7 +150,7 @@ def decode_matrix_function(doc, domain) -> MatrixFunction:
                                        _decode_array(doc["w"]), domain)
     if kind == "sampled":
         vals = np.stack([_decode_array(v) for v in doc["values"]])
-        return MatrixFunction.sampled(np.asarray(doc["t"], dtype=float), vals)
+        return MatrixFunction.sampled(_decode_grid(doc["t"]), vals)
     raise SchemaError(f"unknown matrix kind {kind}")
 
 
@@ -151,7 +163,7 @@ def decode_vector_function(doc, domain) -> VectorFunction:
                                          domain)
     if kind == "sampled":
         vals = np.stack([_decode_vector(v) for v in doc["values"]])
-        return VectorFunction.sampled(np.asarray(doc["t"], dtype=float), vals)
+        return VectorFunction.sampled(_decode_grid(doc["t"]), vals)
     raise SchemaError(f"unknown vector kind {kind}")
 
 
@@ -161,7 +173,7 @@ def decode_scalar_function(doc, domain) -> ScalarFunction:
         return ScalarFunction.polynomial([_decode_entry(c) for c in doc["coeffs"]],
                                          domain)
     if kind == "sampled":
-        return ScalarFunction.sampled(np.asarray(doc["t"], dtype=float),
+        return ScalarFunction.sampled(_decode_grid(doc["t"]),
                                       _decode_vector(doc["values"]))
     raise SchemaError(f"unknown scalar kind {kind}")
 
@@ -214,7 +226,7 @@ def system_from_document(doc, cfg: ToleranceConfig, origin="<doc>") -> SystemDes
                               f"{exc.message}") from exc
     n = int(doc["n"])
     fld = Field(doc["field"])
-    domain = (float(doc["domain"][0]), float(doc["domain"][1]))
+    domain = tuple(_decode_grid(doc["domain"]))
     cls = doc["class"]
     try:
         if cls in (LPRIME, LDOUBLEPRIME):
@@ -302,33 +314,55 @@ def _emit(args, payload):
         print(text)
 
 
+def _compose(inner: EquivalenceTransform, outer: EquivalenceTransform,
+             grid_steps: int) -> EquivalenceTransform:
+    """outer after inner, for an inner transform with T(t) = t.
+
+    The composition is then pointwise in t: x~ = H (H_in x + h_in) + h,
+    sampled on the grid of outer's time map.
+    """
+    if inner.is_identity():
+        return outer
+    if outer.is_identity():
+        return inner
+    grid = (outer.T.grid if outer.T.kind == SAMPLED
+            else uniform_grid(*outer.T.domain, grid_steps))
+    hmat = outer.H.evaluate(grid)
+    shift = np.zeros((len(grid), hmat.shape[1]), dtype=hmat.dtype)
+    if inner.h is not None:
+        shift = shift + np.einsum("tij,tj->ti", hmat, inner.h.evaluate(grid))
+    if outer.h is not None:
+        shift = shift + outer.h.evaluate(grid)
+    return EquivalenceTransform(
+        T=outer.T, H=MatrixFunction.sampled(grid, hmat @ inner.H.evaluate(grid)),
+        h=VectorFunction.sampled(grid, shift))
+
+
 def cmd_gauge(args) -> int:
     cfg = _tolerances(args)
     sys_in = load_system(args.input, cfg)
+    last = {"f0": gauge_f_zero, "a0": gauge_A_zero, "traceless": gauge_traceless}
     try:
-        if args.target == "f0":
-            ts = gauge_f_zero(sys_in, args.grid)
-        elif args.target == "a0":
-            work = sys_in
-            if sys_in.cls == BARL:
-                work = gauge_f_zero(sys_in, args.grid).system
-            ts = gauge_A_zero(work, args.grid)
-        else:
-            work = sys_in
-            if work.cls == BARL:
-                work = gauge_f_zero(work, args.grid).system
-            if work.cls == HOMOGENEOUS:
-                work = gauge_A_zero(work, args.grid).system
-            ts = gauge_traceless(work, args.grid)
+        chain, work = [], sys_in
+        if args.target != "f0" and work.cls == BARL:
+            chain.append(gauge_f_zero(work, args.grid))
+            work = chain[-1].system
+        if args.target == "traceless" and work.cls == HOMOGENEOUS:
+            chain.append(gauge_A_zero(work, args.grid))
+            work = chain[-1].system
+        chain.append(last[args.target](work, args.grid))
     except GaugeError as exc:
         print(f"gauge inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except (LinalgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    resid = verify_equivalence(sys_in, ts.system, ts.transform, seed=args.seed,
+    # the chain is checked and emitted as one source -> final transform
+    ts, tr = chain[-1], chain[0].transform
+    for step in chain[1:]:
+        tr = _compose(tr, step.transform, args.grid)
+    resid = verify_equivalence(sys_in, ts.system, tr, seed=args.seed,
                                grid_steps=min(args.grid, 2048))
-    tr = ts.transform
     payload = {
         "system": system_to_document(ts.system),
         "transform": {
@@ -338,7 +372,7 @@ def cmd_gauge(args) -> int:
             "branch": tr.branch_note,
         },
         "residual": resid,
-        "provenance": ts.provenance,
+        "provenance": "; ".join(step.provenance for step in chain),
         "tolerances": {"residual_tol": cfg.residual_tol, "rank_tol": cfg.rank_tol},
     }
     _emit(args, payload)

@@ -18,6 +18,11 @@ The singular subclass (orbit of the free particle) is detected by
 B - (1/2) A_t + (1/4) A^2 being proportional to E with a time-dependent
 factor; the +1/4 A^2 sign is the convention adopted throughout (re-derived
 from H_t = -(1/2) H A).
+
+The linear ODEs here (the particular solution, H_t = -(1/2) H A, the
+Schwarzian pair and the trajectories of verify_equivalence) are tabulated
+once on the grid and its step midpoints and solved by
+``numutil.rk4_linear``, several initial states at a time as matrix columns.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 
 from . import linalg
 from .matfun import (CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
-                     ScalarFunction, VectorFunction)
-from .numutil import grid_derivative, rk4_bidirectional, uniform_grid
+                     ScalarFunction, VectorFunction, _poly_compose_affine)
+from .numutil import companion, grid_derivative, rk4_linear, uniform_grid
 from .scalars import Field, ToleranceConfig
 
 BARL = "barL"
@@ -100,21 +105,12 @@ class SystemDescriptor:
             return zero_m, self.V, zero_v
         return self.A, self.B, (self.f if self.f is not None else zero_v)
 
-    def companion_rhs(self):
-        """z' = M(t) z + g(t) on the 2n-dim state z = (x, x_t)."""
+    def companion_table(self, ts):
+        """M and g of z' = M z + g on the state z = (x, x_t), tabulated at ts."""
         a_fun, b_fun, f_fun = self.coefficients()
-        n = self.n
-
-        def rhs(t, z):
-            a = a_fun.evaluate(t)
-            b = b_fun.evaluate(t)
-            ff = f_fun.evaluate(t)
-            x, v = z[..., :n], z[..., n:]
-            if z.ndim == 1:
-                return np.concatenate([v, b @ x + a @ v + ff])
-            return np.concatenate([v, (b @ x) + (a @ v) + ff[:, None]], axis=0)
-
-        return rhs
+        fv = f_fun.evaluate(ts)
+        return (companion(a_fun.evaluate(ts), b_fun.evaluate(ts)),
+                np.concatenate([np.zeros_like(fv), fv], axis=1))
 
 
 @dataclass
@@ -237,8 +233,18 @@ def singular_class_test(sys: SystemDescriptor) -> bool:
     return bool(spread < tol)
 
 
-def _eval_all(fun, ts):
-    return fun.evaluate(ts)
+def pushforward(t1, t2, h, ht, htt, a, b):
+    """A~ and B~ of the push-forward (module docstring) at each grid point.
+
+    t1, t2 hold T_t, T_tt; h, ht, htt hold H, H_t, H_tt; a, b hold A, B, all
+    at the same points t, so the results still have to be composed with T^-1.
+    """
+    hinv = np.linalg.inv(h)
+    t1c = t1[:, None, None]
+    t2c = t2[:, None, None]
+    anew = (t1c * (h @ a) + 2.0 * t1c * ht - t2c * h) @ hinv / t1c ** 2
+    bnew = (t1c * (h @ b) - t1c ** 2 * (anew @ ht) + t1c * htt - t2c * ht) @ hinv / t1c ** 3
+    return anew, bnew
 
 
 def _push_full(sys, tr, grid_steps=1024):
@@ -255,19 +261,9 @@ def _push_full(sys, tr, grid_steps=1024):
     t1 = np.real(tr.T.derivative(1).evaluate(grid))
     t2 = np.real(tr.T.derivative(2).evaluate(grid))
     hmat = tr.H.evaluate(grid)
-    h1 = tr.H.derivative(1).evaluate(grid)
-    h2 = tr.H.derivative(2).evaluate(grid)
-    hinv = np.linalg.inv(hmat)
-    a = a_fun.evaluate(grid)
-    b = b_fun.evaluate(grid)
-    t1c = t1[:, None, None]
-    t2c = t2[:, None, None]
-    anew = (t1c * np.einsum("tij,tjk->tik", hmat, a) + 2.0 * t1c * h1 - t2c * hmat)
-    anew = np.einsum("tij,tjk->tik", anew, hinv) / t1c ** 2
-    bnew = (t1c * np.einsum("tij,tjk->tik", hmat, b)
-            - t1c ** 2 * np.einsum("tij,tjk->tik", anew, h1)
-            + t1c * h2 - t2c * h1)
-    bnew = np.einsum("tij,tjk->tik", bnew, hinv) / t1c ** 3
+    anew, bnew = pushforward(t1, t2, hmat, tr.H.derivative(1).evaluate(grid),
+                             tr.H.derivative(2).evaluate(grid),
+                             a_fun.evaluate(grid), b_fun.evaluate(grid))
     fv = f_fun.evaluate(grid)
     if tr.h is not None:
         hv = tr.h.evaluate(grid)
@@ -376,7 +372,7 @@ def _closed_f_push(sys, a, b, hconst, hshift, bnew):
         base = VectorFunction.constant(hconst @ f_src.value / a ** 2, bnew.domain)
     elif f_src.kind == POLYNOMIAL:
         coeffs = [hconst @ c / a ** 2 for c in f_src.coeffs]
-        shifted = _vector_poly_compose_affine(coeffs, 1.0 / a, -b / a)
+        shifted = _poly_compose_affine(coeffs, 1.0 / a, -b / a)
         base = VectorFunction.polynomial(shifted, bnew.domain)
     else:
         grid = np.linspace(bnew.domain[0], bnew.domain[1], len(f_src.grid))
@@ -393,15 +389,6 @@ def _closed_f_push(sys, a, b, hconst, hshift, bnew):
         grid = np.linspace(bnew.domain[0], bnew.domain[1], 257)
         corr = VectorFunction.sampled(grid, np.einsum("tij,j->ti", bnew.evaluate(grid), hshift))
     return _vector_sub(base, corr)
-
-
-def _vector_poly_compose_affine(coeffs, alpha, beta):
-    from math import comb
-    out = [np.zeros_like(coeffs[0]) for _ in coeffs]
-    for l, c in enumerate(coeffs):
-        for j in range(l + 1):
-            out[j] = out[j] + c * comb(l, j) * (alpha ** j) * (beta ** (l - j))
-    return out
 
 
 def _vector_sub(u: VectorFunction, v: VectorFunction) -> VectorFunction:
@@ -441,10 +428,11 @@ def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     if f_fun.max_norm() <= cfg.residual_tol:
         return TransformedSystem(out_sys, EquivalenceTransform.identity(n, sys.domain),
                                  provenance="already homogeneous; identity transform")
-    grid = uniform_grid(lo, hi, grid_steps)
-    rhs = sys.companion_rhs()
+    half = uniform_grid(lo, hi, 2 * grid_steps)
+    grid = half[::2]
+    m, g = sys.companion_table(half)
     try:
-        traj = rk4_bidirectional(rhs, np.zeros(2 * n), grid, 0)
+        traj = rk4_linear(m, np.zeros(2 * n), grid, 0, g)
     except (FloatingPointError, OverflowError) as exc:  # pragma: no cover
         raise GaugeError(f"ODE step failure in particular solution: {exc}") from exc
     if not np.all(np.isfinite(traj)):
@@ -457,6 +445,17 @@ def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     return TransformedSystem(out_sys, tr,
                              provenance="subtracted the particular solution with zero "
                                         "initial data at the left endpoint")
+
+
+def right_fundamental(m, grid, dtype):
+    """H with H_t = H M(t) and H = E at the grid midpoint.
+
+    M is tabulated on the half-step points of ``grid`` (see ``rk4_linear``);
+    the solve runs on the transpose, (H^T)_t = M^T H^T.
+    """
+    y = rk4_linear(np.swapaxes(m, 1, 2), np.eye(m.shape[1], dtype=dtype), grid,
+                   len(grid) // 2)
+    return np.swapaxes(y, 1, 2)
 
 
 def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:
@@ -477,18 +476,16 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     lo, hi = sys.domain
     t0 = 0.5 * (lo + hi)
     grid = uniform_grid(lo, hi, grid_steps)
-    i0 = len(grid) // 2
     if sys.A.max_norm() <= cfg.residual_tol:
         out = SystemDescriptor(LPRIME, n, sys.field, sys.domain, V=sys.B, cfg=cfg)
         return TransformedSystem(out, EquivalenceTransform.identity(n, sys.domain),
                                  provenance="A = 0 already; identity transform")
     if sys.A.kind == CONSTANT:
-        a = sys.A.value
-        ups = -0.5 * a
-        hs = np.stack([linalg.exp_factory(ups)(t - t0) for t in grid])
+        ups = -0.5 * sys.A.value
+        ef = linalg.exp_factory(ups)
+        hs = np.stack([ef(t - t0) for t in grid])
         crit = criterion_matrix(sys)
         if crit.kind == CONSTANT:
-            ef = linalg.exp_factory(ups)
             w = ef(-t0) @ crit.value @ ef(t0)
             vfun = MatrixFunction.conj_exp(0.0, ups, w, sys.domain)
         else:
@@ -497,12 +494,8 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
             vfun = MatrixFunction.sampled(grid, vals)
         hfun = MatrixFunction.sampled(grid, hs, note="closed-form exp(-(t-t0) A/2)")
     else:
-        a_fun = sys.A
-
-        def hrhs(t, hmat):
-            return -0.5 * hmat @ a_fun.evaluate(t)
-
-        hs = rk4_bidirectional(hrhs, np.eye(n, dtype=sys.field.dtype), grid, i0)
+        half = uniform_grid(lo, hi, 2 * grid_steps)
+        hs = right_fundamental(-0.5 * sys.A.evaluate(half), grid, sys.field.dtype)
         dets = np.abs(np.linalg.det(hs))
         if np.any(dets < cfg.rank_tol):
             raise GaugeError("H lost invertibility during the A-gauge solve "
@@ -538,35 +531,18 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024,
         out = SystemDescriptor(LDOUBLEPRIME, n, sys.field, sys.domain, V=sys.V, cfg=cfg)
         return TransformedSystem(out, EquivalenceTransform.identity(n, sys.domain),
                                  provenance="trace already zero; identity transform")
-    grid = uniform_grid(lo, hi, grid_steps)
-    i0 = len(grid) // 2
-    u_fun = sys.V.trace_part()
-
-    def phirhs(t, y):
-        u = np.real(u_fun.evaluate(t))
-        return np.array([y[1], u * y[0]])
-
-    phi1 = rk4_bidirectional(phirhs, np.array([0.0, 1.0]), grid, i0)
-    phi2 = rk4_bidirectional(phirhs, np.array([1.0, 0.0]), grid, i0)
-    # maximal zero-free run of phi2 containing the midpoint
-    pos = phi2[:, 0] > 0.0
-    j_lo, j_hi = i0, i0
-    while j_lo > 0 and pos[j_lo - 1]:
-        j_lo -= 1
-    while j_hi < len(grid) - 1 and pos[j_hi + 1]:
-        j_hi += 1
-    shrunk = (j_lo > 0) or (j_hi < len(grid) - 1)
-    if (grid[j_hi] - grid[j_lo]) < min_length_fraction * (hi - lo):
+    half = uniform_grid(lo, hi, 2 * grid_steps)
+    grid = half[::2]
+    u = np.real(sys.V.trace_part().evaluate(half))
+    run = schwarzian_time_map(u, grid, min_length_fraction)
+    if run is None:
         raise GaugeError("no zero-free subinterval of the requested minimum length "
                          "for the trace gauge")
-    sel = slice(j_lo, j_hi + 1)
+    sel, tvals, t1, _ = run
     sub = grid[sel]
-    p1, p2 = phi1[sel, 0], phi2[sel, 0]
-    tvals = p1 / p2
-    t1 = 1.0 / p2 ** 2  # Wronskian-normalized pair
+    shrunk = len(sub) < len(grid)
     vvals = sys.V.evaluate(sub)
-    uvals = np.real(u_fun.evaluate(sub))
-    vt_vals = (vvals - uvals[:, None, None] * np.eye(n)) / t1[:, None, None] ** 2
+    vt_vals = (vvals - u[::2][sel, None, None] * np.eye(n)) / t1[:, None, None] ** 2
     order = np.argsort(tvals)
     tgrid = tvals[order]
     vfun = MatrixFunction.sampled(tgrid, vt_vals[order], note="trace-gauged")
@@ -579,48 +555,69 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024,
     return TransformedSystem(out, EquivalenceTransform(T=tfun, H=hfun), provenance=prov)
 
 
+def schwarzian_time_map(u, grid, min_length_fraction):
+    """T = phi1/phi2 from the Wronskian-normalized pair of phi_tt = u phi.
+
+    u is tabulated on the half-step points of the uniform ``grid`` (see
+    ``rk4_linear``); phi1 = (0, 1) and phi2 = (1, 0) in (phi, phi_t) at the
+    grid midpoint, so T_t = 1/phi2^2.  Returns (sel, T, T_t, T_tt) on the
+    maximal zero-free run ``grid[sel]`` of phi2 containing the midpoint, or
+    None when that run is shorter than min_length_fraction of the grid.
+    """
+    i0 = len(grid) // 2
+    m = companion(np.zeros((len(u), 1, 1)), u[:, None, None])
+    phi = rk4_linear(m, np.array([[0.0, 1.0], [1.0, 0.0]]), grid, i0)
+    p1, p2, p2t = phi[:, 0, 0], phi[:, 0, 1], phi[:, 1, 1]
+    zeros = np.flatnonzero(~(p2 > 0.0))
+    j_lo = zeros[zeros < i0].max() + 1 if np.any(zeros < i0) else 0
+    j_hi = zeros[zeros > i0].min() - 1 if np.any(zeros > i0) else len(grid) - 1
+    if (grid[j_hi] - grid[j_lo]) < min_length_fraction * (grid[-1] - grid[0]):
+        return None
+    sel = slice(j_lo, j_hi + 1)
+    p2, p2t = p2[sel], p2t[sel]
+    return sel, p1[sel] / p2, 1.0 / p2 ** 2, -2.0 * p2t / p2 ** 3
+
+
 def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
                        tr: EquivalenceTransform, seed: int = 0,
                        n_traj: int = 3, grid_steps: int = 1024) -> float:
     """Push random src trajectories through tr and measure the dst residual.
 
-    Integrates from random data at the domain midpoint, maps (t, x) by the
-    transform, differentiates the pushed trajectory on the (nonuniform) image
-    grid and returns the max normalized defect of the dst equation.
+    Integrates n_traj trajectories, the columns of one solve, from random
+    data at the domain midpoint, maps (t, x) by the transform, differentiates
+    the pushed trajectories on the (nonuniform) image grid and returns the
+    max defect of the dst equation, each normalized by its trajectory's scale.
     """
     rng = np.random.default_rng(seed)
     n = src.n
     lo, hi = src.domain
     tlo = max(lo, tr.T.domain[0])
     thi = min(hi, tr.T.domain[1])
-    grid = uniform_grid(tlo, thi, grid_steps)
-    i0 = len(grid) // 2
-    rhs = src.companion_rhs()
+    half = uniform_grid(tlo, thi, 2 * grid_steps)
+    grid = half[::2]
     tvals = np.real(tr.T.evaluate(grid))
     hvals = tr.H.evaluate(grid)
     hshift = tr.h.evaluate(grid) if tr.h is not None else np.zeros((len(grid), n))
-    a_fun, b_fun, f_fun = dst.coefficients()
-    inside = (tvals >= dst.domain[0] - 1e-12) & (tvals <= dst.domain[1] + 1e-12)
-    worst = 0.0
-    for _ in range(n_traj):
-        z0 = rng.standard_normal(2 * n)
+    # the trajectories are the columns of one solve, drawn in the same order
+    # as one solve per trajectory would draw them
+    z0 = np.empty((2 * n, n_traj), dtype=src.field.dtype)
+    for k in range(n_traj):
+        z0[:, k] = rng.standard_normal(2 * n)
         if src.field is Field.COMPLEX:
-            z0 = z0 + 1j * rng.standard_normal(2 * n)
-        traj = rk4_bidirectional(rhs, z0, grid, i0)
-        x = traj[:, :n]
-        pushed = np.einsum("tij,tj->ti", hvals, x) + hshift
-        tg = tvals[inside]
-        xg = pushed[inside]
-        # wide stencils keep the measurement floor below the gauge residuals
-        # even when the time map compresses the image grid
-        d1 = grid_derivative(tg, xg, 1, stencil=7)
-        d2 = grid_derivative(tg, xg, 2, stencil=9)
-        avals = a_fun.evaluate(tg)
-        bvals = b_fun.evaluate(tg)
-        fvals = f_fun.evaluate(tg)
-        defect = d2 - (np.einsum("tij,tj->ti", avals, d1)
-                       + np.einsum("tij,tj->ti", bvals, xg) + fvals)
-        interior = slice(4, -4)
-        scale = max(1.0, float(np.max(np.abs(xg))))
-        worst = max(worst, float(np.max(np.abs(defect[interior]))) / scale)
-    return worst
+            z0[:, k] += 1j * rng.standard_normal(2 * n)
+    m, g = src.companion_table(half)
+    traj = rk4_linear(m, z0, grid, len(grid) // 2, g[:, :, None])
+    pushed = hvals @ traj[:, :n] + hshift[:, :, None]
+    inside = (tvals >= dst.domain[0] - 1e-12) & (tvals <= dst.domain[1] + 1e-12)
+    tg = tvals[inside]
+    xg = pushed[inside]
+    # wide stencils keep the measurement floor below the gauge residuals
+    # even when the time map compresses the image grid
+    d1 = grid_derivative(tg, xg, 1, stencil=7)
+    d2 = grid_derivative(tg, xg, 2, stencil=9)
+    a_fun, b_fun, f_fun = dst.coefficients()
+    defect = d2 - (a_fun.evaluate(tg) @ d1 + b_fun.evaluate(tg) @ xg
+                   + f_fun.evaluate(tg)[:, :, None])
+    # each trajectory is measured against its own scale
+    scale = np.maximum(1.0, np.max(np.abs(xg), axis=(0, 1)))
+    return float(np.max(np.max(np.abs(defect[4:-4]), axis=(0, 1)) / scale))

@@ -7,6 +7,11 @@ system (one quadrature for the time map); two symmetries with independent
 t-components split the straightening solve into uncoupled blocks ordered by
 the Jordan structure of zeta = eta2 - (tau2/tau1) eta1, with the quadrature
 count bounded by n + p - r when the elementary divisors are distinct.
+
+Each fundamental solve is a linear ODE whose coefficients are tabulated once
+on the grid and its step midpoints and handed to ``numutil.rk4_linear``;
+right-multiplied equations such as tau H_t = -H eta run on the transpose
+(``gauge.right_fundamental``).  The A~, B~ formula is ``gauge.pushforward``.
 """
 
 from __future__ import annotations
@@ -17,11 +22,10 @@ import numpy as np
 
 from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
-                    SystemDescriptor, criterion_matrix, gauge_f_zero,
-                    singular_class_test)
-from .matfun import POLYNOMIAL, MatrixFunction, ScalarFunction
-from .numutil import (cumulative_integral, grid_derivative, rk4_bidirectional,
-                      uniform_grid)
+                    SystemDescriptor, criterion_matrix, gauge_f_zero, pushforward,
+                    right_fundamental, schwarzian_time_map, singular_class_test)
+from .matfun import POLYNOMIAL, MatrixFunction, ScalarFunction, poly_wronskian
+from .numutil import companion, cumulative_integral, grid_derivative, uniform_grid
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 from .symalg import SymmetryVectorField, verify_symmetry_homogeneous
 
@@ -118,11 +122,10 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
             and e1.kind in (POLYNOMIAL, "constant") and e2.kind in (POLYNOMIAL, "constant"):
         c1 = [complex(c) for c in q1.tau.coeffs]
         c2 = [complex(c) for c in q2.tau.coeffs]
-        tau3 = _poly_wr(c1, c2)
         m1 = e1.coeffs if e1.kind == POLYNOMIAL else [e1.value]
         m2 = e2.coeffs if e2.kind == POLYNOMIAL else [e2.value]
         eta3 = _poly_eta_bracket(c1, c2, m1, m2, n)
-        tau_f = ScalarFunction.polynomial(tau3 if tau3 else [0.0], domain)
+        tau_f = ScalarFunction.polynomial(poly_wronskian(c1, c2), domain)
         eta_f = MatrixFunction.polynomial(eta3, domain)
         return SymmetryVectorField(tau=tau_f, eta=eta_f)
     grid = uniform_grid(domain[0], domain[1], 512)
@@ -139,20 +142,6 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
             + np.einsum("tij,tjk->tik", n2, n1) - np.einsum("tij,tjk->tik", n1, n2))
     return SymmetryVectorField(tau=ScalarFunction.sampled(grid, tau3),
                                eta=MatrixFunction.sampled(grid, eta3))
-
-
-def _poly_wr(c1, c2):
-    deg = len(c1) + len(c2)
-    out = [0.0 + 0.0j] * max(deg - 1, 1)
-    d1 = [(j + 1) * c1[j + 1] for j in range(len(c1) - 1)]
-    d2 = [(j + 1) * c2[j + 1] for j in range(len(c2) - 1)]
-    for i, a in enumerate(c1):
-        for j, b in enumerate(d2):
-            out[i + j] += a * b
-    for i, a in enumerate(c2):
-        for j, b in enumerate(d1):
-            out[i + j] -= a * b
-    return out
 
 
 def _poly_eta_bracket(c1, c2, m1, m2, n):
@@ -184,10 +173,7 @@ def solve_constant(a_mat: np.ndarray, b_mat: np.ndarray, domain,
     n = a_mat.shape[0]
     lo, hi = float(domain[0]), float(domain[1])
     t0 = 0.5 * (lo + hi)
-    comp = np.zeros((2 * n, 2 * n), dtype=np.result_type(a_mat.dtype, b_mat.dtype, float))
-    comp[:n, n:] = np.eye(n)
-    comp[n:, :n] = b_mat
-    comp[n:, n:] = a_mat
+    comp = companion(a_mat, b_mat)
     ef = linalg.exp_factory(comp, cfg)
     grid = uniform_grid(lo, hi, grid_steps)
     states = np.stack([ef(t - t0) for t in grid])
@@ -212,40 +198,22 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     cfg = sys.cfg
     n = sys.n
     lo, hi = sys.domain
-    grid = uniform_grid(lo, hi, grid_steps)
-    i0 = len(grid) // 2
+    half = uniform_grid(lo, hi, 2 * grid_steps)
+    grid = half[::2]
     a_fun, _, f_fun = sys.coefficients()
-
-    def mrhs(t, m):
-        return -0.5 * a_fun.evaluate(t).T @ m
-
-    mmat = rk4_bidirectional(mrhs, np.eye(n, dtype=sys.field.dtype), grid, i0)
+    # M^T solves (M^T)_t = -(1/2) M^T A
+    a_half = a_fun.evaluate(half)
+    mmat_t = right_fundamental(-0.5 * a_half, grid, sys.field.dtype)
     crit = criterion_matrix(sys)
-    uvals = np.real(np.trace(crit.evaluate(grid), axis1=1, axis2=2)) / n
-    u_fun = ScalarFunction.sampled(grid, uvals)
-
-    def phirhs(t, y):
-        return np.array([y[1], float(np.real(u_fun.evaluate(t))) * y[0]])
-
-    phi1 = rk4_bidirectional(phirhs, np.array([0.0, 1.0]), grid, i0)
-    phi2 = rk4_bidirectional(phirhs, np.array([1.0, 0.0]), grid, i0)
-    pos = phi2[:, 0] > 0.0
-    j_lo, j_hi = i0, i0
-    while j_lo > 0 and pos[j_lo - 1]:
-        j_lo -= 1
-    while j_hi < len(grid) - 1 and pos[j_hi + 1]:
-        j_hi += 1
-    if (grid[j_hi] - grid[j_lo]) < min_length_fraction * (hi - lo):
+    u = np.real(np.trace(crit.evaluate(half), axis1=1, axis2=2)) / n
+    run = schwarzian_time_map(u, grid, min_length_fraction)
+    if run is None:
         raise IntegrationError("no zero-free subinterval of the requested minimum "
                                "length for the time reparametrization")
-    sel = slice(j_lo, j_hi + 1)
+    sel, tvals, t1, t2 = run
     sub = grid[sel]
-    p2 = phi2[sel, 0]
-    p2t = phi2[sel, 1]
-    tvals = phi1[sel, 0] / p2
-    t1 = 1.0 / p2 ** 2
-    t2 = -2.0 * p2t / p2 ** 3
-    hvals = np.sqrt(t1)[:, None, None] * np.transpose(mmat[sel], (0, 2, 1))
+    mt_sel = mmat_t[sel]
+    hvals = np.sqrt(t1)[:, None, None] * mt_sel
     hinv = np.linalg.inv(hvals)
     fvals = f_fun.evaluate(sub)
     f_norm = float(np.max(np.abs(fvals))) if fvals.size else 0.0
@@ -254,20 +222,16 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     # two quadrature layers on the reparametrized time grid
     g1 = cumulative_integral(tvals, ft_vals)
     gvals = cumulative_integral(tvals, g1)
-    m = len(sub)
-    positions = np.zeros((m, n, 2 * n), dtype=hvals.dtype)
-    velocities = np.zeros_like(positions)
-    # x~ columns: e_j and T e_j; pull back through x = H^-1 x~(T)
-    hdot = _singular_hdot(hvals, t1, t2, mmat[sel], a_fun, sub)
+    # H = T_t^(1/2) M^T, so H_t = (T_tt / 2 T_t^(1/2)) M^T - (1/2) T_t^(1/2) M^T A
+    hdot = ((0.5 * t2 / np.sqrt(t1))[:, None, None] * mt_sel
+            - 0.5 * np.sqrt(t1)[:, None, None]
+            * np.einsum("tij,tjk->tik", mt_sel, a_half[::2][sel]))
     hinv_dot = -np.einsum("tij,tjk,tkl->til", hinv, hdot, hinv)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        positions[:, :, j] = np.einsum("tij,j->ti", hinv, e)
-        velocities[:, :, j] = np.einsum("tij,j->ti", hinv_dot, e)
-        positions[:, :, n + j] = np.einsum("tij,j->ti", hinv, e) * tvals[:, None]
-        velocities[:, :, n + j] = (np.einsum("tij,j->ti", hinv_dot, e) * tvals[:, None]
-                                   + np.einsum("tij,j->ti", hinv, e) * t1[:, None])
+    # x~ columns: e_j and T e_j; pull back through x = H^-1 x~(T)
+    tc = tvals[:, None, None]
+    positions = np.concatenate([hinv, hinv * tc], axis=2)
+    velocities = np.concatenate([hinv_dot, hinv_dot * tc + hinv * t1[:, None, None]],
+                                axis=2)
     particular = None
     quad = 0
     if not homogeneous:
@@ -281,14 +245,6 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     return SolutionSet(grid=sub, positions=positions, velocities=velocities,
                        particular=particular, method="singular-class reduction",
                        quadratures=quad, plan=plan)
-
-
-def _singular_hdot(hvals, t1, t2, msel, a_fun, sub):
-    # H = T_t^(1/2) M^T with M_t = -(1/2) A^T M
-    mt = np.stack([-0.5 * a_fun.evaluate(t).T @ m for t, m in zip(sub, msel)])
-    term1 = (0.5 * t2 / np.sqrt(t1))[:, None, None] * np.transpose(msel, (0, 2, 1))
-    term2 = np.sqrt(t1)[:, None, None] * np.transpose(mt, (0, 2, 1))
-    return term1 + term2
 
 
 def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
@@ -311,23 +267,33 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     scale = 1.0 + b_fun.max_norm() + a_fun.max_norm()
     if res > 100 * cfg.residual_tol * scale:
         raise IntegrationError(f"symmetry not verified (residual {res:.3g})")
-    grid = uniform_grid(lo, hi, grid_steps)
+    half = uniform_grid(lo, hi, 2 * grid_steps)
+    grid = half[::2]
     i0 = len(grid) // 2
-    tau = np.real(q.tau.evaluate(grid))
+    tau_half = np.real(q.tau.evaluate(half))
+    tau = tau_half[::2]
     if np.min(np.abs(tau)) <= 1e-12:
         raise IntegrationError("tau vanishes on the domain")
     eta_fun = q.eta_function(n, sys.domain)
-
-    def hrhs(t, h):
-        return -(1.0 / np.real(q.tau.evaluate(t))) * (h @ eta_fun.evaluate(t))
-
-    hvals = rk4_bidirectional(hrhs, np.eye(n, dtype=sys.field.dtype), grid, i0)
+    eta_half = eta_fun.evaluate(half)
+    hvals = right_fundamental(-eta_half / tau_half[:, None, None], grid, sys.field.dtype)
     tmap = cumulative_integral(grid, 1.0 / tau)
     tmap = tmap - tmap[i0]
-    abar, bbar = _pushforward_constant(sys, grid, tau, q.tau, eta_fun, hvals, cfg)
+    taut = np.real(q.tau.derivative(1).evaluate(grid))
+    anew, bnew, ht = _straightened_coefficients(sys, grid, tau, taut, hvals, eta_half[::2],
+                                                eta_fun.derivative(1).evaluate(grid))
+    abar, bbar = anew[i0], bnew[i0]
+    dev_a = float(np.max(np.abs(anew - abar)))
+    dev_b = float(np.max(np.abs(bnew - bbar)))
+    tol_a = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(abar))))
+    tol_b = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(bbar))))
+    if dev_a > tol_a or dev_b > tol_b:
+        raise IntegrationError(
+            f"push-forward coefficients are not constant (deviations {dev_a:.3g}, "
+            f"{dev_b:.3g}); symmetry not verified or numerics insufficient")
     tgrid_lo, tgrid_hi = float(np.min(tmap)), float(np.max(tmap))
     const = solve_constant(abar, bbar, (tgrid_lo, tgrid_hi), cfg, grid_steps)
-    sol = _pullback(grid, tmap, 1.0 / tau, hvals, const, n, eta_fun, q.tau)
+    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, const)
     plan = IntegrationPlan(procedure="OneSymmetry", quadratures=1,
                            h_grid=grid, h_values=hvals, t_map=tmap,
                            notes=["constant push-forward coefficients",
@@ -339,54 +305,29 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     return sol
 
 
-def _pushforward_constant(sys, grid, tau, tau_fun, eta_fun, hvals, cfg):
-    """A~, B~ via the point-transformation push-forward; asserted constant."""
-    n = sys.n
+def _straightened_coefficients(sys, grid, tau, taut, h, eta, eta_t):
+    """A~, B~ on the grid, and H_t, for T_t = 1/tau and H solving tau H_t = -H eta.
+
+    H_t and H_tt come exactly from that equation rather than from
+    differentiating the solved H.
+    """
+    he = h @ eta
+    tc = tau[:, None, None]
+    ht = -he / tc
+    htt = (taut / tau ** 2)[:, None, None] * he + (he @ eta) / tc ** 2 - (h @ eta_t) / tc
     a_fun, b_fun, _ = sys.coefficients()
-    taut = np.real(tau_fun.derivative(1).evaluate(grid))
-    eta = eta_fun.evaluate(grid)
-    etat = eta_fun.derivative(1).evaluate(grid)
-    t1 = 1.0 / tau
-    t2 = -taut / tau ** 2
-    h = hvals
-    ht = -np.einsum("tij,tjk->tik", h, eta) / tau[:, None, None]
-    htt = (np.einsum("t,tij->tij", taut / tau ** 2, np.einsum("tij,tjk->tik", h, eta))
-           + np.einsum("tij,tjk->tik", np.einsum("tij,tjk->tik", h, eta), eta)
-           / tau[:, None, None] ** 2
-           - np.einsum("tij,tjk->tik", h, etat) / tau[:, None, None])
-    hinv = np.linalg.inv(h)
-    a = a_fun.evaluate(grid)
-    b = b_fun.evaluate(grid)
-    t1c = t1[:, None, None]
-    t2c = t2[:, None, None]
-    anew = (t1c * np.einsum("tij,tjk->tik", h, a) + 2.0 * t1c * ht - t2c * h)
-    anew = np.einsum("tij,tjk->tik", anew, hinv) / t1c ** 2
-    bnew = (t1c * np.einsum("tij,tjk->tik", h, b)
-            - t1c ** 2 * np.einsum("tij,tjk->tik", anew, ht)
-            + t1c * htt - t2c * ht)
-    bnew = np.einsum("tij,tjk->tik", bnew, hinv) / t1c ** 3
-    i0 = len(grid) // 2
-    abar, bbar = anew[i0], bnew[i0]
-    dev_a = float(np.max(np.abs(anew - abar)))
-    dev_b = float(np.max(np.abs(bnew - bbar)))
-    tol_a = 1e4 * sys.cfg.residual_tol * (1.0 + float(np.max(np.abs(abar))))
-    tol_b = 1e4 * sys.cfg.residual_tol * (1.0 + float(np.max(np.abs(bbar))))
-    if dev_a > tol_a or dev_b > tol_b:
-        raise IntegrationError(
-            f"push-forward coefficients are not constant (deviations {dev_a:.3g}, "
-            f"{dev_b:.3g}); symmetry not verified or numerics insufficient")
-    return abar, bbar
+    anew, bnew = pushforward(1.0 / tau, -taut / tau ** 2, h, ht, htt,
+                             a_fun.evaluate(grid), b_fun.evaluate(grid))
+    return anew, bnew, ht
 
 
-def _pullback(grid, tmap, t1, hvals, const: SolutionSet, n, eta_fun, tau_fun):
+def _pullback(grid, tmap, t1, hvals, ht, const: SolutionSet):
     """x(t) = H^-1(t) x~(T(t)) for every fundamental column of const."""
+    n = hvals.shape[1]
     hinv = np.linalg.inv(hvals)
-    tau = np.real(tau_fun.evaluate(grid))
-    eta = eta_fun.evaluate(grid)
-    ht = -np.einsum("tij,tjk->tik", hvals, eta) / tau[:, None, None]
     hinv_dot = -np.einsum("tij,tjk,tkl->til", hinv, ht, hinv)
-    comp = _companion_evaluator(const)
-    states = np.stack([comp(tv) for tv in tmap])
+    ef = linalg.exp_factory(const.generator)
+    states = np.stack([ef(float(tv) - const.t0) for tv in tmap])
     xpos = states[:, :n, :]
     xvel = states[:, n:, :]
     positions = np.einsum("tij,tjk->tik", hinv, xpos)
@@ -394,17 +335,6 @@ def _pullback(grid, tmap, t1, hvals, const: SolutionSet, n, eta_fun, tau_fun):
                   + np.einsum("tij,tjk->tik", hinv, xvel) * t1[:, None, None])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
                        particular=None, method="", quadratures=0)
-
-
-def _companion_evaluator(const: SolutionSet):
-    """Closed-form state evaluator t~ -> 2n x 2n from a constant solve."""
-    ef = linalg.exp_factory(const.generator)
-    t0 = const.t0
-
-    def evaluate(tv):
-        return ef(float(tv) - t0)
-
-    return evaluate
 
 
 def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
@@ -432,7 +362,8 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
         res = verify_symmetry_homogeneous(a_fun, b_fun, q, cfg)
         if res > 100 * cfg.residual_tol * scale:
             raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
-    grid = uniform_grid(lo, hi, grid_steps)
+    half = uniform_grid(lo, hi, 2 * grid_steps)
+    grid = half[::2]
     i0 = len(grid) // 2
     tau1 = q1.tau.evaluate(grid)
     tau2 = q2.tau.evaluate(grid)
@@ -471,14 +402,16 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     y_tau = _combine_scalar(q1.tau, q2.tau, cco, dco, sys.domain)
     x_eta = _combine_matrix(eta1_fun, eta2_fun, aco, bco, sys.domain)
     y_eta = _combine_matrix(eta1_fun, eta2_fun, cco, dco, sys.domain)
-    tau_x = x_tau.evaluate(grid)
+    tau_x_half = x_tau.evaluate(half)
+    tau_x = tau_x_half[::2]
     if np.min(np.abs(tau_x)) <= 1e-12:
         raise IntegrationError("recombined tau1 vanishes inside the domain; "
                                "restrict the domain")
     tau_y = y_tau.evaluate(grid)
     tmap = np.real(tau_y / tau_x)
     # zeta and its constant Jordan data from the midpoint probe
-    ex = x_eta.evaluate(grid)
+    ex_half = x_eta.evaluate(half)
+    ex = ex_half[::2]
     ey = y_eta.evaluate(grid)
     zeta = ey - (tau_y / tau_x)[:, None, None] * ex
     charpolys = np.stack([np.poly(zeta[i]) for i in range(0, len(grid),
@@ -491,50 +424,41 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     # construction; the pulled-back solutions realify pairwise at the end
     lam, modal = linalg.jordan_form(zeta[i0], cfg)
     hhat = np.linalg.inv(modal)
-    eta_check = np.einsum("ij,tjk,kl->til", hhat, ex, modal)
+    eta_check_half = np.einsum("ij,tjk,kl->til", hhat, ex_half, modal)
+    eta_check = eta_check_half[::2]
     clusters = linalg.eig_clustered(lam, cfg)
     sizes = [c.multiplicity for c in clusters]
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    offblock = eta_check.copy()
+    blocks = np.zeros((n, n), dtype=bool)
     for bi in range(len(sizes)):
-        offblock[:, offs[bi]:offs[bi + 1], offs[bi]:offs[bi + 1]] = 0.0
-    offmax = float(np.max(np.abs(offblock)))
+        blocks[offs[bi]:offs[bi + 1], offs[bi]:offs[bi + 1]] = True
+    offmax = float(np.max(np.abs(np.where(blocks, 0.0, eta_check))))
     if offmax > 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(eta_check)))):
         raise IntegrationError(f"conjugated eta1 is not block-diagonal along the "
                                f"eigenspaces (off-block max {offmax:.3g}); "
                                "numerical failure")
-    # blockwise straightening solves
-    hcheck = np.zeros_like(eta_check)
-    for bi in range(len(sizes)):
-        sl = slice(offs[bi], offs[bi + 1])
-        sub_fun = MatrixFunction.sampled(grid, eta_check[:, sl, sl])
-
-        def blockrhs(t, h, fn=sub_fun):
-            return -(1.0 / np.real(x_tau.evaluate(t))) * (h @ fn.evaluate(t))
-
-        hb = rk4_bidirectional(blockrhs, np.eye(sizes[bi], dtype=complex), grid, i0)
-        hcheck[:, sl, sl] = hb
-    hvals = np.einsum("tij,jk->tik", hcheck, hhat)
-    # push forward with exact derivatives of H = Hcheck Hhat
-    abar, bbar = _pushforward_constant_pair(sys, grid, tau_x, x_tau,
-                                            MatrixFunction.sampled(grid, eta_check),
-                                            hcheck, hhat, cfg)
-    order = np.argsort(tmap)
-    t_lo, t_hi = float(tmap[order[0]]), float(tmap[order[-1]])
-    const = solve_constant(abar, bbar, (t_lo, t_hi), cfg, grid_steps)
-    comp = _companion_evaluator(const)
-    states = np.stack([comp(tv) for tv in tmap])
-    hinv = np.linalg.inv(hvals)
-    hcheck_t = np.stack([-(1.0 / np.real(x_tau.evaluate(grid[i])))
-                         * (hcheck[i] @ eta_check[i]) for i in range(len(grid))])
-    ht = np.einsum("tij,jk->tik", hcheck_t, hhat)
-    hinv_dot = -np.einsum("tij,tjk,tkl->til", hinv, ht, hinv)
-    t1 = np.real(1.0 / tau_x)
-    xpos = states[:, :n, :]
-    xvel = states[:, n:, :]
-    positions = np.einsum("tij,tjk->tik", hinv, xpos)
-    velocities = (np.einsum("tij,tjk->tik", hinv_dot, xpos)
-                  + np.einsum("tij,tjk->tik", hinv, xvel) * t1[:, None, None])
+    # the straightening solve tau Hcheck_t = -Hcheck eta_check splits along
+    # the blocks: one solve with the off-block part of eta_check left out
+    tau_half = np.real(tau_x_half)
+    hcheck = right_fundamental(-np.where(blocks, eta_check_half, 0.0)
+                               / tau_half[:, None, None], grid, complex)
+    hvals = hcheck @ hhat
+    tau = tau_half[::2]
+    # H = Hcheck Hhat solves tau H_t = -H eta1, which gives H_t and H_tt exactly
+    anew, bnew, ht = _straightened_coefficients(
+        sys, grid, tau, np.real(x_tau.derivative(1).evaluate(grid)), hvals, ex,
+        x_eta.derivative(1).evaluate(grid))
+    abar, bbar = anew[i0], bnew[i0]
+    dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
+    tol = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(bbar)))
+                                    + float(np.max(np.abs(abar))))
+    if dev > tol:
+        raise IntegrationError(f"push-forward coefficients are not constant "
+                               f"(deviation {dev:.3g}); numerical failure")
+    const = solve_constant(abar, bbar, (float(np.min(tmap)), float(np.max(tmap))), cfg,
+                           grid_steps)
+    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, const)
+    positions, velocities = sol.positions, sol.velocities
     if sys.field is Field.REAL and np.max(np.abs(positions.imag)) < 1e-7:
         positions = positions.real
         velocities = velocities.real
@@ -602,48 +526,6 @@ def _combine_matrix(e1: MatrixFunction, e2: MatrixFunction, a, b, domain):
     if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) < 1e-14:
         vals = vals.real
     return MatrixFunction.sampled(grid, vals)
-
-
-def _pushforward_constant_pair(sys, grid, tau_x, x_tau_fun, eta_check_fun,
-                               hcheck, hhat, cfg):
-    """A~, B~ for H = Hcheck Hhat with exact H_t, H_tt from the block ODE."""
-    n = sys.n
-    a_fun, b_fun, _ = sys.coefficients()
-    tau = np.real(tau_x)
-    taut = np.real(x_tau_fun.derivative(1).evaluate(grid))
-    etac = eta_check_fun.evaluate(grid)
-    etac_t = eta_check_fun.derivative(1).evaluate(grid)
-    h = np.einsum("tij,jk->tik", hcheck, hhat)
-    hc_t = -np.einsum("tij,tjk->tik", hcheck, etac) / tau[:, None, None]
-    hc_tt = (np.einsum("t,tij->tij", taut / tau ** 2,
-                       np.einsum("tij,tjk->tik", hcheck, etac))
-             + np.einsum("tij,tjk->tik", np.einsum("tij,tjk->tik", hcheck, etac),
-                         etac) / tau[:, None, None] ** 2
-             - np.einsum("tij,tjk->tik", hcheck, etac_t) / tau[:, None, None])
-    ht = np.einsum("tij,jk->tik", hc_t, hhat)
-    htt = np.einsum("tij,jk->tik", hc_tt, hhat)
-    hinv = np.linalg.inv(h)
-    a = a_fun.evaluate(grid)
-    b = b_fun.evaluate(grid)
-    t1 = 1.0 / tau
-    t2 = -taut / tau ** 2
-    t1c = t1[:, None, None]
-    t2c = t2[:, None, None]
-    anew = (t1c * np.einsum("tij,tjk->tik", h, a) + 2.0 * t1c * ht - t2c * h)
-    anew = np.einsum("tij,tjk->tik", anew, hinv) / t1c ** 2
-    bnew = (t1c * np.einsum("tij,tjk->tik", h, b)
-            - t1c ** 2 * np.einsum("tij,tjk->tik", anew, ht)
-            + t1c * htt - t2c * ht)
-    bnew = np.einsum("tij,tjk->tik", bnew, hinv) / t1c ** 3
-    i0 = len(grid) // 2
-    abar, bbar = anew[i0], bnew[i0]
-    dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
-    tol = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(bbar)))
-                                    + float(np.max(np.abs(abar))))
-    if dev > tol:
-        raise IntegrationError(f"push-forward coefficients are not constant "
-                               f"(deviation {dev:.3g}); numerical failure")
-    return abar, bbar
 
 
 def integrate_auto(sys: SystemDescriptor, symmetries=(),

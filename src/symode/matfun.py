@@ -100,6 +100,19 @@ def _poly_compose_affine(coeffs, alpha, beta):
     return _strip_trailing(out)
 
 
+def poly_wronskian(c1, c2):
+    """Ascending coefficients of p1 p2' - p2 p1', len(c1) + len(c2) - 1 of them."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    out = np.zeros(max(len(c1) + len(c2) - 1, 1), dtype=np.result_type(c1, c2, float))
+    for i, a in enumerate(c1):
+        for j in range(1, len(c2)):
+            out[i + j - 1] += a * (j * c2[j])
+    for i, b in enumerate(c2):
+        for j in range(1, len(c1)):
+            out[i + j - 1] -= b * (j * c1[j])
+    return out
+
+
 class ScalarFunction(_TimeFunction):
     """Scalar function of t: polynomial or sampled."""
 

@@ -4,6 +4,10 @@ These are the fixed low-order building blocks the rest of the package relies
 on: classic RK4 with a uniform step, Fornberg weights for derivatives on
 (possibly nonuniform) grids, and a locally-cubic cumulative integral, all
 fourth-order accurate so their errors sit below the package residual targets.
+
+Every ODE the package solves is linear, y' = M(t) y + g(t), and goes through
+``rk4_linear``: the coefficients are evaluated once, as arrays, on the grid
+and its step midpoints, and the same RK4 loop then reads them by index.
 """
 
 from __future__ import annotations
@@ -140,6 +144,47 @@ def rk4_bidirectional(f, y0: np.ndarray, grid: np.ndarray, i0: int) -> np.ndarra
     out = np.empty((len(grid),) + np.shape(y0), dtype=fwd.dtype)
     out[i0:] = fwd
     out[:i0 + 1] = bwd[::-1]
+    return out
+
+
+def rk4_linear(m: np.ndarray, y0: np.ndarray, grid: np.ndarray, i0: int = 0,
+               g: np.ndarray | None = None) -> np.ndarray:
+    """Classic RK4 for the linear system y' = M(t) y + g(t) on a uniform grid.
+
+    m (and g, when given) hold M (and g) tabulated on the 2N+1 points
+    ``uniform_grid(grid[0], grid[-1], 2N)``: the N+1 nodes of ``grid`` with
+    the step midpoints, where RK4 evaluates, in between.  y0 is a vector or a
+    matrix whose columns are propagated together; g must broadcast against
+    it.  Integrates from grid[i0] in both directions.  The steps run
+    ``rk4_bidirectional`` on the index grid 0..N, where s and s +- 1/2 are
+    exact, with f(s, y) = h (M[2s] y + g[2s]).
+    """
+    steps = len(grid) - 1
+    if len(m) != 2 * steps + 1 or (g is not None and len(g) != 2 * steps + 1):
+        raise ValueError("coefficients must be tabulated on the 2N+1 half-step points")
+    h = (grid[-1] - grid[0]) / steps
+    y0 = np.asarray(y0, dtype=np.result_type(y0, m, 0.0 if g is None else g))
+
+    def f(s, y):
+        j = int(2.0 * s)
+        dy = m[j] @ y
+        return h * (dy if g is None else dy + g[j])
+
+    return rk4_bidirectional(f, y0, np.arange(steps + 1, dtype=float), i0)
+
+
+def companion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[0, E], [B, A]], the first-order form z' = M z of x_tt = A x_t + B x.
+
+    z = (x, x_t); a and b are n x n matrices or stacks (..., n, n) of them.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-2] + (2 * n, 2 * n),
+                   dtype=np.result_type(a, b, float))
+    out[..., :n, n:] = np.eye(n)
+    out[..., n:, :n] = b
+    out[..., n:, n:] = a
     return out
 
 

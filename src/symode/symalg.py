@@ -26,7 +26,7 @@ from .gauge import (SystemDescriptor, gauge_A_zero, gauge_f_zero,
 from .linalg import SubspaceBasis, commutator
 from .matfun import (CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
                      ScalarFunction, VectorFunction, kl_sequence,
-                     kl_sequence_with_tail)
+                     kl_sequence_with_tail, poly_wronskian)
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 
 PROBES = 64
@@ -312,20 +312,6 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
     return ess
 
 
-def _poly_wronskian(c1, c2):
-    """Coefficients of tau1 tau2' - tau2 tau1' for cubic-capped inputs."""
-    out = np.zeros(6, dtype=np.result_type(c1.dtype, c2.dtype, float))
-    d1 = [(j + 1) * c1[j + 1] for j in range(len(c1) - 1)]
-    d2 = [(j + 1) * c2[j + 1] for j in range(len(c2) - 1)]
-    for i, a in enumerate(c1):
-        for j, b in enumerate(d2):
-            out[i + j] += a * b
-    for i, a in enumerate(c2):
-        for j, b in enumerate(d1):
-            out[i + j] -= a * b
-    return out
-
-
 def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     """Recombine the two t-fields so [P, D] = P, with Jordan-splitting cleanup.
 
@@ -342,9 +328,9 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
         c1[j] = complex(c)
     for j, c in enumerate(tau2.coeffs[:3]):
         c2[j] = complex(c)
-    w = _poly_wronskian(c1, c2)
-    basis = np.stack([np.concatenate([c1, np.zeros(3)]),
-                      np.concatenate([c2, np.zeros(3)])])
+    w = poly_wronskian(c1, c2)
+    basis = np.stack([np.concatenate([c1, np.zeros(2)]),
+                      np.concatenate([c2, np.zeros(2)])])
     coef, *_ = np.linalg.lstsq(basis.T[:, :2].astype(complex), w.astype(complex), rcond=None)
     a, b = coef
     resid = np.linalg.norm(w - a * basis[0] - b * basis[1])
@@ -468,7 +454,7 @@ def _lambda_candidate(kl, cfg):
     rhs = []
     for l, k in enumerate(kl):
         scale = max(linalg.frobenius_norm(k), 1e-300)
-        rows.append(_lam_op(k) / scale)
+        rows.append(linalg.ad_operator(k) / scale)
         rhs.append(((l + 2) * k / scale).reshape(-1, order="F"))
     a = np.vstack(rows)
     b = np.concatenate(rhs)
@@ -476,13 +462,6 @@ def _lambda_candidate(kl, cfg):
     lam = sol.reshape(n, n, order="F")
     resid = float(np.linalg.norm(a @ sol - b))
     return lam, resid
-
-
-def _lam_op(k):
-    """Operator Lam -> [Lam, k] on vec(Lam)."""
-    n = k.shape[0]
-    eye = np.eye(n, dtype=k.dtype)
-    return np.kron(k.T, eye) - np.kron(eye, k)
 
 
 def _chain_shift(lam, cfg):
@@ -629,7 +608,7 @@ def _improper_gamma(k_ext, mstar, g0, cfg):
             r += comb(m, l) * (g0 ** (m - l)) * (k_ext[l + 1].astype(complex)
                                                  + 2.0 * g0 * k_ext[l].astype(complex))
         scale = max(np.linalg.norm(km), np.linalg.norm(r), 1.0)
-        rows.append(_lam_op(km) / scale)
+        rows.append(linalg.ad_operator(km) / scale)
         rhs.append((r / scale).reshape(-1, order="F"))
     a = np.vstack(rows)
     b = np.concatenate(rhs)

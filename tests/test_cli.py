@@ -55,6 +55,31 @@ class TestSchema:
         assert main(["classify", str(path)]) == EXIT_OK
 
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), [0.0, float("-inf")]])
+    def test_non_finite_entry_exit2(self, tmp_path, capsys, entry):
+        doc = {"n": 2, "field": "complex", "class": "Lprime", "domain": [-1, 1],
+               "V": {"kind": "constant", "m": [[entry, 1.0], [1.0, 0.0]]}}
+        path = write(tmp_path, "nonfinite.json", doc)
+        assert main(["classify", path]) == EXIT_SCHEMA
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_sample_time_exit2(self, tmp_path, capsys):
+        doc = {"n": 1, "field": "real", "class": "Lprime", "domain": [-1, 1],
+               "V": {"kind": "sampled", "t": [-1.0, float("nan"), 1.0],
+                     "values": [[[0.0]], [[0.5]], [[1.0]]]}}
+        path = write(tmp_path, "nonfinite.json", doc)
+        assert main(["classify", path]) == EXIT_SCHEMA
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_non_finite_domain_exit2(self, tmp_path, capsys, bound):
+        doc = {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, bound],
+               "V": {"kind": "constant", "m": [[0.0, 1.0], [1.0, 0.0]]}}
+        path = write(tmp_path, "nonfinite.json", doc)
+        assert main(["classify", path]) == EXIT_SCHEMA
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestGaugeCommand:
     def test_a_gauge_produces_conj_exp(self, tmp_path, capsys):
         doc = barl_doc(-2 * S2, S1)
@@ -242,6 +267,34 @@ class TestGaugeFZeroCommand:
         assert main(["classify", path2, "--out", out2]) == EXIT_OK
         rep = json.loads(open(out2).read())
         assert rep["case"] == "7"
+
+
+class TestGaugeChain:
+    """Multi-step targets are verified and emitted as one source -> final transform."""
+
+    @pytest.mark.parametrize("target", ["a0", "traceless"])
+    def test_forced_free_a_chain(self, tmp_path, target):
+        doc = barl_doc(np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]], f=(0.3, -0.2))
+        path = write(tmp_path, "in.json", doc)
+        out = str(tmp_path / "out.json")
+        assert main(["gauge", path, "--target", target, "--out", out]) == EXIT_OK
+        payload = json.loads(open(out).read())
+        assert payload["residual"] < 10 * 1e-6
+        assert payload["transform"]["h"]["kind"] == "sampled"
+
+    def test_three_step_chain(self, tmp_path):
+        doc = {"n": 2, "field": "real", "class": "barL", "domain": [-1.0, 1.0],
+               "A": {"kind": "polynomial",
+                     "coeffs": [[[0.2, 0.1], [-0.3, 0.1]], [[0.1, 0.0], [0.2, -0.1]]]},
+               "B": {"kind": "constant", "m": [[0.5, 1.0], [1.0, 0.2]]},
+               "f": {"kind": "constant", "m": [0.3, -0.2]}}
+        path = write(tmp_path, "in.json", doc)
+        out = str(tmp_path / "out.json")
+        assert main(["gauge", path, "--target", "traceless", "--out", out]) == EXIT_OK
+        payload = json.loads(open(out).read())
+        assert payload["system"]["class"] == "Ldoubleprime"
+        assert payload["transform"]["T"]["kind"] == "sampled"
+        assert payload["residual"] < 10 * 1e-6
 
 
 class TestEnvOverrides:
