@@ -108,15 +108,17 @@ def _decode_grid(data):
     return grid
 
 
-def _decode_array(data):
-    arr = np.array([[_decode_entry(x) for x in row] for row in data])
-    if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) == 0.0:
-        arr = arr.real
-    return arr
+def _decode_array(data, ndim):
+    """JSON entries nested ndim lists deep, as one array that is real when no
+    entry has an imaginary part."""
+    def entries(x, depth):
+        if depth == 0:
+            return _decode_entry(x)
+        if not isinstance(x, list):
+            raise SchemaError(f"expected a list of numeric entries, got {x!r}")
+        return [entries(y, depth - 1) for y in x]
 
-
-def _decode_vector(data):
-    arr = np.array([_decode_entry(x) for x in data])
+    arr = np.array(entries(data, ndim))
     if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) == 0.0:
         arr = arr.real
     return arr
@@ -129,81 +131,42 @@ def _encode_entry(x):
     return [x.real, x.imag]
 
 
-def _encode_array(m):
-    return [[_encode_entry(x) for x in row] for row in np.asarray(m)]
+def _encode_array(a):
+    def entries(x):
+        return [entries(y) for y in x] if isinstance(x, list) else _encode_entry(x)
+    return entries(np.asarray(a).tolist())
 
 
-def _encode_vector(v):
-    return [_encode_entry(x) for x in np.asarray(v)]
-
-
-def decode_matrix_function(doc, domain) -> MatrixFunction:
+def decode_function(doc, cls, domain):
+    """A ScalarFunction, VectorFunction or MatrixFunction (cls) from its document."""
     kind = doc["kind"]
-    if kind == "constant":
-        return MatrixFunction.constant(_decode_array(doc["m"]), domain)
-    if kind == "polynomial":
-        return MatrixFunction.polynomial([_decode_array(c) for c in doc["coeffs"]],
-                                         domain)
-    if kind == "conj_exp":
-        return MatrixFunction.conj_exp(_decode_entry(doc["epsilon"]),
-                                       _decode_array(doc["upsilon"]),
-                                       _decode_array(doc["w"]), domain)
-    if kind == "sampled":
-        vals = np.stack([_decode_array(v) for v in doc["values"]])
-        return MatrixFunction.sampled(_decode_grid(doc["t"]), vals)
-    raise SchemaError(f"unknown matrix kind {kind}")
+    if kind not in cls.KINDS:
+        raise SchemaError(f"unknown {cls.NAME} kind {kind}")
+    if kind == CONSTANT:
+        return cls.constant(_decode_array(doc["m"], cls.ndim), domain)
+    if kind == POLYNOMIAL:
+        return cls.polynomial(_decode_array(doc["coeffs"], cls.ndim + 1), domain)
+    if kind == CONJ_EXP:
+        return cls.conj_exp(_decode_entry(doc["epsilon"]), _decode_array(doc["upsilon"], 2),
+                            _decode_array(doc["w"], 2), domain)
+    return cls.sampled(_decode_grid(doc["t"]), _decode_array(doc["values"], cls.ndim + 1))
 
 
-def decode_vector_function(doc, domain) -> VectorFunction:
-    kind = doc["kind"]
-    if kind == "constant":
-        return VectorFunction.constant(_decode_vector(doc["m"]), domain)
-    if kind == "polynomial":
-        return VectorFunction.polynomial([_decode_vector(c) for c in doc["coeffs"]],
-                                         domain)
-    if kind == "sampled":
-        vals = np.stack([_decode_vector(v) for v in doc["values"]])
-        return VectorFunction.sampled(_decode_grid(doc["t"]), vals)
-    raise SchemaError(f"unknown vector kind {kind}")
-
-
-def decode_scalar_function(doc, domain) -> ScalarFunction:
-    kind = doc["kind"]
-    if kind == "polynomial":
-        return ScalarFunction.polynomial([_decode_entry(c) for c in doc["coeffs"]],
-                                         domain)
-    if kind == "sampled":
-        return ScalarFunction.sampled(_decode_grid(doc["t"]),
-                                      _decode_vector(doc["values"]))
-    raise SchemaError(f"unknown scalar kind {kind}")
-
-
-def encode_matrix_function(fun: MatrixFunction):
+def encode_function(fun):
+    """The document of a ScalarFunction, VectorFunction or MatrixFunction."""
     if fun.kind == CONSTANT:
-        return {"kind": "constant", "m": _encode_array(fun.value)}
+        return {"kind": CONSTANT, "m": _encode_array(fun.value)}
     if fun.kind == POLYNOMIAL:
-        return {"kind": "polynomial", "coeffs": [_encode_array(c) for c in fun.coeffs]}
+        return {"kind": POLYNOMIAL, "coeffs": _encode_array(fun.coeffs)}
     if fun.kind == CONJ_EXP:
-        return {"kind": "conj_exp", "epsilon": _encode_entry(fun.epsilon),
+        return {"kind": CONJ_EXP, "epsilon": _encode_entry(fun.epsilon),
                 "upsilon": _encode_array(fun.upsilon), "w": _encode_array(fun.w)}
-    return {"kind": "sampled", "t": [float(t) for t in fun.grid],
-            "values": [_encode_array(v) for v in fun.values]}
+    return {"kind": SAMPLED, "t": [float(t) for t in fun.grid],
+            "values": _encode_array(fun.values)}
 
 
-def encode_vector_function(fun: VectorFunction):
-    if fun.kind == CONSTANT:
-        return {"kind": "constant", "m": _encode_vector(fun.value)}
-    if fun.kind == POLYNOMIAL:
-        return {"kind": "polynomial", "coeffs": [_encode_vector(c) for c in fun.coeffs]}
-    return {"kind": "sampled", "t": [float(t) for t in fun.grid],
-            "values": [_encode_vector(v) for v in fun.values]}
-
-
-def encode_scalar_function(fun: ScalarFunction):
-    if fun.kind == POLYNOMIAL:
-        return {"kind": "polynomial", "coeffs": [_encode_entry(c) for c in fun.coeffs]}
-    return {"kind": "sampled", "t": [float(t) for t in fun.grid],
-            "values": [_encode_entry(v) for v in np.asarray(fun.values)]}
+# the per-shape names, for callers that use them
+encode_matrix_function = encode_vector_function = encode_scalar_function = encode_function
 
 
 def load_system(path: str, cfg: ToleranceConfig) -> SystemDescriptor:
@@ -232,13 +195,13 @@ def system_from_document(doc, cfg: ToleranceConfig, origin="<doc>") -> SystemDes
         if cls in (LPRIME, LDOUBLEPRIME):
             if "V" not in doc:
                 raise SchemaError(f"{origin}: class {cls} needs V")
-            v_fun = decode_matrix_function(doc["V"], domain)
+            v_fun = decode_function(doc["V"], MatrixFunction, domain)
             return SystemDescriptor(cls, n, fld, domain, V=v_fun, cfg=cfg)
         if "A" not in doc or "B" not in doc:
             raise SchemaError(f"{origin}: class {cls} needs A and B")
-        a_fun = decode_matrix_function(doc["A"], domain)
-        b_fun = decode_matrix_function(doc["B"], domain)
-        f_fun = decode_vector_function(doc["f"], domain) if "f" in doc else None
+        a_fun = decode_function(doc["A"], MatrixFunction, domain)
+        b_fun = decode_function(doc["B"], MatrixFunction, domain)
+        f_fun = decode_function(doc["f"], VectorFunction, domain) if "f" in doc else None
         if cls == BARL:
             return SystemDescriptor(BARL, n, fld, domain, A=a_fun, B=b_fun,
                                     f=f_fun or VectorFunction.zero(n, domain),
@@ -255,12 +218,12 @@ def system_to_document(sys: SystemDescriptor):
     doc = {"n": sys.n, "field": sys.field.value, "class": sys.cls,
            "domain": [sys.domain[0], sys.domain[1]]}
     if sys.cls in (LPRIME, LDOUBLEPRIME):
-        doc["V"] = encode_matrix_function(sys.V)
+        doc["V"] = encode_function(sys.V)
     else:
-        doc["A"] = encode_matrix_function(sys.A)
-        doc["B"] = encode_matrix_function(sys.B)
+        doc["A"] = encode_function(sys.A)
+        doc["B"] = encode_function(sys.B)
         if sys.cls == BARL and sys.f is not None:
-            doc["f"] = encode_vector_function(sys.f)
+            doc["f"] = encode_function(sys.f)
     return doc
 
 
@@ -278,9 +241,9 @@ def load_symmetries(path: str, domain):
             raise SchemaError(f"{path}: schema violation: {exc.message}") from exc
     out = []
     for item in doc:
-        tau = decode_scalar_function(item["tau"], domain)
-        gamma = _decode_array(item["gamma"]) if "gamma" in item else None
-        chi = decode_vector_function(item["chi"], domain) if "chi" in item else None
+        tau = decode_function(item["tau"], ScalarFunction, domain)
+        gamma = _decode_array(item["gamma"], 2) if "gamma" in item else None
+        chi = decode_function(item["chi"], VectorFunction, domain) if "chi" in item else None
         out.append(SymmetryVectorField(tau=tau, gamma=gamma, chi=chi))
     return out
 
@@ -366,9 +329,9 @@ def cmd_gauge(args) -> int:
     payload = {
         "system": system_to_document(ts.system),
         "transform": {
-            "T": encode_scalar_function(tr.T),
-            "H": encode_matrix_function(tr.H),
-            "h": encode_vector_function(tr.h) if tr.h is not None else None,
+            "T": encode_function(tr.T),
+            "H": encode_function(tr.H),
+            "h": encode_function(tr.h) if tr.h is not None else None,
             "branch": tr.branch_note,
         },
         "residual": resid,
@@ -482,7 +445,7 @@ def cmd_integrate(args) -> int:
             for i in range(0, len(sol.grid), max(1, len(sol.grid) // 128))
         ],
         "particular": None if sol.particular is None else [
-            _encode_vector(sol.particular[i])
+            _encode_array(sol.particular[i])
             for i in range(0, len(sol.grid), max(1, len(sol.grid) // 128))
         ],
         "notes": sol.plan.notes if sol.plan else [],

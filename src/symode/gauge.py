@@ -32,8 +32,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .matfun import (CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
-                     ScalarFunction, VectorFunction, _poly_compose_affine)
+from .matfun import (COEFFICIENT_KINDS, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
+                     ScalarFunction, VectorFunction, poly_compose_affine, poly_der,
+                     poly_lincomb, poly_mul)
 from .numutil import companion, grid_derivative, rk4_linear, uniform_grid
 from .scalars import Field, ToleranceConfig
 
@@ -171,42 +172,17 @@ class TransformedSystem:
     provenance: str = ""
 
 
-def _poly_mul(a_coeffs, b_coeffs):
-    n = a_coeffs[0].shape[0]
-    out = [np.zeros((n, n), dtype=np.result_type(a_coeffs[0], b_coeffs[0]))
-           for _ in range(len(a_coeffs) + len(b_coeffs) - 1)]
-    for i, a in enumerate(a_coeffs):
-        for j, b in enumerate(b_coeffs):
-            out[i + j] = out[i + j] + a @ b
-    return out
-
-
 def criterion_matrix(sys: SystemDescriptor) -> MatrixFunction:
     """B - (1/2) A_t + (1/4) A^2 for barL/L; V itself for the V-classes."""
     if sys.cls in (LPRIME, LDOUBLEPRIME):
         return sys.V
     a_fun, b_fun = sys.A, sys.B
-    if a_fun.kind == CONSTANT and b_fun.kind == CONSTANT:
-        return MatrixFunction.constant(
-            b_fun.value + 0.25 * (a_fun.value @ a_fun.value), sys.domain)
-    if a_fun.kind in (CONSTANT, POLYNOMIAL) and b_fun.kind in (CONSTANT, POLYNOMIAL):
-        ac = a_fun.coeffs if a_fun.kind == POLYNOMIAL else [a_fun.value]
-        bc = b_fun.coeffs if b_fun.kind == POLYNOMIAL else [b_fun.value]
-        at = [k * ac[k] for k in range(1, len(ac))] or [np.zeros_like(ac[0])]
-        sq = _poly_mul(ac, ac)
-        deg = max(len(bc), len(at), len(sq))
-        n = sys.n
-        coeffs = []
-        for k in range(deg):
-            term = np.zeros((n, n), dtype=np.result_type(ac[0], bc[0]))
-            if k < len(bc):
-                term = term + bc[k]
-            if k < len(at):
-                term = term - 0.5 * at[k]
-            if k < len(sq):
-                term = term + 0.25 * sq[k]
-            coeffs.append(term)
-        return MatrixFunction.polynomial(coeffs, sys.domain)
+    if a_fun.kind in COEFFICIENT_KINDS and b_fun.kind in COEFFICIENT_KINDS:
+        a = a_fun.coeffs
+        coeffs = poly_lincomb([(1.0, b_fun.coeffs), (-0.5, poly_der(a)),
+                               (0.25, poly_mul(a, a))])
+        kind = CONSTANT if a_fun.kind == b_fun.kind == CONSTANT else POLYNOMIAL
+        return MatrixFunction(kind, sys.domain, coeffs=coeffs)
     grid = uniform_grid(*sys.domain, 256)
     avals = a_fun.evaluate(grid)
     at = a_fun.derivative(1).evaluate(grid)
@@ -217,7 +193,11 @@ def criterion_matrix(sys: SystemDescriptor) -> MatrixFunction:
 
 def singular_class_test(sys: SystemDescriptor) -> bool:
     """True iff the criterion matrix is proportional to E (time-dependent factor)."""
-    crit = criterion_matrix(sys)
+    return is_singular_criterion(criterion_matrix(sys), sys)
+
+
+def is_singular_criterion(crit: MatrixFunction, sys: SystemDescriptor) -> bool:
+    """The singular-class test on the criterion matrix of sys, already built."""
     ts = np.linspace(sys.domain[0], sys.domain[1], PROBES)
     vals = crit.evaluate(ts)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -368,47 +348,24 @@ def apply_equivalence(sys: SystemDescriptor, tr: EquivalenceTransform,
 def _closed_f_push(sys, a, b, hconst, hshift, bnew):
     """f~ for affine T, constant H, constant h (exact in representation)."""
     f_src = sys.f if sys.f is not None else VectorFunction.zero(sys.n, sys.domain)
-    if f_src.kind == CONSTANT:
-        base = VectorFunction.constant(hconst @ f_src.value / a ** 2, bnew.domain)
-    elif f_src.kind == POLYNOMIAL:
-        coeffs = [hconst @ c / a ** 2 for c in f_src.coeffs]
-        shifted = _poly_compose_affine(coeffs, 1.0 / a, -b / a)
-        base = VectorFunction.polynomial(shifted, bnew.domain)
-    else:
+    if f_src.kind == SAMPLED:
         grid = np.linspace(bnew.domain[0], bnew.domain[1], len(f_src.grid))
         src_t = (grid - b) / a
         base = VectorFunction.sampled(grid, f_src.evaluate(src_t) @ hconst.T / a ** 2)
+    else:
+        coeffs = poly_mul(hconst[None], f_src.coeffs) / a ** 2
+        base = VectorFunction(f_src.kind, bnew.domain,
+                              coeffs=poly_compose_affine(coeffs, 1.0 / a, -b / a))
     if hshift is None or np.max(np.abs(hshift)) == 0.0:
         return base
     # constant h: f~ = base - B~ h
-    if bnew.kind == CONSTANT:
-        corr = VectorFunction.constant(bnew.value @ hshift, bnew.domain)
-    elif bnew.kind == POLYNOMIAL:
-        corr = VectorFunction.polynomial([c @ hshift for c in bnew.coeffs], bnew.domain)
-    else:
+    if base.kind not in COEFFICIENT_KINDS or bnew.kind not in COEFFICIENT_KINDS:
         grid = np.linspace(bnew.domain[0], bnew.domain[1], 257)
-        corr = VectorFunction.sampled(grid, np.einsum("tij,j->ti", bnew.evaluate(grid), hshift))
-    return _vector_sub(base, corr)
-
-
-def _vector_sub(u: VectorFunction, v: VectorFunction) -> VectorFunction:
-    if u.kind == CONSTANT and v.kind == CONSTANT:
-        return VectorFunction.constant(u.value - v.value, u.domain)
-    if u.kind in (CONSTANT, POLYNOMIAL) and v.kind in (CONSTANT, POLYNOMIAL):
-        uc = u.coeffs if u.kind == POLYNOMIAL else [u.value]
-        vc = v.coeffs if v.kind == POLYNOMIAL else [v.value]
-        deg = max(len(uc), len(vc))
-        coeffs = []
-        for k in range(deg):
-            term = np.zeros_like(uc[0])
-            if k < len(uc):
-                term = term + uc[k]
-            if k < len(vc):
-                term = term - vc[k]
-            coeffs.append(term)
-        return VectorFunction.polynomial(coeffs, u.domain)
-    grid = np.linspace(u.domain[0], u.domain[1], 257)
-    return VectorFunction.sampled(grid, u.evaluate(grid) - v.evaluate(grid))
+        return VectorFunction.sampled(grid, base.evaluate(grid) - np.einsum(
+            "tij,j->ti", bnew.evaluate(grid), hshift))
+    kind = CONSTANT if base.kind == bnew.kind == CONSTANT else POLYNOMIAL
+    return VectorFunction(kind, base.domain, coeffs=poly_lincomb(
+        [(1.0, base.coeffs), (-1.0, poly_mul(bnew.coeffs, hshift[None]))]))
 
 
 def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:
@@ -533,7 +490,10 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024,
                                  provenance="trace already zero; identity transform")
     half = uniform_grid(lo, hi, 2 * grid_steps)
     grid = half[::2]
-    u = np.real(sys.V.trace_part().evaluate(half))
+    u = sys.V.trace_part().evaluate(half)
+    # the time map is real, so only Re(tr V / n) is gauged away
+    u_imag = float(np.max(np.abs(np.imag(u))))
+    u = np.real(u)
     run = schwarzian_time_map(u, grid, min_length_fraction)
     if run is None:
         raise GaugeError("no zero-free subinterval of the requested minimum length "
@@ -546,7 +506,14 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024,
     order = np.argsort(tvals)
     tgrid = tvals[order]
     vfun = MatrixFunction.sampled(tgrid, vt_vals[order], note="trace-gauged")
-    out = SystemDescriptor(LDOUBLEPRIME, n, sys.field, (tgrid[0], tgrid[-1]), V=vfun, cfg=cfg)
+    try:
+        out = SystemDescriptor(LDOUBLEPRIME, n, sys.field, (tgrid[0], tgrid[-1]),
+                               V=vfun, cfg=cfg)
+    except GaugeError:
+        if u_imag == 0.0:
+            raise
+        raise GaugeError(f"tr V / n has an imaginary part of size {u_imag:.3g} on the "
+                         "domain; the trace gauge needs a real time map") from None
     tfun = ScalarFunction.sampled(sub, tvals)
     hfun = MatrixFunction.sampled(sub, np.sqrt(t1)[:, None, None] * np.eye(n))
     prov = "trace gauge via the Schwarzian equation"

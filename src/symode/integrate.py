@@ -22,9 +22,11 @@ import numpy as np
 
 from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
-                    SystemDescriptor, criterion_matrix, gauge_f_zero, pushforward,
-                    right_fundamental, schwarzian_time_map, singular_class_test)
-from .matfun import POLYNOMIAL, MatrixFunction, ScalarFunction, poly_wronskian
+                    SystemDescriptor, criterion_matrix, gauge_f_zero,
+                    is_singular_criterion, pushforward, right_fundamental,
+                    schwarzian_time_map)
+from .matfun import (COEFFICIENT_KINDS, POLYNOMIAL, MatrixFunction, ScalarFunction,
+                     poly_der, poly_lincomb, poly_mul, poly_strip, poly_wronskian)
 from .numutil import companion, cumulative_integral, grid_derivative, uniform_grid
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 from .symalg import SymmetryVectorField, verify_symmetry_homogeneous
@@ -119,15 +121,17 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
     e1 = q1.eta_function(n, domain)
     e2 = q2.eta_function(n, domain)
     if q1.tau.kind == POLYNOMIAL and q2.tau.kind == POLYNOMIAL \
-            and e1.kind in (POLYNOMIAL, "constant") and e2.kind in (POLYNOMIAL, "constant"):
-        c1 = [complex(c) for c in q1.tau.coeffs]
-        c2 = [complex(c) for c in q2.tau.coeffs]
-        m1 = e1.coeffs if e1.kind == POLYNOMIAL else [e1.value]
-        m2 = e2.coeffs if e2.kind == POLYNOMIAL else [e2.value]
-        eta3 = _poly_eta_bracket(c1, c2, m1, m2, n)
-        tau_f = ScalarFunction.polynomial(poly_wronskian(c1, c2), domain)
-        eta_f = MatrixFunction.polynomial(eta3, domain)
-        return SymmetryVectorField(tau=tau_f, eta=eta_f)
+            and e1.kind in COEFFICIENT_KINDS and e2.kind in COEFFICIENT_KINDS:
+        c1, c2 = q1.tau.coeffs.astype(complex), q2.tau.coeffs.astype(complex)
+        m1, m2 = e1.coeffs, e2.coeffs
+        eta3 = poly_strip(poly_lincomb([
+            (1.0, poly_mul(c1, poly_der(m2))), (-1.0, poly_mul(c2, poly_der(m1))),
+            (1.0, poly_mul(m2, m1)), (-1.0, poly_mul(m1, m2))]))
+        if not np.any(eta3.imag):
+            eta3 = eta3.real
+        return SymmetryVectorField(
+            tau=ScalarFunction.polynomial(poly_wronskian(c1, c2), domain),
+            eta=MatrixFunction.polynomial(eta3, domain))
     grid = uniform_grid(domain[0], domain[1], 512)
     t1 = q1.tau.evaluate(grid)
     t2 = q2.tau.evaluate(grid)
@@ -142,26 +146,6 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
             + np.einsum("tij,tjk->tik", n2, n1) - np.einsum("tij,tjk->tik", n1, n2))
     return SymmetryVectorField(tau=ScalarFunction.sampled(grid, tau3),
                                eta=MatrixFunction.sampled(grid, eta3))
-
-
-def _poly_eta_bracket(c1, c2, m1, m2, n):
-    deg = max(len(c1) + len(m2), len(c2) + len(m1), len(m1) + len(m2))
-    out = [np.zeros((n, n), dtype=complex) for _ in range(deg)]
-    dm1 = [(j + 1) * m1[j + 1] for j in range(len(m1) - 1)]
-    dm2 = [(j + 1) * m2[j + 1] for j in range(len(m2) - 1)]
-    for i, a in enumerate(c1):
-        for j, b in enumerate(dm2):
-            out[i + j] = out[i + j] + a * b
-    for i, a in enumerate(c2):
-        for j, b in enumerate(dm1):
-            out[i + j] = out[i + j] - a * b
-    for i, a in enumerate(m2):
-        for j, b in enumerate(m1):
-            out[i + j] = out[i + j] + a @ b - b @ a
-    while len(out) > 1 and np.max(np.abs(out[-1])) == 0.0:
-        out.pop()
-    reals = [o.real if np.max(np.abs(o.imag)) == 0.0 else o for o in out]
-    return reals
 
 
 def solve_constant(a_mat: np.ndarray, b_mat: np.ndarray, domain,
@@ -193,8 +177,14 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     U = tr(criterion)/n; the transform (T = phi1/phi2, H = T_t^(1/2) M^T)
     maps the system to x~_t~t~ = f~, integrated by two quadrature layers.
     """
-    if not singular_class_test(sys):
+    crit = criterion_matrix(sys)
+    if not is_singular_criterion(crit, sys):
         raise IntegrationError("system is not in the singular class")
+    return _integrate_singular(sys, crit, grid_steps, min_length_fraction)
+
+
+def _integrate_singular(sys, crit, grid_steps, min_length_fraction=0.125):
+    """integrate_singular for a system whose criterion matrix crit passed the test."""
     cfg = sys.cfg
     n = sys.n
     lo, hi = sys.domain
@@ -204,7 +194,6 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     # M^T solves (M^T)_t = -(1/2) M^T A
     a_half = a_fun.evaluate(half)
     mmat_t = right_fundamental(-0.5 * a_half, grid, sys.field.dtype)
-    crit = criterion_matrix(sys)
     u = np.real(np.trace(crit.evaluate(half), axis1=1, axis2=2)) / n
     run = schwarzian_time_map(u, grid, min_length_fraction)
     if run is None:
@@ -398,10 +387,10 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
         cco, dco = 0.0, 1.0 / aco
     else:
         cco, dco = -1.0 / bco, 0.0
-    x_tau = _combine_scalar(q1.tau, q2.tau, aco, bco, sys.domain)
-    y_tau = _combine_scalar(q1.tau, q2.tau, cco, dco, sys.domain)
-    x_eta = _combine_matrix(eta1_fun, eta2_fun, aco, bco, sys.domain)
-    y_eta = _combine_matrix(eta1_fun, eta2_fun, cco, dco, sys.domain)
+    x_tau = _combine(q1.tau, q2.tau, aco, bco, sys.domain)
+    y_tau = _combine(q1.tau, q2.tau, cco, dco, sys.domain)
+    x_eta = _combine(eta1_fun, eta2_fun, aco, bco, sys.domain)
+    y_eta = _combine(eta1_fun, eta2_fun, cco, dco, sys.domain)
     tau_x_half = x_tau.evaluate(half)
     tau_x = tau_x_half[::2]
     if np.min(np.abs(tau_x)) <= 1e-12:
@@ -504,28 +493,24 @@ def _jordan_block_sizes(lam, idx, offs):
     return sizes
 
 
-def _combine_scalar(t1: ScalarFunction, t2: ScalarFunction, a, b, domain):
-    if t1.kind == POLYNOMIAL and t2.kind == POLYNOMIAL:
-        deg = max(len(t1.coeffs), len(t2.coeffs))
-        coeffs = []
-        for j in range(deg):
-            c = 0.0 + 0.0j
-            if j < len(t1.coeffs):
-                c += a * complex(t1.coeffs[j])
-            if j < len(t2.coeffs):
-                c += b * complex(t2.coeffs[j])
-            coeffs.append(c.real if abs(c.imag) < 1e-14 else c)
-        return ScalarFunction.polynomial(coeffs, domain)
-    grid = uniform_grid(domain[0], domain[1], 1024)
-    return ScalarFunction.sampled(grid, a * t1.evaluate(grid) + b * t2.evaluate(grid))
+def _combine(f1, f2, a, b, domain):
+    """a f1 + b f2 for two t-components or two eta components.
 
-
-def _combine_matrix(e1: MatrixFunction, e2: MatrixFunction, a, b, domain):
+    Polynomial t-components stay closed, with each coefficient made real when
+    its imaginary part is below 1e-14.  Everything else is sampled on 1025
+    points; sampled eta components are made real when every imaginary part is
+    below 1e-14.
+    """
+    cls = type(f1)
+    if cls is ScalarFunction and f1.kind == f2.kind == POLYNOMIAL:
+        c = poly_lincomb([(a, f1.coeffs), (b, f2.coeffs)])
+        c = np.where(np.abs(c.imag) < 1e-14, c.real, c)
+        return cls.polynomial(c if np.any(c.imag) else c.real, domain)
     grid = uniform_grid(domain[0], domain[1], 1024)
-    vals = a * e1.evaluate(grid) + b * e2.evaluate(grid)
-    if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) < 1e-14:
+    vals = a * f1.evaluate(grid) + b * f2.evaluate(grid)
+    if cls is MatrixFunction and np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) < 1e-14:
         vals = vals.real
-    return MatrixFunction.sampled(grid, vals)
+    return cls.sampled(grid, vals)
 
 
 def integrate_auto(sys: SystemDescriptor, symmetries=(),
@@ -535,8 +520,9 @@ def integrate_auto(sys: SystemDescriptor, symmetries=(),
     Inhomogeneous regular systems are homogenized first (gauge_f_zero); the
     extra particular-solution work is recorded as n quadratures.
     """
-    if singular_class_test(sys):
-        return integrate_singular(sys, grid_steps)
+    crit = criterion_matrix(sys)
+    if is_singular_criterion(crit, sys):
+        return _integrate_singular(sys, crit, grid_steps)
     work = sys
     extra_quad = 0
     prov = []

@@ -1,10 +1,22 @@
 """Time-dependent scalar-, vector- and matrix-valued functions.
 
-Four representations: constant, polynomial in t (plain power basis, ascending
-coefficients), conjugated-exponential eps*E + e^{t Y} W e^{-t Y} (matrices
-only), and sampled grids with piecewise-cubic Hermite interpolation.
+One implementation, ``_TimeFunction``, holds a function of t in one of four
+representations; ``ScalarFunction``, ``VectorFunction`` and ``MatrixFunction``
+are thin subclasses that fix the value rank, the kinds admitted and a few
+shape-specific operations.
+
+- constant and polynomial in t (plain power basis, ascending coefficients)
+  share one stacked coefficient array ``coeffs`` of shape
+  ``(deg + 1, *shape)``; a constant is a one-row stack and ``value`` a
+  read-only view of that row.  A scalar constant is a degree-0 polynomial;
+- conjugated exponential eps*E + e^{t Y} W e^{-t Y} (matrices only);
+- sampled grids with piecewise-cubic Hermite interpolation.
+
+The ``poly_*`` functions are the one polynomial algebra over stacked
+coefficients (Horner evaluation, derivative, affine substitution, linear
+combination, product) that gauge, integrate and symalg build on.
 Differentiation is exact where the representation permits; operations return
-the tightest representation possible and degrade explicitly to Sampled,
+the tightest representation possible and degrade explicitly to sampled,
 recording the degradation in the result's note.
 """
 
@@ -23,6 +35,7 @@ CONSTANT = "constant"
 POLYNOMIAL = "polynomial"
 CONJ_EXP = "conj_exp"
 SAMPLED = "sampled"
+COEFFICIENT_KINDS = (CONSTANT, POLYNOMIAL)
 
 _HULL_SLACK = 1e-9
 
@@ -31,11 +44,88 @@ class RepresentationError(ValueError):
     pass
 
 
-def _strip_trailing(coeffs: list[np.ndarray]) -> list[np.ndarray]:
-    out = list(coeffs)
-    while len(out) > 1 and np.max(np.abs(out[-1])) == 0.0:
-        out.pop()
+# ---------------------------------------------------------------------------
+# polynomial algebra on stacked coefficients c[l] (coefficient of t^l)
+
+
+def poly_strip(c):
+    """c without trailing all-zero rows; at least one row is kept."""
+    k = len(c)
+    while k > 1 and np.max(np.abs(c[k - 1])) == 0.0:
+        k -= 1
+    return c[:k]
+
+
+def poly_eval(c, t):
+    """Horner evaluation at a scalar t or along a 1-D array t (leading axis)."""
+    t = np.asarray(t)
+    shape = c.shape[1:]
+    tt = t.reshape(t.shape + (1,) * len(shape))
+    acc = np.zeros(t.shape + shape, dtype=np.result_type(c, float))
+    for row in c[::-1]:
+        acc = acc * tt + row
+    return acc
+
+
+def poly_der(c):
+    """Coefficients of the derivative, one row fewer; a zero row for a constant."""
+    if len(c) == 1:
+        return np.zeros_like(c)
+    return np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1)) * c[1:]
+
+
+def poly_compose_affine(c, alpha, beta):
+    """Coefficients of p(alpha*t + beta) from those of p."""
+    out = np.zeros(c.shape, dtype=np.result_type(c, alpha, beta))
+    for l in range(len(c)):
+        # (alpha t + beta)^l expansion
+        for j in range(l + 1):
+            out[j] += c[l] * comb(l, j) * (alpha ** j) * (beta ** (l - j))
+    return poly_strip(out)
+
+
+def poly_lincomb(terms, length=None):
+    """Coefficients of sum_i w_i p_i for (w_i, c_i) pairs, added in the order given.
+
+    The result has ``length`` rows (default: the longest c_i), shorter stacks
+    padded with zeros.
+    """
+    length = length or max(len(c) for _, c in terms)
+    shape = np.broadcast_shapes(*(c.shape[1:] for _, c in terms))
+    out = np.zeros((length,) + shape,
+                   dtype=np.result_type(*(w for w, _ in terms), *(c for _, c in terms)))
+    for w, c in terms:
+        out[:len(c)] += w * c
     return out
+
+
+def poly_mul(a, b):
+    """Coefficients of the product: out[i + j] += a[i] o b[j] for i, then j.
+
+    o is the matrix product when a holds matrices and b matrices or vectors,
+    and broadcasting multiplication otherwise.
+    """
+    op = np.matmul if a.ndim == 3 and b.ndim >= 2 else np.multiply
+    out = None
+    for i in range(len(a)):
+        for j in range(len(b)):
+            term = op(a[i], b[j])
+            if out is None:
+                out = np.zeros((len(a) + len(b) - 1,) + np.shape(term),
+                               dtype=np.result_type(a, b))
+            out[i + j] += term
+    return out
+
+
+def poly_wronskian(c1, c2):
+    """Ascending coefficients of p1 p2' - p2 p1', len(c1) + len(c2) - 1 of them."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    return poly_lincomb([(1.0, poly_mul(c1, poly_der(c2))),
+                         (-1.0, poly_mul(c2, poly_der(c1)))], len(c1) + len(c2) - 1)
+
+
+# ---------------------------------------------------------------------------
+# time functions
 
 
 def _check_domain(domain) -> tuple[float, float]:
@@ -46,11 +136,88 @@ def _check_domain(domain) -> tuple[float, float]:
 
 
 class _TimeFunction:
-    """Shared plumbing for the three value shapes."""
+    """A function of t with values of rank ``ndim``, in one of ``KINDS``."""
 
-    kind: str
-    domain: tuple[float, float]
-    note: str
+    ndim: int
+    NAME: str
+    KINDS: tuple
+
+    def __init__(self, kind, domain, coeffs=None, grid=None, values=None, note="",
+                 epsilon=None, upsilon=None, w=None):
+        if kind not in self.KINDS:
+            raise RepresentationError(f"unknown {self.NAME} kind {kind}")
+        self.kind = kind
+        self.domain = _check_domain(domain)
+        self.note = note
+        if kind in COEFFICIENT_KINDS:
+            stack = np.stack([np.asarray(c) for c in coeffs])
+            if self.ndim == 0:
+                stack = stack.reshape(len(stack))
+            self._set_shape(stack.shape[1:])
+            stack = poly_strip(stack.astype(np.result_type(stack, float), copy=False))
+            stack.setflags(write=False)
+            self.coeffs = stack
+        elif kind == CONJ_EXP:
+            self.epsilon = complex(epsilon) if np.iscomplexobj(np.asarray(epsilon)) \
+                else float(np.real(epsilon))
+            self.upsilon = np.asarray(upsilon)
+            self._set_shape(self.upsilon.shape)
+            self.w = np.asarray(w).reshape(self.upsilon.shape)
+            self._exp = None
+        else:
+            self.grid = np.asarray(grid, dtype=float)
+            self.values = np.asarray(values)
+            if len(self.grid) < 2 or np.any(np.diff(self.grid) <= 0):
+                raise RepresentationError("sampled grid must be strictly ascending, >= 2 points")
+            if self.values.shape[:1] != self.grid.shape:
+                raise RepresentationError("grid/values length mismatch")
+            self._set_shape(self.values.shape[1:])
+            self._spline = None
+
+    def _set_shape(self, shape):
+        if len(shape) != self.ndim or len(set(shape)) > 1:
+            raise RepresentationError(
+                f"a {self.NAME} function cannot take values of shape {shape}")
+        self.shape = shape
+
+    @classmethod
+    def constant(cls, value, domain=(-1.0, 1.0)):
+        return cls(CONSTANT, domain, coeffs=[value])
+
+    @classmethod
+    def polynomial(cls, coeffs, domain=(-1.0, 1.0)):
+        return cls(POLYNOMIAL, domain, coeffs=coeffs)
+
+    @classmethod
+    def sampled(cls, grid, values, note=""):
+        grid = np.asarray(grid, dtype=float)
+        return cls(SAMPLED, (grid[0], grid[-1]), grid=grid, values=values, note=note)
+
+    @classmethod
+    def zero(cls, n, domain=(-1.0, 1.0)):
+        return cls.constant(np.zeros((n,) * cls.ndim), domain)
+
+    @property
+    def n(self) -> int:
+        return self.shape[0]
+
+    @property
+    def value(self) -> np.ndarray:
+        """The constant term (the value, for the constant kind)."""
+        return self.coeffs[0]
+
+    @property
+    def field(self) -> Field:
+        if self.kind == SAMPLED:
+            data = (self.values,)
+        elif self.kind == CONJ_EXP:
+            data = (np.asarray(self.epsilon), self.upsilon, self.w)
+        else:
+            data = (self.coeffs,)
+        return Field.COMPLEX if any(np.iscomplexobj(d) for d in data) else Field.REAL
+
+    def degree(self):
+        return len(self.coeffs) - 1 if self.kind in COEFFICIENT_KINDS else None
 
     def _in_domain(self, t: np.ndarray) -> None:
         lo, hi = self.domain
@@ -60,294 +227,16 @@ class _TimeFunction:
             raise RepresentationError(
                 f"evaluation point outside domain [{lo}, {hi}]")
 
-    @property
-    def field(self) -> Field:
-        return Field.COMPLEX if self._is_complex() else Field.REAL
-
-    def _is_complex(self) -> bool:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-def _poly_eval(coeffs, t):
-    t = np.asarray(t)
-    shape = np.shape(coeffs[0])
-    if t.ndim == 0:
-        acc = np.zeros(shape, dtype=np.result_type(*[c.dtype for c in coeffs], float))
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-    acc = np.zeros((len(t),) + shape,
-                   dtype=np.result_type(*[c.dtype for c in coeffs], float))
-    tt = t.reshape((-1,) + (1,) * len(shape))
-    for c in reversed(coeffs):
-        acc = acc * tt + c
-    return acc
-
-
-def _poly_diff(coeffs):
-    if len(coeffs) == 1:
-        return [np.zeros_like(coeffs[0])]
-    return _strip_trailing([(l + 1) * coeffs[l + 1] for l in range(len(coeffs) - 1)])
-
-
-def _poly_compose_affine(coeffs, alpha, beta):
-    """Coefficients of p(alpha*t + beta) from those of p."""
-    out = [np.zeros_like(coeffs[0]) for _ in coeffs]
-    for l, c in enumerate(coeffs):
-        # (alpha t + beta)^l expansion
-        for j in range(l + 1):
-            out[j] = out[j] + c * comb(l, j) * (alpha ** j) * (beta ** (l - j))
-    return _strip_trailing(out)
-
-
-def poly_wronskian(c1, c2):
-    """Ascending coefficients of p1 p2' - p2 p1', len(c1) + len(c2) - 1 of them."""
-    c1, c2 = np.asarray(c1), np.asarray(c2)
-    out = np.zeros(max(len(c1) + len(c2) - 1, 1), dtype=np.result_type(c1, c2, float))
-    for i, a in enumerate(c1):
-        for j in range(1, len(c2)):
-            out[i + j - 1] += a * (j * c2[j])
-    for i, b in enumerate(c2):
-        for j in range(1, len(c1)):
-            out[i + j - 1] -= b * (j * c1[j])
-    return out
-
-
-class ScalarFunction(_TimeFunction):
-    """Scalar function of t: polynomial or sampled."""
-
-    def __init__(self, kind, domain, coeffs=None, grid=None, values=None, note=""):
-        self.kind = kind
-        self.domain = _check_domain(domain)
-        self.note = note
-        if kind == POLYNOMIAL:
-            self.coeffs = _strip_trailing([np.asarray(c).reshape(()) for c in coeffs])
-        elif kind == SAMPLED:
-            self.grid = np.asarray(grid, dtype=float)
-            self.values = np.asarray(values)
-            if len(self.grid) < 2 or np.any(np.diff(self.grid) <= 0):
-                raise RepresentationError("sampled grid must be strictly ascending, >= 2 points")
-            if self.values.shape[0] != len(self.grid):
-                raise RepresentationError("grid/values length mismatch")
-            self._spline = None
-        else:
-            raise RepresentationError(f"unknown scalar kind {kind}")
-
-    @classmethod
-    def polynomial(cls, coeffs, domain=(-1.0, 1.0)):
-        return cls(POLYNOMIAL, domain, coeffs=coeffs)
-
-    @classmethod
-    def constant(cls, value, domain=(-1.0, 1.0)):
-        return cls(POLYNOMIAL, domain, coeffs=[value])
-
-    @classmethod
-    def sampled(cls, grid, values, note=""):
-        grid = np.asarray(grid, dtype=float)
-        return cls(SAMPLED, (grid[0], grid[-1]), grid=grid, values=values, note=note)
-
-    def _is_complex(self):
-        if self.kind == POLYNOMIAL:
-            return any(np.iscomplexobj(c) for c in self.coeffs)
-        return np.iscomplexobj(self.values)
-
-    def __call__(self, t):
-        return self.evaluate(t)
-
-    def evaluate(self, t):
-        self._in_domain(t)
-        if self.kind == POLYNOMIAL:
-            return _poly_eval(self.coeffs, t)
-        if self._spline is None:
-            slopes = grid_derivative(self.grid, self.values, 1)
-            self._spline = CubicHermiteSpline(self.grid, self.values, slopes, axis=0)
-        out = self._spline(np.asarray(t, dtype=float))
-        return out if np.ndim(t) else np.asarray(out).reshape(())
-
-    def derivative(self, order: int = 1) -> "ScalarFunction":
-        if order == 0:
-            return self
-        if self.kind == POLYNOMIAL:
-            coeffs = self.coeffs
-            for _ in range(order):
-                coeffs = _poly_diff(coeffs)
-            return ScalarFunction(POLYNOMIAL, self.domain, coeffs=coeffs, note=self.note)
-        vals = grid_derivative(self.grid, self.values, order)
-        return ScalarFunction.sampled(self.grid, vals, note=self.note)
-
-    def degree(self):
-        if self.kind != POLYNOMIAL:
-            return None
-        return len(self.coeffs) - 1
-
-    def bounded_away_from_zero(self, probes: int = 65) -> bool:
-        lo, hi = self.domain
-        ts = np.linspace(lo, hi, probes)
-        return bool(np.min(np.abs(self.evaluate(ts))) > 0.0)
-
-
-class VectorFunction(_TimeFunction):
-    """n-vector function of t: constant, polynomial or sampled."""
-
-    def __init__(self, kind, n, domain, coeffs=None, grid=None, values=None, note=""):
-        self.kind = kind
-        self.n = int(n)
-        self.domain = _check_domain(domain)
-        self.note = note
-        if kind == CONSTANT:
-            self.value = np.asarray(coeffs[0] if coeffs else values).reshape(self.n)
-        elif kind == POLYNOMIAL:
-            self.coeffs = _strip_trailing([np.asarray(c).reshape(self.n) for c in coeffs])
-        elif kind == SAMPLED:
-            self.grid = np.asarray(grid, dtype=float)
-            self.values = np.asarray(values).reshape(len(self.grid), self.n)
-            if len(self.grid) < 2 or np.any(np.diff(self.grid) <= 0):
-                raise RepresentationError("sampled grid must be strictly ascending, >= 2 points")
-            self._spline = None
-        else:
-            raise RepresentationError(f"unsupported vector kind {kind}")
-
-    @classmethod
-    def constant(cls, value, domain=(-1.0, 1.0)):
-        value = np.asarray(value)
-        return cls(CONSTANT, value.shape[0], domain, coeffs=[value])
-
-    @classmethod
-    def polynomial(cls, coeffs, domain=(-1.0, 1.0)):
-        c0 = np.asarray(coeffs[0])
-        return cls(POLYNOMIAL, c0.shape[0], domain, coeffs=coeffs)
-
-    @classmethod
-    def sampled(cls, grid, values, note=""):
-        values = np.asarray(values)
-        grid = np.asarray(grid, dtype=float)
-        return cls(SAMPLED, values.shape[1], (grid[0], grid[-1]),
-                   grid=grid, values=values, note=note)
-
-    @classmethod
-    def zero(cls, n, domain=(-1.0, 1.0)):
-        return cls.constant(np.zeros(n), domain)
-
-    def _is_complex(self):
-        if self.kind == CONSTANT:
-            return np.iscomplexobj(self.value)
-        if self.kind == POLYNOMIAL:
-            return any(np.iscomplexobj(c) for c in self.coeffs)
-        return np.iscomplexobj(self.values)
-
     def __call__(self, t):
         return self.evaluate(t)
 
     def evaluate(self, t):
         self._in_domain(t)
         if self.kind == CONSTANT:
-            if np.ndim(t):
-                return np.broadcast_to(self.value, (len(t), self.n)).copy()
-            return self.value.copy()
+            shape = (len(t),) + self.shape if np.ndim(t) else self.shape
+            return np.broadcast_to(self.value, shape).copy()
         if self.kind == POLYNOMIAL:
-            return _poly_eval(self.coeffs, t)
-        if self._spline is None:
-            slopes = grid_derivative(self.grid, self.values, 1)
-            self._spline = CubicHermiteSpline(self.grid, self.values, slopes, axis=0)
-        return self._spline(np.asarray(t, dtype=float))
-
-    def derivative(self, order: int = 1) -> "VectorFunction":
-        if order == 0:
-            return self
-        if self.kind == CONSTANT:
-            return VectorFunction.constant(np.zeros_like(self.value), self.domain)
-        if self.kind == POLYNOMIAL:
-            coeffs = self.coeffs
-            for _ in range(order):
-                coeffs = _poly_diff(coeffs)
-            if len(coeffs) == 1:
-                return VectorFunction.constant(coeffs[0], self.domain)
-            return VectorFunction(POLYNOMIAL, self.n, self.domain, coeffs=coeffs)
-        vals = grid_derivative(self.grid, self.values, order)
-        return VectorFunction.sampled(self.grid, vals, note=self.note)
-
-    def max_norm(self, probes: int = 65) -> float:
-        ts = np.linspace(self.domain[0], self.domain[1], probes)
-        return float(np.max(np.linalg.norm(self.evaluate(ts), axis=-1)))
-
-
-class MatrixFunction(_TimeFunction):
-    """n x n matrix function of t in one of the four representations."""
-
-    def __init__(self, kind, n, domain, coeffs=None, epsilon=None, upsilon=None,
-                 w=None, grid=None, values=None, note=""):
-        self.kind = kind
-        self.n = int(n)
-        self.domain = _check_domain(domain)
-        self.note = note
-        if kind == CONSTANT:
-            self.value = np.asarray(coeffs[0]).reshape(self.n, self.n)
-        elif kind == POLYNOMIAL:
-            self.coeffs = _strip_trailing(
-                [np.asarray(c).reshape(self.n, self.n) for c in coeffs])
-        elif kind == CONJ_EXP:
-            self.epsilon = complex(epsilon) if np.iscomplexobj(np.asarray(epsilon)) \
-                else float(np.real(epsilon))
-            self.upsilon = np.asarray(upsilon).reshape(self.n, self.n)
-            self.w = np.asarray(w).reshape(self.n, self.n)
-            self._exp = None
-        elif kind == SAMPLED:
-            self.grid = np.asarray(grid, dtype=float)
-            self.values = np.asarray(values).reshape(len(self.grid), self.n, self.n)
-            if len(self.grid) < 2 or np.any(np.diff(self.grid) <= 0):
-                raise RepresentationError("sampled grid must be strictly ascending, >= 2 points")
-            self._spline = None
-        else:
-            raise RepresentationError(f"unknown matrix kind {kind}")
-
-    @classmethod
-    def constant(cls, value, domain=(-1.0, 1.0)):
-        value = np.asarray(value)
-        return cls(CONSTANT, value.shape[0], domain, coeffs=[value])
-
-    @classmethod
-    def polynomial(cls, coeffs, domain=(-1.0, 1.0)):
-        c0 = np.asarray(coeffs[0])
-        return cls(POLYNOMIAL, c0.shape[0], domain, coeffs=coeffs)
-
-    @classmethod
-    def conj_exp(cls, epsilon, upsilon, w, domain=(-1.0, 1.0)):
-        upsilon = np.asarray(upsilon)
-        return cls(CONJ_EXP, upsilon.shape[0], domain,
-                   epsilon=epsilon, upsilon=upsilon, w=w)
-
-    @classmethod
-    def sampled(cls, grid, values, note=""):
-        values = np.asarray(values)
-        grid = np.asarray(grid, dtype=float)
-        return cls(SAMPLED, values.shape[1], (grid[0], grid[-1]),
-                   grid=grid, values=values, note=note)
-
-    @classmethod
-    def zero(cls, n, domain=(-1.0, 1.0)):
-        return cls.constant(np.zeros((n, n)), domain)
-
-    def _is_complex(self):
-        if self.kind == CONSTANT:
-            return np.iscomplexobj(self.value)
-        if self.kind == POLYNOMIAL:
-            return any(np.iscomplexobj(c) for c in self.coeffs)
-        if self.kind == CONJ_EXP:
-            return (np.iscomplexobj(np.asarray(self.epsilon))
-                    or np.iscomplexobj(self.upsilon) or np.iscomplexobj(self.w))
-        return np.iscomplexobj(self.values)
-
-    def __call__(self, t):
-        return self.evaluate(t)
-
-    def evaluate(self, t):
-        self._in_domain(t)
-        if self.kind == CONSTANT:
-            if np.ndim(t):
-                return np.broadcast_to(self.value, (len(t), self.n, self.n)).copy()
-            return self.value.copy()
-        if self.kind == POLYNOMIAL:
-            return _poly_eval(self.coeffs, t)
+            return poly_eval(self.coeffs, t)
         if self.kind == CONJ_EXP:
             if self._exp is None:
                 self._exp = linalg.exp_factory(self.upsilon)
@@ -367,48 +256,87 @@ class MatrixFunction(_TimeFunction):
             self._spline = CubicHermiteSpline(self.grid, self.values, slopes, axis=0)
         return self._spline(np.asarray(t, dtype=float))
 
-    def derivative(self, order: int = 1) -> "MatrixFunction":
+    def derivative(self, order: int = 1):
+        """Exact for the closed kinds; a polynomial of degree 0 becomes a constant
+        where the value shape has that kind."""
         if order == 0:
             return self
-        if self.kind == CONSTANT:
-            return MatrixFunction.zero(self.n, self.domain)
-        if self.kind == POLYNOMIAL:
-            coeffs = self.coeffs
-            for _ in range(order):
-                coeffs = _poly_diff(coeffs)
-            if len(coeffs) == 1:
-                return MatrixFunction.constant(coeffs[0], self.domain)
-            return MatrixFunction(POLYNOMIAL, self.n, self.domain, coeffs=coeffs)
+        cls = type(self)
+        if self.kind == SAMPLED:
+            return cls.sampled(self.grid, grid_derivative(self.grid, self.values, order),
+                               note=self.note)
         if self.kind == CONJ_EXP:
-            out = MatrixFunction.conj_exp(0.0, self.upsilon,
-                                          linalg.commutator(self.upsilon, self.w),
-                                          self.domain)
+            out = cls.conj_exp(0.0, self.upsilon, linalg.commutator(self.upsilon, self.w),
+                               self.domain)
             return out.derivative(order - 1)
-        vals = grid_derivative(self.grid, self.values, order)
-        return MatrixFunction.sampled(self.grid, vals, note=self.note)
+        c = self.coeffs
+        for _ in range(order):
+            c = poly_strip(poly_der(c))
+        kind = CONSTANT if len(c) == 1 and CONSTANT in self.KINDS else POLYNOMIAL
+        return cls(kind, self.domain, coeffs=c, note=self.note)
+
+    def max_norm(self, probes: int = 65) -> float:
+        ts = np.linspace(self.domain[0], self.domain[1], probes)
+        vals = self.evaluate(ts)
+        norms = (np.abs(vals) if self.ndim == 0
+                 else np.linalg.norm(vals, axis=tuple(range(1, vals.ndim))))
+        return float(np.max(norms))
+
+
+class ScalarFunction(_TimeFunction):
+    """Scalar function of t: polynomial or sampled."""
+
+    ndim = 0
+    NAME = "scalar"
+    KINDS = (POLYNOMIAL, SAMPLED)
+
+    @classmethod
+    def constant(cls, value, domain=(-1.0, 1.0)):
+        return cls.polynomial([value], domain)
+
+    def bounded_away_from_zero(self, probes: int = 65) -> bool:
+        lo, hi = self.domain
+        ts = np.linspace(lo, hi, probes)
+        return bool(np.min(np.abs(self.evaluate(ts))) > 0.0)
+
+
+class VectorFunction(_TimeFunction):
+    """n-vector function of t: constant, polynomial or sampled."""
+
+    ndim = 1
+    NAME = "vector"
+    KINDS = (CONSTANT, POLYNOMIAL, SAMPLED)
+
+
+class MatrixFunction(_TimeFunction):
+    """n x n matrix function of t in one of the four representations."""
+
+    ndim = 2
+    NAME = "matrix"
+    KINDS = (CONSTANT, POLYNOMIAL, CONJ_EXP, SAMPLED)
+
+    @classmethod
+    def conj_exp(cls, epsilon, upsilon, w, domain=(-1.0, 1.0)):
+        return cls(CONJ_EXP, domain, epsilon=epsilon, upsilon=upsilon, w=w)
 
     def trace_split(self):
         """F = u*E + F0 with tr F0 = 0; returns (u: ScalarFunction, F0)."""
         n = self.n
-        if self.kind == CONSTANT:
-            u = np.trace(self.value) / n
-            return (ScalarFunction.constant(u, self.domain),
-                    MatrixFunction.constant(self.value - u * np.eye(n), self.domain))
-        if self.kind == POLYNOMIAL:
-            us = [np.trace(c) / n for c in self.coeffs]
-            f0 = [c - u * np.eye(n) for c, u in zip(self.coeffs, us)]
-            return (ScalarFunction.polynomial(us, self.domain),
-                    MatrixFunction(POLYNOMIAL, n, self.domain, coeffs=f0))
         if self.kind == CONJ_EXP:
             # trace of a conjugation is conjugation-invariant
             u = self.epsilon + np.trace(self.w) / n
             w0 = self.w - (np.trace(self.w) / n) * np.eye(n)
             return (ScalarFunction.constant(u, self.domain),
                     MatrixFunction.conj_exp(0.0, self.upsilon, w0, self.domain))
-        us = np.trace(self.values, axis1=1, axis2=2) / n
-        f0 = self.values - us[:, None, None] * np.eye(n)
-        return (ScalarFunction.sampled(self.grid, us, note=self.note),
-                MatrixFunction.sampled(self.grid, f0, note=self.note))
+        if self.kind == SAMPLED:
+            us = np.trace(self.values, axis1=1, axis2=2) / n
+            f0 = self.values - us[:, None, None] * np.eye(n)
+            return (ScalarFunction.sampled(self.grid, us, note=self.note),
+                    MatrixFunction.sampled(self.grid, f0, note=self.note))
+        us = np.trace(self.coeffs, axis1=1, axis2=2) / n
+        return (ScalarFunction.polynomial(us, self.domain),
+                MatrixFunction(self.kind, self.domain,
+                               coeffs=self.coeffs - us[:, None, None] * np.eye(n)))
 
     def trace_part(self):
         return self.trace_split()[0]
@@ -420,40 +348,30 @@ class MatrixFunction(_TimeFunction):
         """c F c^{-1}, staying closed in every representation."""
         c = np.asarray(c)
         cinv = np.linalg.inv(c)
-        if self.kind == CONSTANT:
-            return MatrixFunction.constant(c @ self.value @ cinv, self.domain)
-        if self.kind == POLYNOMIAL:
-            return MatrixFunction(POLYNOMIAL, self.n, self.domain,
-                                  coeffs=[c @ m @ cinv for m in self.coeffs])
         if self.kind == CONJ_EXP:
             return MatrixFunction.conj_exp(self.epsilon, c @ self.upsilon @ cinv,
                                            c @ self.w @ cinv, self.domain)
-        return MatrixFunction.sampled(self.grid,
-                                      np.einsum("ij,tjk,kl->til", c, self.values, cinv),
-                                      note=self.note)
+        if self.kind == SAMPLED:
+            return MatrixFunction.sampled(
+                self.grid, np.einsum("ij,tjk,kl->til", c, self.values, cinv), note=self.note)
+        return MatrixFunction(self.kind, self.domain, coeffs=c @ self.coeffs @ cinv)
 
     def scale(self, a) -> "MatrixFunction":
-        if self.kind == CONSTANT:
-            return MatrixFunction.constant(a * self.value, self.domain)
-        if self.kind == POLYNOMIAL:
-            return MatrixFunction(POLYNOMIAL, self.n, self.domain,
-                                  coeffs=[a * m for m in self.coeffs])
         if self.kind == CONJ_EXP:
             return MatrixFunction.conj_exp(a * self.epsilon, self.upsilon,
                                            a * self.w, self.domain)
-        return MatrixFunction.sampled(self.grid, a * self.values, note=self.note)
+        if self.kind == SAMPLED:
+            return MatrixFunction.sampled(self.grid, a * self.values, note=self.note)
+        return MatrixFunction(self.kind, self.domain, coeffs=a * self.coeffs)
 
     def add_scalar_identity(self, a) -> "MatrixFunction":
         eye = np.eye(self.n)
-        if self.kind == CONSTANT:
-            return MatrixFunction.constant(self.value + a * eye, self.domain)
-        if self.kind == POLYNOMIAL:
-            coeffs = [m.copy() for m in self.coeffs]
-            coeffs[0] = coeffs[0] + a * eye
-            return MatrixFunction(POLYNOMIAL, self.n, self.domain, coeffs=coeffs)
         if self.kind == CONJ_EXP:
             return MatrixFunction.conj_exp(self.epsilon + a, self.upsilon, self.w, self.domain)
-        return MatrixFunction.sampled(self.grid, self.values + a * eye, note=self.note)
+        if self.kind == SAMPLED:
+            return MatrixFunction.sampled(self.grid, self.values + a * eye, note=self.note)
+        return MatrixFunction(self.kind, self.domain,
+                              coeffs=poly_lincomb([(1.0, self.coeffs), (a, eye[None])]))
 
     def compose_affine(self, alpha: float, beta: float) -> "MatrixFunction":
         """G with G(t) = F(alpha*t + beta); domain mapped accordingly."""
@@ -462,33 +380,26 @@ class MatrixFunction(_TimeFunction):
         lo, hi = self.domain
         a_lo, a_hi = (lo - beta) / alpha, (hi - beta) / alpha
         new_dom = (min(a_lo, a_hi), max(a_lo, a_hi))
-        if self.kind == CONSTANT:
-            return MatrixFunction.constant(self.value, new_dom)
-        if self.kind == POLYNOMIAL:
-            return MatrixFunction(POLYNOMIAL, self.n, new_dom,
-                                  coeffs=_poly_compose_affine(self.coeffs, alpha, beta))
         if self.kind == CONJ_EXP:
             # e^{(a t + b) Y} W e^{-(a t + b) Y} = e^{t (aY)} W' e^{-t (aY)}
             eb = linalg.exp_factory(self.upsilon)(beta) if beta else np.eye(self.n)
             ebinv = linalg.exp_factory(self.upsilon)(-beta) if beta else np.eye(self.n)
             return MatrixFunction.conj_exp(self.epsilon, alpha * self.upsilon,
                                            eb @ self.w @ ebinv, new_dom)
-        new_grid = (self.grid - beta) / alpha
-        vals = self.values
-        if alpha < 0:
-            new_grid = new_grid[::-1]
-            vals = vals[::-1]
-        return MatrixFunction.sampled(new_grid, vals, note=self.note)
+        if self.kind == SAMPLED:
+            new_grid = (self.grid - beta) / alpha
+            vals = self.values
+            if alpha < 0:
+                new_grid = new_grid[::-1]
+                vals = vals[::-1]
+            return MatrixFunction.sampled(new_grid, vals, note=self.note)
+        return MatrixFunction(self.kind, new_dom,
+                              coeffs=poly_compose_affine(self.coeffs, alpha, beta))
 
     def resample(self, grid) -> "MatrixFunction":
         grid = np.asarray(grid, dtype=float)
         note = (self.note + "; " if self.note else "") + f"resampled from {self.kind}"
         return MatrixFunction.sampled(grid, self.evaluate(grid), note=note)
-
-    def max_norm(self, probes: int = 65) -> float:
-        ts = np.linspace(self.domain[0], self.domain[1], probes)
-        vals = self.evaluate(ts)
-        return float(np.max(np.linalg.norm(vals, axis=(1, 2))))
 
     def is_traceless(self, tol: float = 1e-9, probes: int = 32) -> bool:
         ts = np.linspace(self.domain[0], self.domain[1], probes)

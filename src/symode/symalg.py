@@ -24,9 +24,9 @@ from . import linalg
 from .gauge import (SystemDescriptor, gauge_A_zero, gauge_f_zero,
                     gauge_traceless, singular_class_test)
 from .linalg import SubspaceBasis, commutator
-from .matfun import (CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
-                     ScalarFunction, VectorFunction, kl_sequence,
-                     kl_sequence_with_tail, poly_wronskian)
+from .matfun import (COEFFICIENT_KINDS, CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED,
+                     MatrixFunction, ScalarFunction, VectorFunction, kl_sequence,
+                     kl_sequence_with_tail, poly_lincomb, poly_wronskian)
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 
 PROBES = 64
@@ -51,16 +51,12 @@ class SymmetryVectorField:
             return self.eta
         gamma = self.gamma if self.gamma is not None else np.zeros((n, n))
         if self.tau.kind == POLYNOMIAL:
-            taut = [complex(c) for c in self.tau.derivative(1).coeffs]
-            coeffs = []
-            for j, c in enumerate(taut):
-                base = 0.5 * c * np.eye(n, dtype=np.result_type(gamma.dtype, complex))
-                if j == 0:
-                    base = base + gamma
-                coeffs.append(base)
-            coeffs = [c.real if not np.iscomplexobj(gamma)
-                      and abs(np.max(np.abs(c.imag))) == 0.0 else c for c in coeffs]
-            return MatrixFunction.polynomial(coeffs, domain)
+            taut = self.tau.derivative(1).coeffs.astype(complex)
+            eta = (0.5 * taut)[:, None, None] * np.eye(n)
+            eta[0] += gamma
+            if not np.iscomplexobj(gamma) and not np.any(eta.imag):
+                eta = eta.real
+            return MatrixFunction.polynomial(eta, domain)
         grid = self.tau.grid
         taut = self.tau.derivative(1).evaluate(grid)
         vals = 0.5 * taut[:, None, None] * np.eye(n) + gamma
@@ -177,7 +173,7 @@ def _solver_rows_poly(coeffs, n, trace_rows=None):
         c0 (j+1) M_{j+1} + c1 (j+2) M_j + c2 (j+3) M_{j-1} - [Gamma, M_j].
     """
     d = len(coeffs) - 1
-    dtype = np.result_type(np.float64, *(c.dtype for c in coeffs))
+    dtype = np.result_type(np.float64, coeffs)
     rows = []
 
     def m_at(j):
@@ -322,12 +318,8 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     (tau1, g1), (tau2, g2) = ess.t_part
     if tau1.kind != POLYNOMIAL or tau2.kind != POLYNOMIAL:
         return
-    c1 = np.zeros(3, dtype=complex)
-    c2 = np.zeros(3, dtype=complex)
-    for j, c in enumerate(tau1.coeffs[:3]):
-        c1[j] = complex(c)
-    for j, c in enumerate(tau2.coeffs[:3]):
-        c2[j] = complex(c)
+    c1, c2 = (poly_lincomb([(1.0, tau.coeffs[:3])], 3).astype(complex)
+              for tau in (tau1, tau2))
     w = poly_wronskian(c1, c2)
     basis = np.stack([np.concatenate([c1, np.zeros(2)]),
                       np.concatenate([c2, np.zeros(2)])])
@@ -343,14 +335,12 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
         c, d = 0.0, 1.0 / a
     else:
         c, d = -1.0 / b, 0.0
-    tau_x = [a * c1[j] + b * c2[j] for j in range(3)]
-    tau_y = [c * c1[j] + d * c2[j] for j in range(3)]
+    tau_x = a * c1 + b * c2
+    tau_y = c * c1 + d * c2
     gx = a * g1 + b * g2
     gy = c * g1 + d * g2
     if ess.field is Field.REAL:
-        tau_x = [t.real for t in tau_x]
-        tau_y = [t.real for t in tau_y]
-        gx, gy = gx.real, gy.real
+        tau_x, tau_y, gx, gy = tau_x.real, tau_y.real, gx.real, gy.real
     try:
         gy_s, gy_n = linalg.jordan_chevalley(gy, cfg)
         if ess.s_basis.dim and ess.s_basis.contains(gy_n):
@@ -361,8 +351,8 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     except linalg.LinalgError:
         ess.notes.append("k=2 Jordan normalization skipped (defective data)")
     dom = tau1.domain
-    ess.t_part = [(ScalarFunction.polynomial(list(tau_x), dom), gx),
-                  (ScalarFunction.polynomial(list(tau_y), dom), gy)]
+    ess.t_part = [(ScalarFunction.polynomial(tau_x, dom), gx),
+                  (ScalarFunction.polynomial(tau_y, dom), gy)]
     ess.notes.append("t-part normalized to bracket form [P, D] = P")
 
 
@@ -376,9 +366,9 @@ def solve_symmetries_traceless_poly(v_fun: MatrixFunction,
     compatibility equation tau u_t + 2 tau_t u = 0 is appended; candidates
     failing it are filtered out by the joint nullspace).
     """
-    if v_fun.kind not in (CONSTANT, POLYNOMIAL):
+    if v_fun.kind not in COEFFICIENT_KINDS:
         raise ClassificationError("polynomial solver needs constant/polynomial V")
-    coeffs = v_fun.coeffs if v_fun.kind == POLYNOMIAL else [v_fun.value]
+    coeffs = v_fun.coeffs
     n = v_fun.n
     fld = fld or v_fun.field
     if trace_part is None and not v_fun.is_traceless(cfg.residual_tol):
@@ -389,7 +379,7 @@ def solve_symmetries_traceless_poly(v_fun: MatrixFunction,
     # so normalize to keep tau and Gamma components balanced in the nullspace;
     # the trace rows are homogeneous on their own and get their own scale
     scale = max(linalg.frobenius_norm(c) for c in coeffs)
-    coeffs = [c / scale for c in coeffs]
+    coeffs = coeffs / scale
     if trace_part is not None:
         u_scale = max(max(abs(complex(u)) for u in trace_part), 1e-300)
         trace_part = [u / u_scale for u in trace_part]
@@ -694,9 +684,8 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
             # exponential-tau symmetries require exponential coefficients, so
             # the degree-2 ansatz plus the trace filter is complete here
             u, v0 = v_fun.trace_split()
-            tr_coeffs = [complex(c) if np.iscomplexobj(np.asarray(c))
-                         else float(np.real(c)) for c in u.coeffs]
-            ess = solve_symmetries_traceless_poly(v0, cfg, fld, trace_part=tr_coeffs)
+            ess = solve_symmetries_traceless_poly(v0, cfg, fld,
+                                                  trace_part=u.coeffs.tolist())
         notes.append("polynomial coefficient route")
     else:
         if v_fun.is_traceless(cfg.residual_tol):

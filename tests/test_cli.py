@@ -117,6 +117,16 @@ class TestGaugeCommand:
             assert r1[key] == r2[key]
 
 
+    def test_complex_trace_exit3(self, tmp_path, capsys):
+        doc = {"n": 2, "field": "complex", "class": "Lprime", "domain": [-1.0, 1.0],
+               "V": {"kind": "polynomial",
+                     "coeffs": [[[[0.0, 1.0], 0.3], [0.2, 0.5]],
+                                [[0.1, 0.0], [0.4, [0.0, 0.2]]]]}}
+        path = write(tmp_path, "ctrace.json", doc)
+        assert main(["gauge", path, "--target", "traceless"]) == EXIT_INAPPLICABLE
+        assert "imaginary part" in capsys.readouterr().err
+
+
 class TestClassifyCommand:
     def test_elementary(self, tmp_path):
         doc = {"n": 2, "field": "complex", "class": "Lprime", "domain": [-1, 1],

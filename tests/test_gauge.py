@@ -7,7 +7,12 @@ from symode.gauge import (HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
                           gauge_traceless, singular_class_test,
                           verify_equivalence)
 from symode.matfun import MatrixFunction, ScalarFunction, VectorFunction
+from symode.scalars import Field
+from symode.symalg import classify
 from conftest import DOM, E2, S1, S2, S3, Z2
+
+# tr V / n = (0.5 + 0.5j) + (0.05 + 0.1j) t: complex, so no real time map
+COMPLEX_TRACE_V = [np.array([[1j, 0.3], [0.2, 0.5]]), np.array([[0.1, 0.0], [0.4, 0.2j]])]
 
 
 def lprime(v, **kw):
@@ -78,6 +83,19 @@ class TestApplyEquivalence:
                                    atol=1e-9)
         np.testing.assert_allclose(step.A.evaluate(ts), direct.A.evaluate(ts),
                                    atol=1e-9)
+
+    def test_conj_exp_b_with_constant_shift(self):
+        # a closed transform keeps B in conj_exp form; f~ = base - B~ h then
+        # has to fall back to samples
+        sys_in = barl(MatrixFunction.constant(0.2 * S2, DOM),
+                      MatrixFunction.conj_exp(0.3, 0.5 * S2, S1 + 0.2 * S3, DOM),
+                      VectorFunction.constant(np.array([0.3, -0.1]), DOM))
+        tr = EquivalenceTransform(T=ScalarFunction.polynomial([0.1, 2.0], DOM),
+                                  H=MatrixFunction.constant(np.sqrt(2.0) * E2 + 0.3 * S1, DOM),
+                                  h=VectorFunction.constant(np.array([0.5, 0.2]), DOM))
+        out = apply_equivalence(sys_in, tr)
+        assert out.B.kind == "conj_exp"
+        assert verify_equivalence(sys_in, out, tr) < 1e-7
 
     def test_vclass_rejects_vector_shift(self):
         tr = EquivalenceTransform(
@@ -191,6 +209,26 @@ class TestGaugeTraceless:
         assert "shrunk" in ts.provenance
         lo, hi = ts.transform.T.domain
         assert lo > DOM[0] or hi < DOM[1]
+
+
+    def test_complex_trace_names_the_cause(self):
+        sys_in = lprime(MatrixFunction.polynomial(COMPLEX_TRACE_V, DOM), field=Field.COMPLEX)
+        with pytest.raises(GaugeError, match=r"imaginary part of size 0\.6 .*real time map"):
+            gauge_traceless(sys_in)
+        # the polynomial route of classify needs no time map
+        assert classify(sys_in).dim_ess == 1
+
+
+    def test_small_imaginary_trace_within_tolerance(self):
+        # tr V / n = 1e-3 + 2e-6j: the imaginary trace left after the real
+        # gauge is within the traceless tolerance of the large V~
+        v = 100.0 * S1 + 60.0 * S2 + (1e-3 + 2e-6j) * E2
+        sys_in = lprime(MatrixFunction.constant(v, DOM), field=Field.COMPLEX)
+        ts = gauge_traceless(sys_in)
+        assert ts.system.cls == LDOUBLEPRIME
+        traces = np.trace(ts.system.V.values, axis1=1, axis2=2)
+        np.testing.assert_allclose(traces, 4e-6j / ts.transform.T.derivative(1).evaluate(
+            ts.transform.T.grid) ** 2, rtol=1e-6)
 
 
 class TestSingularClass:

@@ -329,6 +329,28 @@ class TestDispatcher:
         sol = integrate_auto(sys_in)
         assert sol.plan.procedure == "Singular"
 
+    def test_singular_builds_the_criterion_once(self, monkeypatch):
+        from symode import gauge, integrate
+        a = np.array([[0.2, 0.1], [0.0, -0.3]])
+        b = MatrixFunction.polynomial([0.5 * E2 - 0.25 * a @ a, 0.2 * E2], DOM)
+        sys_in = SystemDescriptor.bar_l(MatrixFunction.constant(a, DOM), b,
+                                        VectorFunction.constant(np.array([0.3, -0.2]), DOM))
+        reference = integrate_singular(sys_in)
+        calls = []
+        build = gauge.criterion_matrix
+
+        def counted(sys):
+            calls.append(sys)
+            return build(sys)
+
+        monkeypatch.setattr(integrate, "criterion_matrix", counted)
+        monkeypatch.setattr(gauge, "criterion_matrix", counted)
+        sol = integrate_auto(sys_in)
+        assert len(calls) == 1
+        assert sol.plan.procedure == "Singular"
+        for name in ("grid", "positions", "velocities", "particular"):
+            np.testing.assert_array_equal(getattr(sol, name), getattr(reference, name))
+
     def test_regular_needs_symmetries(self):
         sys_in = SystemDescriptor.bar_l(MatrixFunction.zero(2, DOM),
                                         MatrixFunction.constant(S1, DOM),

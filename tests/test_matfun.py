@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
+from symode.cli import decode_function, encode_function
 from symode.matfun import (MatrixFunction, RepresentationError, ScalarFunction,
                            VectorFunction, kl_sequence, kl_sequence_with_tail,
+                           poly_compose_affine, poly_der, poly_mul, poly_wronskian,
                            schwarzian)
 from conftest import DOM, E2, S1, S2, S3, Z2
 
@@ -200,3 +205,150 @@ class TestRepresentationClosure:
         g = f.resample(np.linspace(-1, 1, 65))
         assert g.kind == "sampled"
         assert "resampled from conj_exp" in g.note
+
+
+def _draw(shape, cplx, rng, rows=None):
+    size = (rows,) + shape if rows else shape
+    out = rng.standard_normal(size)
+    return out + 1j * rng.standard_normal(size) if cplx else out
+
+
+GRID = np.linspace(-1, 1, 65)
+CLASSES = {"scalar": (ScalarFunction, ()), "vector": (VectorFunction, (3,)),
+           "matrix": (MatrixFunction, (3, 3))}
+
+
+def _build(shape_name, kind, cplx):
+    """One function of the given value shape and kind; real or complex data."""
+    rng = np.random.default_rng(7)
+    cls, shape = CLASSES[shape_name]
+    if kind == "constant":
+        return cls.constant(_draw(shape, cplx, rng), DOM)
+    if kind == "polynomial":
+        return cls.polynomial(_draw(shape, cplx, rng, rows=3), DOM)
+    if kind == "conj_exp":
+        return cls.conj_exp(0.4, _draw(shape, False, rng), _draw(shape, cplx, rng), DOM)
+    base = _draw(shape, cplx, rng, rows=2)
+    return cls.sampled(GRID, base[0] + np.sin(GRID).reshape((-1,) + (1,) * len(shape))
+                       * base[1])
+
+
+CASES = [(s, k, c) for s in CLASSES for k in ("constant", "polynomial", "sampled")
+         for c in (False, True)] + [("matrix", "conj_exp", c) for c in (False, True)]
+
+
+class TestRepresentationLayer:
+    @pytest.mark.parametrize("shape_name,kind,cplx", CASES)
+    def test_kind_shape_dtype(self, shape_name, kind, cplx):
+        f = _build(shape_name, kind, cplx)
+        shape = CLASSES[shape_name][1]
+        expect_kind = "polynomial" if (shape_name, kind) == ("scalar", "constant") else kind
+        dtype = np.complex128 if cplx else np.float64
+        assert f.kind == expect_kind
+        assert f.field.dtype == dtype
+        ts = np.linspace(-0.9, 0.9, 5)
+        assert np.shape(f.evaluate(0.3)) == shape
+        assert f.evaluate(ts).shape == (5,) + shape
+        assert f.evaluate(ts).dtype == dtype
+        for order in (1, 2):
+            df = f.derivative(order)
+            # a vector or matrix polynomial differentiated down to degree 0 is a
+            # constant; a scalar constant is a degree-0 polynomial
+            down_to_constant = order == 2 and kind == "polynomial" and shape_name != "scalar"
+            want = "constant" if down_to_constant else f.kind
+            assert type(df) is type(f)
+            assert df.kind == want
+            assert df.evaluate(ts).shape == (5,) + shape
+            assert df.evaluate(ts).dtype == dtype
+
+    @pytest.mark.parametrize("shape_name,kind,cplx", CASES)
+    def test_cli_roundtrip(self, shape_name, kind, cplx):
+        f = _build(shape_name, kind, cplx)
+        doc = json.loads(json.dumps(encode_function(f)))
+        g = decode_function(doc, type(f), f.domain)
+        assert type(g) is type(f) and g.kind == f.kind and g.domain == f.domain
+        ts = np.linspace(-0.9, 0.9, 7)
+        assert g.evaluate(ts).dtype == f.evaluate(ts).dtype
+        np.testing.assert_array_equal(g.evaluate(ts), f.evaluate(ts))
+
+    def test_cli_rejects_kinds_outside_the_shape(self):
+        from symode.cli import SchemaError
+        doc = encode_function(MatrixFunction.conj_exp(0.1, S2, S1, DOM))
+        with pytest.raises(SchemaError, match="unknown vector kind conj_exp"):
+            decode_function(doc, VectorFunction, DOM)
+        with pytest.raises(SchemaError, match="unknown scalar kind constant"):
+            decode_function({"kind": "constant", "m": 1.0}, ScalarFunction, DOM)
+
+    def test_value_is_a_read_only_view(self):
+        f = MatrixFunction.constant(S1, DOM)
+        assert f.coeffs.shape == (1, 2, 2)
+        with pytest.raises(ValueError):
+            f.value[0, 0] = 1.0
+        np.testing.assert_array_equal(f.value, S1)
+
+
+def _entrywise(c):
+    """Per-entry coefficient lists of a stacked (deg+1, *shape) array."""
+    return {idx: c[(slice(None),) + idx] for idx in np.ndindex(c.shape[1:])}
+
+
+def _matmul_oracle(a, b):
+    """Coefficients of the matrix (or matrix-vector) product, entry by entry."""
+    n = a.shape[1]
+    out = {}
+    for idx in np.ndindex(a.shape[1:2] + b.shape[2:]):
+        i, rest = idx[0], idx[1:]
+        acc = np.zeros(1)
+        for j in range(n):
+            acc = npoly.polyadd(acc, npoly.polymul(a[:, i, j], b[(slice(None), j) + rest]))
+        out[idx] = acc
+    return out
+
+
+class TestPolynomialAlgebra:
+    """The stacked-coefficient algebra against numpy.polynomial, entry by entry."""
+
+    @pytest.fixture
+    def stacks(self):
+        rng = np.random.default_rng(11)
+        return (rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)),
+                rng.standard_normal((4, 3, 3)), rng.standard_normal((2, 3)),
+                rng.standard_normal(4), rng.standard_normal(2) + 0.5j)
+
+    def test_product(self, stacks):
+        ma, mb, v, s1, s2 = stacks
+        for a, b in ((ma, mb), (mb, v)):
+            prod = poly_mul(a, b)
+            for idx, want in _matmul_oracle(a, b).items():
+                np.testing.assert_allclose(prod[(slice(None),) + idx], want,
+                                           rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(poly_mul(s1, s2), npoly.polymul(s1, s2), rtol=1e-14)
+        prod = poly_mul(s2, mb)
+        for idx, entry in _entrywise(mb).items():
+            np.testing.assert_allclose(prod[(slice(None),) + idx],
+                                       npoly.polymul(s2, entry), rtol=1e-14)
+
+    def test_derivative(self, stacks):
+        ma = stacks[0]
+        d = poly_der(ma)
+        for idx, entry in _entrywise(ma).items():
+            np.testing.assert_allclose(d[(slice(None),) + idx], npoly.polyder(entry),
+                                       rtol=1e-15)
+        np.testing.assert_array_equal(poly_der(ma[:1]), np.zeros_like(ma[:1]))
+
+    def test_affine_composition(self, stacks):
+        mb = stacks[1]
+        alpha, beta = -0.7, 0.3
+        comp = poly_compose_affine(mb, alpha, beta)
+        for idx, entry in _entrywise(mb).items():
+            want = npoly.Polynomial(entry)(npoly.Polynomial([beta, alpha])).coef
+            np.testing.assert_allclose(comp[(slice(None),) + idx], want, rtol=1e-13)
+
+    def test_wronskian(self, stacks):
+        s1, s2 = stacks[3], stacks[4]
+        want = npoly.polysub(npoly.polymul(s1, npoly.polyder(s2)),
+                             npoly.polymul(s2, npoly.polyder(s1)))
+        w = poly_wronskian(s1, s2)
+        assert len(w) == len(s1) + len(s2) - 1
+        np.testing.assert_allclose(w[:len(want)], want, rtol=1e-14)
+        assert not np.any(w[len(want):])

@@ -24,3 +24,32 @@ def test_every_traced_target_resolves():
 def test_rk4_keeps_the_wrapped_signature():
     from symode import numutil
     assert list(inspect.signature(numutil.rk4).parameters)[:3] == ["f", "y0", "grid"]
+
+
+def test_one_evaluate_span_per_call():
+    """The traced run wraps ``evaluate`` on each of the three classes; every
+    evaluation must record exactly one span of its own kind."""
+    import numpy as np
+    from symode.matfun import MatrixFunction, ScalarFunction, VectorFunction
+
+    grid = np.linspace(-1.0, 1.0, 17)
+    m = np.array([[0.0, 1.0], [-1.0, 0.5]])
+    functions = [
+        ScalarFunction.polynomial([0.5, 1.0]), ScalarFunction.sampled(grid, np.cos(grid)),
+        VectorFunction.constant(np.ones(2)), VectorFunction.polynomial([np.ones(2)] * 2),
+        VectorFunction.sampled(grid, np.outer(grid, [1.0, 2.0])),
+        MatrixFunction.constant(m), MatrixFunction.polynomial([m, m]),
+        MatrixFunction.conj_exp(0.1, m, m.T),
+        MatrixFunction.sampled(grid, grid[:, None, None] * m),
+    ]
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        for f in functions:
+            before = len(tracer.name)
+            f.evaluate(np.array([0.1, 0.2, 0.3]))
+            spans = [tracer.names[i] for i in tracer.name[before:]]
+            assert [s for s in spans if s.startswith("matfun.evaluate.")] \
+                == [f"matfun.evaluate.{f.kind}"], (type(f).__name__, f.kind, spans)
+    finally:
+        tracer.uninstall()
