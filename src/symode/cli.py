@@ -21,14 +21,12 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from . import casebook
-from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, EquivalenceTransform,
-                    GaugeError, SystemDescriptor, gauge_A_zero, gauge_f_zero,
-                    gauge_traceless, verify_equivalence)
+from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, GaugeError,
+                    SystemDescriptor, reduce, verify_equivalence)
 from .integrate import IntegrationError, integrate_auto, residual
 from .linalg import LinalgError
 from .matfun import (CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
                      RepresentationError, ScalarFunction, VectorFunction)
-from .numutil import uniform_grid
 from .scalars import Field, FieldError, ToleranceConfig
 from .symalg import (CASE_BASIS_TEXT, ClassificationError, SymmetryVectorField,
                      classify, similar_constant_coeff, similar_structured)
@@ -79,8 +77,8 @@ SYMMETRY_SCHEMA = {
     "items": {
         "type": "object",
         "required": ["tau"],
-        "properties": {"tau": {"type": "object"}, "gamma": _MATRIX,
-                       "chi": {"type": "object"}},
+        "properties": {"tau": _MATFUN_SCHEMA, "gamma": _MATRIX,
+                       "chi": _MATFUN_SCHEMA},
     },
 }
 
@@ -277,53 +275,19 @@ def _emit(args, payload):
         print(text)
 
 
-def _compose(inner: EquivalenceTransform, outer: EquivalenceTransform,
-             grid_steps: int) -> EquivalenceTransform:
-    """outer after inner, for an inner transform with T(t) = t.
-
-    The composition is then pointwise in t: x~ = H (H_in x + h_in) + h,
-    sampled on the grid of outer's time map.
-    """
-    if inner.is_identity():
-        return outer
-    if outer.is_identity():
-        return inner
-    grid = (outer.T.grid if outer.T.kind == SAMPLED
-            else uniform_grid(*outer.T.domain, grid_steps))
-    hmat = outer.H.evaluate(grid)
-    shift = np.zeros((len(grid), hmat.shape[1]), dtype=hmat.dtype)
-    if inner.h is not None:
-        shift = shift + np.einsum("tij,tj->ti", hmat, inner.h.evaluate(grid))
-    if outer.h is not None:
-        shift = shift + outer.h.evaluate(grid)
-    return EquivalenceTransform(
-        T=outer.T, H=MatrixFunction.sampled(grid, hmat @ inner.H.evaluate(grid)),
-        h=VectorFunction.sampled(grid, shift))
-
-
 def cmd_gauge(args) -> int:
     cfg = _tolerances(args)
     sys_in = load_system(args.input, cfg)
-    last = {"f0": gauge_f_zero, "a0": gauge_A_zero, "traceless": gauge_traceless}
+    target = {"f0": HOMOGENEOUS, "a0": LPRIME, "traceless": LDOUBLEPRIME}[args.target]
     try:
-        chain, work = [], sys_in
-        if args.target != "f0" and work.cls == BARL:
-            chain.append(gauge_f_zero(work, args.grid))
-            work = chain[-1].system
-        if args.target == "traceless" and work.cls == HOMOGENEOUS:
-            chain.append(gauge_A_zero(work, args.grid))
-            work = chain[-1].system
-        chain.append(last[args.target](work, args.grid))
+        ts = reduce(sys_in, target, args.grid)
     except GaugeError as exc:
         print(f"gauge inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except (LinalgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # the chain is checked and emitted as one source -> final transform
-    ts, tr = chain[-1], chain[0].transform
-    for step in chain[1:]:
-        tr = _compose(tr, step.transform, args.grid)
+    tr = ts.transform
     resid = verify_equivalence(sys_in, ts.system, tr, seed=args.seed,
                                grid_steps=min(args.grid, 2048))
     payload = {
@@ -335,7 +299,7 @@ def cmd_gauge(args) -> int:
             "branch": tr.branch_note,
         },
         "residual": resid,
-        "provenance": "; ".join(step.provenance for step in chain),
+        "provenance": ts.provenance,
         "tolerances": {"residual_tol": cfg.residual_tol, "rank_tol": cfg.rank_tol},
     }
     _emit(args, payload)

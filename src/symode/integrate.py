@@ -21,10 +21,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
-                    SystemDescriptor, criterion_matrix, gauge_f_zero,
-                    is_singular_criterion, pushforward, right_fundamental,
-                    schwarzian_time_map)
+from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, SystemDescriptor,
+                    gauge_f_zero, pushforward, right_fundamental, schwarzian_time_map,
+                    singular_class_test)
 from .matfun import (COEFFICIENT_KINDS, POLYNOMIAL, MatrixFunction, ScalarFunction,
                      poly_der, poly_lincomb, poly_mul, poly_strip, poly_wronskian)
 from .numutil import companion, cumulative_integral, grid_derivative, uniform_grid
@@ -177,14 +176,8 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     U = tr(criterion)/n; the transform (T = phi1/phi2, H = T_t^(1/2) M^T)
     maps the system to x~_t~t~ = f~, integrated by two quadrature layers.
     """
-    crit = criterion_matrix(sys)
-    if not is_singular_criterion(crit, sys):
+    if not singular_class_test(sys):
         raise IntegrationError("system is not in the singular class")
-    return _integrate_singular(sys, crit, grid_steps, min_length_fraction)
-
-
-def _integrate_singular(sys, crit, grid_steps, min_length_fraction=0.125):
-    """integrate_singular for a system whose criterion matrix crit passed the test."""
     cfg = sys.cfg
     n = sys.n
     lo, hi = sys.domain
@@ -194,7 +187,7 @@ def _integrate_singular(sys, crit, grid_steps, min_length_fraction=0.125):
     # M^T solves (M^T)_t = -(1/2) M^T A
     a_half = a_fun.evaluate(half)
     mmat_t = right_fundamental(-0.5 * a_half, grid, sys.field.dtype)
-    u = np.real(np.trace(crit.evaluate(half), axis1=1, axis2=2)) / n
+    u = np.real(np.trace(sys.criterion.evaluate(half), axis1=1, axis2=2)) / n
     run = schwarzian_time_map(u, grid, min_length_fraction)
     if run is None:
         raise IntegrationError("no zero-free subinterval of the requested minimum "
@@ -520,22 +513,19 @@ def integrate_auto(sys: SystemDescriptor, symmetries=(),
     Inhomogeneous regular systems are homogenized first (gauge_f_zero); the
     extra particular-solution work is recorded as n quadratures.
     """
-    crit = criterion_matrix(sys)
-    if is_singular_criterion(crit, sys):
-        return _integrate_singular(sys, crit, grid_steps)
+    if singular_class_test(sys):
+        return integrate_singular(sys, grid_steps)
     work = sys
     extra_quad = 0
     prov = []
     particular_fun = None
-    if sys.cls == BARL and sys.f is not None and sys.f.max_norm() > sys.cfg.residual_tol:
+    if sys.cls == BARL:
         ts = gauge_f_zero(sys, grid_steps)
         work = ts.system
-        extra_quad = sys.n
-        particular_fun = ts.transform.h  # carries minus the particular solution
-        prov.append("homogenized by subtracting a particular solution")
-    elif sys.cls == BARL:
-        work = SystemDescriptor(HOMOGENEOUS, sys.n, sys.field, sys.domain,
-                                A=sys.A, B=sys.B, cfg=sys.cfg)
+        if ts.transform.h is not None:  # f was removed
+            extra_quad = sys.n
+            particular_fun = ts.transform.h  # carries minus the particular solution
+            prov.append("homogenized by subtracting a particular solution")
     usable = [q for q in symmetries
               if abs(np.max(np.abs(q.tau.evaluate(
                   np.linspace(*work.domain, 17))))) > 1e-9]

@@ -54,7 +54,8 @@ def nullspace(a: np.ndarray, rank_tol: float, abs_tol: float = 0.0) -> np.ndarra
     a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
         return np.eye(a.shape[1], dtype=a.dtype)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    # a tall matrix needs only the thin factors; a wide one the full vh
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     cut = max(rank_tol * (s[0] if s.size else 0.0), abs_tol)
     rank = int(np.sum(s > cut))
     return vh[rank:].conj().T
@@ -132,14 +133,6 @@ class SubspaceBasis:
         resid = frobenius_norm(v - a @ coef)
         return resid <= tol * (1.0 + frobenius_norm(m))
 
-    def project_off(self, m: np.ndarray) -> np.ndarray:
-        """Component of m orthogonal (Frobenius) to the span."""
-        if not self.mats:
-            return np.asarray(m)
-        q, _ = np.linalg.qr(self.stacked().conj().T)
-        v = _vec(m).astype(q.dtype)
-        return _unvec(v - q @ (q.conj().T @ v), self.n)
-
 
 def centralizer_basis(mats, restrict_traceless: bool = False, n: int | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
@@ -209,10 +202,7 @@ def normalizer_basis(s: SubspaceBasis, cfg: ToleranceConfig = DEFAULT_TOL) -> Su
     if s.mats:
         q, _ = np.linalg.qr(s.stacked().conj().T)  # n^2 x dim(s), orthonormal
         proj_off = np.eye(n * n, dtype=q.dtype) - q @ q.conj().T
-        for v in s.mats:
-            # u -> [u, v]: vec([u,v]) = (v^T ox I - I ox v) vec(u)
-            op = np.kron(v.T, np.eye(n, dtype=dtype)) - np.kron(np.eye(n, dtype=dtype), v)
-            rows.append(proj_off @ op)
+        rows.extend(proj_off @ ad_operator(v) for v in s.mats)
     a = np.vstack(rows)
     ns = nullspace(a, cfg.rank_tol)
     basis = [_unvec(ns[:, j], n) for j in range(ns.shape[1])]

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .gauge import (SystemDescriptor, gauge_A_zero, gauge_f_zero,
-                    gauge_traceless, singular_class_test)
+from .gauge import (BARL, HOMOGENEOUS, LPRIME, SystemDescriptor, gauge_traceless, reduce,
+                    singular_class_test)
 from .linalg import SubspaceBasis, commutator
 from .matfun import (COEFFICIENT_KINDS, CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED,
                      MatrixFunction, ScalarFunction, VectorFunction, kl_sequence,
@@ -205,21 +205,6 @@ def _solver_rows_poly(coeffs, n, trace_rows=None):
     return np.vstack(rows)
 
 
-def _nullspace_with_gap(a, rank_tol):
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    cut = rank_tol * smax
-    below = s[s <= cut]
-    above = s[s > cut]
-    rank = len(above)
-    null = vh[rank:].conj().T
-    if below.size and above.size:
-        gap = float(above[-1] / max(below[0], 1e-300))
-    else:
-        gap = np.inf
-    return null, gap
-
-
 def _nullspace_by_spectral_gap(a, floor_rel=1e-12, band_rel=1e-4, gap_min=100.0):
     """Nullspace with the rank cut at the first large singular-value gap.
 
@@ -231,7 +216,8 @@ def _nullspace_by_spectral_gap(a, floor_rel=1e-12, band_rel=1e-4, gap_min=100.0)
     gap_min; the machine-precision tier below the noise tier then stays inside
     the nullspace.  Returns (basis, boundary gap ratio).
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    # a tall matrix needs only the thin factors; a wide one the full vh
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     ncols = vh.shape[0]
     if s.size == 0 or s[0] == 0.0:
         return np.eye(ncols, dtype=a.dtype), np.inf
@@ -384,7 +370,7 @@ def solve_symmetries_traceless_poly(v_fun: MatrixFunction,
         u_scale = max(max(abs(complex(u)) for u in trace_part), 1e-300)
         trace_part = [u / u_scale for u in trace_part]
     rows = _solver_rows_poly(coeffs, n, trace_rows=trace_part)
-    null, gap = _nullspace_with_gap(rows, cfg.rank_tol)
+    null = linalg.nullspace(rows, cfg.rank_tol)
     note = "exact polynomial coefficient matching"
     if trace_part is not None:
         note += "; non-traceless input handled by the trace compatibility filter " \
@@ -659,13 +645,10 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
                                            "particle; algebra isomorphic to "
                                            f"sl({n + 2})"])
     work = sys
-    if work.cls == "barL":
-        ts = gauge_f_zero(work)
-        work = ts.system
-        notes.append("gauged f to zero")
-    if work.cls == "L":
-        ts = gauge_A_zero(work)
-        work = ts.system
+    if sys.cls in (BARL, HOMOGENEOUS):
+        work = reduce(sys, LPRIME).system
+        if sys.cls == BARL:
+            notes.append("gauged f to zero")
         notes.append("gauged A to zero")
     v_fun = work.V
     fld = sys.field

@@ -210,6 +210,12 @@ class TestIntegrateCommand:
         assert main(["integrate", case7_doc]) == EXIT_INAPPLICABLE
         assert "nonzero t-components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", [{"coeffs": [1.0]}, {"kind": "polynomial"}])
+    def test_incomplete_tau_document_exit2(self, case7_doc, tmp_path, capsys, tau):
+        spath = write(tmp_path, "syms.json", [{"tau": tau, "gamma": [[0, 0], [0, 0]]}])
+        assert main(["integrate", case7_doc, "--symmetries", spath]) == EXIT_SCHEMA
+        assert "schema error" in capsys.readouterr().err
+
 
 class TestSimilarCommand:
     def test_similar_pair(self, tmp_path):

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from symode.gauge import (HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
+from symode import gauge
+from symode.cli import EXIT_OK, main
+from symode.gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
                           EquivalenceTransform, GaugeError, SystemDescriptor,
                           apply_equivalence, gauge_A_zero, gauge_f_zero,
-                          gauge_traceless, singular_class_test,
+                          gauge_traceless, reduce, singular_class_test,
                           verify_equivalence)
 from symode.matfun import MatrixFunction, ScalarFunction, VectorFunction
 from symode.scalars import Field
@@ -281,3 +285,147 @@ class TestVerifyEquivalence:
         bad = lprime(MatrixFunction.constant(S1 + 0.1 * S1, DOM))
         tr = EquivalenceTransform.identity(2, DOM)
         assert verify_equivalence(src, bad, tr) > 1e-2
+
+
+def pipeline_inputs():
+    """One system per class; A != 0, f != 0 and tr V != 0 wherever the class allows."""
+    a = MatrixFunction.polynomial([np.array([[0.2, 0.1], [-0.3, 0.1]]),
+                                   np.array([[0.1, 0.0], [0.2, -0.1]])], DOM)
+    b = MatrixFunction.constant(np.array([[0.5, 1.0], [1.0, 0.2]]), DOM)
+    f = VectorFunction.constant(np.array([0.3, -0.2]), DOM)
+    v = MatrixFunction.polynomial([np.array([[0.5, 1.0], [1.0, 0.2]]),
+                                   np.array([[0.1, 0.0], [0.0, 0.3]])], DOM)
+    return {BARL: barl(a, b, f), HOMOGENEOUS: homog(a, b), LPRIME: lprime(v),
+            LDOUBLEPRIME: SystemDescriptor.ldoubleprime(
+                MatrixFunction.polynomial([S1, S3], DOM))}
+
+
+# the steps reduce runs for each (input class, target class)
+PIPELINE_STEPS = {
+    (BARL, HOMOGENEOUS): (gauge_f_zero,),
+    (BARL, LPRIME): (gauge_f_zero, gauge_A_zero),
+    (BARL, LDOUBLEPRIME): (gauge_f_zero, gauge_A_zero, gauge_traceless),
+    (HOMOGENEOUS, LPRIME): (gauge_A_zero,),
+    (HOMOGENEOUS, LDOUBLEPRIME): (gauge_A_zero, gauge_traceless),
+    (LPRIME, LPRIME): (gauge_A_zero,),
+    (LPRIME, LDOUBLEPRIME): (gauge_traceless,),
+    (LDOUBLEPRIME, LPRIME): (gauge_A_zero,),
+    (LDOUBLEPRIME, LDOUBLEPRIME): (gauge_traceless,),
+}
+
+
+def assert_functions_equal(f, g, ts):
+    if f is None or g is None:
+        assert f is g
+        return
+    x, y = f.evaluate(ts), g.evaluate(ts)
+    assert x.dtype == y.dtype
+    np.testing.assert_array_equal(x, y)
+
+
+class TestReduce:
+    @pytest.mark.parametrize("cls, target", sorted(PIPELINE_STEPS))
+    def test_matches_the_steps_one_by_one(self, cls, target):
+        src = pipeline_inputs()[cls]
+        ts = reduce(src, target)
+        assert verify_equivalence(src, ts.system, ts.transform) <= 10 * src.cfg.residual_tol
+        chain, work = [], src
+        for step in PIPELINE_STEPS[cls, target]:
+            chain.append(step(work))
+            work = chain[-1].system
+        tr = chain[0].transform
+        for step in chain[1:]:
+            tr = gauge._compose(tr, step.transform, 1024)
+        assert ts.provenance == "; ".join(step.provenance for step in chain)
+        assert (ts.system.cls, ts.system.domain) == (work.cls, work.domain)
+        grid = np.linspace(*ts.system.domain, 101)
+        for name in ("A", "B", "f", "V"):
+            assert_functions_equal(getattr(ts.system, name), getattr(work, name), grid)
+        grid = np.linspace(*tr.T.domain, 101)
+        for name in ("T", "H", "h"):
+            assert_functions_equal(getattr(ts.transform, name), getattr(tr, name), grid)
+
+    @pytest.mark.parametrize("cls", [HOMOGENEOUS, LPRIME, LDOUBLEPRIME])
+    def test_target_l_needs_barl_input(self, cls):
+        with pytest.raises(GaugeError, match="gauge_f_zero expects a barL system"):
+            reduce(pipeline_inputs()[cls], HOMOGENEOUS)
+
+    def test_unknown_target(self):
+        with pytest.raises(GaugeError, match="unknown target class traceless"):
+            reduce(pipeline_inputs()[BARL], "traceless")
+
+
+class TestCriterionBuilds:
+    """The criterion matrix is built once per system and handed down the chain."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = gauge.criterion_matrix
+
+        def counted(sys):
+            calls.append(sys)
+            return build(sys)
+
+        monkeypatch.setattr(gauge, "criterion_matrix", counted)
+        return calls
+
+    @staticmethod
+    def sampled_a_system(f=None):
+        grid = np.linspace(-1.0, 1.0, 1025)
+        a = MatrixFunction.sampled(grid, np.sin(grid)[:, None, None]
+                                   * np.array([[0.1, 0.3], [-0.2, 0.05]]))
+        b = MatrixFunction.constant(S1, DOM)
+        if f is None:
+            return homog(a, b)
+        return barl(a, b, VectorFunction.constant(np.array(f), DOM))
+
+    @pytest.mark.parametrize("f", [None, (0.3, -0.2)])
+    def test_classify(self, builds, f):
+        classify(self.sampled_a_system(f))
+        assert len(builds) == 1
+
+    def test_gauge_a_zero(self, builds):
+        gauge_A_zero(self.sampled_a_system())
+        assert len(builds) == 1
+
+    def test_gauge_f_zero(self, builds):
+        gauge_f_zero(self.sampled_a_system((0.3, -0.2)))
+        assert builds == []
+
+    def test_cli_traceless_chain(self, builds, tmp_path):
+        doc = {"n": 2, "field": "real", "class": "barL", "domain": [-1.0, 1.0],
+               "A": {"kind": "polynomial",
+                     "coeffs": [[[0.2, 0.1], [-0.3, 0.1]], [[0.1, 0.0], [0.2, -0.1]]]},
+               "B": {"kind": "constant", "m": [[0.5, 1.0], [1.0, 0.2]]},
+               "f": {"kind": "constant", "m": [0.3, -0.2]}}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.json")
+        assert main(["gauge", str(path), "--target", "traceless", "--out", out]) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_descriptor_shared_between_threads(self, builds):
+        """Threads that classify one descriptor agree; the criterion memo is
+        filled once per thread at most."""
+        import sys as interpreter
+        import threading
+
+        shared = self.sampled_a_system((0.3, -0.2))
+        reports = []
+        threads = [threading.Thread(target=lambda: reports.append(classify(shared)))
+                   for _ in range(4)]
+        interval = interpreter.getswitchinterval()
+        interpreter.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            interpreter.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(reports) == 4
+        assert len({(r.k, r.dim_s, r.dim_ess, r.case_label, tuple(r.notes))
+                    for r in reports}) == 1
+        assert 1 <= len(builds) <= 4

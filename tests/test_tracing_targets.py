@@ -53,3 +53,29 @@ def test_one_evaluate_span_per_call():
                 == [f"matfun.evaluate.{f.kind}"], (type(f).__name__, f.kind, spans)
     finally:
         tracer.uninstall()
+
+
+def test_gauge_chain_records_one_span_per_step(tmp_path):
+    """``symode gauge --target traceless`` on barL input with A != 0 and f != 0
+    runs each step once; the traced run must see each of them, so the chain
+    may not bind the step functions before the tracer rebinds them."""
+    import json
+    from symode import cli
+
+    doc = {"n": 2, "field": "real", "class": "barL", "domain": [-1.0, 1.0],
+           "A": {"kind": "constant", "m": [[0.2, 0.1], [-0.3, 0.1]]},
+           "B": {"kind": "constant", "m": [[0.5, 1.0], [1.0, 0.2]]},
+           "f": {"kind": "constant", "m": [0.3, -0.2]}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["gauge", str(path), "--target", "traceless",
+                         "--out", str(tmp_path / "out.json")])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    spans = [tracer.names[i] for i in tracer.name]
+    for step in ("gauge_f_zero", "gauge_A_zero", "gauge_traceless"):
+        assert spans.count(f"gauge.{step}") == 1, (step, spans)
