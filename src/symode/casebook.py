@@ -94,9 +94,3 @@ def n2_cases(field: Field = Field.COMPLEX, cfg: ToleranceConfig | None = None,
                        real_only=True),
         ]
     return cases
-
-
-def expected_dim_totals(field: Field = Field.COMPLEX) -> set:
-    """Whole-algebra dimensions over the golden set plus the free particle."""
-    dims = {1 + 4, 2 + 4, 3 + 4, 4 + 4, 15}
-    return dims

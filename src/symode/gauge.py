@@ -453,7 +453,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     if sys.A.kind == CONSTANT:
         ups = -0.5 * sys.A.value
         ef = linalg.exp_factory(ups)
-        hs = np.stack([ef(t - t0) for t in grid])
+        hs = ef(grid - t0)
         note = "closed-form exp(-(t-t0) A/2)"
     else:
         half = uniform_grid(lo, hi, 2 * grid_steps)

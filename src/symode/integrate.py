@@ -79,13 +79,6 @@ class SolutionSet:
         return float(min(abs(self.wronskian(i)) for i in range(0, len(self.grid),
                                                                max(1, len(self.grid) // 32))))
 
-    def general_solution(self, coeffs: np.ndarray) -> np.ndarray:
-        """Trajectory sum_j c_j x_j (+ particular when present), on the grid."""
-        out = np.einsum("mnj,j->mn", self.positions, coeffs)
-        if self.particular is not None:
-            out = out + self.particular
-        return out
-
 
 def residual(sys: SystemDescriptor, sol, grid) -> float:
     """Max normalized defect of x_tt = A x_t + B x + f along a trajectory.
@@ -159,7 +152,7 @@ def solve_constant(a_mat: np.ndarray, b_mat: np.ndarray, domain,
     comp = companion(a_mat, b_mat)
     ef = linalg.exp_factory(comp, cfg)
     grid = uniform_grid(lo, hi, grid_steps)
-    states = np.stack([ef(t - t0) for t in grid])
+    states = ef(grid - t0)
     return SolutionSet(grid=grid, positions=states[:, :n, :],
                        velocities=states[:, n:, :], particular=None,
                        method="constant-coefficient companion exponential",
@@ -309,7 +302,7 @@ def _pullback(grid, tmap, t1, hvals, ht, const: SolutionSet):
     hinv = np.linalg.inv(hvals)
     hinv_dot = -np.einsum("tij,tjk,tkl->til", hinv, ht, hinv)
     ef = linalg.exp_factory(const.generator)
-    states = np.stack([ef(float(tv) - const.t0) for tv in tmap])
+    states = ef(tmap - const.t0)
     xpos = states[:, :n, :]
     xvel = states[:, n:, :]
     positions = np.einsum("tij,tjk->tik", hinv, xpos)

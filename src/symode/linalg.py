@@ -411,10 +411,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
 def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     """Return t -> exp(t*m) using the semisimple/nilpotent split.
 
-    exp(t m) = S diag(e^{t mu}) S^{-1} * poly(t m_n); the two factors commute,
-    so evaluation is cheap per t.  Real inputs return real results.  Nearly
-    defective inputs, where the clustered split degrades, fall back to the
-    scaling-and-squaring exponential per evaluation.
+    exp(t m) = S diag(e^{t mu}) S^{-1} * poly(t m_n); the two factors commute.
+    The evaluator takes a scalar t or an array of them and returns
+    ``t.shape + (n, n)``, the whole grid in one broadcast.  Real inputs return
+    real results.  Nearly defective inputs, where the clustered split
+    degrades, fall back to the scaling-and-squaring exponential of each t*m.
     """
     m = _check_square(m)
     n = m.shape[0]
@@ -427,8 +428,8 @@ def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     except LinalgError:
         ok = False
     if not ok:
-        def evaluate_direct(t: float) -> np.ndarray:
-            return scipy.linalg.expm(t * m)
+        def evaluate_direct(t) -> np.ndarray:
+            return scipy.linalg.expm(np.multiply.outer(t, m))
 
         return evaluate_direct
     clusters = eig_clustered(ms if np.iscomplexobj(ms) else ms.astype(np.complex128), cfg)
@@ -446,13 +447,13 @@ def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     for k in range(1, len(mn_pows)):
         facts.append(facts[-1] * k)
 
-    def evaluate(t: float) -> np.ndarray:
-        es = s @ np.diag(np.exp(t * mu)) @ sinv
+    def evaluate(t) -> np.ndarray:
+        t = np.asarray(t)[..., None, None]
+        # a stack of diagonal matrices, not s * e, so each t rounds as a single call did
+        es = s @ (np.exp(t * mu[:, None]) * np.eye(n)) @ sinv
         en = sum((t ** k / facts[k]) * mn_pows[k] for k in range(len(mn_pows)))
         out = es @ en
-        if real_input:
-            out = out.real
-        return out
+        return out.real if real_input else out
 
     return evaluate
 

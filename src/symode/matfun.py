@@ -240,17 +240,8 @@ class _TimeFunction:
         if self.kind == CONJ_EXP:
             if self._exp is None:
                 self._exp = linalg.exp_factory(self.upsilon)
-            eye = np.eye(self.n)
-            eps = self.epsilon
-
-            def one(ti):
-                e = self._exp(float(ti))
-                einv = self._exp(-float(ti))
-                return eps * eye + e @ self.w @ einv
-
-            if np.ndim(t):
-                return np.stack([one(ti) for ti in np.asarray(t)])
-            return one(t)
+            t = np.asarray(t, dtype=float)
+            return self.epsilon * np.eye(self.n) + self._exp(t) @ self.w @ self._exp(-t)
         if self._spline is None:
             slopes = grid_derivative(self.grid, self.values, 1)
             self._spline = CubicHermiteSpline(self.grid, self.values, slopes, axis=0)
@@ -293,11 +284,6 @@ class ScalarFunction(_TimeFunction):
     @classmethod
     def constant(cls, value, domain=(-1.0, 1.0)):
         return cls.polynomial([value], domain)
-
-    def bounded_away_from_zero(self, probes: int = 65) -> bool:
-        lo, hi = self.domain
-        ts = np.linspace(lo, hi, probes)
-        return bool(np.min(np.abs(self.evaluate(ts))) > 0.0)
 
 
 class VectorFunction(_TimeFunction):
@@ -382,10 +368,11 @@ class MatrixFunction(_TimeFunction):
         new_dom = (min(a_lo, a_hi), max(a_lo, a_hi))
         if self.kind == CONJ_EXP:
             # e^{(a t + b) Y} W e^{-(a t + b) Y} = e^{t (aY)} W' e^{-t (aY)}
-            eb = linalg.exp_factory(self.upsilon)(beta) if beta else np.eye(self.n)
-            ebinv = linalg.exp_factory(self.upsilon)(-beta) if beta else np.eye(self.n)
-            return MatrixFunction.conj_exp(self.epsilon, alpha * self.upsilon,
-                                           eb @ self.w @ ebinv, new_dom)
+            w = self.w
+            if beta:
+                ef = linalg.exp_factory(self.upsilon)
+                w = ef(beta) @ w @ ef(-beta)
+            return MatrixFunction.conj_exp(self.epsilon, alpha * self.upsilon, w, new_dom)
         if self.kind == SAMPLED:
             new_grid = (self.grid - beta) / alpha
             vals = self.values
@@ -459,21 +446,3 @@ def schwarzian(t_fun: ScalarFunction) -> ScalarFunction:
     t3 = t_fun.derivative(3).evaluate(grid)
     vals = t3 / t1 - 1.5 * (t2 / t1) ** 2
     return ScalarFunction.sampled(grid, vals)
-
-
-def evaluate(f, t):
-    """Module-level alias: f(t) for any time-function object."""
-    return f.evaluate(t)
-
-
-def differentiate(f, order: int = 1):
-    """Module-level alias: exact-where-possible derivative of a time function."""
-    return f.derivative(order)
-
-
-def trace_part(f: MatrixFunction) -> ScalarFunction:
-    return f.trace_split()[0]
-
-
-def traceless_part(f: MatrixFunction) -> MatrixFunction:
-    return f.trace_split()[1]

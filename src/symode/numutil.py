@@ -4,6 +4,9 @@ These are the fixed low-order building blocks the rest of the package relies
 on: classic RK4 with a uniform step, Fornberg weights for derivatives on
 (possibly nonuniform) grids, and a locally-cubic cumulative integral, all
 fourth-order accurate so their errors sit below the package residual targets.
+The derivative and quadrature kernels evaluate whole grids: one batched
+Fornberg recurrence over the stencils of every point, one batched moment
+solve over every interval, and one stacked contraction with the samples.
 
 Every ODE the package solves is linear, y' = M(t) y + g(t), and goes through
 ``rk4_linear``: the coefficients are evaluated once, as arrays, on the grid
@@ -15,36 +18,40 @@ from __future__ import annotations
 import numpy as np
 
 
-def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
+def fd_weights(x: np.ndarray, x0, m: int) -> np.ndarray:
     """Fornberg weights for the m-th derivative at x0 from nodes x.
 
-    Returns w with f^(m)(x0) ~= sum_i w[i] * f(x[i]).
+    Returns w with f^(m)(x0) ~= sum_i w[i] * f(x[i]).  x may stack stencils
+    along leading axes, x[..., i], with one x0 each (x0 of shape x.shape[:-1]);
+    the recurrence then runs over all of them at once, and every row equals
+    the 1-D call on that stencil bitwise.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     if m >= n:
         raise ValueError("need more than m nodes for the m-th derivative")
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
+    dx0 = x - np.asarray(x0, dtype=float)[..., None]
+    c = np.zeros(x.shape + (m + 1,))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - x0
+    c4 = dx0[..., 0]
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - x0
+        c4 = dx0[..., i]
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
-    return c[:, m]
+    return c[..., m]
 
 
 def grid_derivative(grid: np.ndarray, values: np.ndarray, order: int = 1,
@@ -54,7 +61,8 @@ def grid_derivative(grid: np.ndarray, values: np.ndarray, order: int = 1,
     The default stencil width order+4 keeps the truncation error at O(h^4)
     on uniform grids (O(h^3) on nonuniform ones).  On dense grids the stencil
     nodes are strided apart so the h^4 truncation error and the eps/h^m
-    roundoff amplification stay balanced.
+    roundoff amplification stay balanced.  The weights of every point come
+    from one batched ``fd_weights`` call.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
@@ -70,15 +78,10 @@ def grid_derivative(grid: np.ndarray, values: np.ndarray, order: int = 1,
     h_opt = (1e-14) ** (1.0 / (order + 4)) * half_len
     stride = max(1, int(round(h_opt / max(h_typ, 1e-300))))
     stride = min(stride, max(1, (npts - 1) // (width - 1)))
-    out = np.empty_like(values)
     span = (width - 1) * stride
-    for i in range(npts):
-        lo = min(max(i - span // 2, 0), npts - 1 - span)
-        idx = np.arange(lo, lo + span + 1, stride)
-        # keep the evaluation point among the nodes when it falls off-stride
-        w = fd_weights(grid[idx], grid[i], order)
-        out[i] = np.tensordot(w, values[idx], axes=(0, 0))
-    return out
+    lo = np.clip(np.arange(npts) - span // 2, 0, npts - 1 - span)
+    idx = lo[:, None] + stride * np.arange(width)
+    return _stencil_sum(fd_weights(grid[idx], grid, order), values, idx)
 
 
 def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -86,7 +89,8 @@ def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     Each interval [t_i, t_{i+1}] integrates the degree-3 interpolant through
     the four nearest nodes (Fornberg-style moment weights), giving a globally
-    fourth-order antiderivative with F(grid[0]) = 0.
+    fourth-order antiderivative with F(grid[0]) = 0.  The moment systems of
+    all intervals are solved in one batch.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
@@ -94,24 +98,34 @@ def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     if npts < 2:
         raise ValueError("need at least two grid points")
     width = min(4, npts)
+    lo = np.clip(np.arange(npts - 1) - (width // 2 - 1), 0, npts - width)
+    idx = lo[:, None] + np.arange(width)
+    # weights s.t. sum_j w_j f(x_j) = int_{t_i}^{t_{i+1}} p(x) dx for the
+    # interpolating polynomial p: solve the Vandermonde moment systems
+    # powers[i, k, j] = (x_j - xm_i)^k, built by repeated products like np.vander
+    a, b = grid[:-1], grid[1:]
+    xm = 0.5 * (a + b)
+    powers = np.ones((npts - 1, width, width))
+    powers[:, 1:] = (grid[idx] - xm[:, None])[:, None, :]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    k = np.arange(1, width + 1)
+    moments = ((b - xm)[:, None] ** k - (a - xm)[:, None] ** k) / k
+    w = np.linalg.solve(powers, moments[..., None])[..., 0]
     out = np.zeros_like(values)
-    acc = np.zeros(values.shape[1:], dtype=values.dtype)
-    for i in range(npts - 1):
-        lo = min(max(i - (width // 2 - 1), 0), npts - width)
-        idx = slice(lo, lo + width)
-        xs = grid[idx]
-        # weights s.t. sum_j w_j f(x_j) = int_{t_i}^{t_{i+1}} p(x) dx for the
-        # interpolating polynomial p: solve the Vandermonde moment system.
-        a, b = grid[i], grid[i + 1]
-        xm = 0.5 * (a + b)
-        xs_c = xs - xm
-        powers = np.vander(xs_c, width, increasing=True).T
-        moments = np.array([((b - xm) ** (k + 1) - (a - xm) ** (k + 1)) / (k + 1)
-                            for k in range(width)])
-        w = np.linalg.solve(powers, moments)
-        acc = acc + np.tensordot(w, values[idx], axes=(0, 0))
-        out[i + 1] = acc
+    out[1:] = np.cumsum(_stencil_sum(w, values, idx), axis=0)
     return out
+
+
+def _stencil_sum(w: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sum_j w[p, j] * values[idx[p, j]] for every row p of the stencil table idx.
+
+    One stacked matmul: each row is the vector-matrix product a per-point
+    ``np.tensordot`` computes, so both round alike.  ``np.einsum`` sums in
+    another order, which moves second derivatives by up to 6e-11 relative
+    on grids of 257 to 2049 points, where the weights grow like 1/h^2.
+    """
+    rows = values[idx].reshape(idx.shape + (-1,))
+    return (w[:, None, :] @ rows)[:, 0].reshape(idx.shape[:1] + values.shape[1:])
 
 
 def rk4(f, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:

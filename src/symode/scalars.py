@@ -44,32 +44,3 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def as_field_array(value, field: Field, shape=None) -> np.ndarray:
-    """Coerce ``value`` to an ndarray of the field's dtype.
-
-    Complex input under a real tag raises FieldError unless the imaginary part
-    is exactly zero; promotion must be requested by tagging the data complex.
-    """
-    arr = np.asarray(value)
-    if field is Field.REAL:
-        if np.iscomplexobj(arr):
-            if np.any(arr.imag != 0.0):
-                raise FieldError("complex entries under a real field tag; promote explicitly")
-            arr = arr.real
-        arr = arr.astype(np.float64)
-    else:
-        arr = arr.astype(np.complex128)
-    if shape is not None and arr.shape != tuple(shape):
-        raise ValueError(f"expected shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
-
-def field_of(arr: np.ndarray) -> Field:
-    return Field.COMPLEX if np.iscomplexobj(arr) else Field.REAL
-
-
-def promote(arr: np.ndarray) -> np.ndarray:
-    """Explicit promotion of real data to the complex field."""
-    return np.asarray(arr, dtype=np.complex128)

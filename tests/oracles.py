@@ -99,3 +99,83 @@ def rk4_reference(a_eval, b_eval, f_eval, z0, grid):
         z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = z
     return out
+
+
+# The grid kernels as they were written before they took whole grids: one
+# Fornberg call per grid point and one moment solve per interval.  The
+# batched kernels in symode.numutil are checked against these.
+
+def fd_weights_1d(x, x0, m):
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if m >= n:
+        raise ValueError("need more than m nodes for the m-th derivative")
+    c = np.zeros((n, m + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+def grid_derivative_pointwise(grid, values, order=1, stencil=None):
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values)
+    npts = len(grid)
+    width = stencil if stencil is not None else order + 4
+    width = min(width, npts)
+    if width <= order:
+        raise ValueError("grid too coarse for requested derivative order")
+    half_len = 0.5 * (grid[-1] - grid[0])
+    h_typ = (grid[-1] - grid[0]) / (npts - 1)
+    h_opt = (1e-14) ** (1.0 / (order + 4)) * half_len
+    stride = max(1, int(round(h_opt / max(h_typ, 1e-300))))
+    stride = min(stride, max(1, (npts - 1) // (width - 1)))
+    out = np.empty_like(values)
+    span = (width - 1) * stride
+    for i in range(npts):
+        lo = min(max(i - span // 2, 0), npts - 1 - span)
+        idx = np.arange(lo, lo + span + 1, stride)
+        w = fd_weights_1d(grid[idx], grid[i], order)
+        out[i] = np.tensordot(w, values[idx], axes=(0, 0))
+    return out
+
+
+def cumulative_integral_pointwise(grid, values):
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values)
+    npts = len(grid)
+    if npts < 2:
+        raise ValueError("need at least two grid points")
+    width = min(4, npts)
+    out = np.zeros_like(values)
+    acc = np.zeros(values.shape[1:], dtype=values.dtype)
+    for i in range(npts - 1):
+        lo = min(max(i - (width // 2 - 1), 0), npts - width)
+        idx = slice(lo, lo + width)
+        xs = grid[idx]
+        a, b = grid[i], grid[i + 1]
+        xm = 0.5 * (a + b)
+        xs_c = xs - xm
+        powers = np.vander(xs_c, width, increasing=True).T
+        moments = np.array([((b - xm) ** (k + 1) - (a - xm) ** (k + 1)) / (k + 1)
+                            for k in range(width)])
+        w = np.linalg.solve(powers, moments)
+        acc = acc + np.tensordot(w, values[idx], axes=(0, 0))
+        out[i + 1] = acc
+    return out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from symode import linalg
 from symode.linalg import (SubspaceBasis, centralizer_basis, commutator,
@@ -7,7 +8,7 @@ from symode.linalg import (SubspaceBasis, centralizer_basis, commutator,
                            hat_check_split, invertible_in_affine_space,
                            jordan_chevalley, jordan_form, matrix_exp,
                            normalizer_basis)
-from conftest import E2, S1, S2, S3, Z2, random_traceless
+from conftest import E2, S1, S2, S3, Z2, near_defective_4x4, random_traceless
 from oracles import centralizer_dim_bruteforce
 
 
@@ -213,6 +214,33 @@ class TestMatrixExp:
         ef = linalg.exp_factory(m, cfg)
         for t in (-1.3, 0.0, 0.7):
             np.testing.assert_allclose(ef(t), matrix_exp(t * m), atol=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_exp_factory_takes_arrays(self, n, cplx):
+        ts = np.linspace(-1.0, 1.0, 9)
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            m = rng.standard_normal((n, n))
+            if cplx:
+                m = m + 1j * rng.standard_normal((n, n))
+            ef = linalg.exp_factory(m)
+            stacked = np.stack([ef(t) for t in ts])
+            got = ef(ts)
+            assert got.shape == (9, n, n) and got.dtype == stacked.dtype
+            assert np.max(np.abs(got - stacked)) <= 1e-13 * np.max(np.abs(stacked))
+            assert ef(0.3).shape == (n, n)
+            assert ef(ts.reshape(3, 3)).shape == (3, 3, n, n)
+
+    def test_exp_factory_fallback_takes_arrays(self):
+        m = near_defective_4x4()
+        ef = linalg.exp_factory(m)
+        assert ef.__name__ == "evaluate_direct"
+        ts = np.linspace(-1.0, 1.0, 7)
+        got = ef(ts)
+        assert got.shape == (7, 4, 4) and ef(0.5).shape == (4, 4)
+        for t, g in zip(ts, got):
+            np.testing.assert_allclose(g, scipy.linalg.expm(t * m), rtol=1e-13, atol=1e-15)
 
 
 class TestHatCheckSplit:

@@ -19,6 +19,21 @@ class TestEvaluate:
         f = MatrixFunction.conj_exp(0.0, ups, w, DOM)
         np.testing.assert_allclose(f.evaluate(0.0), w, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_conj_exp_array_equals_stacked_points(self, n, cplx):
+        rng = np.random.default_rng(200 + n)
+        ups = rng.standard_normal((n, n))
+        w = rng.standard_normal((n, n))
+        if cplx:
+            w = w + 1j * rng.standard_normal((n, n))
+        f = MatrixFunction.conj_exp(0.3, ups, w, DOM)
+        ts = np.linspace(-1.0, 1.0, 11)
+        stacked = np.stack([f.evaluate(t) for t in ts])
+        got = f.evaluate(ts)
+        assert got.shape == (11, n, n) and got.dtype == stacked.dtype
+        assert np.max(np.abs(got - stacked)) <= 1e-13 * np.max(np.abs(stacked))
+
     def test_polynomial_linear(self):
         m0 = np.diag([1.0, 2.0])
         m1 = S1

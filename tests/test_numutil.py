@@ -1,12 +1,15 @@
-"""The tabulated linear-ODE propagator against callback RK4."""
+"""The grid kernels against their per-point references, and the tabulated
+linear-ODE propagator against callback RK4."""
 
 import numpy as np
 import pytest
 
 from symode.gauge import SystemDescriptor
 from symode.matfun import MatrixFunction, VectorFunction
-from symode.numutil import companion, rk4_bidirectional, rk4_linear, uniform_grid
+from symode.numutil import (companion, cumulative_integral, fd_weights, grid_derivative,
+                            rk4_bidirectional, rk4_linear, uniform_grid)
 from symode.scalars import Field
+from oracles import cumulative_integral_pointwise, fd_weights_1d, grid_derivative_pointwise
 
 # an interval whose step lengths are not powers of two, so the tabulated and
 # callback steps round differently
@@ -108,3 +111,76 @@ def test_companion_blocks():
     np.testing.assert_allclose(z_t[:, :2], v)
     np.testing.assert_allclose(z_t[:, 2:], np.einsum("tij,tj->ti", b, x)
                                + np.einsum("tij,tj->ti", a, v))
+
+
+# ---------------------------------------------------------------------------
+# whole-grid kernels
+
+
+def kernel_grid(npts, uniform, seed=0):
+    if uniform:
+        return np.linspace(-1.0, 1.3, npts)
+    steps = np.random.default_rng(seed).uniform(0.5, 1.5, npts - 1)
+    return -1.0 + 2.3 * np.concatenate([[0.0], np.cumsum(steps)]) / np.sum(steps)
+
+
+def kernel_values(grid, shape, cplx, seed=1):
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal((3,) + shape)
+    if cplx:
+        amp = amp + 1j * rng.standard_normal((3,) + shape)
+    t = grid.reshape((-1,) + (1,) * len(shape))
+    return amp[0] + amp[1] * np.sin(3.0 * t) + amp[2] * np.exp(t) * t ** 2
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("m", [1, 2])
+def test_batched_fd_weights_rows_equal_1d_calls(uniform, m):
+    grid = kernel_grid(40, uniform)
+    width = m + 5
+    idx = np.arange(len(grid) - width + 1)[:, None] + np.arange(width)
+    x0 = grid[idx[:, 0]] + 0.3 * (grid[idx[:, -1]] - grid[idx[:, 0]])
+    batched = fd_weights(grid[idx], x0, m)
+    assert batched.shape == idx.shape
+    for row, nodes, at in zip(batched, grid[idx], x0):
+        assert np.array_equal(row, fd_weights_1d(nodes, at, m))
+        assert np.array_equal(row, fd_weights(nodes, at, m))
+
+
+KERNEL_CASES = [(npts, uniform, shape, cplx)
+                for npts in (33, 257, 2049) for uniform in (True, False)
+                for shape in ((), (3,), (2, 2)) for cplx in (False, True)]
+
+
+def assert_close_to_reference(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("npts,uniform,shape,cplx", KERNEL_CASES)
+def test_grid_derivative_matches_pointwise_loop(npts, uniform, shape, cplx):
+    grid = kernel_grid(npts, uniform)
+    values = kernel_values(grid, shape, cplx)
+    for order in (1, 2):
+        for stencil in (None, 7, 9):
+            assert_close_to_reference(grid_derivative(grid, values, order, stencil),
+                                      grid_derivative_pointwise(grid, values, order, stencil))
+
+
+@pytest.mark.parametrize("npts,uniform,shape,cplx", KERNEL_CASES)
+def test_cumulative_integral_matches_pointwise_loop(npts, uniform, shape, cplx):
+    grid = kernel_grid(npts, uniform)
+    values = kernel_values(grid, shape, cplx)
+    assert_close_to_reference(cumulative_integral(grid, values),
+                              cumulative_integral_pointwise(grid, values))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_kernels_exact_on_cubics(uniform):
+    grid = kernel_grid(65, uniform)
+    c = np.array([0.7, -1.1, 0.4, 2.0])
+    p = np.polynomial.Polynomial(c)
+    assert np.max(np.abs(grid_derivative(grid, p(grid), 1) - p.deriv()(grid))) < 1e-10
+    assert np.max(np.abs(grid_derivative(grid, p(grid), 2) - p.deriv(2)(grid))) < 1e-10
+    integral = p.integ(lbnd=grid[0])
+    assert np.max(np.abs(cumulative_integral(grid, p(grid)) - integral(grid))) < 1e-10

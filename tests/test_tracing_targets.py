@@ -79,3 +79,40 @@ def test_gauge_chain_records_one_span_per_step(tmp_path):
     spans = [tracer.names[i] for i in tracer.name]
     for step in ("gauge_f_zero", "gauge_A_zero", "gauge_traceless"):
         assert spans.count(f"gauge.{step}") == 1, (step, spans)
+
+
+def test_grid_derivative_records_one_fd_weights_span():
+    """``grid_derivative`` computes the weights of every grid point in one
+    batched ``fd_weights`` call."""
+    import numpy as np
+    from symode import numutil
+
+    grid = np.linspace(-1.0, 1.0, 257)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        numutil.grid_derivative(grid, np.sin(grid), 2)
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("numutil.grid_derivative") == 1
+    assert spans.count("numutil.fd_weights") == 1
+
+
+def test_fallback_factory_counts_one_fallback():
+    """A factory that falls back to scipy's expm records work 1 under
+    ``linalg.exp_factory``, and evaluating it on an array records nothing more."""
+    import numpy as np
+    from conftest import near_defective_4x4
+    from symode import linalg
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        ef = linalg.exp_factory(near_defective_4x4())
+        ef(np.linspace(-1.0, 1.0, 9))
+    finally:
+        tracer.uninstall()
+    work = [w for i, w in zip(tracer.name, tracer.work)
+            if tracer.names[i] == "linalg.exp_factory"]
+    assert work == [1.0]
