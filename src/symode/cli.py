@@ -13,21 +13,17 @@ import json
 import os
 import sys
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import casebook
 from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, GaugeError,
-                    SystemDescriptor, reduce, verify_equivalence)
+                    SystemDescriptor, gauge_f_zero, reduce, verify_equivalence)
 from .integrate import IntegrationError, integrate_auto, residual
 from .linalg import LinalgError
 from .matfun import (CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
                      RepresentationError, ScalarFunction, VectorFunction)
-from .scalars import Field, FieldError, ToleranceConfig
+from .scalars import DEFAULT_TOL, Field, FieldError, ToleranceConfig
 from .symalg import (CASE_BASIS_TEXT, ClassificationError, SymmetryVectorField,
                      classify, similar_constant_coeff, similar_structured)
 
@@ -36,6 +32,8 @@ EXIT_SCHEMA = 2
 EXIT_INAPPLICABLE = 3
 EXIT_NUMERICAL = 4
 EXIT_MISMATCH = 5
+
+MIN_GRID = 8  # the smallest --grid every subcommand runs with
 
 _NUMBER = {"type": "number"}
 _COMPLEX = {"oneOf": [_NUMBER, {"type": "array", "items": _NUMBER,
@@ -178,13 +176,12 @@ def load_system(path: str, cfg: ToleranceConfig) -> SystemDescriptor:
 
 
 def system_from_document(doc, cfg: ToleranceConfig, origin="<doc>") -> SystemDescriptor:
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(doc, SYSTEM_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise SchemaError(f"{origin}: schema violation at {path}: "
-                              f"{exc.message}") from exc
+    try:
+        jsonschema.validate(doc, SYSTEM_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise SchemaError(f"{origin}: schema violation at {path}: "
+                          f"{exc.message}") from exc
     n = int(doc["n"])
     fld = Field(doc["field"])
     domain = tuple(_decode_grid(doc["domain"]))
@@ -232,11 +229,10 @@ def load_symmetries(path: str, domain):
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(doc, SYMMETRY_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise SchemaError(f"{path}: schema violation: {exc.message}") from exc
+    try:
+        jsonschema.validate(doc, SYMMETRY_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise SchemaError(f"{path}: schema violation: {exc.message}") from exc
     out = []
     for item in doc:
         tau = decode_function(item["tau"], ScalarFunction, domain)
@@ -250,18 +246,46 @@ def _tolerances(args) -> ToleranceConfig:
     return ToleranceConfig(rank_tol=args.rank_tol, residual_tol=args.tol)
 
 
+def _accepts(**tolerances) -> bool:
+    try:
+        ToleranceConfig(**tolerances)
+    except ValueError:
+        return False
+    return True
+
+
+def _checked(convert, ok, rule, env):
+    """An argparse type: the converted text if ok accepts it.  argparse also
+    converts a default given as text, so a bad SYMODE_* value ends like a bad
+    flag value: exit 2 with the flag named."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule} (flag or {env})")
+        return value
+    return parse
+
+
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float,
-                   default=float(os.environ.get("SYMODE_TOL", 1e-6)),
+    p.add_argument("--tol", default=os.environ.get("SYMODE_TOL", "1e-6"),
+                   type=_checked(float, lambda x: _accepts(residual_tol=x),
+                                 "a positive finite number", "SYMODE_TOL"),
                    help="residual tolerance (env SYMODE_TOL)")
-    p.add_argument("--rank-tol", type=float,
-                   default=float(os.environ.get("SYMODE_RANK_TOL", 1e-9)),
+    p.add_argument("--rank-tol", default=os.environ.get("SYMODE_RANK_TOL", "1e-9"),
+                   type=_checked(float, lambda x: _accepts(rank_tol=x),
+                                 f"a number in (0, {DEFAULT_TOL.eig_cluster_tol:g})",
+                                 "SYMODE_RANK_TOL"),
                    help="rank decision cutoff (env SYMODE_RANK_TOL)")
-    p.add_argument("--grid", type=int,
-                   default=int(os.environ.get("SYMODE_GRID", 1024)),
+    p.add_argument("--grid", default=os.environ.get("SYMODE_GRID", "1024"),
+                   type=_checked(int, lambda g: g >= MIN_GRID,
+                                 f"an integer >= {MIN_GRID}", "SYMODE_GRID"),
                    help="ODE grid steps (env SYMODE_GRID)")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("SYMODE_SEED", 0)),
+    p.add_argument("--seed", default=os.environ.get("SYMODE_SEED", "0"),
+                   type=_checked(int, lambda s: s >= 0, "a non-negative integer",
+                                 "SYMODE_SEED"),
                    help="seed for randomized searches (env SYMODE_SEED)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -386,12 +410,11 @@ def cmd_integrate(args) -> int:
     except (GaugeError, LinalgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    h_sys = sys_in
-    if sys_in.cls == BARL and (sys_in.f is None
-                               or sys_in.f.max_norm() <= cfg.residual_tol):
-        h_sys = SystemDescriptor(HOMOGENEOUS, sys_in.n, sys_in.field,
-                                 sys_in.domain, A=sys_in.A, B=sys_in.B, cfg=cfg)
-    res_sys = sys_in if sol.particular is not None else h_sys
+    # without a particular solution the fundamental columns solve the
+    # homogeneous system, which gauge_f_zero returns for barL input
+    res_sys = sys_in
+    if sol.particular is None and sys_in.cls == BARL:
+        res_sys = gauge_f_zero(sys_in, args.grid).system
     worst = 0.0
     for j in range(2 * sys_in.n):
         traj = sol.positions[:, :, j]
@@ -447,10 +470,12 @@ def cmd_similar(args) -> int:
         return EXIT_INAPPLICABLE
     fld = Field.COMPLEX if Field.COMPLEX in (sys_a.field, sys_b.field) \
         else sys_a.field
-    if pa[0] == "structured":
-        verdict = similar_structured(pa[1:], pb[1:], cfg, fld, seed=args.seed)
-    else:
-        verdict = similar_constant_coeff(pa[1:], pb[1:], cfg, fld, seed=args.seed)
+    test = similar_structured if pa[0] == "structured" else similar_constant_coeff
+    try:
+        verdict = test(pa[1:], pb[1:], cfg, fld, seed=args.seed)
+    except LinalgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     payload = {"outcome": verdict.outcome, "notes": verdict.notes}
     if verdict.outcome == "similar":
         payload.update({"alpha": _encode_entry(verdict.alpha),
@@ -525,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("demo-n2", help="run the two-variable classification table")
     d.add_argument("--field", choices=["real", "complex"],
-                   default=os.environ.get("SYMODE_FIELD", "complex"))
+                   default=os.environ.get("SYMODE_FIELD", "complex"),
+                   type=_checked(str, lambda f: f in ("real", "complex"),
+                                 "real or complex", "SYMODE_FIELD"))
     _common_flags(d)
     d.set_defaults(func=cmd_demo_n2)
     return p

@@ -340,18 +340,22 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     half = uniform_grid(lo, hi, 2 * grid_steps)
     grid = half[::2]
     i0 = len(grid) // 2
-    tau1 = q1.tau.evaluate(grid)
-    tau2 = q2.tau.evaluate(grid)
-    dt1 = q1.tau.derivative(1).evaluate(grid)
-    dt2 = q2.tau.derivative(1).evaluate(grid)
+    # tau and eta of both fields on the half-step grid and their
+    # t-derivatives on the grid, each evaluated once; the recombined X and Y
+    # below are combinations of these arrays
+    tau1_half, tau2_half = q1.tau.evaluate(half), q2.tau.evaluate(half)
+    dt1, dt2 = q1.tau.derivative(1).evaluate(grid), q2.tau.derivative(1).evaluate(grid)
+    tau1, tau2 = tau1_half[::2], tau2_half[::2]
     wr = tau1 * dt2 - tau2 * dt1
     tau_scale = max(float(np.max(np.abs(tau1))), float(np.max(np.abs(tau2))), 1e-30)
     if float(np.max(np.abs(wr))) <= 1e-9 * tau_scale:
         raise IntegrationError("tau-components dependent")
-    # recombine to the bracket-normal form [X, Y] = X
-    q3 = bracket(q1, q2, n, sys.domain)
     eta1_fun = q1.eta_function(n, sys.domain)
     eta2_fun = q2.eta_function(n, sys.domain)
+    eta1_half, eta2_half = eta1_fun.evaluate(half), eta2_fun.evaluate(half)
+    deta1, deta2 = eta1_fun.derivative(1).evaluate(grid), eta2_fun.derivative(1).evaluate(grid)
+    # recombine to the bracket-normal form [X, Y] = X
+    q3 = bracket(q1, q2, n, sys.domain)
     probes = np.linspace(lo, hi, 33)
     col1 = np.concatenate([np.atleast_1d(q1.tau.evaluate(probes)).astype(complex),
                            eta1_fun.evaluate(probes).reshape(-1)])
@@ -373,21 +377,17 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
         cco, dco = 0.0, 1.0 / aco
     else:
         cco, dco = -1.0 / bco, 0.0
-    x_tau = _combine(q1.tau, q2.tau, aco, bco, sys.domain)
-    y_tau = _combine(q1.tau, q2.tau, cco, dco, sys.domain)
-    x_eta = _combine(eta1_fun, eta2_fun, aco, bco, sys.domain)
-    y_eta = _combine(eta1_fun, eta2_fun, cco, dco, sys.domain)
-    tau_x_half = x_tau.evaluate(half)
+    tau_x_half = _combine(aco, tau1_half, bco, tau2_half)
     tau_x = tau_x_half[::2]
     if np.min(np.abs(tau_x)) <= 1e-12:
         raise IntegrationError("recombined tau1 vanishes inside the domain; "
                                "restrict the domain")
-    tau_y = y_tau.evaluate(grid)
+    tau_y = _combine(cco, tau1, dco, tau2)
     tmap = np.real(tau_y / tau_x)
     # zeta and its constant Jordan data from the midpoint probe
-    ex_half = x_eta.evaluate(half)
+    ex_half = _combine(aco, eta1_half, bco, eta2_half)
     ex = ex_half[::2]
-    ey = y_eta.evaluate(grid)
+    ey = _combine(cco, eta1_half[::2], dco, eta2_half[::2])
     zeta = ey - (tau_y / tau_x)[:, None, None] * ex
     charpolys = np.stack([np.poly(zeta[i]) for i in range(0, len(grid),
                                                           max(1, len(grid) // 16))])
@@ -421,8 +421,8 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     tau = tau_half[::2]
     # H = Hcheck Hhat solves tau H_t = -H eta1, which gives H_t and H_tt exactly
     anew, bnew, ht = _straightened_coefficients(
-        sys, grid, tau, np.real(x_tau.derivative(1).evaluate(grid)), hvals, ex,
-        x_eta.derivative(1).evaluate(grid))
+        sys, grid, tau, np.real(_combine(aco, dt1, bco, dt2)), hvals, ex,
+        _combine(aco, deta1, bco, deta2))
     abar, bbar = anew[i0], bnew[i0]
     dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
     tol = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(bbar)))
@@ -479,24 +479,13 @@ def _jordan_block_sizes(lam, idx, offs):
     return sizes
 
 
-def _combine(f1, f2, a, b, domain):
-    """a f1 + b f2 for two t-components or two eta components.
-
-    Polynomial t-components stay closed, with each coefficient made real when
-    its imaginary part is below 1e-14.  Everything else is sampled on 1025
-    points; sampled eta components are made real when every imaginary part is
-    below 1e-14.
-    """
-    cls = type(f1)
-    if cls is ScalarFunction and f1.kind == f2.kind == POLYNOMIAL:
-        c = poly_lincomb([(a, f1.coeffs), (b, f2.coeffs)])
-        c = np.where(np.abs(c.imag) < 1e-14, c.real, c)
-        return cls.polynomial(c if np.any(c.imag) else c.real, domain)
-    grid = uniform_grid(domain[0], domain[1], 1024)
-    vals = a * f1.evaluate(grid) + b * f2.evaluate(grid)
-    if cls is MatrixFunction and np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) < 1e-14:
-        vals = vals.real
-    return cls.sampled(grid, vals)
+def _combine(a, x1, b, x2):
+    """a x1 + b x2 for values of two fields, real when every imaginary part
+    is below 1e-14."""
+    out = a * x1 + b * x2
+    if np.iscomplexobj(out) and np.max(np.abs(out.imag)) < 1e-14:
+        out = out.real
+    return out
 
 
 def integrate_auto(sys: SystemDescriptor, symmetries=(),

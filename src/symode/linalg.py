@@ -1,9 +1,10 @@
 """Dense small-dimension linear-algebra kernel.
 
-Nullspaces, commutators, centralizers/normalizers, clustered eigenstructure,
-Jordan-Chevalley splitting, matrix exponentials and a randomized search for
-invertible elements of affine matrix families.  Everything is a pure function
-of its inputs; matrices are numpy arrays (float64 or complex128), n <= 8.
+Nullspaces, commutators, ad-operators and centralizers, clustered
+eigenstructure, Jordan-Chevalley splitting, exponential factories
+t -> exp(t m) and a randomized search for invertible elements of affine
+matrix families.  Everything is a pure function of its inputs; matrices are
+numpy arrays (float64 or complex128), n <= 8.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ class LinalgError(ValueError):
     pass
 
 
-def _check_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _check_square(m: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """m as an array; a square matrix, or with stack set a stack m[..., n, n]."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise LinalgError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise LinalgError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}")
+    if m.shape[-1] > MAX_DIM:
+        raise LinalgError(f"dimension {m.shape[-1]} exceeds supported maximum {MAX_DIM}")
     return m
 
 
@@ -81,12 +83,20 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def ad_operator(k: np.ndarray) -> np.ndarray:
-    """Matrix of Gamma -> [Gamma, k] acting on vec(Gamma) (column-major)."""
-    k = _check_square(k)
-    n = k.shape[0]
+    """Matrix of Gamma -> [Gamma, k] acting on vec(Gamma) (column-major).
+
+    A stack k[..., n, n] gives the stack of operators, each bitwise equal to
+    the operator of its matrix.
+    """
+    k = _check_square(k, stack=True)
+    n = k.shape[-1]
     eye = np.eye(n, dtype=k.dtype)
-    # vec(Gamma k) = (k^T ox I) vec(Gamma); vec(k Gamma) = (I ox k) vec(Gamma)
-    return np.kron(k.T, eye) - np.kron(eye, k)
+    # vec(Gamma k) = (k^T ox I) vec(Gamma); vec(k Gamma) = (I ox k) vec(Gamma),
+    # the Kronecker products written as np.kron forms them
+    kt = np.swapaxes(k, -1, -2)
+    op = (kt[..., :, None, :, None] * eye[:, None, :]
+          - eye[:, None, :, None] * k[..., None, :, None, :])
+    return op.reshape(k.shape[:-2] + (n * n, n * n))
 
 
 @dataclass
@@ -175,51 +185,6 @@ def _reorthonormalize(mats, n, cfg: ToleranceConfig):
     u, s, vh = np.linalg.svd(stacked, full_matrices=False)
     keep = s > cfg.rank_tol * s[0]
     return [_unvec(vh[j].conj(), n) for j in range(len(s)) if keep[j]]
-
-
-def is_bracket_closed(s: SubspaceBasis, tol: float = 1e-8) -> bool:
-    for i, a in enumerate(s.mats):
-        for b in s.mats[i + 1:]:
-            if not s.contains(commutator(a, b), tol):
-                return False
-    return True
-
-
-def normalizer_basis(s: SubspaceBasis, cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
-    """Basis of N_sl(s) = {u in sl(n) : [u, v] in span(s) for all v in s}.
-
-    Input must be bracket-closed (a subalgebra); computed as the nullspace of
-    u -> project-off-span(s) of [u, v_j], stacked over the basis, plus the
-    trace constraint.
-    """
-    if s.n == 0:
-        raise LinalgError("normalizer of an empty basis with unknown dimension")
-    if not is_bracket_closed(s):
-        raise LinalgError("not a subalgebra")
-    n = s.n
-    dtype = np.result_type(np.float64, *(m.dtype for m in s.mats)) if s.mats else np.float64
-    rows = [_vec(np.eye(n, dtype=dtype))[None, :]]
-    if s.mats:
-        q, _ = np.linalg.qr(s.stacked().conj().T)  # n^2 x dim(s), orthonormal
-        proj_off = np.eye(n * n, dtype=q.dtype) - q @ q.conj().T
-        rows.extend(proj_off @ ad_operator(v) for v in s.mats)
-    a = np.vstack(rows)
-    ns = nullspace(a, cfg.rank_tol)
-    basis = [_unvec(ns[:, j], n) for j in range(ns.shape[1])]
-    basis = [b - (np.trace(b) / n) * np.eye(n, dtype=b.dtype) for b in basis]
-    basis = [b for b in basis if frobenius_norm(b) > cfg.rank_tol]
-    return SubspaceBasis(mats=_reorthonormalize(basis, n, cfg), n=n, in_sl=True)
-
-
-def double_centralizer_fixed(s: SubspaceBasis, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff span(s) equals the centralizer of its centralizer inside sl(n)."""
-    if s.n == 0:
-        raise LinalgError("ambient dimension unknown")
-    c = centralizer_basis(s.mats, restrict_traceless=True, n=s.n, cfg=cfg)
-    cc = centralizer_basis(c.mats, restrict_traceless=True, n=s.n, cfg=cfg)
-    if cc.dim != s.dim:
-        return False
-    return all(cc.contains(m) for m in s.mats)
 
 
 @dataclass
@@ -397,15 +362,6 @@ def _complement_columns(space: np.ndarray, avoid: np.ndarray, cfg: ToleranceConf
     u, s, _ = np.linalg.svd(resid, full_matrices=False)
     keep = s > cfg.rank_tol * (s[0] if s.size and s[0] > 0 else 1.0)
     return u[:, keep]
-
-
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade core)."""
-    m = _check_square(m)
-    norm = frobenius_norm(m)
-    if norm > 600.0:
-        raise LinalgError(f"matrix exponential overflow risk at norm {norm:.3g}")
-    return scipy.linalg.expm(m)
 
 
 def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):

@@ -163,7 +163,9 @@ class _TimeFunction:
             self.upsilon = np.asarray(upsilon)
             self._set_shape(self.upsilon.shape)
             self.w = np.asarray(w).reshape(self.upsilon.shape)
-            self._exp = None
+            # one-element cell for exp_factory(upsilon), shared with every
+            # function derived with the same upsilon
+            self._exp = [None]
         else:
             self.grid = np.asarray(grid, dtype=float)
             self.values = np.asarray(values)
@@ -238,10 +240,9 @@ class _TimeFunction:
         if self.kind == POLYNOMIAL:
             return poly_eval(self.coeffs, t)
         if self.kind == CONJ_EXP:
-            if self._exp is None:
-                self._exp = linalg.exp_factory(self.upsilon)
+            ef = self._exp_factory()
             t = np.asarray(t, dtype=float)
-            return self.epsilon * np.eye(self.n) + self._exp(t) @ self.w @ self._exp(-t)
+            return self.epsilon * np.eye(self.n) + ef(t) @ self.w @ ef(-t)
         if self._spline is None:
             slopes = grid_derivative(self.grid, self.values, 1)
             self._spline = CubicHermiteSpline(self.grid, self.values, slopes, axis=0)
@@ -257,8 +258,7 @@ class _TimeFunction:
             return cls.sampled(self.grid, grid_derivative(self.grid, self.values, order),
                                note=self.note)
         if self.kind == CONJ_EXP:
-            out = cls.conj_exp(0.0, self.upsilon, linalg.commutator(self.upsilon, self.w),
-                               self.domain)
+            out = self._same_upsilon(0.0, linalg.commutator(self.upsilon, self.w))
             return out.derivative(order - 1)
         c = self.coeffs
         for _ in range(order):
@@ -305,6 +305,19 @@ class MatrixFunction(_TimeFunction):
     def conj_exp(cls, epsilon, upsilon, w, domain=(-1.0, 1.0)):
         return cls(CONJ_EXP, domain, epsilon=epsilon, upsilon=upsilon, w=w)
 
+    def _exp_factory(self):
+        """exp_factory(upsilon), built on first use and kept in the shared cell."""
+        if self._exp[0] is None:
+            self._exp[0] = linalg.exp_factory(self.upsilon)
+        return self._exp[0]
+
+    def _same_upsilon(self, epsilon, w) -> "MatrixFunction":
+        """epsilon E + e^{tY} w e^{-tY} with this function's Y, domain and
+        exponential factory."""
+        out = MatrixFunction.conj_exp(epsilon, self.upsilon, w, self.domain)
+        out._exp = self._exp
+        return out
+
     def trace_split(self):
         """F = u*E + F0 with tr F0 = 0; returns (u: ScalarFunction, F0)."""
         n = self.n
@@ -312,8 +325,7 @@ class MatrixFunction(_TimeFunction):
             # trace of a conjugation is conjugation-invariant
             u = self.epsilon + np.trace(self.w) / n
             w0 = self.w - (np.trace(self.w) / n) * np.eye(n)
-            return (ScalarFunction.constant(u, self.domain),
-                    MatrixFunction.conj_exp(0.0, self.upsilon, w0, self.domain))
+            return ScalarFunction.constant(u, self.domain), self._same_upsilon(0.0, w0)
         if self.kind == SAMPLED:
             us = np.trace(self.values, axis1=1, axis2=2) / n
             f0 = self.values - us[:, None, None] * np.eye(n)
@@ -326,9 +338,6 @@ class MatrixFunction(_TimeFunction):
 
     def trace_part(self):
         return self.trace_split()[0]
-
-    def traceless_part(self):
-        return self.trace_split()[1]
 
     def conjugate(self, c: np.ndarray) -> "MatrixFunction":
         """c F c^{-1}, staying closed in every representation."""
@@ -344,8 +353,7 @@ class MatrixFunction(_TimeFunction):
 
     def scale(self, a) -> "MatrixFunction":
         if self.kind == CONJ_EXP:
-            return MatrixFunction.conj_exp(a * self.epsilon, self.upsilon,
-                                           a * self.w, self.domain)
+            return self._same_upsilon(a * self.epsilon, a * self.w)
         if self.kind == SAMPLED:
             return MatrixFunction.sampled(self.grid, a * self.values, note=self.note)
         return MatrixFunction(self.kind, self.domain, coeffs=a * self.coeffs)
@@ -353,7 +361,7 @@ class MatrixFunction(_TimeFunction):
     def add_scalar_identity(self, a) -> "MatrixFunction":
         eye = np.eye(self.n)
         if self.kind == CONJ_EXP:
-            return MatrixFunction.conj_exp(self.epsilon + a, self.upsilon, self.w, self.domain)
+            return self._same_upsilon(self.epsilon + a, self.w)
         if self.kind == SAMPLED:
             return MatrixFunction.sampled(self.grid, self.values + a * eye, note=self.note)
         return MatrixFunction(self.kind, self.domain,
@@ -370,7 +378,7 @@ class MatrixFunction(_TimeFunction):
             # e^{(a t + b) Y} W e^{-(a t + b) Y} = e^{t (aY)} W' e^{-t (aY)}
             w = self.w
             if beta:
-                ef = linalg.exp_factory(self.upsilon)
+                ef = self._exp_factory()
                 w = ef(beta) @ w @ ef(-beta)
             return MatrixFunction.conj_exp(self.epsilon, alpha * self.upsilon, w, new_dom)
         if self.kind == SAMPLED:
@@ -382,11 +390,6 @@ class MatrixFunction(_TimeFunction):
             return MatrixFunction.sampled(new_grid, vals, note=self.note)
         return MatrixFunction(self.kind, new_dom,
                               coeffs=poly_compose_affine(self.coeffs, alpha, beta))
-
-    def resample(self, grid) -> "MatrixFunction":
-        grid = np.asarray(grid, dtype=float)
-        note = (self.note + "; " if self.note else "") + f"resampled from {self.kind}"
-        return MatrixFunction.sampled(grid, self.evaluate(grid), note=note)
 
     def is_traceless(self, tol: float = 1e-9, probes: int = 32) -> bool:
         ts = np.linspace(self.domain[0], self.domain[1], probes)
@@ -433,16 +436,3 @@ def kl_sequence_with_tail(upsilon: np.ndarray, w: np.ndarray,
         current = nxt
     raise linalg.LinalgError("K-sequence failed to stabilize below n^2 terms")
 
-
-def schwarzian(t_fun: ScalarFunction) -> ScalarFunction:
-    """Schwarzian derivative {T, t} = T_ttt/T_t - (3/2)(T_tt/T_t)^2 (sampled)."""
-    lo, hi = t_fun.domain
-    if t_fun.kind == SAMPLED:
-        grid = t_fun.grid
-    else:
-        grid = np.linspace(lo, hi, 1025)
-    t1 = t_fun.derivative(1).evaluate(grid)
-    t2 = t_fun.derivative(2).evaluate(grid)
-    t3 = t_fun.derivative(3).evaluate(grid)
-    vals = t3 / t1 - 1.5 * (t2 / t1) ** 2
-    return ScalarFunction.sampled(grid, vals)

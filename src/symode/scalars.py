@@ -39,8 +39,8 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.rank_tol < self.eig_cluster_tol < 1.0):
             raise ValueError("require 0 < rank_tol < eig_cluster_tol < 1")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be positive and finite")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -10,8 +10,11 @@ The essential algebra decomposes as <I> + (t-part |x s^vf): the scaling field
 I is always present, s is the centralizer of the coefficient orbit inside
 sl(n), and the t-part has dimension k <= 2 for regular systems.  Structured
 (t-shift-invariant) coefficients V = eps E + e^{tY} W e^{-tY} are classified
-through the K-sequence K_0 = W, K_{l+1} = [Y, K_l]; general polynomial and
-sampled coefficients go through linear classifying-condition solvers.
+through the K-sequence K_0 = W, K_{l+1} = [Y, K_l], whose terms come from the
+one recursion in ``matfun.kl_sequence_with_tail``; general polynomial and
+sampled coefficients go through linear classifying-condition solvers.  Every
+residual of the classifying condition comes from ``_classifying_residuals``,
+which evaluates V and V_t once on the probes for all the fields it checks.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .gauge import (BARL, HOMOGENEOUS, LPRIME, SystemDescriptor, gauge_traceless
                     singular_class_test)
 from .linalg import SubspaceBasis, commutator
 from .matfun import (COEFFICIENT_KINDS, CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED,
-                     MatrixFunction, ScalarFunction, VectorFunction, kl_sequence,
-                     kl_sequence_with_tail, poly_lincomb, poly_wronskian)
+                     MatrixFunction, ScalarFunction, VectorFunction, kl_sequence_with_tail,
+                     poly_lincomb, poly_wronskian)
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 
 PROBES = 64
@@ -83,18 +86,13 @@ class EssentialAlgebra:
 
     def verify_against(self, v_fun: MatrixFunction,
                        cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-        """Max classifying-condition residual over every computed basis field."""
-        worst = verify_symmetry(
-            v_fun, SymmetryVectorField(
-                tau=ScalarFunction.constant(0.0, v_fun.domain),
-                gamma=np.eye(self.n)), cfg)
-        for g in self.s_basis.mats:
-            q = SymmetryVectorField(tau=ScalarFunction.constant(0.0, v_fun.domain),
-                                    gamma=g)
-            worst = max(worst, verify_symmetry(v_fun, q, cfg))
-        for tau, gamma in self.t_part:
-            worst = max(worst, verify_symmetry(
-                v_fun, SymmetryVectorField(tau=tau, gamma=gamma), cfg))
+        """Max classifying-condition residual over every computed basis field:
+        the identity, the s-basis and the t-part."""
+        zero = ScalarFunction.constant(0.0, v_fun.domain)
+        fields = ([SymmetryVectorField(tau=zero, gamma=np.eye(self.n))]
+                  + [SymmetryVectorField(tau=zero, gamma=g) for g in self.s_basis.mats]
+                  + [SymmetryVectorField(tau=tau, gamma=gamma) for tau, gamma in self.t_part])
+        worst = max(_classifying_residuals(v_fun, fields))
         self.verification_residual = worst
         return worst
 
@@ -114,20 +112,39 @@ class EssentialAlgebra:
 def verify_symmetry(v_fun: MatrixFunction, q: SymmetryVectorField,
                     cfg: ToleranceConfig = DEFAULT_TOL, probes: int = PROBES) -> float:
     """Residual of the classifying condition, maximized over probe points."""
-    n = v_fun.n
-    lo = max(v_fun.domain[0], q.tau.domain[0])
-    hi = min(v_fun.domain[1], q.tau.domain[1])
+    return _classifying_residuals(v_fun, [q], probes)[0]
+
+
+def _probe_values(v_fun: MatrixFunction, lo, hi, probes: int):
+    """The probe points on [lo, hi] with V and V_t there."""
     ts = np.linspace(lo, hi, probes)
-    tau = q.tau.evaluate(ts)
-    tau1 = q.tau.derivative(1).evaluate(ts)
-    tau3 = q.tau.derivative(3).evaluate(ts)
-    v = v_fun.evaluate(ts)
-    vt = v_fun.derivative(1).evaluate(ts)
-    gamma = q.gamma if q.gamma is not None else np.zeros((n, n))
-    comm = np.einsum("ij,tjk->tik", gamma, v) - np.einsum("tij,jk->tik", v, gamma)
-    resid = (tau[:, None, None] * vt - comm + 2.0 * tau1[:, None, None] * v
-             - 0.5 * tau3[:, None, None] * np.eye(n))
-    return float(np.max(np.linalg.norm(resid, axis=(1, 2))))
+    return ts, v_fun.evaluate(ts), v_fun.derivative(1).evaluate(ts)
+
+
+def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) -> list:
+    """Residual of tau V_t = [Gamma, V] - 2 tau_t V + (1/2) tau_ttt E for each
+    (tau, Gamma) field, maximized over the probes of the interval where V and
+    tau are both defined.
+
+    V and V_t are evaluated once per such interval; the fields of one
+    algebra share a single one.
+    """
+    n = v_fun.n
+    spans = [(max(v_fun.domain[0], q.tau.domain[0]), min(v_fun.domain[1], q.tau.domain[1]))
+             for q in fields]
+    at = {span: _probe_values(v_fun, *span, probes) for span in dict.fromkeys(spans)}
+    out = []
+    for q, span in zip(fields, spans):
+        ts, v, vt = at[span]
+        tau = q.tau.evaluate(ts)
+        tau1 = q.tau.derivative(1).evaluate(ts)
+        tau3 = q.tau.derivative(3).evaluate(ts)
+        gamma = q.gamma if q.gamma is not None else np.zeros((n, n))
+        comm = np.einsum("ij,tjk->tik", gamma, v) - np.einsum("tij,jk->tik", v, gamma)
+        resid = (tau[:, None, None] * vt - comm + 2.0 * tau1[:, None, None] * v
+                 - 0.5 * tau3[:, None, None] * np.eye(n))
+        out.append(float(np.max(np.linalg.norm(resid, axis=(1, 2)))))
+    return out
 
 
 def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction,
@@ -393,19 +410,16 @@ def solve_symmetries_sampled(v_fun: MatrixFunction,
         raise ClassificationError("input is not traceless; gauge the trace away first")
     if v_fun.max_norm() <= cfg.residual_tol:
         raise ClassificationError("singular class; use singular path")
-    ts = np.linspace(v_fun.domain[0], v_fun.domain[1], probes)
-    v = v_fun.evaluate(ts)
-    vt = v_fun.derivative(1).evaluate(ts)
+    ts, v, vt = _probe_values(v_fun, *v_fun.domain, probes)
     scale = max(1.0, float(np.max(np.abs(v))))
-    rows = []
-    for i, t in enumerate(ts):
-        block = np.zeros((n * n, 3 + n * n), dtype=v.dtype)
-        block[:, 0] = vt[i].reshape(-1, order="F")
-        block[:, 1] = (t * vt[i] + 2.0 * v[i]).reshape(-1, order="F")
-        block[:, 2] = (t * t * vt[i] + 4.0 * t * v[i]).reshape(-1, order="F")
-        block[:, 3:] = -linalg.ad_operator(v[i])
-        rows.append(block / scale)
-    a = np.vstack(rows)
+    # per probe, n^2 rows in (c0, c1, c2, vec Gamma) of
+    # (c0 + c1 t + c2 t^2) V_t + (2 c1 + 4 c2 t) V - [Gamma, V] = 0
+    t = ts[:, None, None]
+    blocks = np.zeros((probes, n * n, 3 + n * n), dtype=v.dtype)
+    for col, m in enumerate((vt, t * vt + 2.0 * v, t * t * vt + 4.0 * t * v)):
+        blocks[:, :, col] = np.swapaxes(m, 1, 2).reshape(probes, n * n)
+    blocks[:, :, 3:] = -linalg.ad_operator(v)
+    a = (blocks / scale).reshape(probes * n * n, 3 + n * n)
     # finite-difference noise on sampled data pushes the should-be-zero
     # singular values well above machine precision; cut at the dominant
     # spectral gap inside the plausibly-zero band instead of a fixed level
@@ -423,21 +437,18 @@ def solve_symmetries_sampled(v_fun: MatrixFunction,
 # structured (t-shift-invariant) classification
 
 
-def _lambda_candidate(kl, cfg):
-    """Least-squares solve of [Lam, K_l] = (l+2) K_l over the truncated list."""
-    n = kl[0].shape[0]
-    rows = []
-    rhs = []
-    for l, k in enumerate(kl):
-        scale = max(linalg.frobenius_norm(k), 1e-300)
-        rows.append(linalg.ad_operator(k) / scale)
-        rhs.append(((l + 2) * k / scale).reshape(-1, order="F"))
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
+def _ad_lstsq(terms):
+    """Least-squares X of [X, K_m] = R_m over (K_m, R_m, scale_m) triples.
+
+    Each condition's rows are divided by its scale.  Returns X, the residual
+    norm and the norm of the scaled right-hand side.
+    """
+    n = terms[0][0].shape[0]
+    a = np.vstack([linalg.ad_operator(k) / scale for k, _, scale in terms])
+    b = np.concatenate([(r / scale).reshape(-1, order="F") for _, r, scale in terms])
     sol, *_ = np.linalg.lstsq(a, b.astype(a.dtype), rcond=None)
-    lam = sol.reshape(n, n, order="F")
-    resid = float(np.linalg.norm(a @ sol - b))
-    return lam, resid
+    return (sol.reshape(n, n, order="F"), float(np.linalg.norm(a @ sol - b)),
+            float(np.linalg.norm(b)))
 
 
 def _chain_shift(lam, cfg):
@@ -501,7 +512,9 @@ def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,
                      1e-6 * (1.0 + v_fun.max_norm()))
     terminates = tail_rel <= 1e-7
     if terminates and all(linalg.is_nilpotent(kx, cfg) for kx in kl):
-        lam, resid = _lambda_candidate(kl, cfg)
+        # [Lam, K_l] = (l+2) K_l over the truncated list
+        lam, resid, _ = _ad_lstsq([(kx, (l + 2) * kx, max(linalg.frobenius_norm(kx), 1e-300))
+                                   for l, kx in enumerate(kl)])
         scale = max(linalg.frobenius_norm(kx) for kx in kl)
         if resid <= 1e-7 * (1.0 + scale):
             q_d = SymmetryVectorField(tau=ScalarFunction.polynomial([0.0, 1.0], domain),
@@ -535,7 +548,10 @@ def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,
         # real field with eps < 0: the branches would come as a cos/sin pair,
         # forcing k = 3, impossible for regular systems; skip
         found = []
-        k_ext = _k_extended(ups0, w0, len(kl) + 3)
+        # K_0..K_{L+2}: the list, its tail K_L and two more terms
+        k_ext = kl + [tail]
+        for _ in range(2):
+            k_ext.append(commutator(ups0, k_ext[-1]))
         for g0 in branches:
             gamma0 = _improper_gamma(k_ext, len(kl) - 1, g0, cfg)
             if gamma0 is None:
@@ -575,38 +591,21 @@ def _improper_gamma(k_ext, mstar, g0, cfg):
     """
     from math import comb
     n = k_ext[0].shape[0]
-    rows = []
-    rhs = []
+    terms = []
     for m in range(mstar + 3):
         km = k_ext[m].astype(complex)
         r = np.zeros((n, n), dtype=complex)
         for l in range(m + 1):
             r += comb(m, l) * (g0 ** (m - l)) * (k_ext[l + 1].astype(complex)
                                                  + 2.0 * g0 * k_ext[l].astype(complex))
-        scale = max(np.linalg.norm(km), np.linalg.norm(r), 1.0)
-        rows.append(linalg.ad_operator(km) / scale)
-        rhs.append((r / scale).reshape(-1, order="F"))
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = float(np.linalg.norm(a @ sol - b))
-    if resid > 1e-7 * (1.0 + float(np.linalg.norm(b))):
+        terms.append((km, r, max(np.linalg.norm(km), np.linalg.norm(r), 1.0)))
+    gamma, resid, rhs_norm = _ad_lstsq(terms)
+    if resid > 1e-7 * (1.0 + rhs_norm):
         return None
-    gamma = sol.reshape(n, n, order="F")
     gamma = gamma - (np.trace(gamma) / n) * np.eye(n)
     if np.max(np.abs(gamma.imag)) < 1e-10:
         gamma = gamma.real
     return gamma
-
-
-def _k_extended(upsilon, w0, length):
-    """K_0..K_{length} by direct recursion (no truncation)."""
-    out = [w0]
-    cur = w0
-    for _ in range(length + 1):
-        cur = commutator(upsilon, cur)
-        out.append(cur)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +847,8 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
     n = v0_a.shape[0]
     if v0_b.shape[0] != n:
         return SimilarityVerdict("not_similar", obstruction="different dimensions")
-    kl_a = kl_sequence(ups_a, v0_a, cfg)
-    kl_b = kl_sequence(ups_b, v0_b, cfg)
+    kl_a, tail_a, _ = kl_sequence_with_tail(ups_a, v0_a, cfg)
+    kl_b, tail_b, _ = kl_sequence_with_tail(ups_b, v0_b, cfg)
     if len(kl_a) != len(kl_b):
         return SimilarityVerdict("not_similar",
                                  obstruction=f"K-list lengths differ "
@@ -872,8 +871,9 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
         if fld is Field.REAL and abs(np.imag(alpha)) > 1e-10:
             continue
         alpha_c = complex(alpha)
-        witness = _witness_search(ups_a, v0_a, kl_a, s_a, ups_b, v0_b, kl_b,
-                                  alpha_c, cfg, rng, complexify, witness_tol)
+        witness = _witness_search(ups_a, v0_a, kl_a + [tail_a], s_a, ups_b, v0_b,
+                                  kl_b + [tail_b], alpha_c, cfg, rng, complexify,
+                                  witness_tol)
         if witness is not None:
             m, gamma, resid = witness
             if fld is Field.REAL:
@@ -898,11 +898,12 @@ def _traceless_list(kl):
     return out or [kl[0] - (np.trace(kl[0]) / n) * np.eye(n)]
 
 
-def _witness_search(ups_a, v0_a, kl_a, s_a, ups_b, v0_b, kl_b, alpha, cfg, rng,
+def _witness_search(ups_a, v0_a, k_as, s_a, ups_b, v0_b, k_bs, alpha, cfg, rng,
                     complexify, witness_tol, trials=24):
     """Linear-lift search for (M, Gamma): K_b,l M = a^{l+2} M K_a,l and
     Y_b M = a M (Y_a + Gamma), Gamma in span(s_a).
 
+    k_as and k_bs are the K-lists with their tails, of equal length.
     Unknowns (M, W_1..W_p) with W_i standing for g_i M; the bilinear Gamma
     coupling is relaxed to the linear rows Y_b M - a M Y_a = a sum S_i W_i,
     then every sampled invertible M is re-fit and re-verified exactly.
@@ -911,15 +912,12 @@ def _witness_search(ups_a, v0_a, kl_a, s_a, ups_b, v0_b, kl_b, alpha, cfg, rng,
     p = s_a.dim
     eye = np.eye(n, dtype=complex)
     blocks = []
-    depth = max(len(kl_a), len(kl_b))
-    k_as = _k_extended(ups_a, v0_a, depth + 1)
-    k_bs = _k_extended(ups_b, v0_b, depth + 1)
 
     def k_rows(shift_col):
         rows = []
-        for l in range(depth + 1):
-            ka = k_as[l].astype(complex)
-            kb = k_bs[l].astype(complex)
+        for l, (ka, kb) in enumerate(zip(k_as, k_bs)):
+            ka = ka.astype(complex)
+            kb = kb.astype(complex)
             scale = max(np.linalg.norm(ka), np.linalg.norm(kb), 1.0)
             op = (np.kron(eye, kb) - (alpha ** (l + 2)) * np.kron(ka.T, eye)) / scale
             row = np.zeros((n * n, n * n * (1 + p)), dtype=complex)

@@ -179,3 +179,83 @@ def cumulative_integral_pointwise(grid, values):
         acc = acc + np.tensordot(w, values[idx], axes=(0, 0))
         out[i + 1] = acc
     return out
+
+
+# The symmetry-layer loops as they were written before they shared one
+# evaluation of V and V_t: one evaluation per basis field, one row block per
+# probe, and the K-terms rebuilt by direct recursion.  symode.symalg is checked
+# against these bit for bit.
+
+def _ad_kron(k):
+    n = k.shape[0]
+    eye = np.eye(n, dtype=k.dtype)
+    return np.kron(k.T, eye) - np.kron(eye, k)
+
+
+def verify_symmetry_per_field(v_fun, q, probes=64):
+    n = v_fun.n
+    lo = max(v_fun.domain[0], q.tau.domain[0])
+    hi = min(v_fun.domain[1], q.tau.domain[1])
+    ts = np.linspace(lo, hi, probes)
+    tau = q.tau.evaluate(ts)
+    tau1 = q.tau.derivative(1).evaluate(ts)
+    tau3 = q.tau.derivative(3).evaluate(ts)
+    v = v_fun.evaluate(ts)
+    vt = v_fun.derivative(1).evaluate(ts)
+    gamma = q.gamma if q.gamma is not None else np.zeros((n, n))
+    comm = np.einsum("ij,tjk->tik", gamma, v) - np.einsum("tij,jk->tik", v, gamma)
+    resid = (tau[:, None, None] * vt - comm + 2.0 * tau1[:, None, None] * v
+             - 0.5 * tau3[:, None, None] * np.eye(n))
+    return float(np.max(np.linalg.norm(resid, axis=(1, 2))))
+
+
+def verify_against_per_field(ess, v_fun):
+    from symode.matfun import ScalarFunction
+    from symode.symalg import SymmetryVectorField
+    worst = verify_symmetry_per_field(
+        v_fun, SymmetryVectorField(tau=ScalarFunction.constant(0.0, v_fun.domain),
+                                   gamma=np.eye(ess.n)))
+    for g in ess.s_basis.mats:
+        q = SymmetryVectorField(tau=ScalarFunction.constant(0.0, v_fun.domain), gamma=g)
+        worst = max(worst, verify_symmetry_per_field(v_fun, q))
+    for tau, gamma in ess.t_part:
+        worst = max(worst, verify_symmetry_per_field(
+            v_fun, SymmetryVectorField(tau=tau, gamma=gamma)))
+    return worst
+
+
+def solve_symmetries_sampled_per_probe(v_fun, cfg, fld=None, probes=64):
+    from symode.symalg import _build_algebra, _nullspace_by_spectral_gap
+    n = v_fun.n
+    fld = fld or v_fun.field
+    ts = np.linspace(v_fun.domain[0], v_fun.domain[1], probes)
+    v = v_fun.evaluate(ts)
+    vt = v_fun.derivative(1).evaluate(ts)
+    scale = max(1.0, float(np.max(np.abs(v))))
+    rows = []
+    for i, t in enumerate(ts):
+        block = np.zeros((n * n, 3 + n * n), dtype=v.dtype)
+        block[:, 0] = vt[i].reshape(-1, order="F")
+        block[:, 1] = (t * vt[i] + 2.0 * v[i]).reshape(-1, order="F")
+        block[:, 2] = (t * t * vt[i] + 4.0 * t * v[i]).reshape(-1, order="F")
+        block[:, 3:] = -_ad_kron(v[i])
+        rows.append(block / scale)
+    a = np.vstack(rows)
+    null, gap = _nullspace_by_spectral_gap(a)
+    note = "sampled classifying-condition solve"
+    ess = _build_algebra(null, n, fld, v_fun.domain, cfg, note, gap=gap)
+    if np.isfinite(gap) and gap < 10.0:
+        ess.notes.append(f"ill-separated singular values (gap {gap:.2f} < 10); "
+                         "dimension inconclusive")
+        ess.confidence_gap = gap
+    return ess
+
+
+def k_extended(upsilon, w0, length):
+    """K_0..K_{length} by direct recursion (no truncation)."""
+    out = [w0]
+    cur = w0
+    for _ in range(length + 1):
+        cur = upsilon @ cur - cur @ upsilon
+        out.append(cur)
+    return out

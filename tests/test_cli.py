@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from symode.cli import EXIT_INAPPLICABLE, EXIT_OK, EXIT_SCHEMA, main
+from symode.cli import EXIT_INAPPLICABLE, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
+from symode.scalars import ToleranceConfig
 
 from conftest import S1, S2
 
@@ -246,6 +247,20 @@ class TestSimilarCommand:
         assert main(["similar", a, b]) == EXIT_INAPPLICABLE
 
 
+    def test_k_sequence_failure_exit4(self, tmp_path, capsys):
+        # the n = 6 conj_exp draw whose K-sequence does not stabilize
+        rng = np.random.default_rng(0)
+        ups, w = (m - np.trace(m) / 6 * np.eye(6)
+                  for m in (rng.standard_normal((6, 6)) for _ in range(2)))
+        doc = {"n": 6, "field": "real", "class": "Lprime", "domain": [-1, 1],
+               "V": {"kind": "conj_exp", "epsilon": 0.0, "upsilon": ups.tolist(),
+                     "w": w.tolist()}}
+        path = write(tmp_path, "k6.json", doc)
+        assert main(["classify", path]) == EXIT_NUMERICAL
+        assert main(["similar", path, path]) == EXIT_NUMERICAL
+        assert "K-sequence" in capsys.readouterr().err
+
+
 class TestDemo:
     def test_complex_eight_rows(self, capsys):
         assert main(["demo-n2", "--field", "complex"]) == EXIT_OK
@@ -326,3 +341,52 @@ class TestEnvOverrides:
         assert main(["classify", path, "--tol", "1e-5", "--out", out]) == EXIT_OK
         rep = json.loads(open(out).read())
         assert rep["tolerances"]["residual_tol"] == 1e-5
+
+
+class TestOptionValues:
+    """Invalid option values and SYMODE_* overrides end in exit 2 naming the flag."""
+
+    @pytest.fixture
+    def lp_doc(self, tmp_path):
+        return write(tmp_path, "lp.json",
+                     {"n": 2, "field": "real", "class": "Lprime", "domain": [-1.0, 1.0],
+                      "V": {"kind": "constant", "m": [[0.3, 1.0], [0.5, -0.1]]}})
+
+    @staticmethod
+    def exit_of(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr().err
+
+    def test_rank_tol_above_cluster_tol_exit2(self, lp_doc, capsys):
+        code, err = self.exit_of(["classify", lp_doc, "--rank-tol", "1e-6"], capsys)
+        assert code == EXIT_SCHEMA and "--rank-tol" in err
+
+    def test_zero_tol_exit2(self, lp_doc, capsys):
+        code, err = self.exit_of(["classify", lp_doc, "--tol", "0"], capsys)
+        assert code == EXIT_SCHEMA and "--tol" in err
+
+    def test_nan_tol_exit2(self, lp_doc, capsys):
+        code, err = self.exit_of(["classify", lp_doc, "--tol", "nan"], capsys)
+        assert code == EXIT_SCHEMA and "--tol" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_tolerance_config_rejects_residual_tol(self, value):
+        with pytest.raises(ValueError, match="residual_tol"):
+            ToleranceConfig(residual_tol=value)
+
+    @pytest.mark.parametrize("grid", ["2", "0", "-5"])
+    def test_coarse_grid_exit2(self, lp_doc, capsys, grid):
+        code, err = self.exit_of(["gauge", lp_doc, "--target", "traceless",
+                                  "--grid", grid], capsys)
+        assert code == EXIT_SCHEMA and "--grid" in err
+
+    def test_smallest_grid_runs(self, lp_doc, tmp_path):
+        out = str(tmp_path / "g.json")
+        assert main(["gauge", lp_doc, "--target", "traceless", "--grid", "8",
+                     "--out", out]) == EXIT_OK
+
+    def test_malformed_env_grid_exit2(self, lp_doc, capsys, monkeypatch):
+        monkeypatch.setenv("SYMODE_GRID", "abc")
+        code, err = self.exit_of(["classify", lp_doc], capsys)
+        assert code == EXIT_SCHEMA and "--grid" in err and "SYMODE_GRID" in err

@@ -52,6 +52,29 @@ class TestApplyEquivalence:
         out = apply_equivalence(lprime(MatrixFunction.zero(2, DOM)), tr)
         assert out.V.max_norm() < 5e-6
 
+    def test_sampled_affine_time_map_adds_no_schwarzian(self):
+        # a sampled T takes the pointwise path; an affine one has {T, t} = 0,
+        # up to the finite-difference noise of its third derivative
+        grid = np.linspace(-1, 1, 2049)
+        tr = EquivalenceTransform(
+            T=ScalarFunction.sampled(grid, 0.3 + 2.0 * grid),
+            H=MatrixFunction.sampled(grid, np.broadcast_to(np.sqrt(2.0) * E2, (2049, 2, 2))))
+        out = apply_equivalence(lprime(MatrixFunction.constant(S1, DOM)), tr)
+        vals = out.V.evaluate(np.linspace(out.domain[0], out.domain[1], 33))
+        assert np.max(np.abs(vals - S1 / 4.0)) < 1e-7
+
+    def test_exponential_time_map_schwarzian(self):
+        # T = e^t has {T, t} = -1/2, so the free particle goes to
+        # V~(T) = (1/2) {T, t} / T_t^2 = -1 / (4 T^2)
+        grid = np.linspace(-1, 1, 4097)
+        tr = EquivalenceTransform(
+            T=ScalarFunction.sampled(grid, np.exp(grid)),
+            H=MatrixFunction.sampled(grid, np.exp(0.5 * grid)[:, None, None] * E2))
+        out = apply_equivalence(lprime(MatrixFunction.zero(2, DOM)), tr)
+        tt = np.exp(np.linspace(-0.9, 0.9, 33))
+        np.testing.assert_allclose(out.V.evaluate(tt),
+                                   (-0.25 / tt ** 2)[:, None, None] * E2, atol=1e-6)
+
     def test_barl_scaling_example(self):
         sys_in = barl(MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM),
                       VectorFunction.zero(2, DOM))

@@ -274,6 +274,18 @@ class TestTwoSymmetries:
         np.testing.assert_allclose(evs, [0.0, 2.0], atol=1e-9)
         assert sol.quadratures <= sol.plan.quadrature_bound == 2
 
+    def test_sampled_taus_match_polynomial(self):
+        # sampled t-components take the sampled eta and eta_t of both fields
+        sys_in, q1, q2 = self.case7()
+        grid = np.linspace(DOM[0], DOM[1], 1025)
+        s1, s2 = (SymmetryVectorField(tau=ScalarFunction.sampled(grid, q.tau.evaluate(grid)),
+                                      gamma=q.gamma) for q in (q1, q2))
+        ref = integrate_two_symmetries(sys_in, q1, q2)
+        sol = integrate_two_symmetries(sys_in, s1, s2)
+        assert sol.positions.dtype == ref.positions.dtype
+        np.testing.assert_allclose(sol.positions, ref.positions, rtol=0, atol=1e-10)
+        assert column_residuals(sys_in, sol) < 1e-6
+
     def test_block_structure_invariant(self):
         sys_in, q1, q2 = self.case7()
         sol = integrate_two_symmetries(sys_in, q1, q2)

@@ -7,8 +7,7 @@ import pytest
 from symode.cli import decode_function, encode_function
 from symode.matfun import (MatrixFunction, RepresentationError, ScalarFunction,
                            VectorFunction, kl_sequence, kl_sequence_with_tail,
-                           poly_compose_affine, poly_der, poly_mul, poly_wronskian,
-                           schwarzian)
+                           poly_compose_affine, poly_der, poly_mul, poly_wronskian)
 from conftest import DOM, E2, S1, S2, S3, Z2
 
 
@@ -120,7 +119,7 @@ class TestTraceSplit:
             np.linspace(-1, 1, 65)[:, None, None] * (S1 + E2) + S2),
     ])
     def test_traceless_residual_at_probes(self, builder):
-        f0 = builder().traceless_part()
+        _, f0 = builder().trace_split()
         ts = np.linspace(f0.domain[0], f0.domain[1], 32)
         traces = np.trace(f0.evaluate(ts), axis1=1, axis2=2)
         assert np.max(np.abs(traces)) < 1e-6
@@ -179,23 +178,6 @@ class TestScalarAndVector:
         np.testing.assert_allclose(v.derivative(1).evaluate(0.5), [0.0, 2.0])
 
 
-class TestSchwarzian:
-    def test_affine_zero(self):
-        t_fun = ScalarFunction.polynomial([0.3, 2.0], DOM)
-        assert np.max(np.abs(schwarzian(t_fun).values)) < 1e-12
-
-    def test_moebius_vanishes(self):
-        grid = np.linspace(-1, 1, 2049)
-        t_fun = ScalarFunction.sampled(grid, (2 * grid) / (grid + 4))
-        assert np.max(np.abs(schwarzian(t_fun).values)) < 1e-6
-
-    def test_exponential_value(self):
-        grid = np.linspace(-1, 1, 2049)
-        t_fun = ScalarFunction.sampled(grid, np.exp(grid))
-        vals = schwarzian(t_fun).values
-        np.testing.assert_allclose(vals, -0.5 * np.ones_like(vals), atol=1e-6)
-
-
 class TestRepresentationClosure:
     def test_conjugate_stays_closed(self, rng):
         c = rng.standard_normal((2, 2)) + np.eye(2)
@@ -214,12 +196,6 @@ class TestRepresentationClosure:
         np.testing.assert_allclose(g.evaluate(0.3), f.evaluate(0.5 * 0.3 + 0.25),
                                    atol=1e-10)
         assert g.kind == "conj_exp"
-
-    def test_resample_notes_degradation(self):
-        f = MatrixFunction.conj_exp(0.1, S2, S1, DOM)
-        g = f.resample(np.linspace(-1, 1, 65))
-        assert g.kind == "sampled"
-        assert "resampled from conj_exp" in g.note
 
 
 def _draw(shape, cplx, rng, rows=None):

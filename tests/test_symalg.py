@@ -384,3 +384,144 @@ class TestNonAffineChains:
         assert far.A.max_norm() > 0.1  # genuinely time-dependent first-order term
         rep = classify(far)
         assert (rep.k, rep.dim_s, rep.dim_ess) == (1, 1, 3)
+
+
+def _draw_v(kind, n, cplx, rng):
+    """A traceless V of the given representation on DOM."""
+    def draw():
+        return random_traceless(rng, n, complex_field=cplx)
+
+    if kind == "constant":
+        return MatrixFunction.constant(draw(), DOM)
+    if kind == "polynomial":
+        return MatrixFunction.polynomial([draw() for _ in range(3)], DOM)
+    if kind == "conj_exp":
+        return MatrixFunction.conj_exp(0.0, draw(), draw(), DOM)
+    grid = np.linspace(DOM[0], DOM[1], 129)
+    return MatrixFunction.sampled(
+        grid, MatrixFunction.polynomial([draw() for _ in range(4)], DOM).evaluate(grid))
+
+
+def _same_algebra(a, b):
+    assert (a.k, a.dim_s, a.notes, a.confidence_gap) == (b.k, b.dim_s, b.notes,
+                                                          b.confidence_gap)
+    for x, y in zip(a.s_basis.mats, b.s_basis.mats):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    for (tx, gx), (ty, gy) in zip(a.t_part, b.t_part):
+        assert tx.coeffs.tobytes() == ty.coeffs.tobytes()
+        assert gx.dtype == gy.dtype and gx.tobytes() == gy.tobytes()
+
+
+KINDS = ["constant", "polynomial", "conj_exp", "sampled"]
+
+
+class TestOneEvaluationParity:
+    """The shared probe evaluation of V and V_t, the array-built sampled rows
+    and the K-terms from one recursion reproduce the per-field, per-probe and
+    rebuilt-recursion loops in oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verify_against_seeded(self, kind, n, cplx):
+        from symode.linalg import SubspaceBasis
+        from symode.symalg import EssentialAlgebra
+        from oracles import verify_against_per_field, verify_symmetry_per_field
+        rng = np.random.default_rng(1000 * n + 10 * KINDS.index(kind) + cplx)
+        v = _draw_v(kind, n, cplx, rng)
+        grid = np.linspace(DOM[0], DOM[1], 257)
+        s_basis = SubspaceBasis(mats=[random_traceless(rng, n, cplx) for _ in range(2)],
+                                n=n, in_sl=True)
+        t_part = [(tau_poly(rng.standard_normal(3)), random_traceless(rng, n, cplx)),
+                  (ScalarFunction.sampled(grid, np.exp(0.3 * grid)),
+                   random_traceless(rng, n, cplx))]
+        ess = EssentialAlgebra(k=2, t_part=t_part, s_basis=s_basis, n=n,
+                               field=Field.COMPLEX if cplx else Field.REAL)
+        assert ess.verify_against(v) == verify_against_per_field(ess, v)
+        for tau, gamma in t_part:
+            q = SymmetryVectorField(tau=tau, gamma=gamma)
+            assert verify_symmetry(v, q) == verify_symmetry_per_field(v, q)
+
+    @pytest.mark.parametrize("fld", [Field.COMPLEX, Field.REAL])
+    def test_verify_against_casebook(self, fld):
+        from symode.casebook import n2_cases
+        from oracles import verify_against_per_field, verify_symmetry_per_field
+        for case in n2_cases(fld):
+            v = case.system.V
+            ess = classify(case.system).essential
+            assert ess.verify_against(v) == verify_against_per_field(ess, v)
+            for q in case.symmetries:
+                assert verify_symmetry(v, q) == verify_symmetry_per_field(v, q)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sampled_solver_seeded(self, n, cplx, cfg):
+        from oracles import solve_symmetries_sampled_per_probe
+        rng = np.random.default_rng(2000 * n + cplx)
+        v = _draw_v("sampled", n, cplx, rng)
+        _same_algebra(solve_symmetries_sampled(v), solve_symmetries_sampled_per_probe(v, cfg))
+
+    @pytest.mark.parametrize("fld", [Field.COMPLEX, Field.REAL])
+    def test_sampled_solver_casebook(self, fld, cfg):
+        from symode.casebook import n2_cases
+        from oracles import solve_symmetries_sampled_per_probe
+        grid = np.linspace(DOM[0], DOM[1], 257)
+        for case in n2_cases(fld):
+            v = MatrixFunction.sampled(grid, case.system.V.evaluate(grid))
+            _same_algebra(solve_symmetries_sampled(v, fld=fld),
+                          solve_symmetries_sampled_per_probe(v, cfg, fld))
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_k_terms_seeded(self, n, cplx, cfg):
+        from symode.linalg import commutator
+        from symode.matfun import kl_sequence_with_tail
+        from oracles import k_extended
+        rng = np.random.default_rng(3000 * n + cplx)
+        cases = [(random_traceless(rng, n, cplx), random_traceless(rng, n, cplx))
+                 for _ in range(5)]
+        if n == 2:
+            cases += [(S1, S3), (S2, S1 + S3), (S2, S1), (Z2, S2), (S1 + S3, S1 - S3)]
+        for ups, w in cases:
+            kl, tail, _ = kl_sequence_with_tail(ups, w, cfg)
+            ext = kl + [tail]
+            for _ in range(2):
+                ext.append(commutator(ups, ext[-1]))
+            # the structured route reads K_0..K_{L+2}, the witness search K_0..K_L
+            want = k_extended(ups, w, len(kl) + 3)[:len(kl) + 3]
+            assert len(ext) == len(want)
+            for got, ref in zip(ext, want):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+class TestExpFactoryBuilds:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from symode import linalg
+        count = []
+        real = linalg.exp_factory
+
+        def counted(m, *args, **kwargs):
+            count.append(1)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "exp_factory", counted)
+        return count
+
+    def test_classify_conj_exp_n3(self, builds):
+        # one factory for the input V, one for the structured route's V
+        rng = np.random.default_rng(0)
+        y, w = random_traceless(rng, 3), random_traceless(rng, 3)
+        classify(SystemDescriptor.lprime(MatrixFunction.conj_exp(0.0, y, w, DOM)))
+        assert len(builds) == 2
+
+    def test_derivative_of_evaluated_conj_exp(self, builds, rng):
+        f = MatrixFunction.conj_exp(0.3, random_traceless(rng, 3), random_traceless(rng, 3),
+                                    DOM)
+        ts = np.linspace(-1, 1, 9)
+        f.evaluate(ts)
+        assert len(builds) == 1
+        for g in (f.derivative(1), f.derivative(2), f.trace_split()[1], f.scale(2.0),
+                  f.add_scalar_identity(1.5)):
+            g.evaluate(ts)
+        assert len(builds) == 1
