@@ -63,6 +63,19 @@ class TestApplyEquivalence:
         vals = out.V.evaluate(np.linspace(out.domain[0], out.domain[1], 33))
         assert np.max(np.abs(vals - S1 / 4.0)) < 1e-7
 
+    def test_moebius_time_map_adds_no_schwarzian(self):
+        # T = 2t / (t + 4) has {T, t} = 0, so with H = sqrt(T_t) the constant
+        # V = S1 goes to V~(T) = S1 / T_t^2 = 64 S1 / (2 - T)^4 and nothing more
+        grid = np.linspace(-1, 1, 2049)
+        t_fun = ScalarFunction.sampled(grid, (2 * grid) / (grid + 4))
+        t1 = t_fun.derivative(1).evaluate(grid)
+        tr = EquivalenceTransform(
+            T=t_fun, H=MatrixFunction.sampled(grid, np.sqrt(t1)[:, None, None] * E2))
+        out = apply_equivalence(lprime(MatrixFunction.constant(S1, DOM)), tr)
+        tt = np.linspace(out.domain[0], out.domain[1], 33)
+        np.testing.assert_allclose(out.V.evaluate(tt),
+                                   (64.0 / (2.0 - tt) ** 4)[:, None, None] * S1, atol=1e-6)
+
     def test_exponential_time_map_schwarzian(self):
         # T = e^t has {T, t} = -1/2, so the free particle goes to
         # V~(T) = (1/2) {T, t} / T_t^2 = -1 / (4 T^2)
