@@ -9,7 +9,8 @@ the Jordan structure of zeta = eta2 - (tau2/tau1) eta1, with the quadrature
 count bounded by n + p - r when the elementary divisors are distinct.
 
 Each fundamental solve is a linear ODE whose coefficients are tabulated once
-on the grid and its step midpoints and handed to ``numutil.rk4_linear``;
+on the grid and its step midpoints and handed to ``numutil.rk4_linear``,
+which steps them as batched affine RK4 maps;
 right-multiplied equations such as tau H_t = -H eta run on the transpose
 (``gauge.right_fundamental``).  The A~, B~ formula is ``gauge.pushforward``.
 """
@@ -238,7 +239,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     lo, hi = sys.domain
     a_fun, b_fun, _ = sys.coefficients()
     q = q.drop_chi()
-    res = verify_symmetry_homogeneous(a_fun, b_fun, q, cfg)
+    res, = verify_symmetry_homogeneous(a_fun, b_fun, [q], cfg)
     scale = 1.0 + b_fun.max_norm() + a_fun.max_norm()
     if res > 100 * cfg.residual_tol * scale:
         raise IntegrationError(f"symmetry not verified (residual {res:.3g})")
@@ -333,8 +334,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     q1 = q1.drop_chi()
     q2 = q2.drop_chi()
     scale = 1.0 + b_fun.max_norm() + a_fun.max_norm()
-    for i, q in enumerate((q1, q2), 1):
-        res = verify_symmetry_homogeneous(a_fun, b_fun, q, cfg)
+    for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, [q1, q2], cfg), 1):
         if res > 100 * cfg.residual_tol * scale:
             raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
     half = uniform_grid(lo, hi, 2 * grid_steps)

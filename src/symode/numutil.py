@@ -10,7 +10,10 @@ solve over every interval, and one stacked contraction with the samples.
 
 Every ODE the package solves is linear, y' = M(t) y + g(t), and goes through
 ``rk4_linear``: the coefficients are evaluated once, as arrays, on the grid
-and its step midpoints, and the same RK4 loop then reads them by index.
+and its step midpoints.  An RK4 step of a linear system is an affine map
+y -> P y + q, so the maps of all steps are built as batched array products
+and the sweep is one matmul (and one add) per step, with no Python
+right-hand side.  ``rk4`` is the general callback form, y' = f(t, y).
 """
 
 from __future__ import annotations
@@ -150,17 +153,6 @@ def rk4(f, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def rk4_bidirectional(f, y0: np.ndarray, grid: np.ndarray, i0: int) -> np.ndarray:
-    """RK4 from an interior anchor grid[i0] outwards in both directions."""
-    grid = np.asarray(grid, dtype=float)
-    fwd = rk4(f, y0, grid[i0:])
-    bwd = rk4(f, y0, grid[i0::-1])
-    out = np.empty((len(grid),) + np.shape(y0), dtype=fwd.dtype)
-    out[i0:] = fwd
-    out[:i0 + 1] = bwd[::-1]
-    return out
-
-
 def rk4_linear(m: np.ndarray, y0: np.ndarray, grid: np.ndarray, i0: int = 0,
                g: np.ndarray | None = None) -> np.ndarray:
     """Classic RK4 for the linear system y' = M(t) y + g(t) on a uniform grid.
@@ -169,22 +161,58 @@ def rk4_linear(m: np.ndarray, y0: np.ndarray, grid: np.ndarray, i0: int = 0,
     ``uniform_grid(grid[0], grid[-1], 2N)``: the N+1 nodes of ``grid`` with
     the step midpoints, where RK4 evaluates, in between.  y0 is a vector or a
     matrix whose columns are propagated together; g must broadcast against
-    it.  Integrates from grid[i0] in both directions.  The steps run
-    ``rk4_bidirectional`` on the index grid 0..N, where s and s +- 1/2 are
-    exact, with f(s, y) = h (M[2s] y + g[2s]).
+    it.  Integrates from grid[i0] in both directions.
+
+    An RK4 step of a linear system is an affine map y -> P y + q.  The maps
+    of every step on each side of i0 are built at once by ``_step_maps``,
+    and the sweep applies one of them per step.
     """
     steps = len(grid) - 1
     if len(m) != 2 * steps + 1 or (g is not None and len(g) != 2 * steps + 1):
         raise ValueError("coefficients must be tabulated on the 2N+1 half-step points")
     h = (grid[-1] - grid[0]) / steps
     y0 = np.asarray(y0, dtype=np.result_type(y0, m, 0.0 if g is None else g))
+    out = np.empty((steps + 1,) + y0.shape, dtype=y0.dtype)
+    out[i0] = y0
+    # forward from node i0 over m[2 i0:], backward over m[2 i0::-1]
+    for step, window, dest in ((h, slice(2 * i0, None), out[i0 + 1:]),
+                               (-h, slice(2 * i0, None, -1), out[:i0][::-1])):
+        p, q = _step_maps(step * m[window], None if g is None else step * g[window])
+        y = y0
+        for k, yk in enumerate(dest):
+            np.matmul(p[k], y, out=yk)
+            if q is not None:
+                yk += q[k]
+            y = yk
+    return out
 
-    def f(s, y):
-        j = int(2.0 * s)
-        dy = m[j] @ y
-        return h * (dy if g is None else dy + g[j])
 
-    return rk4_bidirectional(f, y0, np.arange(steps + 1, dtype=float), i0)
+def _step_maps(a: np.ndarray, b: np.ndarray | None):
+    """(P, q) with P[k] y + q[k] the RK4 step k of y' = a y + b on the index grid.
+
+    a (and b) hold h M (and h g), signed with the direction of the sweep, at
+    the 2K+1 start, mid and end points of K unit steps.  With A0, A1, A2 the
+    coefficients at the start, midpoint and end of a step, the stages are
+    P1 = A0, P2 = A1 + A1 P1/2, P3 = A1 + A1 P2/2 and P4 = A2 + A2 P3, and
+    P = E + (P1 + 2 P2 + 2 P3 + P4)/6; q follows the same recurrence from b.
+    Each product is one stacked matmul over all K steps.  q is None when b is.
+    """
+    a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
+
+    def weighted_stages(s0, s1, s2):
+        s2nd = s1 + 0.5 * (a1 @ s0)
+        s3rd = s1 + 0.5 * (a1 @ s2nd)
+        s4th = s2 + a2 @ s3rd
+        return (s0 + 2.0 * s2nd + 2.0 * s3rd + s4th) / 6.0
+
+    p = weighted_stages(a0, a1, a2) + np.eye(a.shape[-1])
+    if b is None:
+        return p, None
+    # per-step vectors as columns, so one matmul serves both shapes of g
+    col = b.ndim == 2
+    b = b[..., None] if col else b
+    q = weighted_stages(b[:-1:2], b[1::2], b[2::2])
+    return p, (q[..., 0] if col else q)
 
 
 def companion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,8 +235,3 @@ def uniform_grid(lo: float, hi: float, steps: int = 1024) -> np.ndarray:
     if not hi > lo:
         raise ValueError("empty domain")
     return np.linspace(lo, hi, steps + 1)
-
-
-def richardson_error(coarse: np.ndarray, fine2x: np.ndarray) -> float:
-    """RK4 Richardson estimate: |y_h - y_{h/2}| / 15 at matching points."""
-    return float(np.max(np.abs(coarse - fine2x[::2])) / 15.0)

@@ -147,36 +147,45 @@ def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) 
     return out
 
 
-def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction,
-                                q: SymmetryVectorField,
+def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction, fields,
                                 cfg: ToleranceConfig = DEFAULT_TOL,
-                                probes: int = PROBES) -> float:
-    """Residual of the two classifying conditions for x_tt = A x_t + B x."""
+                                probes: int = PROBES) -> list:
+    """Residual of the two classifying conditions for x_tt = A x_t + B x, one
+    per field, maximized over the probes of the interval where A and tau are
+    both defined.
+
+    A, A_t, B and B_t are evaluated once per such interval; fields with one
+    tau domain share a single one.
+    """
     n = a_fun.n
-    lo = max(a_fun.domain[0], q.tau.domain[0])
-    hi = min(a_fun.domain[1], q.tau.domain[1])
-    ts = np.linspace(lo, hi, probes)
-    eta_fun = q.eta_function(n, (lo, hi))
-    tau = q.tau.evaluate(ts)
-    tau1 = q.tau.derivative(1).evaluate(ts)
-    tau2 = q.tau.derivative(2).evaluate(ts)
-    eta = eta_fun.evaluate(ts)
-    eta1 = eta_fun.derivative(1).evaluate(ts)
-    eta2 = eta_fun.derivative(2).evaluate(ts)
-    a = a_fun.evaluate(ts)
-    at = a_fun.derivative(1).evaluate(ts)
-    b = b_fun.evaluate(ts)
-    bt = b_fun.derivative(1).evaluate(ts)
+    spans = [(max(a_fun.domain[0], q.tau.domain[0]), min(a_fun.domain[1], q.tau.domain[1]))
+             for q in fields]
+    coeffs = {}
+    for span in dict.fromkeys(spans):
+        ts = np.linspace(*span, probes)
+        coeffs[span] = (ts, a_fun.evaluate(ts), a_fun.derivative(1).evaluate(ts),
+                        b_fun.evaluate(ts), b_fun.derivative(1).evaluate(ts))
 
     def brk(x, y):
         return np.einsum("tij,tjk->tik", x, y) - np.einsum("tij,tjk->tik", y, x)
 
-    r1 = (tau[:, None, None] * at - brk(eta, a) + tau1[:, None, None] * a
-          - 2.0 * eta1 + tau2[:, None, None] * np.eye(n))
-    r2 = (tau[:, None, None] * bt - brk(eta, b) + 2.0 * tau1[:, None, None] * b
-          + np.einsum("tij,tjk->tik", a, eta1) - eta2)
-    return float(max(np.max(np.linalg.norm(r1, axis=(1, 2))),
-                     np.max(np.linalg.norm(r2, axis=(1, 2)))))
+    out = []
+    for q, span in zip(fields, spans):
+        ts, a, at, b, bt = coeffs[span]
+        eta_fun = q.eta_function(n, span)
+        tau = q.tau.evaluate(ts)
+        tau1 = q.tau.derivative(1).evaluate(ts)
+        tau2 = q.tau.derivative(2).evaluate(ts)
+        eta = eta_fun.evaluate(ts)
+        eta1 = eta_fun.derivative(1).evaluate(ts)
+        eta2 = eta_fun.derivative(2).evaluate(ts)
+        r1 = (tau[:, None, None] * at - brk(eta, a) + tau1[:, None, None] * a
+              - 2.0 * eta1 + tau2[:, None, None] * np.eye(n))
+        r2 = (tau[:, None, None] * bt - brk(eta, b) + 2.0 * tau1[:, None, None] * b
+              + np.einsum("tij,tjk->tik", a, eta1) - eta2)
+        out.append(float(max(np.max(np.linalg.norm(r1, axis=(1, 2))),
+                             np.max(np.linalg.norm(r2, axis=(1, 2))))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +499,28 @@ def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,
     tau = e^{+-2 sqrt(eps) t} (improper, eps != 0) verifies against the
     classifying condition; the improper case raises the shift flag.
     """
-    upsilon = np.asarray(upsilon)
-    w = np.asarray(w)
+    return _classify_conj_exp(MatrixFunction.conj_exp(eps, upsilon, w, domain),
+                              cfg, fld, domain)
+
+
+def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
+                       domain) -> EssentialAlgebra:
+    """``classify_structured`` of the conj_exp function v_in on domain."""
+    upsilon, w = v_in.upsilon, v_in.w
     n = w.shape[0]
     tr_w = np.trace(w) / n
-    w0 = w - tr_w * np.eye(n)
-    eps_eff = complex(eps) + complex(tr_w)
+    eps_eff = complex(v_in.epsilon) + complex(tr_w)
     if abs(eps_eff.imag) < 1e-14:
         eps_eff = eps_eff.real
+    # the same V with W's trace moved into epsilon; it keeps v_in's Y, whose
+    # trace the conjugation does not see, and with it v_in's exponential factory
+    v_fun = v_in.trace_split()[1].add_scalar_identity(eps_eff)
+    w0 = v_fun.w
     if linalg.frobenius_norm(w0) <= cfg.residual_tol:
         raise ClassificationError("singular class; use singular path")
     ups0 = upsilon - (np.trace(upsilon) / n) * np.eye(n)
     kl, tail, tail_rel = kl_sequence_with_tail(ups0, w0, cfg)
     s_basis = centralizer_of(kl, cfg)
-    v_fun = MatrixFunction.conj_exp(eps_eff, ups0, w0, domain)
     notes = [f"structured classification; K-list length {len(kl)}"]
     t_part = [(ScalarFunction.constant(1.0, domain), ups0)]
     k = 1
@@ -653,8 +670,7 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
     fld = sys.field
     if v_fun.kind in (CONJ_EXP, CONSTANT):
         if v_fun.kind == CONJ_EXP:
-            ess = classify_structured(v_fun.epsilon, v_fun.upsilon, v_fun.w,
-                                      cfg, fld, work.domain)
+            ess = _classify_conj_exp(v_fun, cfg, fld, work.domain)
         else:
             ess = classify_structured(0.0, np.zeros((n, n)), v_fun.value,
                                       cfg, fld, work.domain)

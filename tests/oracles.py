@@ -8,6 +8,8 @@ check.
 
 import numpy as np
 
+from symode.numutil import rk4
+
 
 def centralizer_dim_bruteforce(mats, n, traceless=False):
     """Dimension of {G : [G, K] = 0 for all K} by entrywise linear solve."""
@@ -99,6 +101,26 @@ def rk4_reference(a_eval, b_eval, f_eval, z0, grid):
         z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = z
     return out
+
+
+def rk4_bidirectional(f, y0, grid, i0):
+    """Callback RK4 from an interior anchor grid[i0] outwards in both directions.
+
+    The reference for ``numutil.rk4_linear``, which takes the same steps as
+    affine maps built from tabulated coefficients.
+    """
+    grid = np.asarray(grid, dtype=float)
+    fwd = rk4(f, y0, grid[i0:])
+    bwd = rk4(f, y0, grid[i0::-1])
+    out = np.empty((len(grid),) + np.shape(y0), dtype=fwd.dtype)
+    out[i0:] = fwd
+    out[:i0 + 1] = bwd[::-1]
+    return out
+
+
+def richardson_error(coarse, fine2x):
+    """RK4 Richardson estimate: |y_h - y_{h/2}| / 15 at matching points."""
+    return float(np.max(np.abs(coarse - fine2x[::2])) / 15.0)
 
 
 # The grid kernels as they were written before they took whole grids: one

@@ -10,7 +10,7 @@ from symode.matfun import MatrixFunction, ScalarFunction, VectorFunction
 from symode.symalg import SymmetryVectorField
 
 from conftest import DOM, E2, S1, S2, S3, Z2
-from oracles import rk4_reference
+from oracles import richardson_error, rk4_reference
 
 
 def tau_poly(coeffs, domain=DOM):
@@ -274,6 +274,23 @@ class TestTwoSymmetries:
         np.testing.assert_allclose(evs, [0.0, 2.0], atol=1e-9)
         assert sol.quadratures <= sol.plan.quadrature_bound == 2
 
+    def test_coefficients_evaluated_once_at_the_probes(self, monkeypatch):
+        # both fields are verified against one evaluation of A and of B
+        from symode.symalg import PROBES
+        sys_in, q1, q2 = self.case7()
+        a_fun, b_fun, _ = sys_in.coefficients()
+        probe_calls = {"A": 0, "B": 0}
+        real = MatrixFunction.evaluate
+
+        def counted(self, t):
+            if np.size(t) == PROBES and (self is a_fun or self is b_fun):
+                probe_calls["A" if self is a_fun else "B"] += 1
+            return real(self, t)
+
+        monkeypatch.setattr(MatrixFunction, "evaluate", counted)
+        integrate_two_symmetries(sys_in, q1, q2)
+        assert probe_calls == {"A": 1, "B": 1}
+
     def test_sampled_taus_match_polynomial(self):
         # sampled t-components take the sampled eta and eta_t of both fields
         sys_in, q1, q2 = self.case7()
@@ -411,7 +428,7 @@ class TestInhomogeneousAuto:
 
 class TestRichardson:
     def test_estimate_tracks_fine_solution_error(self):
-        from symode.numutil import richardson_error, rk4, uniform_grid
+        from symode.numutil import rk4, uniform_grid
         omega = 3.0
 
         def f(t, y):

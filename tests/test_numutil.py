@@ -7,9 +7,10 @@ import pytest
 from symode.gauge import SystemDescriptor
 from symode.matfun import MatrixFunction, VectorFunction
 from symode.numutil import (companion, cumulative_integral, fd_weights, grid_derivative,
-                            rk4_bidirectional, rk4_linear, uniform_grid)
+                            rk4_linear, uniform_grid)
 from symode.scalars import Field
-from oracles import cumulative_integral_pointwise, fd_weights_1d, grid_derivative_pointwise
+from oracles import (cumulative_integral_pointwise, fd_weights_1d, grid_derivative_pointwise,
+                     rk4_bidirectional)
 
 # an interval whose step lengths are not powers of two, so the tabulated and
 # callback steps round differently
@@ -66,12 +67,24 @@ def initial_state(field, columns, seed=5):
 @pytest.mark.parametrize("kind", ["polynomial", "sampled"])
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("columns", [None, 3])
-@pytest.mark.parametrize("anchor", ["left", "middle"])
+@pytest.mark.parametrize("anchor", ["left", "middle", "right"])
 def test_tabulated_matches_callback(kind, field, columns, anchor):
+    assert_matches_callback(kind, field, columns, anchor, 200)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("anchor", ["left", "middle", "right"])
+def test_short_grids_match_callback(field, columns, anchor, steps):
+    assert_matches_callback("polynomial", field, columns, anchor, steps)
+
+
+def assert_matches_callback(kind, field, columns, anchor, steps):
     sys = forced_system(kind, field)
-    steps = 200
     grid = uniform_grid(*DOM, steps)
-    i0 = 0 if anchor == "left" else steps // 2
+    # "right" anchors at the last node: a backward sweep only
+    i0 = {"left": 0, "middle": steps // 2, "right": steps}[anchor]
     z0 = initial_state(field, columns)
     ref = callback_solve(sys, z0, grid, i0)
     got = tabulated_solve(sys, z0, steps, i0)
@@ -89,6 +102,25 @@ def test_tabulated_richardson_order_four(kind, field):
     d1 = np.max(np.abs(sols[0] - sols[1][::2]))
     d2 = np.max(np.abs(sols[1][::2] - sols[2][::4]))
     assert 3.7 < np.log2(d1 / d2) < 4.3
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("backward", [False, True])
+def test_constant_step_is_the_fourth_order_taylor_map(field, backward):
+    # with constant M and g = 0, one RK4 step is sum_{k<=4} (hM)^k/k!
+    rng = np.random.default_rng(7)
+    m0 = rng.standard_normal((4, 4))
+    y0 = rng.standard_normal((4, 2))
+    if field is Field.COMPLEX:
+        m0 = m0 + 1j * rng.standard_normal((4, 4))
+    grid = np.array([0.0, 0.3])
+    got = rk4_linear(np.broadcast_to(m0, (3, 4, 4)), y0, grid, 1 if backward else 0)
+    hm = (-0.3 if backward else 0.3) * m0
+    term, want = y0, y0.copy()
+    for k in range(1, 5):
+        term = hm @ term / k
+        want = want + term
+    assert np.max(np.abs(got[0 if backward else 1] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_real_state_under_complex_coefficients_stays_complex():
