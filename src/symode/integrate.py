@@ -10,9 +10,12 @@ count bounded by n + p - r when the elementary divisors are distinct.
 
 Each fundamental solve is a linear ODE whose coefficients are tabulated once
 on the grid and its step midpoints and handed to ``numutil.rk4_linear``,
-which steps them as batched affine RK4 maps;
+which composes them as blocked affine RK4 maps;
 right-multiplied equations such as tau H_t = -H eta run on the transpose
 (``gauge.right_fundamental``).  The A~, B~ formula is ``gauge.pushforward``.
+A straightened solve evaluates A and B once on its grid, which also gives
+the verification scale, and builds one companion exponential, evaluated
+at T(t) for the pull-back.
 """
 
 from __future__ import annotations
@@ -239,13 +242,13 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     lo, hi = sys.domain
     a_fun, b_fun, _ = sys.coefficients()
     q = q.drop_chi()
-    res, = verify_symmetry_homogeneous(a_fun, b_fun, [q], cfg)
-    scale = 1.0 + b_fun.max_norm() + a_fun.max_norm()
-    if res > 100 * cfg.residual_tol * scale:
-        raise IntegrationError(f"symmetry not verified (residual {res:.3g})")
     half = uniform_grid(lo, hi, 2 * grid_steps)
     grid = half[::2]
     i0 = len(grid) // 2
+    a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
+    res, = verify_symmetry_homogeneous(a_fun, b_fun, [q], cfg)
+    if res > 100 * cfg.residual_tol * scale:
+        raise IntegrationError(f"symmetry not verified (residual {res:.3g})")
     tau_half = np.real(q.tau.evaluate(half))
     tau = tau_half[::2]
     if np.min(np.abs(tau)) <= 1e-12:
@@ -256,7 +259,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     tmap = cumulative_integral(grid, 1.0 / tau)
     tmap = tmap - tmap[i0]
     taut = np.real(q.tau.derivative(1).evaluate(grid))
-    anew, bnew, ht = _straightened_coefficients(sys, grid, tau, taut, hvals, eta_half[::2],
+    anew, bnew, ht = _straightened_coefficients(a_grid, b_grid, tau, taut, hvals, eta_half[::2],
                                                 eta_fun.derivative(1).evaluate(grid))
     abar, bbar = anew[i0], bnew[i0]
     dev_a = float(np.max(np.abs(anew - abar)))
@@ -267,9 +270,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
         raise IntegrationError(
             f"push-forward coefficients are not constant (deviations {dev_a:.3g}, "
             f"{dev_b:.3g}); symmetry not verified or numerics insufficient")
-    tgrid_lo, tgrid_hi = float(np.min(tmap)), float(np.max(tmap))
-    const = solve_constant(abar, bbar, (tgrid_lo, tgrid_hi), cfg, grid_steps)
-    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, const)
+    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, abar, bbar, cfg)
     plan = IntegrationPlan(procedure="OneSymmetry", quadratures=1,
                            h_grid=grid, h_values=hvals, t_map=tmap,
                            notes=["constant push-forward coefficients",
@@ -281,8 +282,23 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     return sol
 
 
-def _straightened_coefficients(sys, grid, tau, taut, h, eta, eta_t):
-    """A~, B~ on the grid, and H_t, for T_t = 1/tau and H solving tau H_t = -H eta.
+def _coefficients_on(a_fun, b_fun, grid):
+    """A and B on the solver grid, and the residual scale 1 + max |B| + max |A|
+    (Frobenius) over every 16th node of the default 1024-step grid, which are
+    ``max_norm``'s 65 probes bit for bit (both grids come from ``linspace``
+    and their step ratio is a power of two)."""
+    a, b = a_fun.evaluate(grid), b_fun.evaluate(grid)
+    probes = slice(None, None, max(1, (len(grid) - 1) // 64))
+
+    def sup(vals):
+        return float(np.max(np.linalg.norm(vals[probes], axis=(1, 2))))
+
+    return a, b, 1.0 + sup(b) + sup(a)
+
+
+def _straightened_coefficients(a, b, tau, taut, h, eta, eta_t):
+    """A~, B~ on the grid, and H_t, for T_t = 1/tau and H solving tau H_t = -H eta;
+    a and b hold A and B on the grid.
 
     H_t and H_tt come exactly from that equation rather than from
     differentiating the solved H.
@@ -291,24 +307,23 @@ def _straightened_coefficients(sys, grid, tau, taut, h, eta, eta_t):
     tc = tau[:, None, None]
     ht = -he / tc
     htt = (taut / tau ** 2)[:, None, None] * he + (he @ eta) / tc ** 2 - (h @ eta_t) / tc
-    a_fun, b_fun, _ = sys.coefficients()
-    anew, bnew = pushforward(1.0 / tau, -taut / tau ** 2, h, ht, htt,
-                             a_fun.evaluate(grid), b_fun.evaluate(grid))
+    anew, bnew = pushforward(1.0 / tau, -taut / tau ** 2, h, ht, htt, a, b)
     return anew, bnew, ht
 
 
-def _pullback(grid, tmap, t1, hvals, ht, const: SolutionSet):
-    """x(t) = H^-1(t) x~(T(t)) for every fundamental column of const."""
+def _pullback(grid, tmap, t1, hvals, ht, abar, bbar, cfg: ToleranceConfig) -> SolutionSet:
+    """x(t) = H^-1(t) x~(T(t)) for the fundamental solutions of the constant
+    system x~_TT = abar x~_T + bbar x~, the companion exponential anchored at
+    the middle of T's range."""
     n = hvals.shape[1]
     hinv = np.linalg.inv(hvals)
-    hinv_dot = -np.einsum("tij,tjk,tkl->til", hinv, ht, hinv)
-    ef = linalg.exp_factory(const.generator)
-    states = ef(tmap - const.t0)
+    hinv_dot = -(hinv @ ht @ hinv)
+    ef = linalg.exp_factory(companion(abar, bbar), cfg)
+    states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
     xpos = states[:, :n, :]
     xvel = states[:, n:, :]
-    positions = np.einsum("tij,tjk->tik", hinv, xpos)
-    velocities = (np.einsum("tij,tjk->tik", hinv_dot, xpos)
-                  + np.einsum("tij,tjk->tik", hinv, xvel) * t1[:, None, None])
+    positions = hinv @ xpos
+    velocities = hinv_dot @ xpos + (hinv @ xvel) * t1[:, None, None]
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
                        particular=None, method="", quadratures=0)
 
@@ -333,13 +348,13 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     a_fun, b_fun, _ = sys.coefficients()
     q1 = q1.drop_chi()
     q2 = q2.drop_chi()
-    scale = 1.0 + b_fun.max_norm() + a_fun.max_norm()
-    for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, [q1, q2], cfg), 1):
-        if res > 100 * cfg.residual_tol * scale:
-            raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
     half = uniform_grid(lo, hi, 2 * grid_steps)
     grid = half[::2]
     i0 = len(grid) // 2
+    a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
+    for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, [q1, q2], cfg), 1):
+        if res > 100 * cfg.residual_tol * scale:
+            raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
     # tau and eta of both fields on the half-step grid and their
     # t-derivatives on the grid, each evaluated once; the recombined X and Y
     # below are combinations of these arrays
@@ -421,7 +436,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     tau = tau_half[::2]
     # H = Hcheck Hhat solves tau H_t = -H eta1, which gives H_t and H_tt exactly
     anew, bnew, ht = _straightened_coefficients(
-        sys, grid, tau, np.real(_combine(aco, dt1, bco, dt2)), hvals, ex,
+        a_grid, b_grid, tau, np.real(_combine(aco, dt1, bco, dt2)), hvals, ex,
         _combine(aco, deta1, bco, deta2))
     abar, bbar = anew[i0], bnew[i0]
     dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
@@ -430,9 +445,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     if dev > tol:
         raise IntegrationError(f"push-forward coefficients are not constant "
                                f"(deviation {dev:.3g}); numerical failure")
-    const = solve_constant(abar, bbar, (float(np.min(tmap)), float(np.max(tmap))), cfg,
-                           grid_steps)
-    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, const)
+    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, abar, bbar, cfg)
     positions, velocities = sol.positions, sol.velocities
     if sys.field is Field.REAL and np.max(np.abs(positions.imag)) < 1e-7:
         positions = positions.real

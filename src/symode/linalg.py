@@ -9,6 +9,7 @@ numpy arrays (float64 or complex128), n <= 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -392,23 +393,23 @@ def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     s = np.hstack([c.basis for c in clusters])
     mu = np.concatenate([[c.value] * c.multiplicity for c in clusters])
     sinv = np.linalg.inv(s)
-    mn_pows = [np.eye(n, dtype=np.complex128)]
+    # coef[k] = S^{-1} m_n^k / k!, so that exp(t m) = (S e^{t mu}) poly(t) with
+    # poly(t) = sum_k t^k coef[k]: one stacked matmul per evaluation
+    coef = [sinv]
     acc = np.eye(n, dtype=np.complex128)
-    for _ in range(1, n):
+    for k in range(1, n):
         acc = acc @ mn
         if frobenius_norm(acc) < 1e-300:
             break
-        mn_pows.append(acc.copy())
-    facts = [1.0]
-    for k in range(1, len(mn_pows)):
-        facts.append(facts[-1] * k)
+        coef.append(sinv @ acc / math.factorial(k))
 
     def evaluate(t) -> np.ndarray:
-        t = np.asarray(t)[..., None, None]
-        # a stack of diagonal matrices, not s * e, so each t rounds as a single call did
-        es = s @ (np.exp(t * mu[:, None]) * np.eye(n)) @ sinv
-        en = sum((t ** k / facts[k]) * mn_pows[k] for k in range(len(mn_pows)))
-        out = es @ en
+        t = np.asarray(t)[..., None]
+        poly = sinv
+        if len(coef) > 1:
+            poly = sum(t[..., None] ** k * c for k, c in enumerate(coef))
+        # scaling the columns of S rounds alike for a scalar t and for an array
+        out = (s * np.exp(t * mu)[..., None, :]) @ poly
         return out.real if real_input else out
 
     return evaluate

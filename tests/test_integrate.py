@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from symode import linalg
 from symode.gauge import SystemDescriptor
+from symode.integrate import _coefficients_on
 from symode.integrate import (IntegrationError, bracket, integrate_auto,
                               integrate_one_symmetry, integrate_singular,
                               integrate_two_symmetries, residual,
                               solve_constant)
 from symode.matfun import MatrixFunction, ScalarFunction, VectorFunction
+from symode.numutil import uniform_grid
+from symode.scalars import ToleranceConfig
 from symode.symalg import SymmetryVectorField
 
 from conftest import DOM, E2, S1, S2, S3, Z2
@@ -249,6 +253,58 @@ class TestOneSymmetry:
         q = SymmetryVectorField(tau=tau_poly([1.0]), gamma=S3)
         with pytest.raises(IntegrationError, match="not verified"):
             integrate_one_symmetry(sys_in, q)
+
+    def test_one_exponential_factory_with_the_system_tolerances(self, monkeypatch):
+        cfg = ToleranceConfig(rank_tol=1e-10, eig_cluster_tol=1e-8, residual_tol=1e-7)
+        sys_in = homog(MatrixFunction.constant(0.2 * S2, DOM),
+                       MatrixFunction.constant(S1 + 0.5 * S3, DOM), cfg=cfg)
+        builds = []
+        real = linalg.exp_factory
+
+        def counted(m, *args, **kwargs):
+            builds.append((np.shape(m), args, kwargs))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "exp_factory", counted)
+        integrate_one_symmetry(sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=Z2))
+        companion_builds = [b for b in builds if b[0] == (4, 4)]
+        assert len(companion_builds) == 1
+        _, args, kwargs = companion_builds[0]
+        assert (args[0] if args else kwargs["cfg"]) is cfg
+
+    def test_coefficients_evaluated_on_two_point_sets(self, monkeypatch):
+        # the verification probes and the solver grid, which also gives the scale
+        from symode.symalg import PROBES
+        sys_in = homog(MatrixFunction.zero(2, DOM), MatrixFunction.conj_exp(0.3, S2, S1, DOM))
+        a_fun, b_fun, _ = sys_in.coefficients()
+        sizes = {"A": [], "B": []}
+        real = MatrixFunction.evaluate
+
+        def counted(self, t):
+            if self is a_fun or self is b_fun:
+                sizes["A" if self is a_fun else "B"].append(np.size(t))
+            return real(self, t)
+
+        monkeypatch.setattr(MatrixFunction, "evaluate", counted)
+        integrate_one_symmetry(sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=S2))
+        assert sizes == {"A": [1025, PROBES], "B": [1025, PROBES]}
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "conj_exp", "sampled"])
+    def test_scale_from_the_grid_equals_max_norm(self, kind):
+        rng = np.random.default_rng(4)
+        t = np.linspace(*DOM, 97)[:, None, None]
+        b_fun = {"constant": lambda: MatrixFunction.constant(rng.standard_normal((3, 3)), DOM),
+                 "polynomial": lambda: MatrixFunction.polynomial(
+                     rng.standard_normal((3, 3, 3)), DOM),
+                 "conj_exp": lambda: MatrixFunction.conj_exp(
+                     0.2, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), DOM),
+                 "sampled": lambda: MatrixFunction.sampled(
+                     t[:, 0, 0], rng.standard_normal((3, 3)) * np.cos(2.0 * t)),
+                 }[kind]()
+        a_fun = MatrixFunction.polynomial(rng.standard_normal((2, 3, 3)), DOM)
+        grid = uniform_grid(*DOM, 2048)[::2]
+        _, _, scale = _coefficients_on(a_fun, b_fun, grid)
+        assert scale == 1.0 + b_fun.max_norm() + a_fun.max_norm()
 
     def test_vanishing_tau_rejected(self):
         sys_in = homog(MatrixFunction.zero(2, DOM),

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+import scipy.linalg
 
+from symode import linalg
 from symode.cli import decode_function, encode_function
 from symode.matfun import (MatrixFunction, RepresentationError, ScalarFunction,
                            VectorFunction, kl_sequence, kl_sequence_with_tail,
                            poly_compose_affine, poly_der, poly_mul, poly_wronskian)
-from conftest import DOM, E2, S1, S2, S3, Z2
+from conftest import DOM, E2, S1, S2, S3, Z2, near_defective_4x4
 
 
 class TestEvaluate:
@@ -56,6 +58,67 @@ class TestEvaluate:
         for t in np.linspace(-1, 1, 9):
             evs = np.sort_complex(np.linalg.eigvals(f.evaluate(t) - 0.3 * E2))
             np.testing.assert_allclose(evs, base, atol=cfg.eig_cluster_tol)
+
+
+def assert_conjugation_matches_expm(ups, w, route):
+    """conj_exp evaluation against scipy's expm(tY) W expm(-tY), 1e-12 relative."""
+    f = MatrixFunction.conj_exp(0.0, ups, w, DOM)
+    assert f._exp_factory().__name__ == route
+    ts = np.linspace(-1.0, 1.0, 9)
+    ref = np.stack([scipy.linalg.expm(t * ups) @ w @ scipy.linalg.expm(-t * ups) for t in ts])
+    got = f.evaluate(ts)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestConjugationAgainstExpm:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_matches_expm(self, n, cplx):
+        rng = np.random.default_rng(300 + n)
+        ups, w = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        if cplx:
+            ups = ups + 1j * rng.standard_normal((n, n))
+            w = w + 1j * rng.standard_normal((n, n))
+        assert_conjugation_matches_expm(ups, w, "evaluate")
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_jordan_blocks_take_the_nilpotent_series(self, n, cplx):
+        # 2x2 Jordan blocks conjugated by a well-conditioned matrix: every
+        # cluster is double and m_n carries the blocks
+        ups = np.zeros((n, n))
+        for i, mu in enumerate([0.3, -0.5, 0.1, 0.8][:n // 2]):
+            ups[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[mu, 1.0], [0.0, mu]]
+        rng = np.random.default_rng(n)
+        c = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        ups = c @ ups @ np.linalg.inv(c)
+        w = rng.standard_normal((n, n))
+        if cplx:
+            ups = (1.0 + 0.5j) * ups
+            w = w + 1j * rng.standard_normal((n, n))
+        assert all(cl.multiplicity == 2 for cl in linalg.eig_clustered(ups))
+        assert_conjugation_matches_expm(ups, w, "evaluate")
+
+    @pytest.mark.parametrize("scale,seed", [(8.0, 4), (8.0, 18), (8.0, 27), (30.0, 35)])
+    def test_conjugated_nilpotent_with_a_simple_split(self, scale, seed):
+        # rounding splits the double zero eigenvalue of a C S1 C^-1 into two
+        # simple clusters with cond(S) ~ 1e8; the split's m_n, the rounding
+        # residue m - m_s, must stay in the series, and S^-1 W S must not be
+        # formed, or the error grows to 1e-9..1e-8 and to 1e-2
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        ups = scale * c @ S1 @ np.linalg.inv(c)
+        assert [cl.multiplicity for cl in linalg.eig_clustered(ups)] == [1, 1]
+        ts = np.linspace(-1.0, 1.0, 9)
+        ref = np.stack([scipy.linalg.expm(t * ups) for t in ts])
+        got = linalg.exp_factory(ups)(ts)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert_conjugation_matches_expm(ups, rng.standard_normal((2, 2)), "evaluate")
+
+    def test_near_defective_falls_back_to_expm(self):
+        w = np.random.default_rng(3).standard_normal((4, 4))
+        assert_conjugation_matches_expm(near_defective_4x4(), w, "evaluate_direct")
 
 
 class TestDifferentiate:

@@ -135,6 +135,62 @@ def test_coefficients_must_cover_the_half_steps():
         rk4_linear(np.zeros((9, 2, 2)), np.ones(2), grid)
 
 
+def tabulated_table(steps, field, columns, forced, growth=0.0, seed=9):
+    """M(t) (and g(t)) on the 2N+1 half-step points of DOM, d = 4; growth adds
+    diag(g, g, -g, -g) to M."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = 0.5 * rng.standard_normal(shape)
+        return x + 0.5j * rng.standard_normal(shape) if field is Field.COMPLEX else x
+
+    t = uniform_grid(*DOM, 2 * steps)[:, None, None]
+    m = draw(4, 4) + np.sin(3.0 * t) * draw(4, 4) + np.diag([growth] * 2 + [-growth] * 2)
+    g = None
+    if forced:
+        g = np.cos(2.0 * t[:, :, 0]) * draw(4)
+        g = g if columns is None else g[:, :, None]
+    return m, g, initial_state(field, columns)
+
+
+def indexed_callback_solve(m, y0, steps, i0, g):
+    """Callback RK4 over the index grid 0..N with y' = h (M[2s] y + g[2s])."""
+    h = (DOM[1] - DOM[0]) / steps
+
+    def f(s, y):
+        k = int(round(2.0 * s))
+        return h * (m[k] @ y + (0.0 if g is None else g[k]))
+
+    return rk4_bidirectional(f, y0, np.arange(steps + 1.0), i0)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 31, 32, 33, 1023, 1024, 1025])
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("anchor", ["left", "middle", "right"])
+def test_blocked_sweep_matches_callback(steps, field, columns, forced, anchor):
+    # step counts below, at and above whole blocks of ceil(sqrt(N)) steps
+    m, g, y0 = tabulated_table(steps, field, columns, forced)
+    i0 = {"left": 0, "middle": steps // 2, "right": steps}[anchor]
+    ref = indexed_callback_solve(m, y0, steps, i0, g)
+    got = rk4_linear(m, y0, uniform_grid(*DOM, steps), i0, g)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_blocked_sweep_under_growth(field):
+    # the fundamental matrix grows to about 1e10 over the domain; every node
+    # keeps its own relative accuracy, the decayed early ones included
+    m, g, y0 = tabulated_table(1024, field, 3, True, growth=12.0)
+    ref = indexed_callback_solve(m, y0, 1024, 0, g)
+    got = rk4_linear(m, y0, uniform_grid(*DOM, 1024), 0, g)
+    assert np.max(np.abs(ref[-1])) > 1e9 * np.max(np.abs(ref[0]))
+    node_err = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(node_err) <= 1e-13
+
+
 def test_companion_blocks():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((5, 2, 2)), rng.standard_normal((5, 2, 2))
