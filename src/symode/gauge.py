@@ -40,8 +40,8 @@ import numpy as np
 
 from . import linalg
 from .matfun import (COEFFICIENT_KINDS, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
-                     ScalarFunction, VectorFunction, poly_compose_affine, poly_der,
-                     poly_lincomb, poly_mul)
+                     RepresentationError, ScalarFunction, VectorFunction,
+                     poly_compose_affine, poly_der, poly_lincomb, poly_mul)
 from .numutil import companion, grid_derivative, rk4_linear, uniform_grid
 from .scalars import Field, ToleranceConfig
 
@@ -73,6 +73,11 @@ class SystemDescriptor:
 
     def __post_init__(self):
         self.domain = (float(self.domain[0]), float(self.domain[1]))
+        for name in ("A", "B", "f", "V"):
+            fun = getattr(self, name)
+            if fun is not None and fun.n != self.n:
+                raise RepresentationError(f"coefficient {name} has size {fun.n}, "
+                                          f"but the system has n = {self.n}")
         if self.cls in (BARL, HOMOGENEOUS):
             if self.A is None or self.B is None:
                 raise GaugeError(f"class {self.cls} needs A and B")
@@ -321,7 +326,7 @@ def apply_equivalence(sys: SystemDescriptor, tr: EquivalenceTransform,
         t3 = np.real(tr.T.derivative(3).evaluate(grid))
         sch = t3 / t1 - 1.5 * (t2 / t1) ** 2
         v = sys.V.evaluate(grid)
-        cv = np.einsum("ij,tjk,kl->til", c, v, np.linalg.inv(c))
+        cv = c @ v @ np.linalg.inv(c)
         vt_vals = (cv + 0.5 * sch[:, None, None] * np.eye(sys.n)) / t1[:, None, None] ** 2
         order = np.argsort(tvals)
         vt = MatrixFunction.sampled(tvals[order], vt_vals[order],
@@ -471,7 +476,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
         vfun = MatrixFunction.conj_exp(0.0, ups, w, sys.domain)
     else:
         cvals = crit.evaluate(grid)
-        vals = np.einsum("tij,tjk,tkl->til", hs, cvals, np.linalg.inv(hs))
+        vals = hs @ cvals @ np.linalg.inv(hs)
         vfun = MatrixFunction.sampled(grid, vals)
     hfun = MatrixFunction.sampled(grid, hs, note=note)
     out = SystemDescriptor(LPRIME, n, sys.field, sys.domain, V=vfun, cfg=cfg)

@@ -205,7 +205,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     hdot = ((0.5 * t2 / np.sqrt(t1))[:, None, None] * mt_sel
             - 0.5 * np.sqrt(t1)[:, None, None]
             * np.einsum("tij,tjk->tik", mt_sel, a_half[::2][sel]))
-    hinv_dot = -np.einsum("tij,tjk,tkl->til", hinv, hdot, hinv)
+    hinv_dot = -(hinv @ hdot @ hinv)
     # x~ columns: e_j and T e_j; pull back through x = H^-1 x~(T)
     tc = tvals[:, None, None]
     positions = np.concatenate([hinv, hinv * tc], axis=2)
@@ -414,7 +414,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     # construction; the pulled-back solutions realify pairwise at the end
     lam, modal = linalg.jordan_form(zeta[i0], cfg)
     hhat = np.linalg.inv(modal)
-    eta_check_half = np.einsum("ij,tjk,kl->til", hhat, ex_half, modal)
+    eta_check_half = hhat @ ex_half @ modal
     eta_check = eta_check_half[::2]
     clusters = linalg.eig_clustered(lam, cfg)
     sizes = [c.multiplicity for c in clusters]

@@ -79,10 +79,6 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).reshape(-1, order="F")
 
 
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v).reshape((n, n), order="F")
-
-
 def ad_operator(k: np.ndarray) -> np.ndarray:
     """Matrix of Gamma -> [Gamma, k] acting on vec(Gamma) (column-major).
 
@@ -116,7 +112,8 @@ class SubspaceBasis:
         self.mats = [np.asarray(m) for m in self.mats]
         if self.mats:
             self.n = self.mats[0].shape[0]
-            gram = np.array([[np.trace(a.conj().T @ b) for b in self.mats] for a in self.mats])
+            flat = np.stack(self.mats).reshape(len(self.mats), -1)
+            gram = flat.conj() @ flat.T
             if rank_of(gram, 1e-12) != len(self.mats):
                 raise LinalgError("basis elements are not independent (Gram rank deficient)")
             if self.in_sl:
@@ -145,13 +142,26 @@ class SubspaceBasis:
         return resid <= tol * (1.0 + frobenius_norm(m))
 
 
+def _sl_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of sl(n) as a stack (n^2 - 1, n, n): the off-diagonal
+    units, then the Helmert diagonals (e_1 + .. + e_k - k e_{k+1}) / sqrt(k(k+1))."""
+    units = np.eye(n * n).reshape(-1, n, n)
+    helmert = [np.diag(np.r_[np.ones(k), -k, np.zeros(n - k - 1)] / math.sqrt(k * (k + 1)))
+               for k in range(1, n)]
+    return np.concatenate([units[~np.eye(n, dtype=bool).reshape(-1)],
+                           np.reshape(helmert, (-1, n, n))])
+
+
 def centralizer_basis(mats, restrict_traceless: bool = False, n: int | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
-    """Basis of {Gamma : [Gamma, K] = 0 for all K in mats}.
+    """Orthonormal basis of {Gamma : [Gamma, K] = 0 for all K in mats}.
 
-    Computed as the joint nullspace of the stacked operators Gamma -> [Gamma, K]
-    (Kronecker lift), optionally intersected with sl(n) via the trace row.
-    An empty collection needs n to fix the ambient dimension.
+    Starts from an orthonormal basis N of sl(n) (gl(n) without the trace
+    restriction) and intersects it with the nullspace of Gamma -> [Gamma, K]
+    one K at a time, through the SVD of [N, K]; singular values at or below
+    rank_tol times sqrt(sum_K ||ad_K||_F^2), ||ad_K||_F^2 = 2n ||K||^2 -
+    2 |tr K|^2, count as zero.  Stops as soon as N is empty.  An empty
+    collection needs n to fix the ambient dimension.
     """
     mats = [np.asarray(m) for m in mats]
     if mats:
@@ -161,31 +171,19 @@ def centralizer_basis(mats, restrict_traceless: bool = False, n: int | None = No
                 raise LinalgError("dimension mismatch in centralizer input")
     elif n is None:
         raise LinalgError("empty input needs explicit ambient dimension n")
-    dtype = np.result_type(np.float64, *(m.dtype for m in mats)) if mats else np.float64
-    blocks = [ad_operator(m) for m in mats]
-    if restrict_traceless:
-        blocks.append(_vec(np.eye(n, dtype=dtype))[None, :])
-    if blocks:
-        a = np.vstack([np.atleast_2d(b) for b in blocks])
-    else:
-        a = np.zeros((0, n * n), dtype=dtype)
-    ns = nullspace(a, cfg.rank_tol)
-    basis = [_unvec(ns[:, j], n) for j in range(ns.shape[1])]
-    if restrict_traceless:
-        # the trace row kills the E-direction only approximately; clean it up
-        basis = [b - (np.trace(b) / n) * np.eye(n, dtype=b.dtype) for b in basis]
-        basis = [b for b in basis if frobenius_norm(b) > cfg.rank_tol]
-        basis = _reorthonormalize(basis, n, cfg)
-    return SubspaceBasis(mats=basis, n=n, in_sl=restrict_traceless)
-
-
-def _reorthonormalize(mats, n, cfg: ToleranceConfig):
-    if not mats:
-        return []
-    stacked = np.stack([_vec(m) for m in mats])
-    u, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > cfg.rank_tol * s[0]
-    return [_unvec(vh[j].conj(), n) for j in range(len(s)) if keep[j]]
+    basis = _sl_basis(n) if restrict_traceless else np.eye(n * n).reshape(-1, n, n)
+    stack = np.array(mats).reshape(-1, n, n)
+    traces = np.trace(stack, axis1=1, axis2=2)
+    bound = math.sqrt(max(2.0 * n * float(np.sum(np.abs(stack) ** 2))
+                          - 2.0 * float(np.sum(np.abs(traces) ** 2)), 0.0))
+    for k in stack:
+        if not len(basis):
+            break
+        image = (basis @ k - k @ basis).reshape(len(basis), n * n)
+        _, s, vh = np.linalg.svd(image.T, full_matrices=False)
+        rank = int(np.sum(s > cfg.rank_tol * bound))
+        basis = np.tensordot(vh[rank:].conj(), basis, axes=1)
+    return SubspaceBasis(mats=list(basis), n=n, in_sl=restrict_traceless)
 
 
 @dataclass

@@ -347,8 +347,7 @@ class MatrixFunction(_TimeFunction):
             return MatrixFunction.conj_exp(self.epsilon, c @ self.upsilon @ cinv,
                                            c @ self.w @ cinv, self.domain)
         if self.kind == SAMPLED:
-            return MatrixFunction.sampled(
-                self.grid, np.einsum("ij,tjk,kl->til", c, self.values, cinv), note=self.note)
+            return MatrixFunction.sampled(self.grid, c @ self.values @ cinv, note=self.note)
         return MatrixFunction(self.kind, self.domain, coeffs=c @ self.coeffs @ cinv)
 
     def scale(self, a) -> "MatrixFunction":
@@ -399,40 +398,63 @@ class MatrixFunction(_TimeFunction):
 
 def kl_sequence(upsilon: np.ndarray, w: np.ndarray,
                 cfg: ToleranceConfig = DEFAULT_TOL) -> list:
-    """K_0 = W, K_{l+1} = [Y, K_l], truncated at the first span dependence.
+    """K_0 = W, K_{l+1} = [Y, K_l] for l below the K-span's dimension.
 
-    Returns the maximal independent prefix {K_0..K_m}; truncation is
-    guaranteed at m < n^2.
+    The terms {K_0..K_{L-1}} span the K-span span{ad_Y^l W}; L <= n^2 - n + 1.
     """
     mats, _, _ = kl_sequence_with_tail(upsilon, w, cfg)
     return mats
 
 
-def kl_sequence_with_tail(upsilon: np.ndarray, w: np.ndarray,
-                          cfg: ToleranceConfig = DEFAULT_TOL):
-    """K-list plus the first dependent element and its span-projection residual.
+def k_span_length(upsilon: np.ndarray, w: np.ndarray,
+                  cfg: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension L of the K-span span{ad_Y^l W}, by Arnoldi on ad_Y from W.
 
-    A residual ~0 (relative) means the sequence terminates at zero, the
-    structural prerequisite for second t-symmetries.
+    Each new direction [Y, q_j] is orthogonalised against the orthonormal
+    basis q_0..q_j by Gram-Schmidt with one re-orthogonalisation pass, both
+    passes classical (two matrix-vector products each; twice is enough for
+    orthogonality to working precision).  The span ends once the remainder
+    falls below rank_tol ||[Y, q_j]||, and at n^2 - n + 1, the largest
+    dimension a cyclic subspace of ad_Y can have.  Unlike the raw terms,
+    whose norms grow like ||ad_Y||^l, the basis stays well conditioned.
     """
     upsilon = np.asarray(upsilon)
     w = np.asarray(w)
     n = w.shape[0]
-    mats = [w]
-    current = w
-    for _ in range(n * n + 1):
-        nxt = linalg.commutator(upsilon, current)
-        stacked = np.stack([m.reshape(-1) for m in mats])
-        coef, *_ = np.linalg.lstsq(stacked.T, nxt.reshape(-1).astype(stacked.dtype)
-                                   if not np.iscomplexobj(nxt) else nxt.reshape(-1),
-                                   rcond=None)
-        resid = float(np.linalg.norm(nxt.reshape(-1) - stacked.T @ coef))
-        scale = max(float(np.linalg.norm(m)) for m in mats)
-        if resid <= max(cfg.rank_tol * max(scale, float(np.linalg.norm(nxt)), 1.0),
-                        1e-13 * scale):
-            tail_norm = float(np.linalg.norm(nxt))
-            return mats, nxt, tail_norm / max(scale, 1e-300)
-        mats.append(nxt)
-        current = nxt
-    raise linalg.LinalgError("K-sequence failed to stabilize below n^2 terms")
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        return 1
+    q = np.zeros((n * n - n + 1, n * n), dtype=np.result_type(upsilon, w, float))
+    q[0] = w.reshape(-1) / norm
+    length = 1
+    while length < len(q):
+        m = q[length - 1].reshape(n, n)
+        v = (upsilon @ m - m @ upsilon).reshape(-1)
+        scale = float(np.linalg.norm(v))
+        for _ in range(2):
+            v = v - (q[:length].conj() @ v) @ q[:length]
+        rest = float(np.linalg.norm(v))
+        if rest <= cfg.rank_tol * scale:
+            break
+        q[length] = v / rest
+        length += 1
+    return length
 
+
+def kl_sequence_with_tail(upsilon: np.ndarray, w: np.ndarray,
+                          cfg: ToleranceConfig = DEFAULT_TOL):
+    """K-list K_0..K_{L-1} over the K-span of dimension L, its tail K_L and
+    ||K_L|| / max_l ||K_l||.
+
+    L comes from ``k_span_length``; the raw terms from the recursion.  A tail
+    ratio ~0 means the sequence terminates at zero, the structural
+    prerequisite for second t-symmetries.
+    """
+    upsilon = np.asarray(upsilon)
+    w = np.asarray(w)
+    mats = [w]
+    for _ in range(k_span_length(upsilon, w, cfg)):
+        mats.append(linalg.commutator(upsilon, mats[-1]))
+    tail = mats.pop()
+    scale = max(float(np.linalg.norm(m)) for m in mats)
+    return mats, tail, float(np.linalg.norm(tail)) / max(scale, 1e-300)

@@ -10,11 +10,14 @@ The essential algebra decomposes as <I> + (t-part |x s^vf): the scaling field
 I is always present, s is the centralizer of the coefficient orbit inside
 sl(n), and the t-part has dimension k <= 2 for regular systems.  Structured
 (t-shift-invariant) coefficients V = eps E + e^{tY} W e^{-tY} are classified
-through the K-sequence K_0 = W, K_{l+1} = [Y, K_l], whose terms come from the
-one recursion in ``matfun.kl_sequence_with_tail``; general polynomial and
-sampled coefficients go through linear classifying-condition solvers.  Every
-residual of the classifying condition comes from ``_classifying_residuals``,
-which evaluates V and V_t once on the probes for all the fields it checks.
+through the K-span span{K_l}, K_0 = W, K_{l+1} = [Y, K_l]: its dimension L
+comes from Arnoldi on ad_Y (``matfun.k_span_length``), s from the centralizer
+of L samples of V (``k_span_centralizer``), and the raw terms the graded
+relation reads from the recursion in ``matfun.kl_sequence_with_tail``; general
+polynomial and sampled coefficients go through linear classifying-condition
+solvers.  Every residual of the classifying condition comes from
+``_classifying_residuals``, which evaluates V and V_t once on the probes for
+all the fields it checks.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LPRIME, SystemDescriptor, gauge_traceless, reduce,
@@ -296,7 +300,12 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
     zmats = [z_rows[i, 3:].reshape(n, n, order="F") for i in range(z_rows.shape[0])]
     s_mats = [m - (np.trace(m) / n) * np.eye(n) for m in zmats]
     s_mats = [m for m in s_mats if linalg.frobenius_norm(m) > 1e-8]
-    s_mats = linalg._reorthonormalize(s_mats, n, cfg)
+    if s_mats:
+        # removing the trace can make the elements dependent: keep an
+        # orthonormal basis of their span
+        flat = np.stack([m.reshape(-1, order="F") for m in s_mats])
+        _, sv, vh = np.linalg.svd(flat, full_matrices=False)
+        s_mats = [v.conj().reshape(n, n, order="F") for v in vh[sv > cfg.rank_tol * sv[0]]]
     if fld is Field.REAL:
         s_mats = [m.real if np.iscomplexobj(m) and np.max(np.abs(m.imag)) < 1e-9 else m
                   for m in s_mats]
@@ -493,7 +502,7 @@ def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,
                         domain=(-1.0, 1.0)) -> EssentialAlgebra:
     """Essential algebra of V = eps E + e^{tY} W e^{-tY}.
 
-    The centralizer of the K-sequence gives s; the t-shift field guarantees
+    The centralizer of the K-span gives s; the t-shift field guarantees
     k >= 1.  A second t-field exists iff a candidate from the graded relation
     [Lam, K_l] = (l+2) K_l (proper, tau = t) or from the exponential branches
     tau = e^{+-2 sqrt(eps) t} (improper, eps != 0) verifies against the
@@ -520,7 +529,7 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
         raise ClassificationError("singular class; use singular path")
     ups0 = upsilon - (np.trace(upsilon) / n) * np.eye(n)
     kl, tail, tail_rel = kl_sequence_with_tail(ups0, w0, cfg)
-    s_basis = centralizer_of(kl, cfg)
+    s_basis = k_span_centralizer(ups0, w0, len(kl), cfg)
     notes = [f"structured classification; K-list length {len(kl)}"]
     t_part = [(ScalarFunction.constant(1.0, domain), ups0)]
     k = 1
@@ -594,9 +603,26 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
     return ess
 
 
-def centralizer_of(kl, cfg: ToleranceConfig) -> SubspaceBasis:
-    return linalg.centralizer_basis(kl, restrict_traceless=True,
-                                    n=kl[0].shape[0], cfg=cfg)
+def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
+                       cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
+    """Centralizer in sl(n) of the K-span of W under ad_Y, of dimension ``length``.
+
+    It is taken over as many samples V(t_j) = e^{t_j Y} W e^{-t_j Y} as the
+    span is long, t_j evenly spaced in [-1/2, 1/2]: they span the K-span and,
+    unlike the raw terms or an Arnoldi basis, carry only the rounding of a few
+    conjugations.  V(-1/2) comes from scipy's expm and each further sample from
+    the one before, conjugated by e^{hY}; ``linalg.exp_factory`` can lose
+    digits on nearly defective Y.  A span of dimension 1 is W itself.
+    """
+    samples = [w]
+    if length > 1:
+        h = 1.0 / (length - 1)
+        e0, e0_inv, step, step_inv = scipy.linalg.expm(
+            np.multiply.outer([-0.5, 0.5, h, -h], upsilon))
+        samples = [e0 @ w @ e0_inv]
+        for _ in range(length - 1):
+            samples.append(step @ samples[-1] @ step_inv)
+    return linalg.centralizer_basis(samples, restrict_traceless=True, n=w.shape[0], cfg=cfg)
 
 
 def _improper_gamma(k_ext, mstar, g0, cfg):
@@ -869,8 +895,8 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
         return SimilarityVerdict("not_similar",
                                  obstruction=f"K-list lengths differ "
                                              f"({len(kl_a)} vs {len(kl_b)})")
-    s_a = centralizer_of(_traceless_list(kl_a), cfg)
-    s_b = centralizer_of(_traceless_list(kl_b), cfg)
+    s_a = k_span_centralizer(ups_a, v0_a, len(kl_a), cfg)
+    s_b = k_span_centralizer(ups_b, v0_b, len(kl_b), cfg)
     if s_a.dim != s_b.dim:
         return SimilarityVerdict("not_similar",
                                  obstruction=f"centralizer dimensions differ "
@@ -902,16 +928,6 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
                                      residual=resid)
     return SimilarityVerdict("inconclusive",
                              notes=["no witness converged within the trial budget"])
-
-
-def _traceless_list(kl):
-    n = kl[0].shape[0]
-    out = []
-    for k in kl:
-        k0 = k - (np.trace(k) / n) * np.eye(n)
-        if linalg.frobenius_norm(k0) > 1e-12:
-            out.append(k0)
-    return out or [kl[0] - (np.trace(kl[0]) / n) * np.eye(n)]
 
 
 def _witness_search(ups_a, v0_a, k_as, s_a, ups_b, v0_b, k_bs, alpha, cfg, rng,

@@ -7,12 +7,13 @@ check.
 """
 
 import numpy as np
+import scipy.linalg
 
 from symode.numutil import rk4
 
 
-def centralizer_dim_bruteforce(mats, n, traceless=False):
-    """Dimension of {G : [G, K] = 0 for all K} by entrywise linear solve."""
+def _commutator_rows(mats, n):
+    """Rows of G -> [G, K] for each K, acting on G's entries in row-major order."""
     rows = []
     for k in mats:
         for i in range(n):
@@ -23,6 +24,12 @@ def centralizer_dim_bruteforce(mats, n, traceless=False):
                     row[i * n + a] += k[a, j]
                     row[a * n + j] -= k[i, a]
                 rows.append(row)
+    return rows
+
+
+def centralizer_dim_bruteforce(mats, n, traceless=False):
+    """Dimension of {G : [G, K] = 0 for all K} by entrywise linear solve."""
+    rows = _commutator_rows(mats, n)
     if traceless:
         row = np.zeros(n * n, dtype=complex)
         for i in range(n):
@@ -32,6 +39,29 @@ def centralizer_dim_bruteforce(mats, n, traceless=False):
         return n * n
     a = np.vstack(rows)
     return n * n - np.linalg.matrix_rank(a)
+
+
+def conj_exp_centralizer_dim(upsilon, w):
+    """(dim, gap) for the centralizer in sl(n) of V(t) = expm(tY) W expm(-tY).
+
+    V is sampled at n^2 + 1 points of [-1, 1] with scipy's expm, each sample
+    scaled to unit norm; the rank takes numpy's default tolerance, and the
+    identity, which commutes with every sample, is taken off the gl(n)
+    centralizer.  gap is the ratio of the singular values on either side of
+    the rank cut (inf when nothing is cut): a small gap marks a draw whose
+    answer rounding can flip.
+    """
+    n = w.shape[0]
+    samples = []
+    for t in np.linspace(-1.0, 1.0, n * n + 1):
+        e = scipy.linalg.expm(t * upsilon)
+        v = e @ w @ np.linalg.inv(e)
+        samples.append(v / np.linalg.norm(v))
+    a = np.vstack(_commutator_rows(samples, n))
+    s = np.linalg.svd(a, compute_uv=False)
+    rank = np.linalg.matrix_rank(a)
+    gap = s[rank - 1] / s[rank] if rank < len(s) and s[rank] > 0 else np.inf
+    return n * n - rank - 1, gap
 
 
 def symmetry_dims_least_squares(v_eval, vdot_eval, n, grid, complexify=False):

@@ -7,6 +7,7 @@ from symode.cli import EXIT_INAPPLICABLE, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, 
 from symode.scalars import ToleranceConfig
 
 from conftest import S1, S2
+from oracles import conj_exp_centralizer_dim
 
 
 def write(tmp_path, name, doc):
@@ -79,6 +80,28 @@ class TestSchema:
         path = write(tmp_path, "nonfinite.json", doc)
         assert main(["classify", path]) == EXIT_SCHEMA
         assert "non-finite" in capsys.readouterr().err
+
+    def test_constant_v_smaller_than_n_exit2(self, tmp_path, capsys):
+        doc = {"n": 3, "field": "real", "class": "Lprime", "domain": [-1, 1],
+               "V": {"kind": "constant", "m": [[0.0, 1.0], [1.0, 0.0]]}}
+        path = write(tmp_path, "size.json", doc)
+        assert main(["classify", path]) == EXIT_SCHEMA
+        assert "coefficient V has size 2" in capsys.readouterr().err
+
+    def test_polynomial_v_larger_than_n_exit2(self, tmp_path, capsys):
+        coeff = np.eye(3).tolist()
+        doc = {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1],
+               "V": {"kind": "polynomial", "coeffs": [coeff, coeff]}}
+        path = write(tmp_path, "size.json", doc)
+        assert main(["gauge", path, "--target", "a0"]) == EXIT_SCHEMA
+        assert "coefficient V has size 3" in capsys.readouterr().err
+
+    def test_barl_f_longer_than_n_exit2(self, tmp_path, capsys):
+        doc = barl_doc(np.zeros((2, 2)), S1)
+        doc["f"]["m"] = [1.0, 2.0, 3.0]
+        path = write(tmp_path, "size.json", doc)
+        assert main(["classify", path]) == EXIT_SCHEMA
+        assert "coefficient f has size 3" in capsys.readouterr().err
 
 
 class TestGaugeCommand:
@@ -247,8 +270,8 @@ class TestSimilarCommand:
         assert main(["similar", a, b]) == EXIT_INAPPLICABLE
 
 
-    def test_k_sequence_failure_exit4(self, tmp_path, capsys):
-        # the n = 6 conj_exp draw whose K-sequence does not stabilize
+    def test_n6_conj_exp_matches_oracle(self, tmp_path):
+        # the n = 6 conj_exp draw whose monomial K-sequence did not stabilize
         rng = np.random.default_rng(0)
         ups, w = (m - np.trace(m) / 6 * np.eye(6)
                   for m in (rng.standard_normal((6, 6)) for _ in range(2)))
@@ -256,9 +279,11 @@ class TestSimilarCommand:
                "V": {"kind": "conj_exp", "epsilon": 0.0, "upsilon": ups.tolist(),
                      "w": w.tolist()}}
         path = write(tmp_path, "k6.json", doc)
-        assert main(["classify", path]) == EXIT_NUMERICAL
-        assert main(["similar", path, path]) == EXIT_NUMERICAL
-        assert "K-sequence" in capsys.readouterr().err
+        out = str(tmp_path / "out.json")
+        assert main(["classify", path, "--out", out]) == EXIT_OK
+        assert json.loads(open(out).read())["dim_s"] == conj_exp_centralizer_dim(ups, w)[0]
+        assert main(["similar", path, path, "--out", out]) == EXIT_OK
+        assert json.loads(open(out).read())["outcome"] == "similar"
 
 
 class TestDemo:

@@ -2,8 +2,7 @@ import numpy as np
 
 from symode.matfun import kl_sequence
 from symode.scalars import Field
-from symode.symalg import (_traceless_list, centralizer_of,
-                           similar_constant_coeff, similar_structured)
+from symode.symalg import k_span_centralizer, similar_constant_coeff, similar_structured
 
 from conftest import E2, S1, S2, S3, Z2
 
@@ -26,7 +25,7 @@ def make_pair(rng, cfg, with_gamma=True, nilpotent=False):
         m = m + 0.7 * E2
     gamma = Z2
     if with_gamma:
-        s = centralizer_of(_traceless_list(kl_sequence(ups, v0)), cfg)
+        s = k_span_centralizer(ups, v0, len(kl_sequence(ups, v0)), cfg)
         if s.dim:
             gamma = 0.4 * s.mats[0]
     mi = np.linalg.inv(m)
