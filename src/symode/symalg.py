@@ -608,17 +608,27 @@ def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
     """Centralizer in sl(n) of the K-span of W under ad_Y, of dimension ``length``.
 
     It is taken over as many samples V(t_j) = e^{t_j Y} W e^{-t_j Y} as the
-    span is long, t_j evenly spaced in [-1/2, 1/2]: they span the K-span and,
-    unlike the raw terms or an Arnoldi basis, carry only the rounding of a few
-    conjugations.  V(-1/2) comes from scipy's expm and each further sample from
-    the one before, conjugated by e^{hY}; ``linalg.exp_factory`` can lose
-    digits on nearly defective Y.  A span of dimension 1 is W itself.
+    span is long, evenly spaced with step h around t = 0: they span the K-span
+    and, unlike the raw terms or an Arnoldi basis, carry only the rounding of a
+    few conjugations.  V(t) is a sum of terms e^{wt} (times powers of t) over
+    the eigenvalues w = mu_i - mu_j of ad_Y, mu those of Y, so the samples
+    span the K-span as long as no two e^{wh} coincide.  h = 1 / (length - 1),
+    cut to pi / (2 spread) where spread = max Im mu - min Im mu, keeps the
+    phases h Im w within a half turn of each other: e^{hY} = -I, as for
+    Y = pi [[0, 1], [-1, 0]] and h = 1, would otherwise make every sample equal.
+    The first sample comes from scipy's expm and each further one from the
+    one before, conjugated by e^{hY}; ``linalg.exp_factory`` can lose digits
+    on nearly defective Y.  A span of dimension 1 is W itself.
     """
     samples = [w]
     if length > 1:
         h = 1.0 / (length - 1)
+        spread = float(np.ptp(np.linalg.eigvals(upsilon).imag))
+        if spread * h > np.pi / 2:
+            h = np.pi / (2.0 * spread)
+        t0 = -0.5 * h * (length - 1)
         e0, e0_inv, step, step_inv = scipy.linalg.expm(
-            np.multiply.outer([-0.5, 0.5, h, -h], upsilon))
+            np.multiply.outer([t0, -t0, h, -h], upsilon))
         samples = [e0 @ w @ e0_inv]
         for _ in range(length - 1):
             samples.append(step @ samples[-1] @ step_inv)

@@ -44,8 +44,10 @@ def centralizer_dim_bruteforce(mats, n, traceless=False):
 def conj_exp_centralizer_dim(upsilon, w):
     """(dim, gap) for the centralizer in sl(n) of V(t) = expm(tY) W expm(-tY).
 
-    V is sampled at n^2 + 1 points of [-1, 1] with scipy's expm, each sample
-    scaled to unit norm; the rank takes numpy's default tolerance, and the
+    V is sampled with scipy's expm at the n^2 + 1 Chebyshev points of [-1, 1],
+    each sample scaled to unit norm.  The points are not evenly spaced, so a
+    Y with a periodic e^{tY} (e^{hY} = -I, say) cannot fold them all onto a
+    few values of V.  The rank takes numpy's default tolerance, and the
     identity, which commutes with every sample, is taken off the gl(n)
     centralizer.  gap is the ratio of the singular values on either side of
     the rank cut (inf when nothing is cut): a small gap marks a draw whose
@@ -53,7 +55,8 @@ def conj_exp_centralizer_dim(upsilon, w):
     """
     n = w.shape[0]
     samples = []
-    for t in np.linspace(-1.0, 1.0, n * n + 1):
+    count = n * n + 1
+    for t in np.cos(np.pi * (np.arange(count) + 0.5) / count):
         e = scipy.linalg.expm(t * upsilon)
         v = e @ w @ np.linalg.inv(e)
         samples.append(v / np.linalg.norm(v))

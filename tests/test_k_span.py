@@ -16,7 +16,7 @@ from symode.scalars import Field
 from symode.symalg import classify, classify_structured, similar_structured
 
 from conftest import DOM, S1, random_traceless
-from oracles import conj_exp_centralizer_dim
+from oracles import centralizer_dim_bruteforce, conj_exp_centralizer_dim
 
 
 def draw(seed, n):
@@ -102,6 +102,45 @@ def test_nearly_defective_upsilon_n2():
             want, gap = conj_exp_centralizer_dim(8.0 * nil, w)
             if gap >= 1e6:
                 assert classify_structured(0.0, 8.0 * nil, w).dim_s == want, seed
+
+
+def raw_k_span_dim_s(ups, w):
+    """dim s over the raw terms K_0..K_{L-1}, each scaled to unit norm."""
+    kl = [w]
+    for _ in range(k_span_length(ups, w) - 1):
+        kl.append(ups @ kl[-1] - kl[-1] @ ups)
+    return centralizer_dim_bruteforce([k / np.linalg.norm(k) for k in kl], w.shape[0],
+                                      traceless=True)
+
+
+ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_periodic_upsilon_n2(m):
+    # e^{Y} = +-I: samples one period apart are equal.  K_0 = W and K_1, a
+    # multiple of [[0, 1], [1, 0]], span the K-span, whose centralizer in sl(2)
+    # is 0
+    ups, w = m * np.pi * ROT, np.diag([1.0, -1.0])
+    assert k_span_length(ups, w) == 2
+    assert raw_k_span_dim_s(ups, w) == 0
+    assert classify_structured(0.0, ups, w).dim_s == 0
+
+
+@pytest.mark.parametrize("m", [8.0, 4.0])
+def test_periodic_upsilon_n3(m):
+    # Y = m pi C diag(ROT, 0) C^-1: ad_Y has eigenvalues 0, +-m pi i, +-2 m pi i,
+    # so L = 5 and an evenly spaced step of 1/4 folds the samples (all of them
+    # onto one at m = 8)
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+    r = np.zeros((3, 3))
+    r[:2, :2] = ROT
+    ups = m * np.pi * c @ r @ np.linalg.inv(c)
+    w = random_traceless(rng, 3)
+    assert k_span_length(ups, w) == 5
+    want = raw_k_span_dim_s(ups, w)
+    assert classify_structured(0.0, ups, w).dim_s == want == 0
 
 
 def similar_pair(seed, n, alpha=1.3):
