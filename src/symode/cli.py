@@ -80,6 +80,18 @@ SYMMETRY_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate checks the schema itself against the
+# metaschema on every call
+_SYSTEM_VALIDATOR = jsonschema.Draft202012Validator(SYSTEM_SCHEMA)
+_SYMMETRY_VALIDATOR = jsonschema.Draft202012Validator(SYMMETRY_SCHEMA)
+
+
+def _validate(validator, doc):
+    """Raise the error jsonschema.validate(doc, validator.schema) would raise."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise error
+
 
 class SchemaError(ValueError):
     pass
@@ -177,7 +189,7 @@ def load_system(path: str, cfg: ToleranceConfig) -> SystemDescriptor:
 
 def system_from_document(doc, cfg: ToleranceConfig, origin="<doc>") -> SystemDescriptor:
     try:
-        jsonschema.validate(doc, SYSTEM_SCHEMA)
+        _validate(_SYSTEM_VALIDATOR, doc)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise SchemaError(f"{origin}: schema violation at {path}: "
@@ -230,7 +242,7 @@ def load_symmetries(path: str, domain):
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
     try:
-        jsonschema.validate(doc, SYMMETRY_SCHEMA)
+        _validate(_SYMMETRY_VALIDATOR, doc)
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"{path}: schema violation: {exc.message}") from exc
     out = []

@@ -231,13 +231,13 @@ def singular_class_test(sys: SystemDescriptor) -> bool:
     return sys.singular
 
 
-def pushforward(t1, t2, h, ht, htt, a, b):
+def pushforward(t1, t2, h, hinv, ht, htt, a, b):
     """A~ and B~ of the push-forward (module docstring) at each grid point.
 
-    t1, t2 hold T_t, T_tt; h, ht, htt hold H, H_t, H_tt; a, b hold A, B, all
-    at the same points t, so the results still have to be composed with T^-1.
+    t1, t2 hold T_t, T_tt; h, hinv, ht, htt hold H, H^-1, H_t, H_tt; a, b hold
+    A, B, all at the same points t, so the results still have to be composed
+    with T^-1.
     """
-    hinv = np.linalg.inv(h)
     t1c = t1[:, None, None]
     t2c = t2[:, None, None]
     anew = (t1c * (h @ a) + 2.0 * t1c * ht - t2c * h) @ hinv / t1c ** 2
@@ -259,7 +259,8 @@ def _push_full(sys, tr, grid_steps=1024):
     t1 = np.real(tr.T.derivative(1).evaluate(grid))
     t2 = np.real(tr.T.derivative(2).evaluate(grid))
     hmat = tr.H.evaluate(grid)
-    anew, bnew = pushforward(t1, t2, hmat, tr.H.derivative(1).evaluate(grid),
+    anew, bnew = pushforward(t1, t2, hmat, np.linalg.inv(hmat),
+                             tr.H.derivative(1).evaluate(grid),
                              tr.H.derivative(2).evaluate(grid),
                              a_fun.evaluate(grid), b_fun.evaluate(grid))
     fv = f_fun.evaluate(grid)

@@ -259,8 +259,8 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     tmap = cumulative_integral(grid, 1.0 / tau)
     tmap = tmap - tmap[i0]
     taut = np.real(q.tau.derivative(1).evaluate(grid))
-    anew, bnew, ht = _straightened_coefficients(a_grid, b_grid, tau, taut, hvals, eta_half[::2],
-                                                eta_fun.derivative(1).evaluate(grid))
+    anew, bnew, ht, hinv = _straightened_coefficients(
+        a_grid, b_grid, tau, taut, hvals, eta_half[::2], eta_fun.derivative(1).evaluate(grid))
     abar, bbar = anew[i0], bnew[i0]
     dev_a = float(np.max(np.abs(anew - abar)))
     dev_b = float(np.max(np.abs(bnew - bbar)))
@@ -270,7 +270,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
         raise IntegrationError(
             f"push-forward coefficients are not constant (deviations {dev_a:.3g}, "
             f"{dev_b:.3g}); symmetry not verified or numerics insufficient")
-    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, abar, bbar, cfg)
+    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar, cfg)
     plan = IntegrationPlan(procedure="OneSymmetry", quadratures=1,
                            h_grid=grid, h_values=hvals, t_map=tmap,
                            notes=["constant push-forward coefficients",
@@ -297,8 +297,8 @@ def _coefficients_on(a_fun, b_fun, grid):
 
 
 def _straightened_coefficients(a, b, tau, taut, h, eta, eta_t):
-    """A~, B~ on the grid, and H_t, for T_t = 1/tau and H solving tau H_t = -H eta;
-    a and b hold A and B on the grid.
+    """A~, B~ on the grid, H_t and H^-1, for T_t = 1/tau and H solving
+    tau H_t = -H eta; a and b hold A and B on the grid.
 
     H_t and H_tt come exactly from that equation rather than from
     differentiating the solved H.
@@ -307,16 +307,16 @@ def _straightened_coefficients(a, b, tau, taut, h, eta, eta_t):
     tc = tau[:, None, None]
     ht = -he / tc
     htt = (taut / tau ** 2)[:, None, None] * he + (he @ eta) / tc ** 2 - (h @ eta_t) / tc
-    anew, bnew = pushforward(1.0 / tau, -taut / tau ** 2, h, ht, htt, a, b)
-    return anew, bnew, ht
+    hinv = np.linalg.inv(h)
+    anew, bnew = pushforward(1.0 / tau, -taut / tau ** 2, h, hinv, ht, htt, a, b)
+    return anew, bnew, ht, hinv
 
 
-def _pullback(grid, tmap, t1, hvals, ht, abar, bbar, cfg: ToleranceConfig) -> SolutionSet:
+def _pullback(grid, tmap, t1, hinv, ht, abar, bbar, cfg: ToleranceConfig) -> SolutionSet:
     """x(t) = H^-1(t) x~(T(t)) for the fundamental solutions of the constant
     system x~_TT = abar x~_T + bbar x~, the companion exponential anchored at
     the middle of T's range."""
-    n = hvals.shape[1]
-    hinv = np.linalg.inv(hvals)
+    n = hinv.shape[1]
     hinv_dot = -(hinv @ ht @ hinv)
     ef = linalg.exp_factory(companion(abar, bbar), cfg)
     states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
@@ -435,7 +435,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     hvals = hcheck @ hhat
     tau = tau_half[::2]
     # H = Hcheck Hhat solves tau H_t = -H eta1, which gives H_t and H_tt exactly
-    anew, bnew, ht = _straightened_coefficients(
+    anew, bnew, ht, hinv = _straightened_coefficients(
         a_grid, b_grid, tau, np.real(_combine(aco, dt1, bco, dt2)), hvals, ex,
         _combine(aco, deta1, bco, deta2))
     abar, bbar = anew[i0], bnew[i0]
@@ -445,7 +445,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     if dev > tol:
         raise IntegrationError(f"push-forward coefficients are not constant "
                                f"(deviation {dev:.3g}); numerical failure")
-    sol = _pullback(grid, tmap, 1.0 / tau, hvals, ht, abar, bbar, cfg)
+    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar, cfg)
     positions, velocities = sol.positions, sol.velocities
     if sys.field is Field.REAL and np.max(np.abs(positions.imag)) < 1e-7:
         positions = positions.real

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .scalars import DEFAULT_TOL, ToleranceConfig
 
@@ -315,7 +314,8 @@ def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     mc = m.astype(np.complex128)
     clusters = eig_clustered(m, cfg)
     cols = []
-    jblocks = []
+    diag = []  # J's diagonal: each column's eigenvalue
+    links = []  # J's superdiagonal: 1 where the next column continues the chain
     for c in clusters:
         a = mc - c.value * np.eye(n)
         # nullspace filtration N_1 subset N_2 subset ...
@@ -343,12 +343,12 @@ def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
                 downs = np.stack(chain, axis=1)
                 used = np.hstack([used, downs])
         for chain in chains:
-            k = len(chain)
             cols.extend(chain)
-            jb = c.value * np.eye(k, dtype=np.complex128) + np.eye(k, k, 1, dtype=np.complex128)
-            jblocks.append(jb)
+            diag.extend([c.value] * len(chain))
+            links.extend([1.0] * (len(chain) - 1) + [0.0])
     s = np.stack(cols, axis=1)
-    j = scipy.linalg.block_diag(*jblocks) if jblocks else np.zeros((0, 0), dtype=np.complex128)
+    j = np.diag(np.array(diag, dtype=np.complex128))
+    j += np.diag(links[:-1], 1)
     return j, s
 
 
@@ -361,6 +361,17 @@ def _complement_columns(space: np.ndarray, avoid: np.ndarray, cfg: ToleranceConf
     u, s, _ = np.linalg.svd(resid, full_matrices=False)
     keep = s > cfg.rank_tol * (s[0] if s.size and s[0] > 0 else 1.0)
     return u[:, keep]
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scipy's scaling and squaring, for a matrix or a stack of them.
+
+    scipy.linalg is imported on the first call, so that importing symode loads
+    no scipy module.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.expm(m)
 
 
 def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -384,7 +395,7 @@ def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
         ok = False
     if not ok:
         def evaluate_direct(t) -> np.ndarray:
-            return scipy.linalg.expm(np.multiply.outer(t, m))
+            return expm(np.multiply.outer(t, m))
 
         return evaluate_direct
     clusters = eig_clustered(ms if np.iscomplexobj(ms) else ms.astype(np.complex128), cfg)

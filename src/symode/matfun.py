@@ -10,7 +10,11 @@ shape-specific operations.
   ``(deg + 1, *shape)``; a constant is a one-row stack and ``value`` a
   read-only view of that row.  A scalar constant is a degree-0 polynomial;
 - conjugated exponential eps*E + e^{t Y} W e^{-t Y} (matrices only);
-- sampled grids with piecewise-cubic Hermite interpolation.
+- sampled grids with piecewise-cubic Hermite interpolation: slopes from
+  ``numutil.grid_derivative``, each interval's cubic held in the power basis
+  about its left node and evaluated by Horner (de Boor, *A Practical Guide to
+  Splines*, ch. IV).  Points in the domain slack beyond either end extrapolate
+  the end interval's cubic.
 
 The ``poly_*`` functions are the one polynomial algebra over stacked
 coefficients (Horner evaluation, derivative, affine substitution, linear
@@ -25,7 +29,6 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from . import linalg
 from .numutil import grid_derivative
@@ -122,6 +125,33 @@ def poly_wronskian(c1, c2):
     c1, c2 = np.asarray(c1), np.asarray(c2)
     return poly_lincomb([(1.0, poly_mul(c1, poly_der(c2))),
                          (-1.0, poly_mul(c2, poly_der(c1)))], len(c1) + len(c2) - 1)
+
+
+# ---------------------------------------------------------------------------
+# piecewise cubic Hermite interpolation on a sampled grid
+
+
+def _hermite_coefficients(grid, values, slopes):
+    """(c3, c2, c1, c0) with p_i(s) = ((c3 s + c2) s + c1) s + c0 on [x_i, x_{i+1}],
+    s = t - x_i: the cubic through values y_i, y_{i+1} with slopes m_i, m_{i+1}."""
+    dx = np.diff(grid).reshape((-1,) + (1,) * (values.ndim - 1))
+    secant = np.diff(values, axis=0) / dx
+    excess = (slopes[:-1] + slopes[1:] - 2.0 * secant) / dx
+    return excess / dx, (secant - slopes[:-1]) / dx - excess, slopes[:-1], values[:-1]
+
+
+def _hermite_eval(coeffs, grid, t):
+    """The interpolant at t (scalar or array); outside the grid, the end cubics."""
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    i = np.clip(np.searchsorted(grid, flat, side="right") - 1, 0, len(grid) - 2)
+    c3, c2, c1, c0 = coeffs
+    s = (flat - grid[i]).reshape((-1,) + (1,) * (c0.ndim - 1))
+    out = c3.take(i, axis=0)
+    for c in (c2, c1, c0):
+        out *= s
+        out += c.take(i, axis=0)
+    return out.reshape(t.shape + c0.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +274,9 @@ class _TimeFunction:
             t = np.asarray(t, dtype=float)
             return self.epsilon * np.eye(self.n) + ef(t) @ self.w @ ef(-t)
         if self._spline is None:
-            slopes = grid_derivative(self.grid, self.values, 1)
-            self._spline = CubicHermiteSpline(self.grid, self.values, slopes, axis=0)
-        return self._spline(np.asarray(t, dtype=float))
+            self._spline = _hermite_coefficients(
+                self.grid, self.values, grid_derivative(self.grid, self.values, 1))
+        return _hermite_eval(self._spline, self.grid, t)
 
     def derivative(self, order: int = 1):
         """Exact for the closed kinds; a polynomial of degree 0 becomes a constant

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LPRIME, SystemDescriptor, gauge_traceless, reduce,
@@ -616,9 +615,9 @@ def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
     cut to pi / (2 spread) where spread = max Im mu - min Im mu, keeps the
     phases h Im w within a half turn of each other: e^{hY} = -I, as for
     Y = pi [[0, 1], [-1, 0]] and h = 1, would otherwise make every sample equal.
-    The first sample comes from scipy's expm and each further one from the
-    one before, conjugated by e^{hY}; ``linalg.exp_factory`` can lose digits
-    on nearly defective Y.  A span of dimension 1 is W itself.
+    The first sample comes from scipy's expm (``linalg.expm``) and each further
+    one from the one before, conjugated by e^{hY}; ``linalg.exp_factory`` can
+    lose digits on nearly defective Y.  A span of dimension 1 is W itself.
     """
     samples = [w]
     if length > 1:
@@ -627,7 +626,7 @@ def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
         if spread * h > np.pi / 2:
             h = np.pi / (2.0 * spread)
         t0 = -0.5 * h * (length - 1)
-        e0, e0_inv, step, step_inv = scipy.linalg.expm(
+        e0, e0_inv, step, step_inv = linalg.expm(
             np.multiply.outer([t0, -t0, h, -h], upsilon))
         samples = [e0 @ w @ e0_inv]
         for _ in range(length - 1):

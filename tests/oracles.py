@@ -8,8 +8,10 @@ check.
 
 import numpy as np
 import scipy.linalg
+from scipy.interpolate import CubicHermiteSpline
 
-from symode.numutil import rk4
+from symode.matfun import _HULL_SLACK
+from symode.numutil import grid_derivative, rk4
 
 
 def _commutator_rows(mats, n):
@@ -314,3 +316,33 @@ def k_extended(upsilon, w0, length):
         cur = upsilon @ cur - cur @ upsilon
         out.append(cur)
     return out
+
+
+def sampled_draw(rng, points, value_shape, complex_field=False, uniform=True):
+    """(grid, values): ``points`` nodes on [-1, 1], evenly spaced or sorted
+    uniform draws between the two ends, and standard-normal values of
+    ``value_shape`` there."""
+    if uniform:
+        grid = np.linspace(-1.0, 1.0, points)
+    else:
+        grid = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, points - 2)), [1.0]])
+    values = rng.standard_normal((points,) + value_shape)
+    if complex_field:
+        values = values + 1j * rng.standard_normal((points,) + value_shape)
+    return grid, values
+
+
+def hermite_probes(grid, rng, inside=200):
+    """Evaluation points: every node, the right end once more, ``inside``
+    uniform draws between the ends, and a point in the domain slack beyond
+    each end."""
+    lo, hi = grid[0], grid[-1]
+    slack = 0.5 * _HULL_SLACK * (1.0 + hi - lo)
+    return np.concatenate([grid, [hi], rng.uniform(lo, hi, inside), [lo - slack, hi + slack]])
+
+
+def hermite_reference(grid, values, ts):
+    """scipy's CubicHermiteSpline through (grid, values) with grid_derivative's
+    slopes, at ts; beyond either end it extrapolates the end cubic."""
+    slopes = grid_derivative(grid, values, 1)
+    return CubicHermiteSpline(grid, values, slopes, axis=0)(ts)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+import symode
+from symode import cli
 from symode.cli import EXIT_INAPPLICABLE, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 from symode.scalars import ToleranceConfig
 
@@ -42,6 +49,26 @@ class TestSchema:
         path = write(tmp_path, "bad2.json", {"n": 2, "field": "real"})
         assert main(["classify", str(path)]) == EXIT_SCHEMA
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schema", [cli.SYSTEM_SCHEMA, cli.SYMMETRY_SCHEMA])
+    def test_schemas_are_valid_2020_12(self, schema):
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+    @pytest.mark.parametrize("validator, doc", [
+        (cli._SYSTEM_VALIDATOR, {"n": 2, "field": "real"}),
+        (cli._SYSTEM_VALIDATOR, {"n": 9, "field": "real", "class": "L", "domain": [0, 1]}),
+        (cli._SYSTEM_VALIDATOR, {"n": 2, "field": "real", "class": "Lprime",
+                                 "domain": [-1, 1], "V": {"kind": "sampled", "t": [0]}}),
+        (cli._SYMMETRY_VALIDATOR, [{"gamma": [[1, 0], [0, 1]]}]),
+        (cli._SYMMETRY_VALIDATOR, {"tau": {"kind": "constant", "m": 1}}),
+    ])
+    def test_prebuilt_validator_raises_what_validate_raises(self, validator, doc):
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            cli._validate(validator, doc)
+        with pytest.raises(jsonschema.ValidationError) as theirs:
+            jsonschema.validate(doc, validator.schema)
+        assert ours.value.message == theirs.value.message
+        assert list(ours.value.absolute_path) == list(theirs.value.absolute_path)
 
     def test_missing_matrix_exit2(self, tmp_path):
         doc = {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1]}
@@ -415,3 +442,16 @@ class TestOptionValues:
         monkeypatch.setenv("SYMODE_GRID", "abc")
         code, err = self.exit_of(["classify", lp_doc], capsys)
         assert code == EXIT_SCHEMA and "--grid" in err and "SYMODE_GRID" in err
+
+
+def test_import_loads_no_scipy():
+    """Importing the library and its CLI loads no scipy module; scipy.linalg
+    comes in only with the first expm call."""
+    src = str(Path(symode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, symode, symode.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

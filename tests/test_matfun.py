@@ -9,8 +9,9 @@ from symode import linalg
 from symode.cli import decode_function, encode_function
 from symode.matfun import (MatrixFunction, RepresentationError, ScalarFunction,
                            VectorFunction, kl_sequence, kl_sequence_with_tail,
-                           poly_compose_affine, poly_der, poly_mul, poly_wronskian)
+                           poly_compose_affine, poly_der, poly_eval, poly_mul, poly_wronskian)
 from conftest import DOM, E2, S1, S2, S3, Z2, near_defective_4x4
+from oracles import hermite_probes, hermite_reference, sampled_draw
 
 
 class TestEvaluate:
@@ -69,6 +70,41 @@ def assert_conjugation_matches_expm(ups, w, route):
     got = f.evaluate(ts)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestSampledHermite:
+    """The sampled kind's piecewise cubic Hermite evaluator against scipy's
+    CubicHermiteSpline on the same slopes."""
+
+    FUNCTIONS = {0: ScalarFunction, 1: VectorFunction, 2: MatrixFunction}
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("points", [33, 257, 2049])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_matches_scipy(self, shape, cplx, points, uniform):
+        rng = np.random.default_rng(points + 10 * len(shape) + 100 * cplx + 1000 * uniform)
+        grid, values = sampled_draw(rng, points, shape, cplx, uniform)
+        f = self.FUNCTIONS[len(shape)].sampled(grid, values)
+        ts = hermite_probes(grid, rng)
+        got = f.evaluate(ts)
+        ref = hermite_reference(grid, values, ts)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for k in (0, points - 1, points + 5, len(ts) - 1):
+            one = f.evaluate(ts[k])
+            assert one.shape == ref[k].shape
+            assert np.max(np.abs(one - ref[k])) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_reproduces_a_cubic(self, uniform):
+        rng = np.random.default_rng(7 + uniform)
+        coeffs = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        grid, _ = sampled_draw(rng, 65, (), uniform=uniform)
+        f = MatrixFunction.sampled(grid, poly_eval(coeffs, grid))
+        ts = hermite_probes(grid, rng)
+        exact = poly_eval(coeffs, ts)
+        assert np.max(np.abs(f.evaluate(ts) - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 class TestConjugationAgainstExpm:
