@@ -31,7 +31,7 @@ from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, SystemDescriptor,
 from .matfun import (COEFFICIENT_KINDS, POLYNOMIAL, MatrixFunction, ScalarFunction,
                      poly_der, poly_lincomb, poly_mul, poly_strip, poly_wronskian)
 from .numutil import companion, cumulative_integral, grid_derivative, uniform_grid
-from .scalars import DEFAULT_TOL, Field, ToleranceConfig
+from .scalars import Field
 from .symalg import SymmetryVectorField, verify_symmetry_homogeneous
 
 
@@ -145,7 +145,6 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
 
 
 def solve_constant(a_mat: np.ndarray, b_mat: np.ndarray, domain,
-                   cfg: ToleranceConfig = DEFAULT_TOL,
                    grid_steps: int = 1024) -> SolutionSet:
     """State transition of x_tt = A x_t + B x via the companion exponential."""
     a_mat = np.asarray(a_mat)
@@ -154,7 +153,7 @@ def solve_constant(a_mat: np.ndarray, b_mat: np.ndarray, domain,
     lo, hi = float(domain[0]), float(domain[1])
     t0 = 0.5 * (lo + hi)
     comp = companion(a_mat, b_mat)
-    ef = linalg.exp_factory(comp, cfg)
+    ef = linalg.exp_factory(comp)
     grid = uniform_grid(lo, hi, grid_steps)
     states = ef(grid - t0)
     return SolutionSet(grid=grid, positions=states[:, :n, :],
@@ -270,7 +269,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
         raise IntegrationError(
             f"push-forward coefficients are not constant (deviations {dev_a:.3g}, "
             f"{dev_b:.3g}); symmetry not verified or numerics insufficient")
-    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar, cfg)
+    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar)
     plan = IntegrationPlan(procedure="OneSymmetry", quadratures=1,
                            h_grid=grid, h_values=hvals, t_map=tmap,
                            notes=["constant push-forward coefficients",
@@ -312,13 +311,13 @@ def _straightened_coefficients(a, b, tau, taut, h, eta, eta_t):
     return anew, bnew, ht, hinv
 
 
-def _pullback(grid, tmap, t1, hinv, ht, abar, bbar, cfg: ToleranceConfig) -> SolutionSet:
+def _pullback(grid, tmap, t1, hinv, ht, abar, bbar) -> SolutionSet:
     """x(t) = H^-1(t) x~(T(t)) for the fundamental solutions of the constant
     system x~_TT = abar x~_T + bbar x~, the companion exponential anchored at
     the middle of T's range."""
     n = hinv.shape[1]
     hinv_dot = -(hinv @ ht @ hinv)
-    ef = linalg.exp_factory(companion(abar, bbar), cfg)
+    ef = linalg.exp_factory(companion(abar, bbar))
     states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
     xpos = states[:, :n, :]
     xvel = states[:, n:, :]
@@ -445,7 +444,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     if dev > tol:
         raise IntegrationError(f"push-forward coefficients are not constant "
                                f"(deviation {dev:.3g}); numerical failure")
-    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar, cfg)
+    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar)
     positions, velocities = sol.positions, sol.velocities
     if sys.field is Field.REAL and np.max(np.abs(positions.imag)) < 1e-7:
         positions = positions.real

@@ -1,10 +1,10 @@
 """Dense small-dimension linear-algebra kernel.
 
 Nullspaces, commutators, ad-operators and centralizers, clustered
-eigenstructure, Jordan-Chevalley splitting, exponential factories
-t -> exp(t m) and a randomized search for invertible elements of affine
-matrix families.  Everything is a pure function of its inputs; matrices are
-numpy arrays (float64 or complex128), n <= 8.
+eigenstructure, Jordan-Chevalley splitting, Taylor scaling-and-squaring
+exponential factories t -> exp(t m) and a randomized search for invertible
+elements of affine matrix families.  Everything is a pure function of its
+inputs; matrices are numpy arrays (float64 or complex128), n <= 8.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import numpy as np
 from .scalars import DEFAULT_TOL, ToleranceConfig
 
 MAX_DIM = 8
+# exp_factory: Taylor degree and the bound on ||u m||_1 after scaling
+EXP_DEGREE = 18
+EXP_THETA = 1.0
 
 
 class LinalgError(ValueError):
@@ -363,63 +366,37 @@ def _complement_columns(space: np.ndarray, avoid: np.ndarray, cfg: ToleranceConf
     return u[:, keep]
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scipy's scaling and squaring, for a matrix or a stack of them.
+def exp_factory(m: np.ndarray):
+    """Return t -> exp(t*m) by Taylor scaling and squaring.
 
-    scipy.linalg is imported on the first call, so that importing symode loads
-    no scipy module.
-    """
-    import scipy.linalg
-
-    return scipy.linalg.expm(m)
-
-
-def exp_factory(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
-    """Return t -> exp(t*m) using the semisimple/nilpotent split.
-
-    exp(t m) = S diag(e^{t mu}) S^{-1} * poly(t m_n); the two factors commute.
-    The evaluator takes a scalar t or an array of them and returns
-    ``t.shape + (n, n)``, the whole grid in one broadcast.  Real inputs return
-    real results.  Nearly defective inputs, where the clustered split
-    degrades, fall back to the scaling-and-squaring exponential of each t*m.
+    The terms m^k / k!, k <= EXP_DEGREE, are built once.  Each call takes one
+    s = max(0, ceil(log2(max|t| ||m||_1 / EXP_THETA))) for all its points, sums
+    the Taylor polynomial in u = t / 2^s as one product of the powers u^k with
+    the stacked terms, and squares the result s times as stacked matmuls
+    (Moler & Van Loan, SIAM Rev. 45 (2003); Higham, SIAM J. Matrix Anal. Appl.
+    26 (2005)).  With ||u m||_1 <= 1 the truncated tail is below 1 / 19!.  No
+    eigendecomposition is taken, so nearly defective m loses no digits.  The
+    evaluator takes a scalar t or an array of them and returns
+    ``t.shape + (n, n)``; real m gives real results in real arithmetic.
     """
     m = _check_square(m)
     n = m.shape[0]
-    real_input = not np.iscomplexobj(m)
-    try:
-        ms, mn = jordan_chevalley(m, cfg)
-        scale = 1.0 + frobenius_norm(m)
-        ok = (frobenius_norm(commutator(ms, mn)) < 1e-8 * scale
-              and frobenius_norm(np.linalg.matrix_power(mn, n)) < 1e-8 * scale ** n)
-    except LinalgError:
-        ok = False
-    if not ok:
-        def evaluate_direct(t) -> np.ndarray:
-            return expm(np.multiply.outer(t, m))
-
-        return evaluate_direct
-    clusters = eig_clustered(ms if np.iscomplexobj(ms) else ms.astype(np.complex128), cfg)
-    s = np.hstack([c.basis for c in clusters])
-    mu = np.concatenate([[c.value] * c.multiplicity for c in clusters])
-    sinv = np.linalg.inv(s)
-    # coef[k] = S^{-1} m_n^k / k!, so that exp(t m) = (S e^{t mu}) poly(t) with
-    # poly(t) = sum_k t^k coef[k]: one stacked matmul per evaluation
-    coef = [sinv]
-    acc = np.eye(n, dtype=np.complex128)
-    for k in range(1, n):
-        acc = acc @ mn
-        if frobenius_norm(acc) < 1e-300:
-            break
-        coef.append(sinv @ acc / math.factorial(k))
+    terms = [np.eye(n, dtype=m.dtype)]
+    for k in range(1, EXP_DEGREE + 1):
+        terms.append(terms[-1] @ m / k)
+    terms = np.reshape(terms, (EXP_DEGREE + 1, n * n))
+    norm = float(np.linalg.norm(m, 1))
 
     def evaluate(t) -> np.ndarray:
-        t = np.asarray(t)[..., None]
-        poly = sinv
-        if len(coef) > 1:
-            poly = sum(t[..., None] ** k * c for k, c in enumerate(coef))
-        # scaling the columns of S rounds alike for a scalar t and for an array
-        out = (s * np.exp(t * mu)[..., None, :]) @ poly
-        return out.real if real_input else out
+        t = np.asarray(t, dtype=float)
+        reach = float(np.max(np.abs(t), initial=0.0)) * norm
+        s = max(0, math.ceil(math.log2(reach / EXP_THETA))) if reach > 0.0 else 0
+        u = t / 2.0 ** s
+        powers = np.cumprod(np.broadcast_to(u[..., None], t.shape + (EXP_DEGREE,)), axis=-1)
+        out = (powers @ terms[1:] + terms[0]).reshape(t.shape + (n, n))
+        for _ in range(s):
+            out = out @ out
+        return out
 
     return evaluate
 

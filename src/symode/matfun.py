@@ -9,7 +9,9 @@ shape-specific operations.
   share one stacked coefficient array ``coeffs`` of shape
   ``(deg + 1, *shape)``; a constant is a one-row stack and ``value`` a
   read-only view of that row.  A scalar constant is a degree-0 polynomial;
-- conjugated exponential eps*E + e^{t Y} W e^{-t Y} (matrices only);
+- conjugated exponential eps*E + e^{t Y} W e^{-t Y} (matrices only), with
+  e^{tY} from one ``linalg.exp_factory`` (Taylor scaling and squaring) per Y,
+  shared by every function derived with the same Y;
 - sampled grids with piecewise-cubic Hermite interpolation: slopes from
   ``numutil.grid_derivative``, each interval's cubic held in the power basis
   about its left node and evaluated by Horner (de Boor, *A Practical Guide to
@@ -270,7 +272,7 @@ class _TimeFunction:
         if self.kind == POLYNOMIAL:
             return poly_eval(self.coeffs, t)
         if self.kind == CONJ_EXP:
-            ef = self._exp_factory()
+            ef = self.exp_factory()
             t = np.asarray(t, dtype=float)
             return self.epsilon * np.eye(self.n) + ef(t) @ self.w @ ef(-t)
         if self._spline is None:
@@ -335,8 +337,9 @@ class MatrixFunction(_TimeFunction):
     def conj_exp(cls, epsilon, upsilon, w, domain=(-1.0, 1.0)):
         return cls(CONJ_EXP, domain, epsilon=epsilon, upsilon=upsilon, w=w)
 
-    def _exp_factory(self):
-        """exp_factory(upsilon), built on first use and kept in the shared cell."""
+    def exp_factory(self):
+        """``linalg.exp_factory(upsilon)``, built on first use and kept in the
+        cell shared with every function derived with the same upsilon."""
         if self._exp[0] is None:
             self._exp[0] = linalg.exp_factory(self.upsilon)
         return self._exp[0]
@@ -407,7 +410,7 @@ class MatrixFunction(_TimeFunction):
             # e^{(a t + b) Y} W e^{-(a t + b) Y} = e^{t (aY)} W' e^{-t (aY)}
             w = self.w
             if beta:
-                ef = self._exp_factory()
+                ef = self.exp_factory()
                 w = ef(beta) @ w @ ef(-beta)
             return MatrixFunction.conj_exp(self.epsilon, alpha * self.upsilon, w, new_dom)
         if self.kind == SAMPLED:

@@ -12,12 +12,12 @@ sl(n), and the t-part has dimension k <= 2 for regular systems.  Structured
 (t-shift-invariant) coefficients V = eps E + e^{tY} W e^{-tY} are classified
 through the K-span span{K_l}, K_0 = W, K_{l+1} = [Y, K_l]: its dimension L
 comes from Arnoldi on ad_Y (``matfun.k_span_length``), s from the centralizer
-of L samples of V (``k_span_centralizer``), and the raw terms the graded
-relation reads from the recursion in ``matfun.kl_sequence_with_tail``; general
-polynomial and sampled coefficients go through linear classifying-condition
-solvers.  Every residual of the classifying condition comes from
-``_classifying_residuals``, which evaluates V and V_t once on the probes for
-all the fields it checks.
+of L samples of V (``k_span_centralizer``, conjugating by V's own
+``linalg.exp_factory``), and the raw terms the graded relation reads from the
+recursion in ``matfun.kl_sequence_with_tail``; general polynomial and sampled
+coefficients go through linear classifying-condition solvers.  Every residual
+of the classifying condition comes from ``_classifying_residuals``, which
+evaluates V and V_t once on the probes for all the fields it checks.
 """
 
 from __future__ import annotations
@@ -528,7 +528,7 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
         raise ClassificationError("singular class; use singular path")
     ups0 = upsilon - (np.trace(upsilon) / n) * np.eye(n)
     kl, tail, tail_rel = kl_sequence_with_tail(ups0, w0, cfg)
-    s_basis = k_span_centralizer(ups0, w0, len(kl), cfg)
+    s_basis = k_span_centralizer(ups0, w0, len(kl), cfg, v_fun.exp_factory())
     notes = [f"structured classification; K-list length {len(kl)}"]
     t_part = [(ScalarFunction.constant(1.0, domain), ups0)]
     k = 1
@@ -603,7 +603,7 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
 
 
 def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
-                       cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
+                       cfg: ToleranceConfig = DEFAULT_TOL, ef=None) -> SubspaceBasis:
     """Centralizer in sl(n) of the K-span of W under ad_Y, of dimension ``length``.
 
     It is taken over as many samples V(t_j) = e^{t_j Y} W e^{-t_j Y} as the
@@ -615,9 +615,11 @@ def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
     cut to pi / (2 spread) where spread = max Im mu - min Im mu, keeps the
     phases h Im w within a half turn of each other: e^{hY} = -I, as for
     Y = pi [[0, 1], [-1, 0]] and h = 1, would otherwise make every sample equal.
-    The first sample comes from scipy's expm (``linalg.expm``) and each further
-    one from the one before, conjugated by e^{hY}; ``linalg.exp_factory`` can
-    lose digits on nearly defective Y.  A span of dimension 1 is W itself.
+    The first sample and the step e^{hY} come from ``ef``, a
+    ``linalg.exp_factory`` of Y or of Y plus a multiple of E, whose trace the
+    conjugation does not see; without one, a factory of Y is built.  Each
+    further sample is the one before conjugated by e^{hY}.  A span of
+    dimension 1 is W itself.
     """
     samples = [w]
     if length > 1:
@@ -626,8 +628,8 @@ def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
         if spread * h > np.pi / 2:
             h = np.pi / (2.0 * spread)
         t0 = -0.5 * h * (length - 1)
-        e0, e0_inv, step, step_inv = linalg.expm(
-            np.multiply.outer([t0, -t0, h, -h], upsilon))
+        e0, e0_inv, step, step_inv = (ef or linalg.exp_factory(upsilon))(
+            np.array([t0, -t0, h, -h]))
         samples = [e0 @ w @ e0_inv]
         for _ in range(length - 1):
             samples.append(step @ samples[-1] @ step_inv)

@@ -30,9 +30,9 @@ def random_traceless(rng, n, complex_field=False):
 
 def near_defective_4x4():
     """A 2x2 nilpotent Jordan block in a zero 4x4 matrix, plus Gaussian noise of
-    5e-8: the eigenvalues split by about sqrt(5e-8), so the clustered
-    semisimple/nilpotent split fails its checks and ``exp_factory`` falls back
-    to scipy's expm."""
+    5e-8: the eigenvalues split by about sqrt(5e-8), so any eigenbasis of it is
+    ill-conditioned, while its exponential is as well-conditioned as that of
+    the block."""
     m = np.zeros((4, 4))
     m[0, 1] = 1.0
     return m + 5e-8 * np.random.default_rng(1).standard_normal((4, 4))

@@ -445,12 +445,19 @@ class TestOptionValues:
 
 
 def test_import_loads_no_scipy():
-    """Importing the library and its CLI loads no scipy module; scipy.linalg
-    comes in only with the first expm call."""
+    """Importing the library and its CLI, a conj_exp classification, a
+    structured similarity test and an integration of a casebook row load no
+    scipy module."""
     src = str(Path(symode.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, symode, symode.cli; "
+    code = ("import sys, symode, symode.cli\n"
+            "from symode import casebook, classify, integrate_auto, similar_structured\n"
+            "case = {c.label: c for c in casebook.n2_cases()}['4']\n"
+            "assert classify(case.system).case_label == '4'\n"
+            "v = case.system.V\n"
+            "similar_structured((v.upsilon, v.w), (v.upsilon, v.w))\n"
+            "integrate_auto(case.system, case.symmetries)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

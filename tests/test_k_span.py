@@ -92,8 +92,9 @@ def test_block_draws_match_oracle(n):
 
 
 def test_nearly_defective_upsilon_n2():
-    # Y = 8 C S1 C^-1 is nilpotent; exp_factory's split loses up to all digits
-    # of e^{tY} on some of these draws (seeds 22, 24, 56, 59)
+    # Y = 8 C S1 C^-1 is nilpotent; rounding splits its eigenvalues about 1e-7
+    # apart on some of these draws (seeds 22, 24, 56, 59), so that an
+    # exponential built on its eigenbasis loses up to all digits
     for seed in range(60):
         rng = np.random.default_rng(seed)
         c = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)

@@ -99,9 +99,9 @@ def test_grid_derivative_records_one_fd_weights_span():
     assert spans.count("numutil.fd_weights") == 1
 
 
-def test_fallback_factory_counts_one_fallback():
-    """A factory that falls back to scipy's expm records work 1 under
-    ``linalg.exp_factory``, and evaluating it on an array records nothing more."""
+def test_exp_factory_records_one_span():
+    """Building a factory records one ``linalg.exp_factory`` span, and
+    evaluating it on an array records nothing more."""
     import numpy as np
     from conftest import near_defective_4x4
     from symode import linalg
@@ -113,6 +113,5 @@ def test_fallback_factory_counts_one_fallback():
         ef(np.linspace(-1.0, 1.0, 9))
     finally:
         tracer.uninstall()
-    work = [w for i, w in zip(tracer.name, tracer.work)
-            if tracer.names[i] == "linalg.exp_factory"]
-    assert work == [1.0]
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("linalg.exp_factory") == 1
