@@ -411,12 +411,11 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                                "grid; numerical failure")
     # complex eigenvalue pairs of a real system keep the complex modal
     # construction; the pulled-back solutions realify pairwise at the end
-    lam, modal = linalg.jordan_form(zeta[i0], cfg)
+    lam, modal, chains = linalg.jordan_form(zeta[i0], cfg)
     hhat = np.linalg.inv(modal)
     eta_check_half = hhat @ ex_half @ modal
     eta_check = eta_check_half[::2]
-    clusters = linalg.eig_clustered(lam, cfg)
-    sizes = [c.multiplicity for c in clusters]
+    sizes = [sum(lengths) for lengths in chains]
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     blocks = np.zeros((n, n), dtype=bool)
     for bi in range(len(sizes)):
@@ -452,15 +451,11 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     # quadrature accounting from the Jordan structure of Lam
     quad = 0
     divisors = []
-    for ci, c in enumerate(clusters):
-        block_sizes = _jordan_block_sizes(lam, ci, offs)
-        p_i = len(block_sizes)
-        n_i = c.multiplicity
-        quad += n_i + p_i - 1
-        divisors.extend((round(c.value.real, 6), round(c.value.imag, 6), s)
-                        for s in block_sizes)
+    for value, lengths in zip(np.diag(lam)[offs[:-1]], chains):
+        quad += sum(lengths) + len(lengths) - 1
+        divisors.extend((round(value.real, 6), round(value.imag, 6), s) for s in lengths)
     eligible = len(set(divisors)) == len(divisors)
-    r = len(clusters)
+    r = len(chains)
     p_total = len(divisors)
     plan = IntegrationPlan(procedure="TwoSymmetry", quadratures=quad,
                            h_grid=grid, h_values=hvals, t_map=tmap, lam=lam,
@@ -472,23 +467,6 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
                        particular=None, method="two-symmetry straightening",
                        quadratures=quad, plan=plan)
-
-
-def _jordan_block_sizes(lam, idx, offs):
-    """Sizes of the Jordan blocks inside one eigenvalue cluster of lam."""
-    sl = slice(offs[idx], offs[idx + 1])
-    sub = lam[sl, sl]
-    m = sub.shape[0]
-    sizes = []
-    size = 1
-    for i in range(m - 1):
-        if abs(sub[i, i + 1] - 1.0) < 1e-8:
-            size += 1
-        else:
-            sizes.append(size)
-            size = 1
-    sizes.append(size)
-    return sizes
 
 
 def _combine(a, x1, b, x2):

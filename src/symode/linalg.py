@@ -289,28 +289,43 @@ def jordan_chevalley(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     return ms, mn
 
 
-def is_nilpotent(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Nilpotency of the structure at the matrix's own scale.
+def staircase(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """Weyr characteristic of m's zero eigenvalue, then its count of nonzero ones.
 
-    The power test ||m^n|| <= tol * ||m||^n is basis-insensitive and stable
-    under the entry-level noise that splits the eigenvalues of a conjugated
-    nilpotent matrix (the Jordan-Chevalley split is not); callers that need a
-    sharp decision verify the resulting candidate field directly.
+    Returns (n_1, .., n_p, r) with n_j = dim ker m^j - dim ker m^(j-1) > 0 and
+    r the size of the nonsingular remainder, so n_1 + .. + n_p + r = n.  Each
+    step takes the SVD of the current block, counts its singular values at or
+    below eig_cluster_tol ||m||_2 as the next n_j, rotates those null vectors
+    first and keeps the trailing block (the staircase of Kagstrom & Ruhe, ACM
+    TOMS 6 (1980); Golub & Wilkinson, SIAM Rev. 18 (1976)).  No power of m is
+    formed, so the cut does not drift with cond(m)^j, and a conjugated
+    nilpotent whose computed eigenvalues split apart still reads nilpotent.
     """
     m = _check_square(m)
-    n = m.shape[0]
-    norm = frobenius_norm(m)
-    if norm == 0.0:
-        return True
-    power = np.linalg.matrix_power(m / norm, n)
-    return frobenius_norm(power) <= 100.0 * cfg.eig_cluster_tol
+    cut = cfg.eig_cluster_tol * float(np.linalg.norm(m, 2)) if m.size else 0.0
+    nullities = []
+    block = m
+    while len(block):
+        _, s, vh = np.linalg.svd(block)
+        rank = int(np.sum(s > cut))
+        if rank == len(s):
+            break
+        nullities.append(len(s) - rank)
+        block = vh[:rank] @ block @ vh[:rank].conj().T
+    return tuple(nullities) + (len(block),)
+
+
+def is_nilpotent(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Nilpotency as the staircase reads it: no nonsingular remainder."""
+    return staircase(m, cfg)[-1] == 0
 
 
 def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
-    """Jordan normal form (J, S) with m = S J S^{-1}, blocks per cluster.
+    """Jordan normal form (J, S, chains) with m = S J S^{-1}, blocks per cluster.
 
     Jordan chains are built by the standard nullspace filtration of
-    (m - mu E)^j inside each clustered generalized eigenspace.
+    (m - mu E)^j inside each clustered generalized eigenspace.  chains holds,
+    per cluster in J's order, the lengths of its Jordan blocks, longest first.
     """
     m = _check_square(m)
     n = m.shape[0]
@@ -319,6 +334,7 @@ def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     cols = []
     diag = []  # J's diagonal: each column's eigenvalue
     links = []  # J's superdiagonal: 1 where the next column continues the chain
+    lengths = []
     for c in clusters:
         a = mc - c.value * np.eye(n)
         # nullspace filtration N_1 subset N_2 subset ...
@@ -349,10 +365,11 @@ def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
             cols.extend(chain)
             diag.extend([c.value] * len(chain))
             links.extend([1.0] * (len(chain) - 1) + [0.0])
+        lengths.append([len(chain) for chain in chains])
     s = np.stack(cols, axis=1)
     j = np.diag(np.array(diag, dtype=np.complex128))
     j += np.diag(links[:-1], 1)
-    return j, s
+    return j, s, lengths
 
 
 def _complement_columns(space: np.ndarray, avoid: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:

@@ -17,7 +17,10 @@ of L samples of V (``k_span_centralizer``, conjugating by V's own
 recursion in ``matfun.kl_sequence_with_tail``; general polynomial and sampled
 coefficients go through linear classifying-condition solvers.  Every residual
 of the classifying condition comes from ``_classifying_residuals``, which
-evaluates V and V_t once on the probes for all the fields it checks.
+evaluates V and V_t once on the probes for all the fields it checks.  Every
+nilpotency and zero-eigenvalue decision (the graded relation's K-terms, the
+n = 2 generator types, the Jordan structure of V(0) and the alpha matching
+in the similarity test) is read from one ``linalg.staircase``.
 """
 
 from __future__ import annotations
@@ -742,12 +745,11 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
 
 
 def _generator_type(g: np.ndarray, cfg: ToleranceConfig, fld: Field) -> str:
-    evs = np.linalg.eigvals(g.astype(complex))
-    scale = max(1.0, float(np.max(np.abs(evs))))
-    tol = cfg.eig_cluster_tol * scale * 100
-    if np.all(np.abs(evs) < max(tol, 1e-6 * scale)):
+    if linalg.is_nilpotent(g, cfg):
         return "nilpotent"
-    if fld is Field.REAL and np.any(np.abs(evs.imag) > max(tol, 1e-6 * scale)):
+    evs = np.linalg.eigvals(g.astype(complex))
+    tol = max(100 * cfg.eig_cluster_tol, 1e-6) * max(1.0, float(np.max(np.abs(evs))))
+    if fld is Field.REAL and np.any(np.abs(evs.imag) > tol):
         return "complex_pair"
     return "split"
 
@@ -817,64 +819,50 @@ class SimilarityVerdict:
         return self.outcome == "similar"
 
 
-def _rank_pattern(m: np.ndarray, cfg) -> tuple:
-    n = m.shape[0]
-    out = []
-    p = np.eye(n, dtype=complex)
-    for _ in range(n):
-        p = p @ m
-        out.append(linalg.rank_of(p, 1e-7))
-    return tuple(out)
+def _rounded_parts(z: complex) -> tuple:
+    return round(z.real, 9), round(z.imag, 9)
 
 
-def _spectrum(m: np.ndarray, tol: float) -> np.ndarray:
+def _spectrum(m: np.ndarray, keep: int) -> np.ndarray:
+    """The keep eigenvalues of m of largest modulus, sorted by _rounded_parts."""
     evs = np.linalg.eigvals(m.astype(complex))
-    return np.array(sorted(evs, key=lambda z: (round(z.real, 9), round(z.imag, 9))))
+    evs = evs[np.argsort(np.abs(evs), kind="stable")[len(evs) - keep:]]
+    return np.array(sorted(evs, key=_rounded_parts))
 
 
-def _alpha_candidates(v0_a, v0_b, cfg, ups_a=None, ups_b=None):
-    """Finite candidate set for the time-scaling alpha from spectral matching."""
-    tol = cfg.eig_cluster_tol
-    ev_a = _spectrum(v0_a, tol)
-    ev_b = _spectrum(v0_b, tol)
-    scale_a = max(np.abs(ev_a)) if len(ev_a) else 0.0
-    scale_b = max(np.abs(ev_b)) if len(ev_b) else 0.0
-    nil_a = scale_a < 1e-7 * (1 + linalg.frobenius_norm(v0_a))
-    nil_b = scale_b < 1e-7 * (1 + linalg.frobenius_norm(v0_b))
-    if nil_a != nil_b:
-        return None, "nilpotency of V(0) differs"
-    if nil_a and nil_b:
+def _alpha_candidates(v0_a, v0_b, nonzero, cfg, ups_a=None, ups_b=None):
+    """Finite candidate set for the time-scaling alpha from spectral matching.
+
+    nonzero is the common count of nonzero eigenvalues of V(0), the remainder
+    of both sides' staircases; the zero cluster it leaves out scales to itself.
+    """
+    if not nonzero:
         # V(0) spectra give no constraint: guess from the upsilon spectra
         # (exact whenever adding s-elements preserves them), the norm ratio,
         # and the unit scaling; wrong guesses just fail the witness search
         guesses = [1.0 + 0.0j, -1.0 + 0.0j]
         if ups_a is not None and ups_b is not None:
-            ua = _spectrum(ups_a, tol)
-            ub = _spectrum(ups_b, tol)
+            ua = _spectrum(ups_a, linalg.staircase(ups_a, cfg)[-1])
+            ub = _spectrum(ups_b, linalg.staircase(ups_b, cfg)[-1])
             for la in ua:
-                if abs(la) < 1e-8 * (1 + np.max(np.abs(ua))):
-                    continue
                 for lb in ub:
                     cand = lb / la
-                    if abs(cand) > 1e-10 and \
-                            not any(abs(cand - g) < 1e-9 for g in guesses):
+                    if not any(abs(cand - g) < 1e-9 for g in guesses):
                         guesses.append(cand)
         na, nb = linalg.frobenius_norm(v0_a), linalg.frobenius_norm(v0_b)
         if na > 0 and nb > 0:
             r = np.sqrt(nb / na)
             guesses += [complex(r), complex(-r), 1j * r, -1j * r]
         return guesses, None
+    ev_a = _spectrum(v0_a, nonzero)
+    ev_b = _spectrum(v0_b, nonzero)
+    scale_b = float(np.max(np.abs(ev_b)))
     cands = []
     for la in ev_a:
-        if abs(la) < 1e-9 * (1 + scale_a):
-            continue
         for lb in ev_b:
             a2 = lb / la
-            if abs(a2) < 1e-12:
-                continue
-            # the full multisets must match under alpha^2 scaling
-            scaled = np.array(sorted(a2 * ev_a, key=lambda z: (round(z.real, 9),
-                                                               round(z.imag, 9))))
+            # the nonzero multisets must match under alpha^2 scaling
+            scaled = np.array(sorted(a2 * ev_a, key=_rounded_parts))
             if np.max(np.abs(scaled - ev_b)) < 1e-6 * (1.0 + scale_b):
                 root = np.sqrt(a2)
                 for cand in (root, -root):
@@ -890,10 +878,11 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
                        witness_tol: float = 1e-8) -> SimilarityVerdict:
     """Point-transformation similarity of V = e^{tY}V(0)e^{-tY} systems.
 
-    a and b are (upsilon, v0) pairs.  Necessary invariants (rank patterns of
-    V(0) powers, K-list length, dim s, spectral alpha-matching) prove
-    NotSimilar; a verified witness (alpha, M, Gamma in s) proves Similar;
-    anything else is Inconclusive.
+    a and b are (upsilon, v0) pairs.  Necessary invariants (K-list length,
+    dim s, the Jordan structure of V(0) at 0 as ``linalg.staircase`` reads it,
+    spectral alpha-matching of the nonzero eigenvalues) prove NotSimilar; a
+    verified witness (alpha, M, Gamma in s) proves Similar; anything else is
+    Inconclusive.
     """
     ups_a, v0_a = (np.asarray(x) for x in a)
     ups_b, v0_b = (np.asarray(x) for x in b)
@@ -912,10 +901,12 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
         return SimilarityVerdict("not_similar",
                                  obstruction=f"centralizer dimensions differ "
                                              f"({s_a.dim} vs {s_b.dim})")
-    if _rank_pattern(v0_a, cfg) != _rank_pattern(v0_b, cfg):
+    stair_a, stair_b = linalg.staircase(v0_a, cfg), linalg.staircase(v0_b, cfg)
+    if stair_a != stair_b:
         return SimilarityVerdict("not_similar",
-                                 obstruction="rank patterns of V(0) powers differ")
-    cands, obstruction = _alpha_candidates(v0_a, v0_b, cfg, ups_a, ups_b)
+                                 obstruction=f"Jordan structures of V(0) at 0 differ "
+                                             f"(staircases {stair_a} vs {stair_b})")
+    cands, obstruction = _alpha_candidates(v0_a, v0_b, stair_a[-1], cfg, ups_a, ups_b)
     if cands is None:
         return SimilarityVerdict("not_similar", obstruction=obstruction)
     rng = np.random.default_rng(seed)

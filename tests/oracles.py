@@ -190,9 +190,13 @@ def fd_weights_1d(x, x0, m):
     return c[:, m]
 
 
-def grid_derivative_pointwise(grid, values, order=1, stencil=None):
+def pointwise_stencils(grid, order=1, stencil=None):
+    """Per grid point, the node indices and Fornberg weights of its stencil.
+
+    They depend on the grid, the order and the stencil only, so one list
+    serves every value array on the grid.
+    """
     grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values)
     npts = len(grid)
     width = stencil if stencil is not None else order + 4
     width = min(width, npts)
@@ -203,12 +207,20 @@ def grid_derivative_pointwise(grid, values, order=1, stencil=None):
     h_opt = (1e-14) ** (1.0 / (order + 4)) * half_len
     stride = max(1, int(round(h_opt / max(h_typ, 1e-300))))
     stride = min(stride, max(1, (npts - 1) // (width - 1)))
-    out = np.empty_like(values)
     span = (width - 1) * stride
+    stencils = []
     for i in range(npts):
         lo = min(max(i - span // 2, 0), npts - 1 - span)
         idx = np.arange(lo, lo + span + 1, stride)
-        w = fd_weights_1d(grid[idx], grid[i], order)
+        stencils.append((idx, fd_weights_1d(grid[idx], grid[i], order)))
+    return stencils
+
+
+def grid_derivative_pointwise(stencils, values):
+    """The derivative of values from pointwise_stencils of their grid."""
+    values = np.asarray(values)
+    out = np.empty_like(values)
+    for i, (idx, w) in enumerate(stencils):
         out[i] = np.tensordot(w, values[idx], axes=(0, 0))
     return out
 

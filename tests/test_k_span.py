@@ -161,6 +161,61 @@ def test_n4_similar_pairs(seed):
 
 
 def test_n4_pair_127_lengths_agree():
-    # similar by construction; the K-list lengths of the two sides now agree
+    # similar by construction; the K-list lengths of the two sides agree
     verdict = similar_structured(*similar_pair(127, 4), fld=Field.COMPLEX)
-    assert not (verdict.obstruction or "").startswith("K-list lengths differ")
+    assert verdict.outcome == "similar"
+
+
+def witness_residual_ok(verdict, b):
+    return verdict.residual < 1e-8 * (1.0 + np.linalg.norm(b[0]) + np.linalg.norm(b[1]))
+
+
+# pairs that a rank test on the powers of V(0) misread as "not_similar": the
+# singular values of V(0)^k spread like cond(V(0))^k
+STAIRCASE_SEEDS = {3: [29, 73, 117, 137, 186], 4: [25, 29, 33, 123, 127],
+                   5: [3, 4, 23, 24, 27, 33, 34, 39, 45, 55, 56],
+                   6: [3, 9, 11, 13, 14, 17, 20, 21, 23, 24, 25],
+                   7: [2, 5, 6, 8, 11, 12, 13, 14, 16, 18, 19], 8: [0, 2, 6, 8]}
+
+
+@pytest.mark.parametrize("n,seed", [(n, s) for n, seeds in STAIRCASE_SEEDS.items()
+                                    for s in seeds])
+def test_similar_pairs_real(n, seed):
+    a, b = similar_pair(seed, n)
+    verdict = similar_structured(a, b, fld=Field.REAL)
+    assert verdict.outcome == "similar", verdict.obstruction
+    assert witness_residual_ok(verdict, b)
+
+
+def jordan_pairs(seed, n, alpha=1.3):
+    """(Y, C (J2(0) + diag(lam)) C^-1) with two images under t -> alpha t and
+    x -> M x: one of it, and one of C (0 + 0 + diag(lam)) C^-1, which has the
+    same eigenvalues but two Jordan blocks at 0."""
+    rng = np.random.default_rng(seed)
+    ups = random_traceless(rng, n)
+    c = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    lam = rng.uniform(0.5, 2.0, n - 2) * rng.choice([-1.0, 1.0], n - 2)
+    m = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    ci, mi = np.linalg.inv(c), np.linalg.inv(m)
+    split = np.diag(np.r_[0.0, 0.0, lam])
+    jordan = split.copy()
+    jordan[0, 1] = 1.0
+
+    def image(v0):
+        return alpha * m @ ups @ mi, alpha ** 2 * m @ c @ v0 @ ci @ mi
+    return (ups, c @ jordan @ ci), image(jordan), image(split)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_jordan_structure_at_zero_decides(n):
+    similar = 0
+    for seed in range(10):
+        a, same, other = jordan_pairs(seed, n)
+        verdict = similar_structured(a, other, fld=Field.REAL)
+        assert verdict.outcome == "not_similar"
+        assert verdict.obstruction.startswith("Jordan structures of V(0) at 0 differ")
+        verdict = similar_structured(a, same, fld=Field.REAL)
+        # a witness can fail to converge, but the invariants never refute
+        assert verdict.outcome != "not_similar", (seed, verdict.obstruction)
+        similar += verdict.outcome == "similar" and witness_residual_ok(verdict, same)
+    assert similar >= 9

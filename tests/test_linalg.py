@@ -5,7 +5,7 @@ import scipy.linalg
 from symode import linalg
 from symode.linalg import (SubspaceBasis, centralizer_basis, commutator, eig_clustered,
                            hat_check_split, invertible_in_affine_space,
-                           jordan_chevalley, jordan_form)
+                           is_nilpotent, jordan_chevalley, jordan_form, staircase)
 from conftest import E2, S1, S2, S3, Z2, near_defective_4x4, random_traceless
 from oracles import centralizer_dim_bruteforce
 
@@ -161,8 +161,62 @@ class TestEigAndJordan:
 
     def test_jordan_form_roundtrip(self, cfg):
         m = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        j, s = jordan_form(m, cfg)
+        j, s, _ = jordan_form(m, cfg)
         np.testing.assert_allclose(s @ j @ np.linalg.inv(s), m, atol=1e-8)
+
+
+def jordan_matrix(blocks, diag):
+    """Nilpotent Jordan blocks of the given sizes, then diag(diag)."""
+    m = np.diag(np.r_[np.zeros(sum(blocks)), diag])
+    offset = 0
+    for b in blocks:
+        for i in range(offset, offset + b - 1):
+            m[i, i + 1] = 1.0
+        offset += b
+    return m
+
+
+def in_random_basis(m, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(m.shape) + 2.0 * np.eye(len(m))
+    return c @ m @ np.linalg.inv(c)
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("blocks,diag,want", [
+        ([3, 1], [1.0, 2.0], (2, 1, 1, 2)),
+        ([2, 2], [], (2, 2, 0)),
+        ([4], [-1.5], (1, 1, 1, 1, 1)),
+        ([1], [1.0, -1.0, 3.0], (1, 3)),
+        ([3, 2, 1], [0.7, -0.4], (3, 2, 1, 2)),
+        ([], [1.0, -2.0, 0.5], (3,)),
+    ])
+    def test_jordan_matrices_in_random_bases(self, blocks, diag, want, cfg):
+        for seed in range(5):
+            m = in_random_basis(jordan_matrix(blocks, diag), seed)
+            assert staircase(m, cfg) == want, seed
+            assert is_nilpotent(m, cfg) == (want[-1] == 0)
+
+    def test_zero(self, cfg):
+        assert staircase(np.zeros((3, 3)), cfg) == (3, 0)
+        assert is_nilpotent(np.zeros((3, 3)), cfg)
+
+    @pytest.mark.parametrize("seed", [22, 24, 56, 59])
+    def test_conjugated_nilpotent_with_split_eigenvalues(self, seed, cfg):
+        # rounding splits the eigenvalues of Y = C S1 C^-1 about 1e-8 to 6e-8 apart
+        y = in_random_basis(S1, seed)
+        assert np.max(np.abs(np.linalg.eigvals(y))) > 1e-9
+        assert staircase(y, cfg) == (1, 1, 0)
+        assert is_nilpotent(y, cfg)
+
+    def test_small_eigenvalue_is_not_zero(self, cfg):
+        m = in_random_basis(np.diag([1.0, 8e-4]), 3)
+        assert staircase(m, cfg) == (2,)
+        assert not is_nilpotent(m, cfg)
+
+    def test_complex_input(self, cfg):
+        m = jordan_matrix([2], [1.0 + 1.0j])
+        assert staircase(in_random_basis(m, 4), cfg) == (1, 1, 1)
 
 
 class TestMatrixExp:
