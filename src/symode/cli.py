@@ -177,14 +177,20 @@ def encode_function(fun):
 encode_matrix_function = encode_vector_function = encode_scalar_function = encode_function
 
 
-def load_system(path: str, cfg: ToleranceConfig) -> SystemDescriptor:
+def _read_json(path: str):
+    """The JSON document in the file at path; unreadable input is a SchemaError."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
-    return system_from_document(doc, cfg, origin=path)
+    except (UnicodeDecodeError, OSError) as exc:
+        raise SchemaError(f"{path}: unreadable: {exc}") from exc
+
+
+def load_system(path: str, cfg: ToleranceConfig) -> SystemDescriptor:
+    return system_from_document(_read_json(path), cfg, origin=path)
 
 
 def system_from_document(doc, cfg: ToleranceConfig, origin="<doc>") -> SystemDescriptor:
@@ -235,12 +241,7 @@ def system_to_document(sys: SystemDescriptor):
 
 
 def load_symmetries(path: str, domain):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}") from exc
+    doc = _read_json(path)
     try:
         _validate(_SYMMETRY_VALIDATOR, doc)
     except jsonschema.ValidationError as exc:
@@ -302,13 +303,20 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _emit(args, payload):
-    text = json.dumps(payload, indent=2)
-    if args.out:
+def _write(args, text):
+    """text to --out, or to stdout; an unwritable --out is a SchemaError."""
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise SchemaError(f"--out {args.out}: cannot write: {exc.strerror or exc}") from exc
+
+
+def _emit(args, payload):
+    _write(args, json.dumps(payload, indent=2))
 
 
 def cmd_gauge(args) -> int:
@@ -397,12 +405,7 @@ def cmd_classify(args) -> int:
                 lines.append("improper t-shift invariance")
         for note in rep.notes:
             lines.append(f"  - {note}")
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(args, "\n".join(lines))
     return EXIT_OK
 
 
@@ -575,9 +578,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except FileNotFoundError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

@@ -434,6 +434,9 @@ def kl_sequence(upsilon: np.ndarray, w: np.ndarray,
     """K_0 = W, K_{l+1} = [Y, K_l] for l below the K-span's dimension.
 
     The terms {K_0..K_{L-1}} span the K-span span{ad_Y^l W}; L <= n^2 - n + 1.
+    A reference helper for tests and the benchmark's tracer: the library
+    reads the K-span through samples of V(t) (``symalg.k_span_samples``),
+    never through these raw terms, whose norms grow like ||ad_Y||^l.
     """
     mats, _, _ = kl_sequence_with_tail(upsilon, w, cfg)
     return mats
@@ -447,9 +450,12 @@ def k_span_length(upsilon: np.ndarray, w: np.ndarray,
     basis q_0..q_j by Gram-Schmidt with one re-orthogonalisation pass, both
     passes classical (two matrix-vector products each; twice is enough for
     orthogonality to working precision).  The span ends once the remainder
-    falls below rank_tol ||[Y, q_j]||, and at n^2 - n + 1, the largest
-    dimension a cyclic subspace of ad_Y can have.  Unlike the raw terms,
-    whose norms grow like ||ad_Y||^l, the basis stays well conditioned.
+    falls below rank_tol max(2 ||Y||_2, sqrt(||W||_2)), and at n^2 - n + 1,
+    the largest dimension a cyclic subspace of ad_Y can have.  2 ||Y||_2
+    bounds ||ad_Y||, and both terms scale like Y under t -> a t; a stop
+    relative to ||[Y, q_j]|| itself would read rounding as a new direction
+    when [Y, W] = 0.  Unlike the raw terms, whose norms grow like
+    ||ad_Y||^l, the basis stays well conditioned.
     """
     upsilon = np.asarray(upsilon)
     w = np.asarray(w)
@@ -457,17 +463,18 @@ def k_span_length(upsilon: np.ndarray, w: np.ndarray,
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
         return 1
+    stop = cfg.rank_tol * max(2.0 * float(np.linalg.norm(upsilon, 2)),
+                              float(np.sqrt(np.linalg.norm(w, 2))))
     q = np.zeros((n * n - n + 1, n * n), dtype=np.result_type(upsilon, w, float))
     q[0] = w.reshape(-1) / norm
     length = 1
     while length < len(q):
         m = q[length - 1].reshape(n, n)
         v = (upsilon @ m - m @ upsilon).reshape(-1)
-        scale = float(np.linalg.norm(v))
         for _ in range(2):
             v = v - (q[:length].conj() @ v) @ q[:length]
         rest = float(np.linalg.norm(v))
-        if rest <= cfg.rank_tol * scale:
+        if rest <= stop:
             break
         q[length] = v / rest
         length += 1
@@ -480,8 +487,8 @@ def kl_sequence_with_tail(upsilon: np.ndarray, w: np.ndarray,
     ||K_L|| / max_l ||K_l||.
 
     L comes from ``k_span_length``; the raw terms from the recursion.  A tail
-    ratio ~0 means the sequence terminates at zero, the structural
-    prerequisite for second t-symmetries.
+    ratio ~0 means the sequence terminates at zero.  Like ``kl_sequence``, a
+    reference helper the library does not call.
     """
     upsilon = np.asarray(upsilon)
     w = np.asarray(w)

@@ -10,17 +10,20 @@ The essential algebra decomposes as <I> + (t-part |x s^vf): the scaling field
 I is always present, s is the centralizer of the coefficient orbit inside
 sl(n), and the t-part has dimension k <= 2 for regular systems.  Structured
 (t-shift-invariant) coefficients V = eps E + e^{tY} W e^{-tY} are classified
-through the K-span span{K_l}, K_0 = W, K_{l+1} = [Y, K_l]: its dimension L
-comes from Arnoldi on ad_Y (``matfun.k_span_length``), s from the centralizer
-of L samples of V (``k_span_centralizer``, conjugating by V's own
-``linalg.exp_factory``), and the raw terms the graded relation reads from the
-recursion in ``matfun.kl_sequence_with_tail``; general polynomial and sampled
+through the K-span span{ad_Y^l W}: its dimension L comes from Arnoldi on ad_Y
+(``matfun.k_span_length``), and one set of L samples V(t_j)
+(``k_span_samples``, conjugating by V's own ``linalg.exp_factory``) serves
+every other consumer: s is their centralizer, and the graded relation and the
+improper branch are each one least-squares solve at the samples, confirmed
+pointwise against the classifying condition.  The similarity witness is posed
+at samples of both sides in the same way.  The raw terms K_l = ad_Y^l W, whose
+norms grow like ||ad_Y||^l, are never formed.  General polynomial and sampled
 coefficients go through linear classifying-condition solvers.  Every residual
 of the classifying condition comes from ``_classifying_residuals``, which
 evaluates V and V_t once on the probes for all the fields it checks.  Every
-nilpotency and zero-eigenvalue decision (the graded relation's K-terms, the
-n = 2 generator types, the Jordan structure of V(0) and the alpha matching
-in the similarity test) is read from one ``linalg.staircase``.
+nilpotency and zero-eigenvalue decision (the graded relation's prefilter on
+W, the n = 2 generator types, the Jordan structure of V(0) and the alpha
+matching in the similarity test) is read from one ``linalg.staircase``.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ import numpy as np
 from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LPRIME, SystemDescriptor, gauge_traceless, reduce,
                     singular_class_test)
-from .linalg import SubspaceBasis, commutator
+from .linalg import SubspaceBasis
 from .matfun import (COEFFICIENT_KINDS, CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED,
-                     MatrixFunction, ScalarFunction, VectorFunction, kl_sequence_with_tail,
+                     MatrixFunction, ScalarFunction, VectorFunction, k_span_length,
                      poly_lincomb, poly_wronskian)
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 
@@ -457,18 +460,24 @@ def solve_symmetries_sampled(v_fun: MatrixFunction,
 # structured (t-shift-invariant) classification
 
 
-def _ad_lstsq(terms):
-    """Least-squares X of [X, K_m] = R_m over (K_m, R_m, scale_m) triples.
+def _ad_solve(ks, rs):
+    """X with [X, K_j] = R_j for the stacks ks and rs, in least squares, or None.
 
-    Each condition's rows are divided by its scale.  Returns X, the residual
-    norm and the norm of the scaled right-hand side.
+    Each condition's rows are divided by max(||K_j||, ||R_j||, 1); X counts as
+    a solution when the residual is at most 1e-7 (1 + the norm of the scaled
+    right-hand side).
     """
-    n = terms[0][0].shape[0]
-    a = np.vstack([linalg.ad_operator(k) / scale for k, _, scale in terms])
-    b = np.concatenate([(r / scale).reshape(-1, order="F") for _, r, scale in terms])
-    sol, *_ = np.linalg.lstsq(a, b.astype(a.dtype), rcond=None)
-    return (sol.reshape(n, n, order="F"), float(np.linalg.norm(a @ sol - b)),
-            float(np.linalg.norm(b)))
+    n = ks.shape[-1]
+    dtype = np.result_type(ks, rs, float)
+    scale = np.maximum(np.maximum(np.linalg.norm(ks, axis=(1, 2)),
+                                  np.linalg.norm(rs, axis=(1, 2))), 1.0)[:, None, None]
+    a = (linalg.ad_operator(ks.astype(dtype)) / scale).reshape(-1, n * n)
+    # column-major vec of each R_j, as ad_operator acts on vec(X)
+    b = (np.swapaxes(rs, 1, 2) / scale).astype(dtype).reshape(-1)
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if np.linalg.norm(a @ sol - b) > 1e-7 * (1.0 + np.linalg.norm(b)):
+        return None
+    return sol.reshape(n, n, order="F")
 
 
 def _chain_shift(lam, cfg):
@@ -506,9 +515,10 @@ def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,
 
     The centralizer of the K-span gives s; the t-shift field guarantees
     k >= 1.  A second t-field exists iff a candidate from the graded relation
-    [Lam, K_l] = (l+2) K_l (proper, tau = t) or from the exponential branches
-    tau = e^{+-2 sqrt(eps) t} (improper, eps != 0) verifies against the
-    classifying condition; the improper case raises the shift flag.
+    [Lam, V0(t)] = 2 V0(t) + t V0_t(t) (proper, tau = t) or from the
+    exponential branches tau = e^{+-2 sqrt(eps) t} (improper, eps != 0),
+    solved at the K-span samples, verifies against the classifying condition;
+    the improper case raises the shift flag.
     """
     return _classify_conj_exp(MatrixFunction.conj_exp(eps, upsilon, w, domain),
                               cfg, fld, domain)
@@ -530,21 +540,23 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
     if linalg.frobenius_norm(w0) <= cfg.residual_tol:
         raise ClassificationError("singular class; use singular path")
     ups0 = upsilon - (np.trace(upsilon) / n) * np.eye(n)
-    kl, tail, tail_rel = kl_sequence_with_tail(ups0, w0, cfg)
-    s_basis = k_span_centralizer(ups0, w0, len(kl), cfg, v_fun.exp_factory())
-    notes = [f"structured classification; K-list length {len(kl)}"]
+    length = k_span_length(ups0, w0, cfg)
+    # one sample set for s, the graded relation and the improper branch: two
+    # solutions of a relation at the samples differ by an element of their
+    # centralizer, which commutes with every V(t)
+    ts, vs = k_span_samples(ups0, w0, length, v_fun.exp_factory())
+    s_basis = linalg.centralizer_basis(vs, restrict_traceless=True, cfg=cfg)
+    vs_t = ups0 @ vs - vs @ ups0
+    notes = [f"structured classification; K-span length {length}"]
     t_part = [(ScalarFunction.constant(1.0, domain), ups0)]
     k = 1
     improper = False
-    verify_tol = max(cfg.residual_tol,
-                     1e-6 * (1.0 + v_fun.max_norm()))
-    terminates = tail_rel <= 1e-7
-    if terminates and all(linalg.is_nilpotent(kx, cfg) for kx in kl):
-        # [Lam, K_l] = (l+2) K_l over the truncated list
-        lam, resid, _ = _ad_lstsq([(kx, (l + 2) * kx, max(linalg.frobenius_norm(kx), 1e-300))
-                                   for l, kx in enumerate(kl)])
-        scale = max(linalg.frobenius_norm(kx) for kx in kl)
-        if resid <= 1e-7 * (1.0 + scale):
+    verify_tol = max(cfg.residual_tol, 1e-6 * (1.0 + v_fun.max_norm()))
+    # [Lam, W] = 2 W makes W nilpotent, and every V(t) is similar to W
+    if linalg.is_nilpotent(w0, cfg):
+        # [Lam, V(t)] = 2 V(t) + t V_t(t), the graded relation [Lam, K_l] = (l+2) K_l
+        lam = _ad_solve(vs, 2.0 * vs + ts[:, None, None] * vs_t)
+        if lam is not None:
             q_d = SymmetryVectorField(tau=ScalarFunction.polynomial([0.0, 1.0], domain),
                                       gamma=lam)
             if verify_symmetry(v_fun, q_d, cfg) <= verify_tol:
@@ -576,17 +588,16 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
         # real field with eps < 0: the branches would come as a cos/sin pair,
         # forcing k = 3, impossible for regular systems; skip
         found = []
-        # K_0..K_{L+2}: the list, its tail K_L and two more terms
-        k_ext = kl + [tail]
-        for _ in range(2):
-            k_ext.append(commutator(ups0, k_ext[-1]))
         for g0 in branches:
-            gamma0 = _improper_gamma(k_ext, len(kl) - 1, g0, cfg)
+            # [Gamma0, V0(t)] = e^{g0 t} (V0_t + 2 g0 V0) for tau = e^{g0 t}
+            gamma0 = _ad_solve(vs, np.exp(g0 * ts)[:, None, None] * (vs_t + 2.0 * g0 * vs))
             if gamma0 is None:
                 continue
+            gamma0 = gamma0 - (np.trace(gamma0) / n) * np.eye(n)
+            if np.max(np.abs(gamma0.imag)) < 1e-10:
+                gamma0 = gamma0.real
             grid = np.linspace(domain[0], domain[1], 2049)
-            tau_vals = np.exp(g0 * grid)
-            tau = ScalarFunction.sampled(grid, tau_vals)
+            tau = ScalarFunction.sampled(grid, np.exp(g0 * grid))
             q = SymmetryVectorField(tau=tau, gamma=gamma0)
             if verify_symmetry(v_fun, q, cfg) <= verify_tol:
                 found.append((tau, gamma0, g0))
@@ -600,69 +611,59 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
             k = 2
             improper = True
             notes.append(f"improper t-shift pair with exponent {g0:g}")
-    ess = EssentialAlgebra(k=k, t_part=t_part, s_basis=s_basis, n=n, field=fld,
-                           improper_shift_flag=improper, notes=notes)
-    return ess
+    return EssentialAlgebra(k=k, t_part=t_part, s_basis=s_basis, n=n, field=fld,
+                            improper_shift_flag=improper, notes=notes)
+
+
+def _sample_step(count: int, *upsilons) -> float:
+    """Step of ``count`` samples of V(t) = e^{tY} W e^{-tY}, for every Y given.
+
+    V(t) is a sum of terms e^{wt} (times powers of t) over the eigenvalues
+    w = mu_i - mu_j of ad_Y, mu those of Y, so evenly spaced samples span the
+    K-span as long as no two e^{wh} coincide.  h = 1 / (count - 1), cut to
+    pi / (2 spread) where spread = max Im mu - min Im mu, keeps the phases
+    h Im w within a half turn of each other: e^{hY} = -I, as for
+    Y = pi [[0, 1], [-1, 0]] and h = 1, would otherwise make every sample equal.
+    """
+    h = 1.0 / (count - 1)
+    spread = max(float(np.ptp(np.linalg.eigvals(u).imag)) for u in upsilons)
+    if spread * h > np.pi / 2:
+        h = np.pi / (2.0 * spread)
+    return h
+
+
+def k_span_samples(upsilon: np.ndarray, w: np.ndarray, count: int, ef=None, step=None):
+    """Times t_j and samples V(t_j) = e^{t_j Y} W e^{-t_j Y}, j < count, as
+    (count,) and (count, n, n) arrays.
+
+    The times are evenly spaced around t = 0, by ``step`` or else by
+    ``_sample_step(count, Y)``.  Taken at the dimension L of the K-span, the
+    samples span it and, unlike the raw terms K_l, carry only the rounding of
+    a few conjugations.  The first sample and the step e^{hY} come from
+    ``ef``, a ``linalg.exp_factory`` of Y or of Y plus a multiple of E, whose
+    trace the conjugation does not see; without one, a factory of Y is
+    built.  Each further sample is the one before conjugated by e^{hY}.  A
+    single sample is W itself, at t = 0.
+    """
+    w = np.asarray(w)
+    if count == 1:
+        return np.zeros(1), w[None]
+    h = step if step is not None else _sample_step(count, upsilon)
+    t0 = -0.5 * h * (count - 1)
+    e0, e0_inv, e_h, e_h_inv = (ef or linalg.exp_factory(upsilon))(
+        np.array([t0, -t0, h, -h]))
+    samples = [e0 @ w @ e0_inv]
+    for _ in range(count - 1):
+        samples.append(e_h @ samples[-1] @ e_h_inv)
+    return t0 + h * np.arange(count), np.stack(samples)
 
 
 def k_span_centralizer(upsilon: np.ndarray, w: np.ndarray, length: int,
                        cfg: ToleranceConfig = DEFAULT_TOL, ef=None) -> SubspaceBasis:
-    """Centralizer in sl(n) of the K-span of W under ad_Y, of dimension ``length``.
-
-    It is taken over as many samples V(t_j) = e^{t_j Y} W e^{-t_j Y} as the
-    span is long, evenly spaced with step h around t = 0: they span the K-span
-    and, unlike the raw terms or an Arnoldi basis, carry only the rounding of a
-    few conjugations.  V(t) is a sum of terms e^{wt} (times powers of t) over
-    the eigenvalues w = mu_i - mu_j of ad_Y, mu those of Y, so the samples
-    span the K-span as long as no two e^{wh} coincide.  h = 1 / (length - 1),
-    cut to pi / (2 spread) where spread = max Im mu - min Im mu, keeps the
-    phases h Im w within a half turn of each other: e^{hY} = -I, as for
-    Y = pi [[0, 1], [-1, 0]] and h = 1, would otherwise make every sample equal.
-    The first sample and the step e^{hY} come from ``ef``, a
-    ``linalg.exp_factory`` of Y or of Y plus a multiple of E, whose trace the
-    conjugation does not see; without one, a factory of Y is built.  Each
-    further sample is the one before conjugated by e^{hY}.  A span of
-    dimension 1 is W itself.
-    """
-    samples = [w]
-    if length > 1:
-        h = 1.0 / (length - 1)
-        spread = float(np.ptp(np.linalg.eigvals(upsilon).imag))
-        if spread * h > np.pi / 2:
-            h = np.pi / (2.0 * spread)
-        t0 = -0.5 * h * (length - 1)
-        e0, e0_inv, step, step_inv = (ef or linalg.exp_factory(upsilon))(
-            np.array([t0, -t0, h, -h]))
-        samples = [e0 @ w @ e0_inv]
-        for _ in range(length - 1):
-            samples.append(step @ samples[-1] @ step_inv)
-    return linalg.centralizer_basis(samples, restrict_traceless=True, n=w.shape[0], cfg=cfg)
-
-
-def _improper_gamma(k_ext, mstar, g0, cfg):
-    """Solve [Gamma0, V0(t)] = e^{g0 t}(V0_t + 2 g0 V0) in Taylor coefficients.
-
-    Conditions per order m: [Gamma0, K_m] = sum_l C(m,l) g0^{m-l} (K_{l+1}
-    + 2 g0 K_l); solved in least squares through the truncated list plus two
-    guard orders, then confirmed pointwise by the caller.
-    """
-    from math import comb
-    n = k_ext[0].shape[0]
-    terms = []
-    for m in range(mstar + 3):
-        km = k_ext[m].astype(complex)
-        r = np.zeros((n, n), dtype=complex)
-        for l in range(m + 1):
-            r += comb(m, l) * (g0 ** (m - l)) * (k_ext[l + 1].astype(complex)
-                                                 + 2.0 * g0 * k_ext[l].astype(complex))
-        terms.append((km, r, max(np.linalg.norm(km), np.linalg.norm(r), 1.0)))
-    gamma, resid, rhs_norm = _ad_lstsq(terms)
-    if resid > 1e-7 * (1.0 + rhs_norm):
-        return None
-    gamma = gamma - (np.trace(gamma) / n) * np.eye(n)
-    if np.max(np.abs(gamma.imag)) < 1e-10:
-        gamma = gamma.real
-    return gamma
+    """Centralizer in sl(n) of the K-span of W under ad_Y, of dimension ``length``,
+    taken over ``k_span_samples(upsilon, w, length, ef)``."""
+    return linalg.centralizer_basis(k_span_samples(upsilon, w, length, ef)[1],
+                                    restrict_traceless=True, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -819,15 +820,21 @@ class SimilarityVerdict:
         return self.outcome == "similar"
 
 
-def _rounded_parts(z: complex) -> tuple:
-    return round(z.real, 9), round(z.imag, 9)
-
-
 def _spectrum(m: np.ndarray, keep: int) -> np.ndarray:
-    """The keep eigenvalues of m of largest modulus, sorted by _rounded_parts."""
+    """The keep eigenvalues of m of largest modulus."""
     evs = np.linalg.eigvals(m.astype(complex))
-    evs = evs[np.argsort(np.abs(evs), kind="stable")[len(evs) - keep:]]
-    return np.array(sorted(evs, key=_rounded_parts))
+    return evs[np.argsort(np.abs(evs), kind="stable")[len(evs) - keep:]]
+
+
+def _multisets_match(xs, ys, tol) -> bool:
+    """Whether each x pairs off with its own y within tol, nearest first."""
+    free = list(ys)
+    for x in xs:
+        j = int(np.argmin(np.abs(np.array(free) - x))) if free else None
+        if j is None or abs(free[j] - x) >= tol:
+            return False
+        free.pop(j)
+    return not free
 
 
 def _alpha_candidates(v0_a, v0_b, nonzero, cfg, ups_a=None, ups_b=None):
@@ -856,14 +863,13 @@ def _alpha_candidates(v0_a, v0_b, nonzero, cfg, ups_a=None, ups_b=None):
         return guesses, None
     ev_a = _spectrum(v0_a, nonzero)
     ev_b = _spectrum(v0_b, nonzero)
-    scale_b = float(np.max(np.abs(ev_b)))
+    tol = 1e-6 * (1.0 + float(np.max(np.abs(ev_b))))
     cands = []
     for la in ev_a:
         for lb in ev_b:
             a2 = lb / la
             # the nonzero multisets must match under alpha^2 scaling
-            scaled = np.array(sorted(a2 * ev_a, key=_rounded_parts))
-            if np.max(np.abs(scaled - ev_b)) < 1e-6 * (1.0 + scale_b):
+            if _multisets_match(a2 * ev_a, ev_b, tol):
                 root = np.sqrt(a2)
                 for cand in (root, -root):
                     if not any(abs(cand - c) < 1e-9 for c in cands):
@@ -878,25 +884,23 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
                        witness_tol: float = 1e-8) -> SimilarityVerdict:
     """Point-transformation similarity of V = e^{tY}V(0)e^{-tY} systems.
 
-    a and b are (upsilon, v0) pairs.  Necessary invariants (K-list length,
-    dim s, the Jordan structure of V(0) at 0 as ``linalg.staircase`` reads it,
-    spectral alpha-matching of the nonzero eigenvalues) prove NotSimilar; a
-    verified witness (alpha, M, Gamma in s) proves Similar; anything else is
-    Inconclusive.
+    a and b are (upsilon, v0) pairs.  Necessary invariants (dim s, the Jordan
+    structure of V(0) at 0 as ``linalg.staircase`` reads it, spectral
+    alpha-matching of the nonzero eigenvalues) prove NotSimilar; a verified
+    witness (alpha, M, Gamma in s) proves Similar; anything else is
+    Inconclusive.  The K-span lengths L_a and L_b only set the sample counts:
+    L_a and L_b samples for the two centralizers, max(L_a, L_b) + 1 for the
+    witness.
     """
     ups_a, v0_a = (np.asarray(x) for x in a)
     ups_b, v0_b = (np.asarray(x) for x in b)
     n = v0_a.shape[0]
     if v0_b.shape[0] != n:
         return SimilarityVerdict("not_similar", obstruction="different dimensions")
-    kl_a, tail_a, _ = kl_sequence_with_tail(ups_a, v0_a, cfg)
-    kl_b, tail_b, _ = kl_sequence_with_tail(ups_b, v0_b, cfg)
-    if len(kl_a) != len(kl_b):
-        return SimilarityVerdict("not_similar",
-                                 obstruction=f"K-list lengths differ "
-                                             f"({len(kl_a)} vs {len(kl_b)})")
-    s_a = k_span_centralizer(ups_a, v0_a, len(kl_a), cfg)
-    s_b = k_span_centralizer(ups_b, v0_b, len(kl_b), cfg)
+    len_a, len_b = k_span_length(ups_a, v0_a, cfg), k_span_length(ups_b, v0_b, cfg)
+    ef_b = linalg.exp_factory(ups_b)
+    s_a = k_span_centralizer(ups_a, v0_a, len_a, cfg)
+    s_b = k_span_centralizer(ups_b, v0_b, len_b, cfg, ef_b)
     if s_a.dim != s_b.dim:
         return SimilarityVerdict("not_similar",
                                  obstruction=f"centralizer dimensions differ "
@@ -910,14 +914,12 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
     if cands is None:
         return SimilarityVerdict("not_similar", obstruction=obstruction)
     rng = np.random.default_rng(seed)
-    complexify = fld is Field.COMPLEX
     for alpha in cands:
         if fld is Field.REAL and abs(np.imag(alpha)) > 1e-10:
             continue
         alpha_c = complex(alpha)
-        witness = _witness_search(ups_a, v0_a, kl_a + [tail_a], s_a, ups_b, v0_b,
-                                  kl_b + [tail_b], alpha_c, cfg, rng, complexify,
-                                  witness_tol)
+        witness = _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b,
+                                  max(len_a, len_b) + 1, alpha_c, cfg, rng, witness_tol)
         if witness is not None:
             m, gamma, resid = witness
             if fld is Field.REAL:
@@ -932,75 +934,62 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
                              notes=["no witness converged within the trial budget"])
 
 
-def _witness_search(ups_a, v0_a, k_as, s_a, ups_b, v0_b, k_bs, alpha, cfg, rng,
-                    complexify, witness_tol, trials=24):
-    """Linear-lift search for (M, Gamma): K_b,l M = a^{l+2} M K_a,l and
-    Y_b M = a M (Y_a + Gamma), Gamma in span(s_a).
+def _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b, count, alpha, cfg, rng,
+                    witness_tol, trials=24):
+    """Linear-lift search for (M, Gamma): V_b(t_j) M = a^2 M V_a(a t_j) at
+    ``count`` samples and Y_b M = a M (Y_a + Gamma), Gamma in span(s_a).
 
-    k_as and k_bs are the K-lists with their tails, of equal length.
-    Unknowns (M, W_1..W_p) with W_i standing for g_i M; the bilinear Gamma
-    coupling is relaxed to the linear rows Y_b M - a M Y_a = a sum S_i W_i,
-    then every sampled invertible M is re-fit and re-verified exactly.
+    V_b(t_j) comes from ef_b, a factory of Y_b, and V_a(a t_j) from a factory
+    of a Y_a, with one step for both sides; the sample rows are the Taylor
+    rows K_b,l M = a^{l+2} M K_a,l taken in t.  Unknowns (M, W_1..W_p) with
+    W_i standing for g_i M; the bilinear Gamma coupling is relaxed to the
+    linear rows Y_b M - a M Y_a = a sum S_i W_i, then every sampled invertible
+    M is re-fit and re-verified exactly.
     """
     n = v0_a.shape[0]
     p = s_a.dim
     eye = np.eye(n, dtype=complex)
-    blocks = []
-
-    def k_rows(shift_col):
-        rows = []
-        for l, (ka, kb) in enumerate(zip(k_as, k_bs)):
-            ka = ka.astype(complex)
-            kb = kb.astype(complex)
-            scale = max(np.linalg.norm(ka), np.linalg.norm(kb), 1.0)
-            op = (np.kron(eye, kb) - (alpha ** (l + 2)) * np.kron(ka.T, eye)) / scale
-            row = np.zeros((n * n, n * n * (1 + p)), dtype=complex)
-            row[:, shift_col:shift_col + n * n] = op
-            rows.append(row)
-        return rows
-
-    blocks.extend(k_rows(0))
-    for i in range(p):
-        blocks.extend(k_rows((1 + i) * n * n))
+    ups_a_t = alpha * ups_a.astype(complex)
+    step = _sample_step(count, ups_b, ups_a_t)
+    _, vbs = k_span_samples(ups_b, v0_b, count, ef_b, step)
+    _, vas = k_span_samples(ups_a_t, v0_a, count, step=step)
+    ops = [(np.kron(eye, vb) - alpha ** 2 * np.kron(va.T, eye))
+           / max(np.linalg.norm(va), np.linalg.norm(vb), 1.0)
+           for va, vb in zip(vas, vbs)]
+    # the sample rows act on M and on each W_i alike
+    sample_rows = np.kron(np.eye(1 + p), np.vstack(ops))
     ups_row = np.zeros((n * n, n * n * (1 + p)), dtype=complex)
     ups_row[:, :n * n] = np.kron(eye, ups_b.astype(complex)) \
         - alpha * np.kron(ups_a.astype(complex).T, eye)
     for i, s_mat in enumerate(s_a.mats):
         ups_row[:, (1 + i) * n * n:(2 + i) * n * n] = \
             -alpha * np.kron(eye, s_mat.astype(complex))
-    blocks.append(ups_row)
-    a_mat = np.vstack(blocks)
+    a_mat = np.vstack([sample_rows, ups_row])
     null = linalg.nullspace(a_mat, 1e-10)
     if null.shape[1] == 0:
         return None
     m_blocks = [null[:n * n, j].reshape(n, n, order="F") for j in range(null.shape[1])]
     zero = np.zeros((n, n), dtype=complex)
-    for trial in range(trials):
+    s_cols = (np.stack([g.reshape(-1, order="F") for g in s_a.mats], axis=1).astype(complex)
+              if p else None)
+    scale = 1.0 + np.linalg.norm(v0_b) + np.linalg.norm(ups_b)
+    for _ in range(trials):
         m = linalg.invertible_in_affine_space(m_blocks, zero, cfg,
                                               seed=int(rng.integers(1 << 30)),
                                               trials=16)
         if m is None:
             continue
+        m = m / np.linalg.norm(m) * np.sqrt(n)
         mi = np.linalg.inv(m)
-        gamma_raw = (mi @ ups_b.astype(complex) @ m) / alpha - ups_a.astype(complex)
+        gamma = zero
         if p:
-            stack = np.stack([s.reshape(-1, order="F") for s in
-                              (mm.astype(complex) for mm in s_a.mats)]).T
-            coef, *_ = np.linalg.lstsq(stack, gamma_raw.reshape(-1, order="F"),
-                                       rcond=None)
-            gamma = sum(c * s.astype(complex) for c, s in zip(coef, s_a.mats))
-        else:
-            gamma = zero
+            gamma_raw = (mi @ ups_b @ m) / alpha - ups_a
+            coef, *_ = np.linalg.lstsq(s_cols, gamma_raw.reshape(-1, order="F"), rcond=None)
+            gamma = sum(c * g for c, g in zip(coef, s_a.mats))
         resid = (np.linalg.norm(ups_b - alpha * m @ (ups_a + gamma) @ mi)
-                 + np.linalg.norm(v0_b - alpha ** 2 * m @ v0_a.astype(complex) @ mi))
-        scale = 1.0 + np.linalg.norm(v0_b) + np.linalg.norm(ups_b)
+                 + np.linalg.norm(v0_b - alpha ** 2 * m @ v0_a @ mi))
         if resid <= witness_tol * scale:
-            mn = m / np.linalg.norm(m) * np.sqrt(n)
-            resid = (np.linalg.norm(ups_b - alpha * mn @ (ups_a + gamma)
-                                    @ np.linalg.inv(mn))
-                     + np.linalg.norm(v0_b - alpha ** 2 * mn @ v0_a.astype(complex)
-                                      @ np.linalg.inv(mn)))
-            return mn, gamma, float(resid)
+            return m, gamma, float(resid)
     return None
 
 

@@ -70,6 +70,35 @@ class TestSchema:
         assert ours.value.message == theirs.value.message
         assert list(ours.value.absolute_path) == list(theirs.value.absolute_path)
 
+    @pytest.mark.parametrize("name, says", [("bom.json", "'utf-8' codec"),
+                                            (".", "Is a directory"),
+                                            ("absent.json", "No such file")])
+    def test_unreadable_input_exit2(self, tmp_path, capsys, name, says):
+        (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
+        assert main(["classify", str(tmp_path / name)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error") and says in err
+
+    def test_unreadable_symmetries_exit2(self, case7_doc, tmp_path, capsys):
+        assert main(["integrate", case7_doc, "--symmetries", str(tmp_path)]) == EXIT_SCHEMA
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_unwritable_out_exit2(self, case7_doc, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "out.json")
+        assert main(["classify", case7_doc, "--out", out]) == EXIT_SCHEMA
+        assert "--out" in capsys.readouterr().err
+
+    def test_non_utf8_input_no_traceback(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe")
+        src = str(Path(symode.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-m", "symode.cli", "classify", str(path)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_SCHEMA
+        assert "Traceback" not in run.stderr
+
     def test_missing_matrix_exit2(self, tmp_path):
         doc = {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1]}
         path = write(tmp_path, "bad3.json", doc)

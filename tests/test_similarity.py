@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from symode.matfun import kl_sequence
 from symode.scalars import Field
@@ -122,6 +123,25 @@ class TestObstructions:
         assert verdict_c.is_similar
         verdict_r = similar_structured(a, b, cfg, Field.REAL, seed=0)
         assert verdict_r.outcome != "similar" or abs(np.imag(verdict_r.alpha)) < 1e-12
+
+
+class TestAlphaMatching:
+    @pytest.mark.parametrize("seed", [29, 41])
+    def test_spectra_across_a_rounding_boundary(self, seed):
+        # Re of the conjugate-like pair sits at the ninth decimal's rounding
+        # boundary, so a sort of either side's eigenvalues by parts rounded to
+        # 9 digits can order the two differently
+        rng = np.random.default_rng(seed)
+        d = 0.5000000005 + rng.uniform(-3e-16, 3e-16, 2)
+        ev = [d[0] + 1j, d[1] - 1j, -2.0 + 0.3j]
+        c = rng.standard_normal((3, 3)) + 2.0 * np.eye(3) + 1j * rng.standard_normal((3, 3))
+        v0_a = c @ np.diag(ev) @ np.linalg.inv(c)
+        m = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+        v0_b = m @ v0_a @ np.linalg.inv(m)
+        z = np.zeros((3, 3))
+        verdict = similar_structured((z, v0_a), (z, v0_b), fld=Field.COMPLEX)
+        assert verdict.outcome == "similar", verdict.obstruction
+        assert abs(abs(verdict.alpha) - 1.0) < 1e-9
 
 
 class TestConstantCoefficientConversion:
