@@ -240,18 +240,35 @@ def system_to_document(sys: SystemDescriptor):
     return doc
 
 
-def load_symmetries(path: str, domain):
+def load_symmetries(path: str, n: int, domain):
+    """The symmetry fields in the file at path for a system of size n on domain;
+    a field that does not fit the system is a SchemaError."""
     doc = _read_json(path)
     try:
         _validate(_SYMMETRY_VALIDATOR, doc)
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"{path}: schema violation: {exc.message}") from exc
     out = []
-    for item in doc:
-        tau = decode_function(item["tau"], ScalarFunction, domain)
-        gamma = _decode_array(item["gamma"], 2) if "gamma" in item else None
-        chi = decode_function(item["chi"], VectorFunction, domain) if "chi" in item else None
-        out.append(SymmetryVectorField(tau=tau, gamma=gamma, chi=chi))
+    try:
+        for i, item in enumerate(doc):
+            tau = decode_function(item["tau"], ScalarFunction, domain)
+            gamma = _decode_array(item["gamma"], 2) if "gamma" in item else None
+            chi = decode_function(item["chi"], VectorFunction, domain) if "chi" in item else None
+            if gamma is not None and gamma.shape != (n, n):
+                raise SchemaError(f"symmetry {i}: gamma has shape {gamma.shape}, "
+                                  f"but the system has n = {n}")
+            if chi is not None and chi.n != n:
+                raise SchemaError(f"symmetry {i}: chi has size {chi.n}, "
+                                  f"but the system has n = {n}")
+            for name, fun in (("tau", tau), ("chi", chi)):
+                if fun is not None and not fun.covers(domain):
+                    raise SchemaError(
+                        f"symmetry {i}: {name} is defined on "
+                        f"[{fun.domain[0]:g}, {fun.domain[1]:g}], which does not cover "
+                        f"the domain [{domain[0]:g}, {domain[1]:g}]")
+            out.append(SymmetryVectorField(tau=tau, gamma=gamma, chi=chi))
+    except (RepresentationError, FieldError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return out
 
 
@@ -414,7 +431,7 @@ def cmd_integrate(args) -> int:
     sys_in = load_system(args.input, cfg)
     syms = []
     if args.symmetries:
-        syms = load_symmetries(args.symmetries, sys_in.domain)
+        syms = load_symmetries(args.symmetries, sys_in.n, sys_in.domain)
     try:
         sol = integrate_auto(sys_in, syms, args.grid)
     except IntegrationError as exc:

@@ -75,9 +75,15 @@ class SystemDescriptor:
         self.domain = (float(self.domain[0]), float(self.domain[1]))
         for name in ("A", "B", "f", "V"):
             fun = getattr(self, name)
-            if fun is not None and fun.n != self.n:
+            if fun is None:
+                continue
+            if fun.n != self.n:
                 raise RepresentationError(f"coefficient {name} has size {fun.n}, "
                                           f"but the system has n = {self.n}")
+            if not fun.covers(self.domain):
+                raise RepresentationError(
+                    f"coefficient {name} is defined on [{fun.domain[0]:g}, {fun.domain[1]:g}], "
+                    f"which does not cover the domain [{self.domain[0]:g}, {self.domain[1]:g}]")
         if self.cls in (BARL, HOMOGENEOUS):
             if self.A is None or self.B is None:
                 raise GaugeError(f"class {self.cls} needs A and B")

@@ -253,6 +253,13 @@ class _TimeFunction:
     def degree(self):
         return len(self.coeffs) - 1 if self.kind in COEFFICIENT_KINDS else None
 
+    def covers(self, domain) -> bool:
+        """Whether [domain[0], domain[1]] lies in the domain, within the slack
+        of ``evaluate``."""
+        lo, hi = self.domain
+        slack = _HULL_SLACK * (1.0 + hi - lo)
+        return lo - slack <= domain[0] and domain[1] <= hi + slack
+
     def _in_domain(self, t: np.ndarray) -> None:
         lo, hi = self.domain
         slack = _HULL_SLACK * (1.0 + hi - lo)

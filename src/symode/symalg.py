@@ -18,8 +18,12 @@ improper branch are each one least-squares solve at the samples, confirmed
 pointwise against the classifying condition.  The similarity witness is posed
 at samples of both sides in the same way.  The raw terms K_l = ad_Y^l W, whose
 norms grow like ||ad_Y||^l, are never formed.  General polynomial and sampled
-coefficients go through linear classifying-condition solvers.  Every residual
-of the classifying condition comes from ``_classifying_residuals``, which
+coefficients go through one linear system, the ``_condition_rows`` of the
+classifying condition at probe points: d + 2 of them with an exact rank cut
+for a polynomial V of degree d, 64 with a spectral-gap cut for sampled data.
+Every k = 2 t-part, from either solver or from the structured route's graded
+relation, is brought to [P, D] = P by ``_normalize_k2``.  Every residual of
+the classifying condition comes from ``_classifying_residuals``, which
 evaluates V and V_t once on the probes for all the fields it checks.  Every
 nilpotency and zero-eigenvalue decision (the graded relation's prefilter on
 W, the n = 2 generator types, the Jordan structure of V(0) and the alpha
@@ -201,43 +205,19 @@ def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction, fi
 # classifying-condition solvers
 
 
-def _solver_rows_poly(coeffs, n, trace_rows=None):
-    """Rows of the linear system in (c0, c1, c2, vec Gamma) for polynomial V.
+def _condition_rows(ts, v, vt):
+    """Rows in (c0, c1, c2, vec Gamma) of the classifying condition at probes ts.
 
-    Coefficient of t^j in tau V_t + 2 tau_t V - [Gamma, V]:
-        c0 (j+1) M_{j+1} + c1 (j+2) M_j + c2 (j+3) M_{j-1} - [Gamma, M_j].
+    Per probe, the n^2 rows of (c0 + c1 t + c2 t^2) V_t + (2 c1 + 4 c2 t) V
+    - [Gamma, V] = 0, from the stacks v and vt of V and V_t there.
     """
-    d = len(coeffs) - 1
-    dtype = np.result_type(np.float64, coeffs)
-    rows = []
-
-    def m_at(j):
-        if 0 <= j <= d:
-            return coeffs[j]
-        return np.zeros((n, n), dtype=dtype)
-
-    for j in range(d + 2):
-        block = np.zeros((n * n, 3 + n * n), dtype=dtype)
-        block[:, 0] = (j + 1) * m_at(j + 1).reshape(-1, order="F")
-        block[:, 1] = (j + 2) * m_at(j).reshape(-1, order="F")
-        block[:, 2] = (j + 3) * m_at(j - 1).reshape(-1, order="F")
-        block[:, 3:] = -linalg.ad_operator(m_at(j))
-        rows.append(block)
-    if trace_rows is not None:
-        # tau u_t + 2 tau_t u = 0 as polynomial identity (u = trace part / n)
-        u = trace_rows
-        du = len(u) - 1
-
-        def u_at(j):
-            return u[j] if 0 <= j <= du else 0.0
-
-        for j in range(du + 2):
-            row = np.zeros((1, 3 + n * n), dtype=dtype)
-            row[0, 0] = (j + 1) * u_at(j + 1)
-            row[0, 1] = (j + 2) * u_at(j)
-            row[0, 2] = (j + 3) * u_at(j - 1)
-            rows.append(row)
-    return np.vstack(rows)
+    p, n = v.shape[0], v.shape[-1]
+    t = ts[:, None, None]
+    rows = np.zeros((p, n * n, 3 + n * n), dtype=np.result_type(v, vt, float))
+    for col, m in enumerate((vt, t * vt + 2.0 * v, t * t * vt + 4.0 * t * v)):
+        rows[:, :, col] = np.swapaxes(m, 1, 2).reshape(p, n * n)
+    rows[:, :, 3:] = -linalg.ad_operator(v)
+    return rows.reshape(p * n * n, 3 + n * n)
 
 
 def _nullspace_by_spectral_gap(a, floor_rel=1e-12, band_rel=1e-4, gap_min=100.0):
@@ -275,10 +255,6 @@ def _nullspace_by_spectral_gap(a, floor_rel=1e-12, band_rel=1e-4, gap_min=100.0)
     rank, ratio = chosen
     null = vh[rank:].conj().T
     return null, ratio
-
-
-def _tau_from_coeffs(c, domain):
-    return ScalarFunction.polynomial([c[0], c[1], c[2]], domain)
 
 
 def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
@@ -325,7 +301,7 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
                 and np.max(np.abs(gamma.imag)) < 1e-9:
             c = c.real
             gamma = gamma.real
-        t_part.append((_tau_from_coeffs(c, domain), gamma))
+        t_part.append((ScalarFunction.polynomial(c, domain), gamma))
     notes = [note] if note else []
     ess = EssentialAlgebra(k=k, t_part=t_part, s_basis=s_basis, n=n, field=fld,
                            notes=notes, confidence_gap=gap)
@@ -337,9 +313,10 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
 def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     """Recombine the two t-fields so [P, D] = P, with Jordan-splitting cleanup.
 
-    D's matrix is replaced by its semisimple part (the nilpotent part lies in
-    s), P's by its hat-part with respect to D; both changes stay inside the
-    computed algebra.
+    Serves both solvers and the structured route's graded relation.  D's
+    matrix becomes its semisimple part D_s if the nilpotent part lies in s, and
+    P's its hat-part with respect to D_s if the check-part lies in s; both stay
+    inside the computed algebra.  A sampled tau (improper branch) is left as is.
     """
     (tau1, g1), (tau2, g2) = ess.t_part
     if tau1.kind != POLYNOMIAL or tau2.kind != POLYNOMIAL:
@@ -369,10 +346,10 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
         tau_x, tau_y, gx, gy = tau_x.real, tau_y.real, gx.real, gy.real
     try:
         gy_s, gy_n = linalg.jordan_chevalley(gy, cfg)
-        if ess.s_basis.dim and ess.s_basis.contains(gy_n):
+        if ess.s_basis.contains(gy_n):
             gy = gy_s
-        gx_hat, gx_check = linalg.hat_check_split(gx, gy, cfg)
-        if ess.s_basis.dim and ess.s_basis.contains(gx_check):
+        gx_hat, gx_check = linalg.hat_check_split(gx, gy_s, cfg)
+        if ess.s_basis.contains(gx_check):
             gx = gx_hat
     except linalg.LinalgError:
         ess.notes.append("k=2 Jordan normalization skipped (defective data)")
@@ -386,35 +363,42 @@ def solve_symmetries_traceless_poly(v_fun: MatrixFunction,
                                     cfg: ToleranceConfig = DEFAULT_TOL,
                                     fld: Field | None = None,
                                     trace_part=None) -> EssentialAlgebra:
-    """Exact polynomial-coefficient solve of the classifying condition.
+    """Pointwise solve of the classifying condition for constant or polynomial V.
 
-    V must be traceless (or trace_part supplies the scalar polynomial u, whose
-    compatibility equation tau u_t + 2 tau_t u = 0 is appended; candidates
-    failing it are filtered out by the joint nullspace).
+    With d = max(deg V, deg u), the condition is a polynomial identity of
+    degree d + 1 in t, so the ``_condition_rows`` at d + 2 probes vanish iff
+    it does; the nullspace takes the relative ``rank_tol`` cut.  V must be
+    traceless, or trace_part supplies the coefficients of the scalar
+    polynomial u, whose compatibility equation tau u_t + 2 tau_t u = 0 adds
+    the same three tau columns for u at the probes; candidates failing it
+    drop out of the joint nullspace.
     """
     if v_fun.kind not in COEFFICIENT_KINDS:
         raise ClassificationError("polynomial solver needs constant/polynomial V")
-    coeffs = v_fun.coeffs
     n = v_fun.n
     fld = fld or v_fun.field
     if trace_part is None and not v_fun.is_traceless(cfg.residual_tol):
         raise ClassificationError("input is not traceless; split the trace first")
-    if max(linalg.frobenius_norm(c) for c in coeffs) <= cfg.residual_tol:
+    if max(linalg.frobenius_norm(c) for c in v_fun.coeffs) <= cfg.residual_tol:
         raise ClassificationError("singular class; use singular path")
+    u_fun = ScalarFunction.polynomial(trace_part, v_fun.domain) \
+        if trace_part is not None else None
+    degree = max(v_fun.degree(), u_fun.degree() if u_fun is not None else 0)
+    ts, v, vt = _probe_values(v_fun, *v_fun.domain, degree + 2)
     # solutions of the classifying condition are invariant under scaling V,
     # so normalize to keep tau and Gamma components balanced in the nullspace;
     # the trace rows are homogeneous on their own and get their own scale
-    scale = max(linalg.frobenius_norm(c) for c in coeffs)
-    coeffs = coeffs / scale
-    if trace_part is not None:
-        u_scale = max(max(abs(complex(u)) for u in trace_part), 1e-300)
-        trace_part = [u / u_scale for u in trace_part]
-    rows = _solver_rows_poly(coeffs, n, trace_rows=trace_part)
-    null = linalg.nullspace(rows, cfg.rank_tol)
-    note = "exact polynomial coefficient matching"
-    if trace_part is not None:
+    rows = _condition_rows(ts, v, vt) / float(np.max(np.abs(v)))
+    note = f"classifying condition solved pointwise at {degree + 2} probes"
+    if u_fun is not None:
+        u = u_fun.evaluate(ts)
+        u_rows = _condition_rows(ts, u[:, None, None],
+                                 u_fun.derivative(1).evaluate(ts)[:, None, None])[:, :3]
+        u_rows = u_rows / max(float(np.max(np.abs(u))), 1e-300)
+        rows = np.vstack([rows, np.pad(u_rows, ((0, 0), (0, n * n)))])
         note += "; non-traceless input handled by the trace compatibility filter " \
                 "(complete for polynomial coefficients)"
+    null = linalg.nullspace(rows, cfg.rank_tol)
     return _build_algebra(null, n, fld, v_fun.domain, cfg, note)
 
 
@@ -434,15 +418,7 @@ def solve_symmetries_sampled(v_fun: MatrixFunction,
     if v_fun.max_norm() <= cfg.residual_tol:
         raise ClassificationError("singular class; use singular path")
     ts, v, vt = _probe_values(v_fun, *v_fun.domain, probes)
-    scale = max(1.0, float(np.max(np.abs(v))))
-    # per probe, n^2 rows in (c0, c1, c2, vec Gamma) of
-    # (c0 + c1 t + c2 t^2) V_t + (2 c1 + 4 c2 t) V - [Gamma, V] = 0
-    t = ts[:, None, None]
-    blocks = np.zeros((probes, n * n, 3 + n * n), dtype=v.dtype)
-    for col, m in enumerate((vt, t * vt + 2.0 * v, t * t * vt + 4.0 * t * v)):
-        blocks[:, :, col] = np.swapaxes(m, 1, 2).reshape(probes, n * n)
-    blocks[:, :, 3:] = -linalg.ad_operator(v)
-    a = (blocks / scale).reshape(probes * n * n, 3 + n * n)
+    a = _condition_rows(ts, v, vt) / max(1.0, float(np.max(np.abs(v))))
     # finite-difference noise on sampled data pushes the should-be-zero
     # singular values well above machine precision; cut at the dominant
     # spectral gap inside the plausibly-zero band instead of a fixed level
@@ -480,33 +456,6 @@ def _ad_solve(ks, rs):
     return sol.reshape(n, n, order="F")
 
 
-def _chain_shift(lam, cfg):
-    """Shift eigenvalue chains of a semisimple matrix so chain minima are 0.
-
-    Chains are maximal descending runs of distinct eigenvalues with successive
-    differences 1 or 2 (real parts); only a single-chain spectrum admits a
-    global shift by a multiple of the identity, the smallest-integer choice.
-    """
-    evs = np.linalg.eigvals(lam.astype(complex))
-    order = np.argsort(-evs.real)
-    distinct: list[complex] = []
-    for e in evs[order]:
-        if not distinct or abs(e - distinct[-1]) > cfg.eig_cluster_tol * (1 + abs(e)):
-            distinct.append(complex(e))
-    chains: list[list[complex]] = []
-    for e in distinct:
-        attach = bool(chains) and (abs(chains[-1][-1] - e - 1.0) < 0.25
-                                   or abs(chains[-1][-1] - e - 2.0) < 0.25)
-        if attach:
-            chains[-1].append(e)
-        else:
-            chains.append([e])
-    if len(chains) == 1:
-        shift = -min(e.real for e in chains[0])
-        return lam + shift * np.eye(lam.shape[0], dtype=lam.dtype), shift
-    return lam, 0.0
-
-
 def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,
                         cfg: ToleranceConfig = DEFAULT_TOL,
                         fld: Field = Field.REAL,
@@ -518,7 +467,8 @@ def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,
     [Lam, V0(t)] = 2 V0(t) + t V0_t(t) (proper, tau = t) or from the
     exponential branches tau = e^{+-2 sqrt(eps) t} (improper, eps != 0),
     solved at the K-span samples, verifies against the classifying condition;
-    the improper case raises the shift flag.
+    the improper case raises the shift flag.  A proper pair goes through
+    ``_normalize_k2`` like the solvers' k = 2 t-parts.
     """
     return _classify_conj_exp(MatrixFunction.conj_exp(eps, upsilon, w, domain),
                               cfg, fld, domain)
@@ -560,23 +510,9 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
             q_d = SymmetryVectorField(tau=ScalarFunction.polynomial([0.0, 1.0], domain),
                                       gamma=lam)
             if verify_symmetry(v_fun, q_d, cfg) <= verify_tol:
-                lam_s, _ = linalg.jordan_chevalley(lam, cfg)
-                if fld is Field.REAL and np.iscomplexobj(lam_s) \
-                        and np.max(np.abs(lam_s.imag)) < 1e-8:
-                    lam_s = lam_s.real
-                _, shift = _chain_shift(lam_s, cfg)
                 lam0 = lam - (np.trace(lam) / n) * np.eye(n)
-                t_part.append((ScalarFunction.polynomial([0.0, 1.0], domain), lam0))
-                # normalize the t-shift field to its hat-part, realizing the
-                # bracket relation [P, D] = P inside the computed algebra
-                try:
-                    ups_hat, ups_check = linalg.hat_check_split(ups0, lam_s, cfg)
-                    if s_basis.dim == 0 or s_basis.contains(ups_check):
-                        t_part[0] = (t_part[0][0], ups_hat)
-                except linalg.LinalgError:
-                    notes.append("hat-part normalization skipped (defective data)")
-                notes.append(f"second t-field tau = t with chain representative "
-                             f"shifted by {shift:g} so chain minima are 0")
+                t_part.append((q_d.tau, lam0))
+                notes.append("second t-field tau = t from the graded relation")
                 k = 2
     if k == 1 and abs(eps_eff) > cfg.residual_tol:
         branches = []
@@ -611,8 +547,11 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
             k = 2
             improper = True
             notes.append(f"improper t-shift pair with exponent {g0:g}")
-    return EssentialAlgebra(k=k, t_part=t_part, s_basis=s_basis, n=n, field=fld,
-                            improper_shift_flag=improper, notes=notes)
+    ess = EssentialAlgebra(k=k, t_part=t_part, s_basis=s_basis, n=n, field=fld,
+                           improper_shift_flag=improper, notes=notes)
+    if k == 2:
+        _normalize_k2(ess, cfg)
+    return ess
 
 
 def _sample_step(count: int, *upsilons) -> float:

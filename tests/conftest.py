@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from symode.matfun import MatrixFunction
 from symode.scalars import ToleranceConfig
 
 S1 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -36,3 +39,25 @@ def near_defective_4x4():
     m = np.zeros((4, 4))
     m[0, 1] = 1.0
     return m + 5e-8 * np.random.default_rng(1).standard_normal((4, 4))
+
+
+def graded_draw(seed, n):
+    """Y on the first superdiagonal and W on the second, both standard normal,
+    in a basis C = N(0,1) + 2I."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    ups = np.diag(rng.standard_normal(n - 1), 1)
+    w = np.diag(rng.standard_normal(n - 2), 2)
+    ci = np.linalg.inv(c)
+    return c @ ups @ ci, c @ w @ ci
+
+
+def graded_polynomial(ups, w, domain=DOM):
+    """e^{tY} W e^{-tY} of a ``graded_draw`` as the polynomial sum_l t^l K_l / l!,
+    K_0 = W, K_{l+1} = [Y, K_l]: K_l lies on superdiagonal l + 2 of the C basis,
+    so the sum ends at l = n - 3."""
+    kl = [w]
+    for _ in range(w.shape[0] - 3):
+        kl.append(ups @ kl[-1] - kl[-1] @ ups)
+    return MatrixFunction.polynomial(
+        np.stack([k / math.factorial(l) for l, k in enumerate(kl)]), domain)

@@ -358,3 +358,62 @@ def hermite_reference(grid, values, ts):
     slopes, at ts; beyond either end it extrapolates the end cubic."""
     slopes = grid_derivative(grid, values, 1)
     return CubicHermiteSpline(grid, values, slopes, axis=0)(ts)
+
+
+# The polynomial solver's rows as they were before it posed the classifying
+# condition pointwise: one block per power of t, matched coefficient by
+# coefficient.  symode.symalg.solve_symmetries_traceless_poly is checked
+# against this on (k, dim_s).
+
+def _solver_rows_poly(coeffs, n, trace_rows=None):
+    """Rows of the linear system in (c0, c1, c2, vec Gamma) for polynomial V.
+
+    Coefficient of t^j in tau V_t + 2 tau_t V - [Gamma, V]:
+        c0 (j+1) M_{j+1} + c1 (j+2) M_j + c2 (j+3) M_{j-1} - [Gamma, M_j].
+    """
+    d = len(coeffs) - 1
+    dtype = np.result_type(np.float64, coeffs)
+    rows = []
+
+    def m_at(j):
+        if 0 <= j <= d:
+            return coeffs[j]
+        return np.zeros((n, n), dtype=dtype)
+
+    for j in range(d + 2):
+        block = np.zeros((n * n, 3 + n * n), dtype=dtype)
+        block[:, 0] = (j + 1) * m_at(j + 1).reshape(-1, order="F")
+        block[:, 1] = (j + 2) * m_at(j).reshape(-1, order="F")
+        block[:, 2] = (j + 3) * m_at(j - 1).reshape(-1, order="F")
+        block[:, 3:] = -_ad_kron(m_at(j))
+        rows.append(block)
+    if trace_rows is not None:
+        # tau u_t + 2 tau_t u = 0 as polynomial identity (u = trace part / n)
+        u = trace_rows
+        du = len(u) - 1
+
+        def u_at(j):
+            return u[j] if 0 <= j <= du else 0.0
+
+        for j in range(du + 2):
+            row = np.zeros((1, 3 + n * n), dtype=dtype)
+            row[0, 0] = (j + 1) * u_at(j + 1)
+            row[0, 1] = (j + 2) * u_at(j)
+            row[0, 2] = (j + 3) * u_at(j - 1)
+            rows.append(row)
+    return np.vstack(rows)
+
+
+def solve_symmetries_poly_coefficients(v_fun, cfg, fld=None, trace_part=None):
+    """The coefficient-matching solve: each coefficient scaled by the largest
+    coefficient norm, u by its largest coefficient, and the nullspace cut at
+    rank_tol relative."""
+    from symode.linalg import nullspace
+    from symode.symalg import _build_algebra
+    coeffs = v_fun.coeffs / max(np.linalg.norm(c) for c in v_fun.coeffs)
+    if trace_part is not None:
+        u_scale = max(max(abs(complex(u)) for u in trace_part), 1e-300)
+        trace_part = [u / u_scale for u in trace_part]
+    rows = _solver_rows_poly(coeffs, v_fun.n, trace_rows=trace_part)
+    return _build_algebra(nullspace(rows, cfg.rank_tol), v_fun.n, fld or v_fun.field,
+                          v_fun.domain, cfg, "exact polynomial coefficient matching")

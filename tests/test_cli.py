@@ -32,6 +32,15 @@ def barl_doc(a, b, f=(0.0, 0.0)):
     }
 
 
+def run_cli(argv):
+    """``python -m symode.cli argv`` in a fresh process, with this symode on its path."""
+    src = str(Path(symode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "symode.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
 @pytest.fixture
 def case7_doc(tmp_path):
     return write(tmp_path, "case7.json", barl_doc(np.zeros((2, 2)), S1))
@@ -91,13 +100,45 @@ class TestSchema:
     def test_non_utf8_input_no_traceback(self, tmp_path):
         path = tmp_path / "bom.json"
         path.write_bytes(b"\xff\xfe")
-        src = str(Path(symode.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run([sys.executable, "-m", "symode.cli", "classify", str(path)],
-                             env=env, capture_output=True, text=True)
+        run = run_cli(["classify", str(path)])
         assert run.returncode == EXIT_SCHEMA
         assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("coefficient", ["V", "A"])
+    @pytest.mark.parametrize("command", [["classify"], ["gauge", "--target", "traceless"],
+                                         ["integrate"]])
+    def test_coefficient_short_of_domain_exit2(self, tmp_path, coefficient, command):
+        # a sampled coefficient on [0, 1] cannot be evaluated on [-1, 1]
+        short = {"kind": "sampled", "t": [0.0, 0.5, 1.0],
+                 "values": [[[0.0, 1.0], [t, 0.0]] for t in (0.0, 0.5, 1.0)]}
+        if coefficient == "V":
+            doc = {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1], "V": short}
+        else:
+            doc = barl_doc(np.zeros((2, 2)), S1)
+            doc["A"] = short
+        run = run_cli(command[:1] + [write(tmp_path, "short.json", doc)] + command[1:])
+        assert run.returncode == EXIT_SCHEMA, run.stderr
+        assert "Traceback" not in run.stderr
+        assert f"coefficient {coefficient} is defined on [0, 1]" in run.stderr
+
+    @pytest.mark.parametrize("field, says", [
+        ({"tau": {"kind": "sampled", "t": [0.0, 0.0], "values": [1.0, 1.0]}}, "schema error"),
+        ({"tau": {"kind": "sampled", "t": [0.0, 0.5, 1.0], "values": [1.0, 1.0, 1.0]}},
+         "tau is defined on [0, 1]"),
+        ({"tau": {"kind": "polynomial", "coeffs": [1.0]}, "gamma": np.eye(3).tolist()},
+         "gamma has shape (3, 3)"),
+        ({"tau": {"kind": "polynomial", "coeffs": [1.0]},
+          "chi": {"kind": "constant", "m": [0.0, 0.0, 0.0]}}, "chi has size 3"),
+        ({"tau": {"kind": "polynomial", "coeffs": [1.0]},
+          "chi": {"kind": "sampled", "t": [0.0, 1.0], "values": [[0.0, 0.0], [0.0, 0.0]]}},
+         "chi is defined on [0, 1]"),
+    ])
+    def test_symmetry_that_does_not_fit_exit2(self, case7_doc, tmp_path, field, says):
+        spath = write(tmp_path, "syms.json", [field])
+        run = run_cli(["integrate", case7_doc, "--symmetries", spath])
+        assert run.returncode == EXIT_SCHEMA, run.stderr
+        assert "Traceback" not in run.stderr
+        assert says in run.stderr
 
     def test_missing_matrix_exit2(self, tmp_path):
         doc = {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1]}

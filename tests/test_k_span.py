@@ -9,7 +9,6 @@ sum t^l K_l / l!, and Y = 0 for a Y that commutes with W.  Draws:
 rng = default_rng(seed), traceless standard-normal Y, then W.
 """
 
-import math
 import sys
 
 import numpy as np
@@ -22,7 +21,7 @@ from symode.scalars import Field
 from symode.symalg import (classify, classify_structured, similar_structured,
                            solve_symmetries_traceless_poly)
 
-from conftest import DOM, S1, S2, random_traceless
+from conftest import DOM, S1, S2, graded_draw, graded_polynomial, random_traceless
 from oracles import centralizer_dim_bruteforce, conj_exp_centralizer_dim
 
 
@@ -248,17 +247,6 @@ def test_commuting_family_matches_zero_upsilon(n):
         assert (got.k, got.dim_s) == (want.k, want.dim_s) == (1, n - 1), seed
 
 
-def graded_draw(seed, n):
-    """Y on the first superdiagonal and W on the second, both standard normal,
-    in a basis C = N(0,1) + 2I."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-    ups = np.diag(rng.standard_normal(n - 1), 1)
-    w = np.diag(rng.standard_normal(n - 2), 2)
-    ci = np.linalg.inv(c)
-    return c @ ups @ ci, c @ w @ ci
-
-
 @pytest.mark.parametrize("n", range(3, 9))
 def test_graded_family_matches_polynomial_route(n):
     # K_l = ad_Y^l W lies on superdiagonal l + 2 of the C basis, so V is the
@@ -267,11 +255,7 @@ def test_graded_family_matches_polynomial_route(n):
     # W commute
     for seed in range(20):
         ups, w = graded_draw(seed, n)
-        kl = [w]
-        for _ in range(n - 3):
-            kl.append(ups @ kl[-1] - kl[-1] @ ups)
-        coeffs = np.stack([k / math.factorial(l) for l, k in enumerate(kl)])
-        want = solve_symmetries_traceless_poly(MatrixFunction.polynomial(coeffs, DOM))
+        want = solve_symmetries_traceless_poly(graded_polynomial(ups, w))
         got = classify_structured(0.0, ups, w, domain=DOM)
         assert (got.k, got.dim_s) == (want.k, want.dim_s), seed
         assert got.k == 2, seed

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symode import casebook
 from symode.gauge import (EquivalenceTransform, SystemDescriptor,
                           apply_equivalence)
 from symode.matfun import MatrixFunction, ScalarFunction
@@ -9,12 +10,34 @@ from symode.symalg import (ClassificationError, SymmetryVectorField, classify,
                            classify_structured, solve_symmetries_sampled,
                            solve_symmetries_traceless_poly, verify_symmetry)
 
-from conftest import DOM, E2, S1, S2, S3, Z2, random_traceless
-from oracles import symmetry_dims_least_squares
+from conftest import (DOM, E2, S1, S2, S3, Z2, graded_draw, graded_polynomial,
+                      random_traceless)
+from oracles import solve_symmetries_poly_coefficients, symmetry_dims_least_squares
 
 
 def tau_poly(coeffs, domain=DOM):
     return ScalarFunction.polynomial(coeffs, domain)
+
+
+def tau_bracket(tau_p, tau_d):
+    """The t^0..t^2 coefficients of the tau part of [P, D] for quadratic taus."""
+    c_p = np.array([complex(c) for c in tau_p.coeffs] + [0, 0])[:3]
+    c_d = np.array([complex(c) for c in tau_d.coeffs] + [0, 0])[:3]
+    w = np.zeros(3, dtype=complex)
+    w[0] = c_p[0] * c_d[1] - c_d[0] * c_p[1]
+    w[1] = 2 * (c_p[0] * c_d[2] - c_d[0] * c_p[2])
+    w[2] = c_p[1] * c_d[2] - c_d[1] * c_p[2]
+    return c_p, w
+
+
+def structured_k2(source):
+    """Essential algebras of casebook case 7 ("case7"), or of the 20
+    ``graded_draw`` seeds at n ("graded-n<n>"), through the structured route."""
+    if source == "case7":
+        case = next(c for c in casebook.n2_cases() if c.label == "7")
+        return [classify(case.system).essential]
+    n = int(source[len("graded-n"):])
+    return [classify_structured(0.0, *graded_draw(seed, n), domain=DOM) for seed in range(20)]
 
 
 class TestVerifySymmetry:
@@ -95,15 +118,54 @@ class TestPolySolver:
         ess = solve_symmetries_traceless_poly(MatrixFunction.constant(S1, DOM))
         (tau_p, g_p), (tau_d, g_d) = ess.t_part
         # [P, D] = P on the (tau, Gamma) data
-        c_p = np.array([complex(c) for c in tau_p.coeffs] + [0, 0])[:3]
-        c_d = np.array([complex(c) for c in tau_d.coeffs] + [0, 0])[:3]
-        w = np.zeros(3, dtype=complex)
-        w[0] = c_p[0] * c_d[1] - c_d[0] * c_p[1]
-        w[1] = 2 * (c_p[0] * c_d[2] - c_d[0] * c_p[2])
-        w[2] = c_p[1] * c_d[2] - c_d[1] * c_p[2]
+        c_p, w = tau_bracket(tau_p, tau_d)
         np.testing.assert_allclose(w, c_p, atol=1e-8)
         comm = g_d @ g_p - g_p @ g_d
         np.testing.assert_allclose(comm, g_p, atol=1e-8)
+
+    @pytest.mark.parametrize("source", ["case7"] + [f"graded-n{n}" for n in range(3, 9)])
+    def test_k2_bracket_normal_form_structured(self, source):
+        # the structured route's second t-field goes through the same
+        # normalization: [P, D] = P on tau, and [D, P] - P in s on Gamma.  The
+        # hat split of P rounds at the condition of D's eigenbasis (2.3e-7
+        # relative at n = 7, seed 13), so membership takes the relative 1e-6
+        # of the classifying-condition check
+        for i, ess in enumerate(structured_k2(source)):
+            assert ess.k == 2, i
+            (tau_p, g_p), (tau_d, g_d) = ess.t_part
+            c_p, w = tau_bracket(tau_p, tau_d)
+            np.testing.assert_allclose(w, c_p, atol=1e-8)
+            assert ess.s_basis.contains(g_d @ g_p - g_p @ g_d - g_p, tol=1e-6), i
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_matches_coefficient_matching(self, n, cplx, cfg):
+        # the pointwise rows at d + 2 probes against the coefficient rows of
+        # ``oracles._solver_rows_poly``, on degrees 0..4, on domains an affine
+        # copy maps [-1, 1] to, with the trace filter at deg u > deg V
+        rng = np.random.default_rng([n, int(cplx)])
+        fld = Field.COMPLEX if cplx else Field.REAL
+        for degree in range(5):
+            a, b = rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)
+            dom = (b - a, b + a)
+            w = random_traceless(rng, n, cplx)
+            c = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+            graded = [c @ np.diag(rng.standard_normal(n - 2 - l), 2 + l) @ np.linalg.inv(c)
+                      for l in range(min(degree, n - 3) + 1)] if n > 2 else None
+            u = rng.standard_normal(degree + 2) if degree else None
+            draws = {
+                "generic": ([random_traceless(rng, n, cplx) for _ in range(degree + 1)], None),
+                "profile": ([p * w for p in rng.standard_normal(degree + 1)], None),
+                "graded": (graded, None),
+                "trace": ([random_traceless(rng, n, cplx) for _ in range(degree)] or [w], u),
+            }
+            for name, (coeffs, trace) in draws.items():
+                if coeffs is None:
+                    continue
+                v = MatrixFunction.polynomial(coeffs, dom)
+                got = solve_symmetries_traceless_poly(v, cfg, fld, trace_part=trace)
+                want = solve_symmetries_poly_coefficients(v, cfg, fld, trace_part=trace)
+                assert (got.k, got.dim_s) == (want.k, want.dim_s), (degree, name)
 
 
 class TestSampledSolver:
@@ -143,6 +205,25 @@ class TestSampledSolver:
         e1 = solve_symmetries_traceless_poly(v_poly)
         e2 = solve_symmetries_sampled(v_samp)
         assert (e1.k, e1.dim_s) == (e2.k, e2.dim_s)
+
+
+class TestRoutesAgreeHigherN:
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_polynomial_and_sampled_routes_agree(self, n):
+        grid = np.linspace(-1, 1, 257)
+        for seed in range(10):
+            rng = np.random.default_rng([seed, n])
+            s = random_traceless(rng, n)
+            draws = {
+                "generic": MatrixFunction.polynomial(
+                    [random_traceless(rng, n) for _ in range(3)], DOM),
+                "profile": MatrixFunction.polynomial([s, s, 0.0 * s, s], DOM),
+                "graded": graded_polynomial(*graded_draw(seed, n)),
+            }
+            for name, v in draws.items():
+                exact = solve_symmetries_traceless_poly(v)
+                sampled = solve_symmetries_sampled(MatrixFunction.sampled(grid, v.evaluate(grid)))
+                assert (exact.k, exact.dim_s) == (sampled.k, sampled.dim_s), (name, seed)
 
 
 class TestStructured:
