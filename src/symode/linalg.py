@@ -9,6 +9,7 @@ inputs; matrices are numpy arrays (float64 or complex128), n <= 8.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -144,14 +145,18 @@ class SubspaceBasis:
         return resid <= tol * (1.0 + frobenius_norm(m))
 
 
+@functools.lru_cache(maxsize=None)
 def _sl_basis(n: int) -> np.ndarray:
     """Orthonormal basis of sl(n) as a stack (n^2 - 1, n, n): the off-diagonal
-    units, then the Helmert diagonals (e_1 + .. + e_k - k e_{k+1}) / sqrt(k(k+1))."""
+    units, then the Helmert diagonals (e_1 + .. + e_k - k e_{k+1}) / sqrt(k(k+1)).
+    Built once per n and read-only."""
     units = np.eye(n * n).reshape(-1, n, n)
     helmert = [np.diag(np.r_[np.ones(k), -k, np.zeros(n - k - 1)] / math.sqrt(k * (k + 1)))
                for k in range(1, n)]
-    return np.concatenate([units[~np.eye(n, dtype=bool).reshape(-1)],
-                           np.reshape(helmert, (-1, n, n))])
+    basis = np.concatenate([units[~np.eye(n, dtype=bool).reshape(-1)],
+                            np.reshape(helmert, (-1, n, n))])
+    basis.setflags(write=False)
+    return basis
 
 
 def centralizer_basis(mats, restrict_traceless: bool = False, n: int | None = None,

@@ -167,6 +167,13 @@ def _check_domain(domain) -> tuple[float, float]:
     return lo, hi
 
 
+def _max_norm(vals) -> float:
+    """max over the leading axis of |v|, or of ||v||_F for vectors and matrices."""
+    norms = (np.abs(vals) if vals.ndim == 1
+             else np.linalg.norm(vals, axis=tuple(range(1, vals.ndim))))
+    return float(np.max(norms))
+
+
 class _TimeFunction:
     """A function of t with values of rank ``ndim``, in one of ``KINDS``."""
 
@@ -271,13 +278,17 @@ class _TimeFunction:
     def __call__(self, t):
         return self.evaluate(t)
 
+    def _coefficient_values(self, kind, c, t):
+        """Values at t of the stack c, as a function of the given coefficient kind."""
+        if kind == CONSTANT:
+            shape = (len(t),) + self.shape if np.ndim(t) else self.shape
+            return np.broadcast_to(c[0], shape).copy()
+        return poly_eval(c, t)
+
     def evaluate(self, t):
         self._in_domain(t)
-        if self.kind == CONSTANT:
-            shape = (len(t),) + self.shape if np.ndim(t) else self.shape
-            return np.broadcast_to(self.value, shape).copy()
-        if self.kind == POLYNOMIAL:
-            return poly_eval(self.coeffs, t)
+        if self.kind in COEFFICIENT_KINDS:
+            return self._coefficient_values(self.kind, self.coeffs, t)
         if self.kind == CONJ_EXP:
             ef = self.exp_factory()
             t = np.asarray(t, dtype=float)
@@ -286,6 +297,36 @@ class _TimeFunction:
             self._spline = _hermite_coefficients(
                 self.grid, self.values, grid_derivative(self.grid, self.values, 1))
         return _hermite_eval(self._spline, self.grid, t)
+
+    def jet(self, ts, orders) -> list:
+        """The derivatives of the given orders (0 for the values) at the points
+        ts, one array per order, each bitwise ``derivative(order).evaluate(ts)``.
+
+        conj_exp takes all of them from one pair e^{tY}, e^{-tY}: the order-l
+        derivative is e^{tY} ad_Y^l W e^{-tY}.  The coefficient kinds
+        differentiate the coefficient stack in place of building functions.
+        """
+        self._in_domain(ts)
+        if self.kind == SAMPLED:
+            return [self.derivative(order).evaluate(ts) for order in orders]
+        out = {}
+        if self.kind == CONJ_EXP:
+            ef = self.exp_factory()
+            ts = np.asarray(ts, dtype=float)
+            e, einv = ef(ts), ef(-ts)
+            eps, w = self.epsilon, self.w
+            for order in range(max(orders) + 1):
+                if order in orders:
+                    out[order] = eps * np.eye(self.n) + e @ w @ einv
+                eps, w = 0.0, linalg.commutator(self.upsilon, w)
+        else:
+            kind, c = self.kind, self.coeffs
+            for order in range(max(orders) + 1):
+                if order in orders:
+                    out[order] = self._coefficient_values(kind, c, ts)
+                c = poly_strip(poly_der(c))
+                kind = CONSTANT if len(c) == 1 and CONSTANT in self.KINDS else POLYNOMIAL
+        return [out[order] for order in orders]
 
     def derivative(self, order: int = 1):
         """Exact for the closed kinds; a polynomial of degree 0 becomes a constant
@@ -306,11 +347,7 @@ class _TimeFunction:
         return cls(kind, self.domain, coeffs=c, note=self.note)
 
     def max_norm(self, probes: int = 65) -> float:
-        ts = np.linspace(self.domain[0], self.domain[1], probes)
-        vals = self.evaluate(ts)
-        norms = (np.abs(vals) if self.ndim == 0
-                 else np.linalg.norm(vals, axis=tuple(range(1, vals.ndim))))
-        return float(np.max(norms))
+        return _max_norm(self.evaluate(np.linspace(self.domain[0], self.domain[1], probes)))
 
 
 class ScalarFunction(_TimeFunction):
@@ -431,9 +468,10 @@ class MatrixFunction(_TimeFunction):
                               coeffs=poly_compose_affine(self.coeffs, alpha, beta))
 
     def is_traceless(self, tol: float = 1e-9, probes: int = 32) -> bool:
-        ts = np.linspace(self.domain[0], self.domain[1], probes)
-        traces = np.trace(self.evaluate(ts), axis1=1, axis2=2)
-        return bool(np.max(np.abs(traces)) <= tol * (1.0 + self.max_norm(probes)))
+        """max |tr F| <= tol (1 + max ||F||), both over one evaluation at the probes."""
+        vals = self.evaluate(np.linspace(self.domain[0], self.domain[1], probes))
+        traces = np.trace(vals, axis1=1, axis2=2)
+        return bool(np.max(np.abs(traces)) <= tol * (1.0 + _max_norm(vals)))
 
 
 def kl_sequence(upsilon: np.ndarray, w: np.ndarray,

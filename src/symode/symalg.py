@@ -23,8 +23,10 @@ classifying condition at probe points: d + 2 of them with an exact rank cut
 for a polynomial V of degree d, 64 with a spectral-gap cut for sampled data.
 Every k = 2 t-part, from either solver or from the structured route's graded
 relation, is brought to [P, D] = P by ``_normalize_k2``.  Every residual of
-the classifying condition comes from ``_classifying_residuals``, which
-evaluates V and V_t once on the probes for all the fields it checks.  Every
+the classifying condition comes from ``_classifying_residuals``, one stacked
+pass per probe interval: V and V_t from one ``MatrixFunction.jet`` (one pair
+e^{tY}, e^{-tY} for conj_exp), the commutators of every field from one
+product each, and no tau terms for the fields with tau = 0.  Every
 nilpotency and zero-eigenvalue decision (the graded relation's prefilter on
 W, the n = 2 generator types, the Jordan structure of V(0) and the alpha
 matching in the similarity test) is read from one ``linalg.staircase``.
@@ -131,7 +133,17 @@ def verify_symmetry(v_fun: MatrixFunction, q: SymmetryVectorField,
 def _probe_values(v_fun: MatrixFunction, lo, hi, probes: int):
     """The probe points on [lo, hi] with V and V_t there."""
     ts = np.linspace(lo, hi, probes)
-    return ts, v_fun.evaluate(ts), v_fun.derivative(1).evaluate(ts)
+    return (ts, *v_fun.jet(ts, (0, 1)))
+
+
+def _spans(fun: MatrixFunction, fields) -> dict:
+    """The fields' indices grouped by the interval where fun and their tau are
+    both defined, in order of first appearance."""
+    groups = {}
+    for i, q in enumerate(fields):
+        span = (max(fun.domain[0], q.tau.domain[0]), min(fun.domain[1], q.tau.domain[1]))
+        groups.setdefault(span, []).append(i)
+    return groups
 
 
 def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) -> list:
@@ -139,24 +151,33 @@ def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) 
     (tau, Gamma) field, maximized over the probes of the interval where V and
     tau are both defined.
 
-    V and V_t are evaluated once per such interval; the fields of one
-    algebra share a single one.
+    One pass per such interval: V and V_t come from one ``jet``, the
+    commutators of every field from one stacked product each, and the norms
+    from one call.  A field with tau = 0 leaves out the tau terms, which add
+    exact zeros.
     """
     n = v_fun.n
-    spans = [(max(v_fun.domain[0], q.tau.domain[0]), min(v_fun.domain[1], q.tau.domain[1]))
-             for q in fields]
-    at = {span: _probe_values(v_fun, *span, probes) for span in dict.fromkeys(spans)}
-    out = []
-    for q, span in zip(fields, spans):
-        ts, v, vt = at[span]
-        tau = q.tau.evaluate(ts)
-        tau1 = q.tau.derivative(1).evaluate(ts)
-        tau3 = q.tau.derivative(3).evaluate(ts)
-        gamma = q.gamma if q.gamma is not None else np.zeros((n, n))
-        comm = np.einsum("ij,tjk->tik", gamma, v) - np.einsum("tij,jk->tik", v, gamma)
-        resid = (tau[:, None, None] * vt - comm + 2.0 * tau1[:, None, None] * v
-                 - 0.5 * tau3[:, None, None] * np.eye(n))
-        out.append(float(np.max(np.linalg.norm(resid, axis=(1, 2)))))
+    out = [0.0] * len(fields)
+    for span, idx in _spans(v_fun, fields).items():
+        ts, v, vt = _probe_values(v_fun, *span, probes)
+        gammas = np.stack([fields[i].gamma if fields[i].gamma is not None
+                           else np.zeros((n, n)) for i in idx])
+        comm = np.einsum("fij,tjk->ftik", gammas, v)
+        comm -= np.einsum("tij,fjk->ftik", v, gammas)
+        rows = {}
+        for j, i in enumerate(idx):
+            q = fields[i]
+            if q.tau.kind == POLYNOMIAL and not np.any(q.tau.coeffs):
+                continue
+            tau, tau1, tau3 = q.tau.jet(ts, (0, 1, 3))
+            rows[j] = (tau[:, None, None] * vt - comm[j] + 2.0 * tau1[:, None, None] * v
+                       - 0.5 * tau3[:, None, None] * np.eye(n))
+        # a field with tau = 0 keeps [Gamma, V], whose norm is its residual's
+        resid = comm.astype(np.result_type(comm, vt, *rows.values()), copy=False)
+        for j, row in rows.items():
+            resid[j] = row
+        for i, worst in zip(idx, np.max(np.linalg.norm(resid, axis=(2, 3)), axis=1)):
+            out[i] = float(worst)
     return out
 
 
@@ -167,37 +188,32 @@ def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction, fi
     per field, maximized over the probes of the interval where A and tau are
     both defined.
 
-    A, A_t, B and B_t are evaluated once per such interval; fields with one
-    tau domain share a single one.
+    One pass per such interval: A, A_t, B and B_t come from one ``jet`` each,
+    the brackets of every field from one stacked product each, and the norms
+    from one call.
     """
     n = a_fun.n
-    spans = [(max(a_fun.domain[0], q.tau.domain[0]), min(a_fun.domain[1], q.tau.domain[1]))
-             for q in fields]
-    coeffs = {}
-    for span in dict.fromkeys(spans):
-        ts = np.linspace(*span, probes)
-        coeffs[span] = (ts, a_fun.evaluate(ts), a_fun.derivative(1).evaluate(ts),
-                        b_fun.evaluate(ts), b_fun.derivative(1).evaluate(ts))
 
     def brk(x, y):
-        return np.einsum("tij,tjk->tik", x, y) - np.einsum("tij,tjk->tik", y, x)
+        """[x_f, y] for the stack x of the fields' matrices and the shared y."""
+        return np.einsum("ftij,tjk->ftik", x, y) - np.einsum("tij,ftjk->ftik", y, x)
 
-    out = []
-    for q, span in zip(fields, spans):
-        ts, a, at, b, bt = coeffs[span]
-        eta_fun = q.eta_function(n, span)
-        tau = q.tau.evaluate(ts)
-        tau1 = q.tau.derivative(1).evaluate(ts)
-        tau2 = q.tau.derivative(2).evaluate(ts)
-        eta = eta_fun.evaluate(ts)
-        eta1 = eta_fun.derivative(1).evaluate(ts)
-        eta2 = eta_fun.derivative(2).evaluate(ts)
-        r1 = (tau[:, None, None] * at - brk(eta, a) + tau1[:, None, None] * a
-              - 2.0 * eta1 + tau2[:, None, None] * np.eye(n))
-        r2 = (tau[:, None, None] * bt - brk(eta, b) + 2.0 * tau1[:, None, None] * b
-              + np.einsum("tij,tjk->tik", a, eta1) - eta2)
-        out.append(float(max(np.max(np.linalg.norm(r1, axis=(1, 2))),
-                             np.max(np.linalg.norm(r2, axis=(1, 2))))))
+    out = [0.0] * len(fields)
+    for span, idx in _spans(a_fun, fields).items():
+        ts = np.linspace(*span, probes)
+        a, at = a_fun.jet(ts, (0, 1))
+        b, bt = b_fun.jet(ts, (0, 1))
+        taus = np.stack([fields[i].tau.jet(ts, (0, 1, 2)) for i in idx])[..., None, None]
+        etas = np.stack([fields[i].eta_function(n, span).jet(ts, (0, 1, 2)) for i in idx])
+        tau, tau1, tau2 = taus[:, 0], taus[:, 1], taus[:, 2]
+        eta, eta1, eta2 = etas[:, 0], etas[:, 1], etas[:, 2]
+        r1 = tau * at - brk(eta, a) + tau1 * a - 2.0 * eta1 + tau2 * np.eye(n)
+        r2 = (tau * bt - brk(eta, b) + 2.0 * tau1 * b
+              + np.einsum("tij,ftjk->ftik", a, eta1) - eta2)
+        worst = np.maximum(np.max(np.linalg.norm(r1, axis=(2, 3)), axis=1),
+                           np.max(np.linalg.norm(r2, axis=(2, 3)), axis=1))
+        for i, w in zip(idx, worst):
+            out[i] = float(w)
     return out
 
 

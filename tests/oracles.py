@@ -251,8 +251,8 @@ def cumulative_integral_pointwise(grid, values):
 
 
 # The symmetry-layer loops as they were written before they shared one
-# evaluation of V and V_t: one evaluation per basis field, one row block per
-# probe, and the K-terms rebuilt by direct recursion.  symode.symalg is checked
+# evaluation of V and V_t: one evaluation and one residual per basis field,
+# one row block per probe, and the K-terms rebuilt by direct recursion.  symode.symalg is checked
 # against these bit for bit.
 
 def _ad_kron(k):
@@ -291,6 +291,38 @@ def verify_against_per_field(ess, v_fun):
         worst = max(worst, verify_symmetry_per_field(
             v_fun, SymmetryVectorField(tau=tau, gamma=gamma)))
     return worst
+
+
+def verify_symmetry_homogeneous_per_field(a_fun, b_fun, fields, probes=64):
+    n = a_fun.n
+    spans = [(max(a_fun.domain[0], q.tau.domain[0]), min(a_fun.domain[1], q.tau.domain[1]))
+             for q in fields]
+    coeffs = {}
+    for span in dict.fromkeys(spans):
+        ts = np.linspace(*span, probes)
+        coeffs[span] = (ts, a_fun.evaluate(ts), a_fun.derivative(1).evaluate(ts),
+                        b_fun.evaluate(ts), b_fun.derivative(1).evaluate(ts))
+
+    def brk(x, y):
+        return np.einsum("tij,tjk->tik", x, y) - np.einsum("tij,tjk->tik", y, x)
+
+    out = []
+    for q, span in zip(fields, spans):
+        ts, a, at, b, bt = coeffs[span]
+        eta_fun = q.eta_function(n, span)
+        tau = q.tau.evaluate(ts)
+        tau1 = q.tau.derivative(1).evaluate(ts)
+        tau2 = q.tau.derivative(2).evaluate(ts)
+        eta = eta_fun.evaluate(ts)
+        eta1 = eta_fun.derivative(1).evaluate(ts)
+        eta2 = eta_fun.derivative(2).evaluate(ts)
+        r1 = (tau[:, None, None] * at - brk(eta, a) + tau1[:, None, None] * a
+              - 2.0 * eta1 + tau2[:, None, None] * np.eye(n))
+        r2 = (tau[:, None, None] * bt - brk(eta, b) + 2.0 * tau1[:, None, None] * b
+              + np.einsum("tij,tjk->tik", a, eta1) - eta2)
+        out.append(float(max(np.max(np.linalg.norm(r1, axis=(1, 2))),
+                             np.max(np.linalg.norm(r2, axis=(1, 2))))))
+    return out
 
 
 def solve_symmetries_sampled_per_probe(v_fun, cfg, fld=None, probes=64):

@@ -25,6 +25,16 @@ def homog(a, b, **kw):
     return SystemDescriptor.homogeneous(a, b, **kw)
 
 
+def record_point_sets(monkeypatch, record):
+    """Calls record(f, t) on every MatrixFunction.evaluate and jet; a jet
+    gives all the derivatives it returns on one point set."""
+    for name in ("evaluate", "jet"):
+        def counted(self, t, *args, real=getattr(MatrixFunction, name)):
+            record(self, t)
+            return real(self, t, *args)
+        monkeypatch.setattr(MatrixFunction, name, counted)
+
+
 def column_residuals(sys_h, sol):
     return max(residual(sys_h, sol.positions[:, :, j], sol.grid)
                for j in range(sol.positions.shape[2]))
@@ -277,14 +287,12 @@ class TestOneSymmetry:
         sys_in = homog(MatrixFunction.zero(2, DOM), MatrixFunction.conj_exp(0.3, S2, S1, DOM))
         a_fun, b_fun, _ = sys_in.coefficients()
         sizes = {"A": [], "B": []}
-        real = MatrixFunction.evaluate
 
-        def counted(self, t):
-            if self is a_fun or self is b_fun:
-                sizes["A" if self is a_fun else "B"].append(np.size(t))
-            return real(self, t)
+        def record(f, t):
+            if f is a_fun or f is b_fun:
+                sizes["A" if f is a_fun else "B"].append(np.size(t))
 
-        monkeypatch.setattr(MatrixFunction, "evaluate", counted)
+        record_point_sets(monkeypatch, record)
         integrate_one_symmetry(sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=S2))
         assert sizes == {"A": [1025, PROBES], "B": [1025, PROBES]}
 
@@ -335,14 +343,12 @@ class TestTwoSymmetries:
         sys_in, q1, q2 = self.case7()
         a_fun, b_fun, _ = sys_in.coefficients()
         probe_calls = {"A": 0, "B": 0}
-        real = MatrixFunction.evaluate
 
-        def counted(self, t):
-            if np.size(t) == PROBES and (self is a_fun or self is b_fun):
-                probe_calls["A" if self is a_fun else "B"] += 1
-            return real(self, t)
+        def record(f, t):
+            if np.size(t) == PROBES and (f is a_fun or f is b_fun):
+                probe_calls["A" if f is a_fun else "B"] += 1
 
-        monkeypatch.setattr(MatrixFunction, "evaluate", counted)
+        record_point_sets(monkeypatch, record)
         integrate_two_symmetries(sys_in, q1, q2)
         assert probe_calls == {"A": 1, "B": 1}
 

@@ -10,7 +10,7 @@ from symode.cli import decode_function, encode_function
 from symode.matfun import (MatrixFunction, RepresentationError, ScalarFunction,
                            VectorFunction, kl_sequence, kl_sequence_with_tail,
                            poly_compose_affine, poly_der, poly_eval, poly_mul, poly_wronskian)
-from conftest import DOM, E2, S1, S2, S3, Z2, near_defective_4x4
+from conftest import DOM, E2, S1, S2, S3, Z2, near_defective_4x4, random_traceless
 from oracles import hermite_probes, hermite_reference, sampled_draw
 
 
@@ -193,6 +193,57 @@ class TestDifferentiate:
             errs.append(np.max(np.abs(fd - df.evaluate(t))))
         ratio = errs[0] / max(errs[1], 1e-300)
         assert 50.0 < ratio < 200.0  # quadratic convergence ~100x per decade
+
+
+class TestJet:
+    """jet(ts, orders) gives what derivative(order).evaluate(ts) gives, from one
+    evaluation of the representation."""
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_conj_exp_from_one_pair_of_exponentials(self, n, cplx):
+        rng = np.random.default_rng(100 * n + cplx)
+        eps = 0.3 - 0.2j if cplx else 0.3
+        f = MatrixFunction.conj_exp(eps, random_traceless(rng, n, cplx),
+                                    random_traceless(rng, n, cplx), DOM)
+        ts = np.linspace(DOM[0], DOM[1], 64)
+        v, vt = f.jet(ts, (0, 1))
+        # == does not tell the signs of zeros apart
+        for got, ref in ((v, f.evaluate(ts)), (vt, f.derivative(1).evaluate(ts))):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "conj_exp", "sampled"])
+    def test_point_outside_the_domain_slack(self, kind):
+        grid = np.linspace(DOM[0], DOM[1], 65)
+        f = {"constant": lambda: MatrixFunction.constant(S1, DOM),
+             "polynomial": lambda: MatrixFunction.polynomial([S1, S2, S3], DOM),
+             "conj_exp": lambda: MatrixFunction.conj_exp(0.0, S2, S1, DOM),
+             "sampled": lambda: MatrixFunction.sampled(grid, np.cos(grid)[:, None, None] * S1),
+             }[kind]()
+        lo, hi = f.domain
+        f.jet(np.array([lo, hi + 1e-9]), (0, 1))
+        with pytest.raises(RepresentationError):
+            f.jet(np.array([lo, hi + 1e-6]), (0, 1))
+        with pytest.raises(RepresentationError):
+            f.jet(np.array([lo - 1e-6, hi]), (0,))
+
+    @pytest.mark.parametrize("builder", [
+        lambda: MatrixFunction.constant(S1 - 0.0 * S2, DOM),
+        lambda: MatrixFunction.polynomial([Z2, -S1, 0.0 * S2], DOM),
+        lambda: MatrixFunction.polynomial([S1, S2, 0.5 * S3, -0.4j * S1], DOM),
+        lambda: ScalarFunction.polynomial([0.5, -1.0, 0.0, 2.0], DOM),
+        lambda: ScalarFunction.polynomial([-0.0], DOM),
+        lambda: VectorFunction.polynomial([np.ones(3), -np.zeros(3)], DOM),
+        lambda: MatrixFunction.sampled(np.linspace(-1.0, 1.0, 65),
+                                       np.exp(np.linspace(-1.0, 1.0, 65))[:, None, None] * S3),
+    ])
+    def test_other_kinds_bitwise(self, builder):
+        f = builder()
+        ts = np.linspace(DOM[0], DOM[1], 64)
+        orders = (0, 1, 3)
+        for got, order in zip(f.jet(ts, orders), orders):
+            ref = f.derivative(order).evaluate(ts)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 class TestTraceSplit:

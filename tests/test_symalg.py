@@ -534,6 +534,53 @@ class TestOneEvaluationParity:
             for q in case.symmetries:
                 assert verify_symmetry(v, q) == verify_symmetry_per_field(v, q)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_complex_tau_on_real_v(self, kind, n):
+        # the complex tau makes the stacked residual complex; the real fields
+        # beside it keep their residuals bit for bit
+        from symode.linalg import SubspaceBasis
+        from symode.symalg import EssentialAlgebra, _classifying_residuals
+        from oracles import verify_against_per_field, verify_symmetry_per_field
+        rng = np.random.default_rng(4000 + 10 * n + KINDS.index(kind))
+        v = _draw_v(kind, n, False, rng)
+        grid = np.linspace(DOM[0], DOM[1], 2049)
+        tau = ScalarFunction.sampled(grid, np.exp((0.3 + 1.1j) * grid))
+        s_basis = SubspaceBasis(mats=[random_traceless(rng, n) for _ in range(2)], n=n,
+                                in_sl=True)
+        t_part = [(tau, random_traceless(rng, n)),
+                  (tau_poly(rng.standard_normal(3)), random_traceless(rng, n))]
+        ess = EssentialAlgebra(k=2, t_part=t_part, s_basis=s_basis, n=n, field=Field.REAL)
+        assert ess.verify_against(v) == verify_against_per_field(ess, v)
+        fields = ([SymmetryVectorField(tau=tau_poly([0.0]), gamma=g) for g in s_basis.mats]
+                  + [SymmetryVectorField(tau=t, gamma=g) for t, g in t_part])
+        assert _classifying_residuals(v, fields) == [verify_symmetry_per_field(v, q)
+                                                     for q in fields]
+        for q in fields[-2:]:
+            assert verify_symmetry(v, q) == verify_symmetry_per_field(v, q)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("b_kind", KINDS)
+    @pytest.mark.parametrize("a_kind", KINDS)
+    def test_verify_symmetry_homogeneous_seeded(self, a_kind, b_kind, cplx):
+        from symode.symalg import verify_symmetry_homogeneous
+        from oracles import verify_symmetry_homogeneous_per_field
+        rng = np.random.default_rng(
+            5000 + 100 * KINDS.index(a_kind) + 10 * KINDS.index(b_kind) + cplx)
+        n = 3
+        a, b = _draw_v(a_kind, n, cplx, rng), _draw_v(b_kind, n, cplx, rng)
+        # the sampled taus live on a shorter interval, a second probe span
+        grid = np.linspace(-0.8, 0.9, 257)
+        taus = [tau_poly(rng.standard_normal(3)), tau_poly(rng.standard_normal(2)),
+                ScalarFunction.sampled(grid, np.exp(0.3 * grid)),
+                ScalarFunction.sampled(grid, np.exp((0.3 + 1.1j) * grid))]
+        fields = [SymmetryVectorField(tau=t, gamma=random_traceless(rng, n, cplx))
+                  for t in taus]
+        got = verify_symmetry_homogeneous(a, b, fields)
+        assert got == verify_symmetry_homogeneous_per_field(a, b, fields)
+        for q, res in zip(fields, got):
+            assert verify_symmetry_homogeneous(a, b, [q]) == [res]
+
     @pytest.mark.parametrize("cplx", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sampled_solver_seeded(self, n, cplx, cfg):
