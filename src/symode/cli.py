@@ -345,9 +345,6 @@ def cmd_gauge(args) -> int:
     except GaugeError as exc:
         print(f"gauge inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (LinalgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     tr = ts.transform
     resid = verify_equivalence(sys_in, ts.system, tr, seed=args.seed,
                                grid_steps=min(args.grid, 2048))
@@ -402,9 +399,6 @@ def cmd_classify(args) -> int:
     except ClassificationError as exc:
         print(f"classification inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (GaugeError, LinalgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     if args.format == "json":
         _emit(args, classification_payload(rep, cfg))
     else:
@@ -439,9 +433,6 @@ def cmd_integrate(args) -> int:
         print("regular systems require known symmetries with nonzero "
               "t-components", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (GaugeError, LinalgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     # without a particular solution the fundamental columns solve the
     # homogeneous system, which gauge_f_zero returns for barL input
     res_sys = sys_in
@@ -503,11 +494,7 @@ def cmd_similar(args) -> int:
     fld = Field.COMPLEX if Field.COMPLEX in (sys_a.field, sys_b.field) \
         else sys_a.field
     test = similar_structured if pa[0] == "structured" else similar_constant_coeff
-    try:
-        verdict = test(pa[1:], pb[1:], cfg, fld, seed=args.seed)
-    except LinalgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    verdict = test(pa[1:], pb[1:], cfg, fld, seed=args.seed)
     payload = {"outcome": verdict.outcome, "notes": verdict.notes}
     if verdict.outcome == "similar":
         payload.update({"alpha": _encode_entry(verdict.alpha),
@@ -597,6 +584,10 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    # gauge answers its own GaugeError as inapplicable before this
+    except (GaugeError, LinalgError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

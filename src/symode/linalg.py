@@ -5,6 +5,12 @@ eigenstructure, Jordan-Chevalley splitting, Taylor scaling-and-squaring
 exponential factories t -> exp(t m) and a randomized search for invertible
 elements of affine matrix families.  Everything is a pure function of its
 inputs; matrices are numpy arrays (float64 or complex128), n <= 8.
+
+Every Jordan-structure decision is read from one staircase (``_flag``): the
+Weyr characteristic of the zero eigenvalue (``staircase``), and per
+eigenvalue cluster of m the generalized eigenspace, Weyr characteristic and
+Jordan chains of m - mu E (``eig_clustered``, ``jordan_form``,
+``hat_check_split``).  No power of a matrix is formed.
 """
 
 from __future__ import annotations
@@ -50,20 +56,14 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def nullspace(a: np.ndarray, rank_tol: float, abs_tol: float = 0.0) -> np.ndarray:
-    """Orthonormal nullspace basis (columns), relative SV cutoff rank_tol.
-
-    abs_tol adds an absolute zero level (used for matrix powers whose
-    should-be-zero singular values sit at (perturbation)^j rather than at
-    machine precision relative to the power's own scale).
-    """
+def nullspace(a: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal nullspace basis (columns), relative SV cutoff rank_tol."""
     a = np.atleast_2d(np.asarray(a))
     if a.size == 0:
         return np.eye(a.shape[1], dtype=a.dtype)
     # a tall matrix needs only the thin factors; a wide one the full vh
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cut = max(rank_tol * (s[0] if s.size else 0.0), abs_tol)
-    rank = int(np.sum(s > cut))
+    rank = int(np.sum(s > rank_tol * (s[0] if s.size else 0.0)))
     return vh[rank:].conj().T
 
 
@@ -197,8 +197,41 @@ def centralizer_basis(mats, restrict_traceless: bool = False, n: int | None = No
 class EigCluster:
     value: complex
     multiplicity: int
-    basis: np.ndarray  # n x multiplicity, generalized eigenvectors
+    # n x multiplicity, the staircase flag of m - value E: the first
+    # weyr[0] + .. + weyr[j-1] columns span ker (m - value E)^j
+    basis: np.ndarray
+    weyr: tuple  # Weyr characteristic (n_1, .., n_p), summing to multiplicity
     promoted: bool = False  # real input, nonreal cluster value
+
+
+def _flag(m: np.ndarray, cut: float) -> tuple:
+    """Staircase of m: its zero eigenvalue's Weyr characteristic and flag.
+
+    Returns (weyr, q) with weyr = [n_1, .., n_p], n_j = dim ker m^j -
+    dim ker m^(j-1) > 0, and q unitary whose first n_1 + .. + n_j columns span
+    ker m^j.  Each step takes the SVD of the current block, counts its singular
+    values at or below cut as the next n_j, rotates those null vectors first
+    and keeps the trailing block (the staircase of Kagstrom & Ruhe, ACM TOMS 6
+    (1980); Golub & Wilkinson, SIAM Rev. 18 (1976)).  No power of m is formed,
+    so the cut does not drift with cond(m)^j.  The n_j never increase:
+    rotated, the kept columns of a block are [X; Y] with n_j rows in X and
+    every singular value above cut, so the next block Y has at most n_j
+    singular values at or below it.
+    """
+    q = np.eye(len(m), dtype=np.result_type(m, np.float64))
+    weyr = []
+    done = 0
+    block = m
+    while len(block):
+        _, s, vh = np.linalg.svd(block)
+        rank = int(np.sum(s > cut))
+        if rank == len(s):
+            break
+        q[:, done:] = q[:, done:] @ np.vstack([vh[rank:], vh[:rank]]).conj().T
+        weyr.append(len(s) - rank)
+        done += len(s) - rank
+        block = vh[:rank] @ block @ vh[:rank].conj().T
+    return weyr, q
 
 
 def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL,
@@ -207,10 +240,13 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL,
 
     Eigenvalues within the absolute-plus-relative radius merge into one
     cluster; clusters are ordered by ascending real part, then imaginary part.
-    Real-tagged inputs are promoted to complex for the decomposition; nonreal
-    clusters are flagged promoted.  Near-defective structure (a cluster whose
-    generalized eigenspace comes up short because the computed eigenvalues
-    split beyond the radius) escalates the radius before failing.
+    Each cluster's basis and Weyr characteristic come from the staircase of
+    m - mu E cut at the radius, so the basis spans the cluster's generalized
+    eigenspace and holds its flag of kernels.  Real-tagged inputs are promoted
+    to complex for the decomposition; nonreal clusters are flagged promoted.
+    A staircase whose kernel dimension differs from the clustered multiplicity
+    (computed eigenvalues of a defective cluster split beyond the radius)
+    escalates the radius before failing.
     """
     m = _check_square(m)
     n = m.shape[0]
@@ -247,31 +283,16 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL,
     reps.sort(key=lambda p: (round(p[0].real, 12), round(p[0].imag, 12)))
     clusters = []
     for mu, mult in reps:
-        shifted = mc - mu * np.eye(n)
-        basis = None
-        # defective clusters push the should-be-zero singular values of
-        # (M - mu E)^j up to ~(cluster spread)^j; admit them through an
-        # absolute zero level at (10 radius)^j once the strict cut fails
-        for use_abs in (False, True):
-            power = np.eye(n, dtype=np.complex128)
-            for j in range(1, mult + 1):
-                power = power @ shifted
-                abs_cut = (10.0 * radius) ** j if use_abs else 0.0
-                basis = nullspace(power, cfg.rank_tol, abs_tol=abs_cut)
-                if basis.shape[1] >= mult:
-                    break
-            if basis is not None and basis.shape[1] >= mult:
-                break
-        if basis is None or basis.shape[1] < mult:
+        weyr, q = _flag(mc - mu * np.eye(n), radius)
+        if sum(weyr) != mult:
             if _radius_scale < 1e4:
                 return eig_clustered(m, cfg, _radius_scale=10.0 * _radius_scale)
-            raise LinalgError("generalized eigenspace smaller than clustered "
+            raise LinalgError("generalized eigenspace differs from the clustered "
                               "multiplicity; borderline clustering, adjust "
                               "eig_cluster_tol")
-        basis = basis[:, :mult]
         promoted = real_input and abs(mu.imag) > radius
-        clusters.append(EigCluster(value=mu, multiplicity=mult, basis=basis, promoted=promoted))
-    assert sum(c.multiplicity for c in clusters) == n
+        clusters.append(EigCluster(value=mu, multiplicity=mult, basis=q[:, :mult],
+                                   weyr=tuple(weyr), promoted=promoted))
     return clusters
 
 
@@ -282,7 +303,6 @@ def jordan_chevalley(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     generalized eigenspaces.
     """
     m = _check_square(m)
-    n = m.shape[0]
     clusters = eig_clustered(m, cfg)
     s = np.hstack([c.basis for c in clusters])
     diag = np.concatenate([[c.value] * c.multiplicity for c in clusters])
@@ -298,26 +318,14 @@ def staircase(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
     """Weyr characteristic of m's zero eigenvalue, then its count of nonzero ones.
 
     Returns (n_1, .., n_p, r) with n_j = dim ker m^j - dim ker m^(j-1) > 0 and
-    r the size of the nonsingular remainder, so n_1 + .. + n_p + r = n.  Each
-    step takes the SVD of the current block, counts its singular values at or
-    below eig_cluster_tol ||m||_2 as the next n_j, rotates those null vectors
-    first and keeps the trailing block (the staircase of Kagstrom & Ruhe, ACM
-    TOMS 6 (1980); Golub & Wilkinson, SIAM Rev. 18 (1976)).  No power of m is
-    formed, so the cut does not drift with cond(m)^j, and a conjugated
+    r the size of the nonsingular remainder, so n_1 + .. + n_p + r = n: the
+    staircase ``_flag`` cut at eig_cluster_tol ||m||_2.  A conjugated
     nilpotent whose computed eigenvalues split apart still reads nilpotent.
     """
     m = _check_square(m)
     cut = cfg.eig_cluster_tol * float(np.linalg.norm(m, 2)) if m.size else 0.0
-    nullities = []
-    block = m
-    while len(block):
-        _, s, vh = np.linalg.svd(block)
-        rank = int(np.sum(s > cut))
-        if rank == len(s):
-            break
-        nullities.append(len(s) - rank)
-        block = vh[:rank] @ block @ vh[:rank].conj().T
-    return tuple(nullities) + (len(block),)
+    weyr, _ = _flag(m, cut)
+    return tuple(weyr) + (len(m) - sum(weyr),)
 
 
 def is_nilpotent(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -328,44 +336,35 @@ def is_nilpotent(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
 def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     """Jordan normal form (J, S, chains) with m = S J S^{-1}, blocks per cluster.
 
-    Jordan chains are built by the standard nullspace filtration of
-    (m - mu E)^j inside each clustered generalized eigenspace.  chains holds,
-    per cluster in J's order, the lengths of its Jordan blocks, longest first.
+    Each cluster's chains are read from its staircase flag (``eig_clustered``):
+    with a = m - mu E and Weyr characteristic (n_1, .., n_p), n_j - n_{j+1}
+    chains have length j.  Their tops are the flag's step-j columns rotated
+    away from the height-j vectors of the longer chains, so that step j - 1,
+    the longer chains and the new tops are independent, and each chain
+    descends from its top by a.  chains holds, per cluster in J's order, the
+    lengths of its Jordan blocks, longest first.
     """
     m = _check_square(m)
     n = m.shape[0]
     mc = m.astype(np.complex128)
-    clusters = eig_clustered(m, cfg)
     cols = []
     diag = []  # J's diagonal: each column's eigenvalue
     links = []  # J's superdiagonal: 1 where the next column continues the chain
     lengths = []
-    for c in clusters:
+    for c in eig_clustered(m, cfg):
         a = mc - c.value * np.eye(n)
-        # nullspace filtration N_1 subset N_2 subset ...
-        spaces = []
-        power = np.eye(n, dtype=np.complex128)
-        for _ in range(c.multiplicity):
-            power = power @ a
-            spaces.append(nullspace(power, cfg.rank_tol))
-            if spaces[-1].shape[1] >= c.multiplicity:
-                break
-        depth = len(spaces)
-        used = np.zeros((n, 0), dtype=np.complex128)
-        chains = []
-        for j in range(depth, 0, -1):
-            top = spaces[j - 1]
-            below = spaces[j - 2] if j >= 2 else np.zeros((n, 0), dtype=np.complex128)
-            # candidates at height j not already covered and not lower-height
-            avoid = np.hstack([below, used]) if below.size or used.size else np.zeros((n, 0))
-            picked = _complement_columns(top, avoid, cfg)
-            for v in picked.T:
+        steps = np.cumsum((0,) + c.weyr)
+        chains = []  # eigenvector first, so chain[j - 1] is its height-j vector
+        for j in range(len(c.weyr), 0, -1):
+            tops = c.basis[:, steps[j - 1]:steps[j]]
+            if chains:
+                longer = tops.conj().T @ np.stack([chain[j - 1] for chain in chains], axis=1)
+                tops = tops @ np.linalg.svd(longer)[0][:, len(chains):]
+            for v in tops.T:
                 chain = [v]
                 for _ in range(j - 1):
                     chain.append(a @ chain[-1])
-                chains.append(chain[::-1])  # eigenvector first
-                downs = np.stack(chain, axis=1)
-                used = np.hstack([used, downs])
+                chains.append(chain[::-1])
         for chain in chains:
             cols.extend(chain)
             diag.extend([c.value] * len(chain))
@@ -375,17 +374,6 @@ def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     j = np.diag(np.array(diag, dtype=np.complex128))
     j += np.diag(links[:-1], 1)
     return j, s, lengths
-
-
-def _complement_columns(space: np.ndarray, avoid: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Columns of `space` independent from span(avoid), orthonormalized."""
-    if avoid.size == 0:
-        return space
-    q, _ = np.linalg.qr(avoid)
-    resid = space - q @ (q.conj().T @ space)
-    u, s, _ = np.linalg.svd(resid, full_matrices=False)
-    keep = s > cfg.rank_tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    return u[:, keep]
 
 
 def exp_factory(m: np.ndarray):
@@ -428,15 +416,15 @@ def hat_check_split(upsilon: np.ndarray, lam: np.ndarray,
     """Split upsilon into (hat, check) blocks in the eigenbasis of lam.
 
     hat keeps blocks (i, j) with mu_i = mu_j + 1 (within the clustering
-    radius); check keeps the rest.  lam must be semisimple; then
+    radius); check keeps the rest.  lam must be semisimple, which the
+    staircases of ``eig_clustered`` read as one Weyr step per cluster; then
     [lam, hat] = hat.
     """
     upsilon = _check_square(upsilon, "upsilon")
     lam = _check_square(lam, "lambda")
-    _, ln = jordan_chevalley(lam, cfg)
-    if frobenius_norm(ln) > 100.0 * cfg.eig_cluster_tol * (1.0 + frobenius_norm(lam)):
-        raise LinalgError("lambda is not semisimple")
     clusters = eig_clustered(lam, cfg)
+    if any(len(c.weyr) > 1 for c in clusters):
+        raise LinalgError("lambda is not semisimple")
     s = np.hstack([c.basis for c in clusters])
     sinv = np.linalg.inv(s)
     u = sinv @ upsilon.astype(np.complex128) @ s

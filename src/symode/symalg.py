@@ -691,6 +691,9 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
             ess = solve_symmetries_sampled(work.V, cfg, fld)
         notes.append("sampled route")
     resid = ess.verify_against(work.V, cfg)
+    if not np.isfinite(resid):
+        raise ClassificationError(f"classifying-condition residual of the computed "
+                                  f"basis is {resid}; the basis is not verified")
     notes.append(f"classifying-condition residual of the computed basis: {resid:.3g}")
     label = label_case_n2(ess, v_fun, fld) if n == 2 else None
     return ClassificationReport(singular=False, n=n, field=fld,

@@ -61,3 +61,17 @@ def graded_polynomial(ups, w, domain=DOM):
         kl.append(ups @ kl[-1] - kl[-1] @ ups)
     return MatrixFunction.polynomial(
         np.stack([k / math.factorial(l) for l, k in enumerate(kl)]), domain)
+
+
+def defective_zeta_draw(seed):
+    """V = C (E_12 + E_34) C^-1 at n = 4 and the Gamma of the tau = t field,
+    C (diag(1, -1, 1, -1) + E_13 + E_24) C^-1, with C = N(0,1) + 2I: with the
+    tau = 1, Gamma = 0 field, the recombined zeta has two 2x2 Jordan blocks."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
+    ci = np.linalg.inv(c)
+    w = np.zeros((4, 4))
+    w[0, 1] = w[2, 3] = 1.0
+    gamma = np.diag([1.0, -1.0, 1.0, -1.0])
+    gamma[0, 2] = gamma[1, 3] = 1.0
+    return c @ w @ ci, c @ gamma @ ci

@@ -13,7 +13,7 @@ from symode import cli
 from symode.cli import EXIT_INAPPLICABLE, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 from symode.scalars import ToleranceConfig
 
-from conftest import S1, S2
+from conftest import S1, S2, defective_zeta_draw
 from oracles import conj_exp_centralizer_dim
 
 
@@ -285,6 +285,31 @@ class TestClassifyCommand:
         rep = json.loads(open(out).read())
         assert rep["case"] == "0" and rep["dim_total"] == 5
 
+    def test_overflowing_exponential_exit4(self, tmp_path):
+        # e^{800 t} overflows on [-1, 1], and numpy's SVD fails to converge
+        path = write(tmp_path, "ovf.json", {
+            "n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1],
+            "V": {"kind": "conj_exp", "epsilon": 0.0,
+                  "upsilon": [[800.0, 0.0], [0.0, -800.0]],
+                  "w": [[0.0, 1.0], [1.0, 0.0]]}})
+        run = run_cli(["classify", path])
+        assert run.returncode == EXIT_NUMERICAL
+        assert "numerical failure" in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_non_finite_residual_exit3(self, tmp_path):
+        # with Y / 100 the same W gives dim_s = 0, and t -> 100 t carries one
+        # algebra onto the other; here the verification residual overflows
+        path = write(tmp_path, "inf.json", {
+            "n": 3, "field": "real", "class": "Lprime", "domain": [-1, 1],
+            "V": {"kind": "conj_exp", "epsilon": 0.0,
+                  "upsilon": np.diag([200.0, 0.0, -200.0]).tolist(),
+                  "w": (np.ones((3, 3)) - np.eye(3)).tolist()}})
+        run = run_cli(["classify", path])
+        assert run.returncode == EXIT_INAPPLICABLE
+        assert "residual" in run.stderr and run.stdout == ""
+        assert "Traceback" not in run.stderr
+
 
 class TestIntegrateCommand:
     def test_singular_path(self, tmp_path, capsys):
@@ -325,6 +350,26 @@ class TestIntegrateCommand:
                      "--out", out]) == EXIT_OK
         payload = json.loads(open(out).read())
         assert payload["procedure"] == "TwoSymmetry"
+        assert payload["residual"] < 1e-5
+
+    def test_defective_zeta_subprocess(self, tmp_path):
+        v, gamma = defective_zeta_draw(0)
+        path = write(tmp_path, "sys.json", {
+            "n": 4, "field": "real", "class": "L", "domain": [-1, 1],
+            "A": {"kind": "constant", "m": np.zeros((4, 4)).tolist()},
+            "B": {"kind": "constant", "m": v.tolist()}})
+        spath = write(tmp_path, "syms.json", [
+            {"tau": {"kind": "polynomial", "coeffs": [1.0]},
+             "gamma": np.zeros((4, 4)).tolist()},
+            {"tau": {"kind": "polynomial", "coeffs": [0.0, 1.0]},
+             "gamma": gamma.tolist()}])
+        out = str(tmp_path / "sol.json")
+        run = run_cli(["integrate", path, "--symmetries", spath, "--out", out])
+        assert run.returncode == EXIT_OK
+        assert "Traceback" not in run.stderr
+        payload = json.loads(open(out).read())
+        assert payload["procedure"] == "TwoSymmetry"
+        assert payload["quadratures"] == payload["quadrature_bound"] == 4
         assert payload["residual"] < 1e-5
 
     def test_regular_without_symmetries_exit3(self, case7_doc, capsys):

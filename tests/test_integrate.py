@@ -13,7 +13,7 @@ from symode.numutil import uniform_grid
 from symode.scalars import ToleranceConfig
 from symode.symalg import SymmetryVectorField
 
-from conftest import DOM, E2, S1, S2, S3, Z2
+from conftest import DOM, E2, S1, S2, S3, Z2, defective_zeta_draw
 from oracles import richardson_error, rk4_reference
 
 
@@ -409,6 +409,19 @@ class TestTwoSymmetries:
         sol = integrate_two_symmetries(sys_in, q1, q2)
         assert column_residuals(sys_in, sol) < 1e-6
         assert sol.quadratures <= sol.plan.quadrature_bound == 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_defective_zeta(self, seed):
+        # zeta has two 2x2 Jordan blocks in a random basis
+        v, gamma = defective_zeta_draw(seed)
+        sys_in = homog(MatrixFunction.zero(4, DOM), MatrixFunction.constant(v, DOM))
+        q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=np.zeros((4, 4)))
+        q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=gamma)
+        sol = integrate_auto(sys_in, [q1, q2])
+        assert sol.plan.procedure == "TwoSymmetry"
+        assert sol.plan.block_sizes == [2, 2]
+        assert sol.quadratures == sol.plan.quadrature_bound == 4
+        assert column_residuals(sys_in, sol) < 1e-6
 
 
 class TestDispatcher:

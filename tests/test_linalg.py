@@ -164,6 +164,43 @@ class TestEigAndJordan:
         j, s, _ = jordan_form(m, cfg)
         np.testing.assert_allclose(s @ j @ np.linalg.inv(s), m, atol=1e-8)
 
+    @pytest.mark.parametrize("blocks,diag", [
+        ([3, 1], [1.0, 2.0]), ([2, 2], []), ([3, 2, 1], [0.7, -0.4]),
+        ([2, 2, 2], [1.0, 2.0]), ([3, 3], [1.0, -1.0]), ([2], [1.0]),
+        ([4], [-1.5]), ([5], [0.5, 0.25, -1.0]), ([2, 1], [1.0, 1.0, 3.0]),
+        ([2, 1], [0.5]),
+    ])
+    def test_jordan_form_in_random_bases(self, blocks, diag, cfg):
+        # the true chains or a refusal, never a non-square S or wrong lengths;
+        # only J5, whose computed eigenvalues split by 4e-4..4e-3, may refuse
+        want = {0.0: sorted(blocks, reverse=True)}
+        for d in diag:
+            want[d] = want.get(d, []) + [1]
+        for seed in range(40):
+            m = in_random_basis(jordan_matrix(blocks, diag), seed)
+            try:
+                j, s, chains = jordan_form(m, cfg)
+            except linalg.LinalgError:
+                assert blocks == [5], seed
+                continue
+            assert s.shape == m.shape, seed
+            got, off = {}, 0
+            for lengths in chains:
+                got[round(j[off, off].real, 6)] = lengths
+                off += sum(lengths)
+            assert got == want, seed
+            assert np.linalg.norm(m @ s - s @ j) \
+                <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(s), seed
+
+    def test_jc_defective_in_random_bases(self, cfg):
+        # the nilpotent part of C (diag(1, 1, 0) + E_12) C^-1 is C E_12 C^-1
+        e12 = np.zeros((3, 3))
+        e12[0, 1] = 1.0
+        for seed in range(200):
+            _, mn = jordan_chevalley(in_random_basis(np.diag([1.0, 1.0, 0.0]) + e12, seed), cfg)
+            want = in_random_basis(e12, seed)
+            assert np.linalg.norm(mn - want) <= 1e-6 * np.linalg.norm(want), seed
+
 
 def jordan_matrix(blocks, diag):
     """Nilpotent Jordan blocks of the given sizes, then diag(diag)."""
@@ -303,6 +340,22 @@ class TestHatCheckSplit:
     def test_non_semisimple_rejected(self, cfg):
         with pytest.raises(linalg.LinalgError, match="not semisimple"):
             hat_check_split(S2, np.array([[1.0, 1.0], [0.0, 1.0]]), cfg)
+
+    def test_defective_in_random_basis_rejected(self, cfg):
+        # cond(C) = 535 at this seed
+        lam = np.diag([1.0, 1.0, 0.0])
+        lam[0, 1] = 1.0
+        with pytest.raises(linalg.LinalgError, match="not semisimple"):
+            hat_check_split(np.eye(3), in_random_basis(lam, 32), cfg)
+
+    def test_semisimple_in_random_bases(self, cfg):
+        rng = np.random.default_rng(14)
+        for seed in range(40):
+            lam = in_random_basis(np.diag([1.0, 1.0, 0.0]), seed)
+            ups = rng.standard_normal((3, 3))
+            hat, check = hat_check_split(ups, lam, cfg)
+            assert np.linalg.norm(commutator(lam, hat) - hat) \
+                <= 1e-9 * np.linalg.norm(lam) * np.linalg.norm(ups), seed
 
 
 class TestInvertibleSearch:
