@@ -51,6 +51,8 @@ LPRIME = "Lprime"
 LDOUBLEPRIME = "Ldoubleprime"
 
 PROBES = 64
+MIN_LENGTH_FRACTION = 0.125  # shortest zero-free run of the time map, share of the grid
+N_TRAJ = 3  # trajectories pushed through a transform by ``verify_equivalence``
 
 
 class GaugeError(RuntimeError):
@@ -491,8 +493,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     return TransformedSystem(out, tr, provenance=f"A-gauge with H(t0)=E at t0={t0:g}")
 
 
-def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024,
-                    min_length_fraction: float = 0.125) -> TransformedSystem:
+def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:
     """Reparametrize time so the coefficient matrix becomes traceless.
 
     Solves phi_tt = u phi with u = tr V / n for a Wronskian-normalized
@@ -518,7 +519,7 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024,
     # the time map is real, so only Re(tr V / n) is gauged away
     u_imag = float(np.max(np.abs(np.imag(u))))
     u = np.real(u)
-    run = schwarzian_time_map(u, grid, min_length_fraction)
+    run = schwarzian_time_map(u, grid)
     if run is None:
         raise GaugeError("no zero-free subinterval of the requested minimum length "
                          "for the trace gauge")
@@ -546,14 +547,14 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024,
     return TransformedSystem(out, EquivalenceTransform(T=tfun, H=hfun), provenance=prov)
 
 
-def schwarzian_time_map(u, grid, min_length_fraction):
+def schwarzian_time_map(u, grid):
     """T = phi1/phi2 from the Wronskian-normalized pair of phi_tt = u phi.
 
     u is tabulated on the half-step points of the uniform ``grid`` (see
     ``rk4_linear``); phi1 = (0, 1) and phi2 = (1, 0) in (phi, phi_t) at the
     grid midpoint, so T_t = 1/phi2^2.  Returns (sel, T, T_t, T_tt) on the
     maximal zero-free run ``grid[sel]`` of phi2 containing the midpoint, or
-    None when that run is shorter than min_length_fraction of the grid.
+    None when that run is shorter than MIN_LENGTH_FRACTION of the grid.
     """
     i0 = len(grid) // 2
     m = companion(np.zeros((len(u), 1, 1)), u[:, None, None])
@@ -562,7 +563,7 @@ def schwarzian_time_map(u, grid, min_length_fraction):
     zeros = np.flatnonzero(~(p2 > 0.0))
     j_lo = zeros[zeros < i0].max() + 1 if np.any(zeros < i0) else 0
     j_hi = zeros[zeros > i0].min() - 1 if np.any(zeros > i0) else len(grid) - 1
-    if (grid[j_hi] - grid[j_lo]) < min_length_fraction * (grid[-1] - grid[0]):
+    if (grid[j_hi] - grid[j_lo]) < MIN_LENGTH_FRACTION * (grid[-1] - grid[0]):
         return None
     sel = slice(j_lo, j_hi + 1)
     p2, p2t = p2[sel], p2t[sel]
@@ -623,10 +624,10 @@ def reduce(sys: SystemDescriptor, target: str, grid_steps: int = 1024) -> Transf
 
 def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
                        tr: EquivalenceTransform, seed: int = 0,
-                       n_traj: int = 3, grid_steps: int = 1024) -> float:
+                       grid_steps: int = 1024) -> float:
     """Push random src trajectories through tr and measure the dst residual.
 
-    Integrates n_traj trajectories, the columns of one solve, from random
+    Integrates N_TRAJ trajectories, the columns of one solve, from random
     data at the domain midpoint, maps (t, x) by the transform, differentiates
     the pushed trajectories on the (nonuniform) image grid and returns the
     max defect of the dst equation, each normalized by its trajectory's scale.
@@ -643,8 +644,8 @@ def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
     hshift = tr.h.evaluate(grid) if tr.h is not None else np.zeros((len(grid), n))
     # the trajectories are the columns of one solve, drawn in the same order
     # as one solve per trajectory would draw them
-    z0 = np.empty((2 * n, n_traj), dtype=src.field.dtype)
-    for k in range(n_traj):
+    z0 = np.empty((2 * n, N_TRAJ), dtype=src.field.dtype)
+    for k in range(N_TRAJ):
         z0[:, k] = rng.standard_normal(2 * n)
         if src.field is Field.COMPLEX:
             z0[:, k] += 1j * rng.standard_normal(2 * n)

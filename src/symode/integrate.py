@@ -164,8 +164,7 @@ def solve_constant(a_mat: np.ndarray, b_mat: np.ndarray, domain,
                        generator=comp, t0=t0)
 
 
-def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
-                       min_length_fraction: float = 0.125) -> SolutionSet:
+def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> SolutionSet:
     """Integrate a singular-class system by reduction to the free particle.
 
     M solves y_t + (1/2) A^T y = 0; phi1, phi2 solve phi_tt = U phi with
@@ -184,7 +183,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024,
     a_half = a_fun.evaluate(half)
     mmat_t = right_fundamental(-0.5 * a_half, grid, sys.field.dtype)
     u = np.real(np.trace(sys.criterion.evaluate(half), axis1=1, axis2=2)) / n
-    run = schwarzian_time_map(u, grid, min_length_fraction)
+    run = schwarzian_time_map(u, grid)
     if run is None:
         raise IntegrationError("no zero-free subinterval of the requested minimum "
                                "length for the time reparametrization")
@@ -245,7 +244,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     grid = half[::2]
     i0 = len(grid) // 2
     a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
-    res, = verify_symmetry_homogeneous(a_fun, b_fun, [q], cfg)
+    res, = verify_symmetry_homogeneous(a_fun, b_fun, [q])
     if res > 100 * cfg.residual_tol * scale:
         raise IntegrationError(f"symmetry not verified (residual {res:.3g})")
     tau_half = np.real(q.tau.evaluate(half))
@@ -351,7 +350,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     grid = half[::2]
     i0 = len(grid) // 2
     a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
-    for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, [q1, q2], cfg), 1):
+    for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, [q1, q2]), 1):
         if res > 100 * cfg.residual_tol * scale:
             raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
     # tau and eta of both fields on the half-step grid and their
@@ -448,15 +447,12 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     if sys.field is Field.REAL and np.max(np.abs(positions.imag)) < 1e-7:
         positions = positions.real
         velocities = velocities.real
-    # quadrature accounting from the Jordan structure of Lam
-    quad = 0
-    divisors = []
-    for value, lengths in zip(np.diag(lam)[offs[:-1]], chains):
-        quad += sum(lengths) + len(lengths) - 1
-        divisors.extend((round(value.real, 6), round(value.imag, 6), s) for s in lengths)
-    eligible = len(set(divisors)) == len(divisors)
+    # quadrature accounting from the Jordan structure of Lam: its clusters are
+    # distinct eigenvalues, so divisors repeat iff a cluster repeats a length
+    quad = sum(sum(lengths) + len(lengths) - 1 for lengths in chains)
+    eligible = all(len(set(lengths)) == len(lengths) for lengths in chains)
     r = len(chains)
-    p_total = len(divisors)
+    p_total = sum(len(lengths) for lengths in chains)
     plan = IntegrationPlan(procedure="TwoSymmetry", quadratures=quad,
                            h_grid=grid, h_values=hvals, t_map=tmap, lam=lam,
                            modal=modal, block_sizes=sizes,

@@ -234,19 +234,24 @@ def _flag(m: np.ndarray, cut: float) -> tuple:
     return weyr, q
 
 
-def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL,
-                  _radius_scale: float = 1.0) -> list:
+def _eig_cut(m: np.ndarray, cfg: ToleranceConfig) -> float:
+    """The staircase's cut for m, eig_cluster_tol ||m||_2: it scales with m."""
+    return cfg.eig_cluster_tol * float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+
+def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
     """Clustered eigen-decomposition with generalized eigenbases.
 
-    Eigenvalues within the absolute-plus-relative radius merge into one
-    cluster; clusters are ordered by ascending real part, then imaginary part.
-    Each cluster's basis and Weyr characteristic come from the staircase of
-    m - mu E cut at the radius, so the basis spans the cluster's generalized
-    eigenspace and holds its flag of kernels.  Real-tagged inputs are promoted
-    to complex for the decomposition; nonreal clusters are flagged promoted.
-    A staircase whose kernel dimension differs from the clustered multiplicity
-    (computed eigenvalues of a defective cluster split beyond the radius)
-    escalates the radius before failing.
+    The staircase decides every cluster (Kagstrom & Ruhe, ACM TOMS 6
+    (1980)).  From single computed eigenvalues on, a group with mean mu is a
+    cluster when the staircase of m - mu E (cut as in ``staircase``) has a
+    kernel of the group's size and 2 max |member - mu| < min |other - mu|;
+    otherwise it merges with its nearest group.  The mean of a defective
+    cluster is accurate to rounding even where its members scatter like
+    (u cond)^(1/k).  A group of every eigenvalue that the staircase disputes
+    raises ``LinalgError``.  Clusters are ordered by real, then imaginary
+    part; each basis holds the flag of kernels of m - mu E.  Nonreal clusters
+    of a real m are flagged promoted.
     """
     m = _check_square(m)
     n = m.shape[0]
@@ -256,44 +261,32 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL,
         vals = np.linalg.eigvals(mc)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR iteration cap
         raise LinalgError(f"eigenvalue iteration failed to converge: {exc}") from exc
-    radius = _radius_scale * cfg.eig_cluster_tol * \
-        (1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0)
-    # union-find on pairwise proximity
-    parent = list(range(n))
+    cut = _eig_cut(m, cfg)
+    dist = np.abs(vals[:, None] - vals[None, :])
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def accept(group):
+        mu = complex(np.mean(vals[group]))
+        weyr, q = _flag(mc - mu * np.eye(n), cut)
+        spread = float(np.max(np.abs(vals[group] - mu)))
+        isolated = 2.0 * spread < np.min(np.abs(np.delete(vals, group) - mu), initial=np.inf)
+        if sum(weyr) != len(group) or not isolated:
+            return None
+        return EigCluster(value=mu, multiplicity=len(group), basis=q[:, :len(group)],
+                          weyr=tuple(weyr), promoted=real_input and abs(mu.imag) > cut)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    reps = []
-    for idx in groups.values():
-        mu = complex(np.mean(vals[idx]))
-        reps.append((mu, len(idx)))
-    reps.sort(key=lambda p: (round(p[0].real, 12), round(p[0].imag, 12)))
-    clusters = []
-    for mu, mult in reps:
-        weyr, q = _flag(mc - mu * np.eye(n), radius)
-        if sum(weyr) != mult:
-            if _radius_scale < 1e4:
-                return eig_clustered(m, cfg, _radius_scale=10.0 * _radius_scale)
-            raise LinalgError("generalized eigenspace differs from the clustered "
-                              "multiplicity; borderline clustering, adjust "
-                              "eig_cluster_tol")
-        promoted = real_input and abs(mu.imag) > radius
-        clusters.append(EigCluster(value=mu, multiplicity=mult, basis=q[:, :mult],
-                                   weyr=tuple(weyr), promoted=promoted))
-    return clusters
+    groups = [([i], accept([i])) for i in range(n)]
+    while any(c is None for _, c in groups):
+        if len(groups) == 1:
+            raise LinalgError("the staircase disputes the cluster of all eigenvalues; "
+                              "borderline clustering, adjust eig_cluster_tol")
+        # the refused group with the shortest link to another group merges with it
+        _, a, b = min((float(np.min(dist[np.ix_(ga, gb)])), a, b)
+                      for a, (ga, ca) in enumerate(groups) if ca is None
+                      for b, (gb, _) in enumerate(groups) if b != a)
+        merged = sorted(groups[a][0] + groups[b][0])
+        groups = [g for i, g in enumerate(groups) if i not in (a, b)] + [(merged, accept(merged))]
+    return sorted((c for _, c in groups),
+                  key=lambda c: (round(c.value.real, 12), round(c.value.imag, 12)))
 
 
 def jordan_chevalley(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -307,9 +300,9 @@ def jordan_chevalley(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     s = np.hstack([c.basis for c in clusters])
     diag = np.concatenate([[c.value] * c.multiplicity for c in clusters])
     ms = s @ np.diag(diag) @ np.linalg.inv(s)
-    if not np.iscomplexobj(m):
-        if np.max(np.abs(ms.imag)) < 1e4 * cfg.rank_tol * (1.0 + frobenius_norm(m)):
-            ms = ms.real
+    if not np.iscomplexobj(m) and \
+            np.max(np.abs(ms.imag)) < 1e4 * cfg.rank_tol * (1.0 + frobenius_norm(m)):
+        ms = ms.real
     mn = m - ms
     return ms, mn
 
@@ -323,8 +316,7 @@ def staircase(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
     nilpotent whose computed eigenvalues split apart still reads nilpotent.
     """
     m = _check_square(m)
-    cut = cfg.eig_cluster_tol * float(np.linalg.norm(m, 2)) if m.size else 0.0
-    weyr, _ = _flag(m, cut)
+    weyr, _ = _flag(m, _eig_cut(m, cfg))
     return tuple(weyr) + (len(m) - sum(weyr),)
 
 
@@ -415,8 +407,8 @@ def hat_check_split(upsilon: np.ndarray, lam: np.ndarray,
                     cfg: ToleranceConfig = DEFAULT_TOL):
     """Split upsilon into (hat, check) blocks in the eigenbasis of lam.
 
-    hat keeps blocks (i, j) with mu_i = mu_j + 1 (within the clustering
-    radius); check keeps the rest.  lam must be semisimple, which the
+    hat keeps blocks (i, j) with mu_i = mu_j + 1 (within eig_cluster_tol
+    (1 + |mu_i|)); check keeps the rest.  lam must be semisimple, which the
     staircases of ``eig_clustered`` read as one Weyr step per cluster; then
     [lam, hat] = hat.
     """
@@ -437,9 +429,9 @@ def hat_check_split(upsilon: np.ndarray, lam: np.ndarray,
                 hat_b[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
                     u[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
     hat = s @ hat_b @ sinv
-    if not np.iscomplexobj(upsilon) and not np.iscomplexobj(lam):
-        if np.max(np.abs(hat.imag)) < 1e4 * cfg.rank_tol * (1.0 + frobenius_norm(upsilon)):
-            hat = hat.real
+    if not (np.iscomplexobj(upsilon) or np.iscomplexobj(lam)) and \
+            np.max(np.abs(hat.imag)) < 1e4 * cfg.rank_tol * (1.0 + frobenius_norm(upsilon)):
+        hat = hat.real
     check = upsilon - hat
     return hat, check
 

@@ -28,7 +28,7 @@ recording the degradation in the result's note.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -168,10 +168,14 @@ def _check_domain(domain) -> tuple[float, float]:
 
 
 def _max_norm(vals) -> float:
-    """max over the leading axis of |v|, or of ||v||_F for vectors and matrices."""
-    norms = (np.abs(vals) if vals.ndim == 1
-             else np.linalg.norm(vals, axis=tuple(range(1, vals.ndim))))
-    return float(np.max(norms))
+    """max over the leading axis of |v|, or of ||v||_F for vectors and matrices;
+    values past 1e150 are divided by their peak first, so no square overflows."""
+    peak = float(np.abs(vals).max())
+    if vals.ndim == 1 or not isfinite(peak):
+        return peak
+    scale = peak if peak > 1e150 else 1.0
+    norms = np.linalg.norm(vals / scale if scale > 1.0 else vals, axis=tuple(range(1, vals.ndim)))
+    return scale * float(np.max(norms))
 
 
 class _TimeFunction:

@@ -28,8 +28,10 @@ class ToleranceConfig:
     """Numerical thresholds used throughout the kernel.
 
     rank_tol is a relative singular-value cutoff for rank/nullspace decisions,
-    eig_cluster_tol the eigenvalue clustering radius, residual_tol the target
-    for ODE/algebraic residuals.  Invariant: 0 < rank_tol < eig_cluster_tol < 1.
+    eig_cluster_tol the staircase's cut relative to ||m||_2, which decides Weyr
+    characteristics and eigenvalue clusters (``linalg.eig_clustered``),
+    residual_tol the target for ODE/algebraic residuals.  Invariant:
+    0 < rank_tol < eig_cluster_tol < 1.
     """
 
     rank_tol: float = 1e-9

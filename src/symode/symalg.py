@@ -48,6 +48,10 @@ from .matfun import (COEFFICIENT_KINDS, CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED,
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 
 PROBES = 64
+# the cut of ``_nullspace_by_spectral_gap``: floor and band relative to s_max
+GAP_FLOOR_REL, GAP_BAND_REL, GAP_MIN = 1e-12, 1e-4, 100.0
+WITNESS_TOL = 1e-8  # relative residual bound of a similarity witness
+WINDOW_SPREAD = 4.0  # sampling window times Y's eigenvalue spread (``_sample_step``)
 
 
 class ClassificationError(RuntimeError):
@@ -93,14 +97,12 @@ class EssentialAlgebra:
     s_basis: SubspaceBasis
     n: int
     field: Field
-    includes_identity: bool = True
     improper_shift_flag: bool = False
     notes: list = dc_field(default_factory=list)
     confidence_gap: float | None = None
     verification_residual: float | None = None
 
-    def verify_against(self, v_fun: MatrixFunction,
-                       cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+    def verify_against(self, v_fun: MatrixFunction) -> float:
         """Max classifying-condition residual over every computed basis field:
         the identity, the s-basis and the t-part."""
         zero = ScalarFunction.constant(0.0, v_fun.domain)
@@ -125,7 +127,7 @@ class EssentialAlgebra:
 
 
 def verify_symmetry(v_fun: MatrixFunction, q: SymmetryVectorField,
-                    cfg: ToleranceConfig = DEFAULT_TOL, probes: int = PROBES) -> float:
+                    probes: int = PROBES) -> float:
     """Residual of the classifying condition, maximized over probe points."""
     return _classifying_residuals(v_fun, [q], probes)[0]
 
@@ -182,7 +184,6 @@ def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) 
 
 
 def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction, fields,
-                                cfg: ToleranceConfig = DEFAULT_TOL,
                                 probes: int = PROBES) -> list:
     """Residual of the two classifying conditions for x_tt = A x_t + B x, one
     per field, maximized over the probes of the interval where A and tau are
@@ -236,15 +237,15 @@ def _condition_rows(ts, v, vt):
     return rows.reshape(p * n * n, 3 + n * n)
 
 
-def _nullspace_by_spectral_gap(a, floor_rel=1e-12, band_rel=1e-4, gap_min=100.0):
+def _nullspace_by_spectral_gap(a):
     """Nullspace with the rank cut at the first large singular-value gap.
 
     Finite-difference noise lifts the should-be-zero singular values of
     sampled-data systems well above machine precision, so a fixed threshold
     either loses genuine directions or admits spurious ones.  Scanning from
     the top, the cut is placed at the first boundary whose discarded tail is
-    plausibly zero (below band_rel * s_max) and whose gap ratio exceeds
-    gap_min; the machine-precision tier below the noise tier then stays inside
+    plausibly zero (below GAP_BAND_REL * s_max) and whose gap ratio exceeds
+    GAP_MIN; the machine-precision tier below the noise tier then stays inside
     the nullspace.  Returns (basis, boundary gap ratio).
     """
     # a tall matrix needs only the thin factors; a wide one the full vh
@@ -253,14 +254,14 @@ def _nullspace_by_spectral_gap(a, floor_rel=1e-12, band_rel=1e-4, gap_min=100.0)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(ncols, dtype=a.dtype), np.inf
     smax = s[0]
-    floor = floor_rel * smax
+    floor = GAP_FLOOR_REL * smax
     chosen = None
     for rank in range(1, len(s) + 1):
         largest_discarded = s[rank] if rank < len(s) else floor
-        if largest_discarded > band_rel * smax:
+        if largest_discarded > GAP_BAND_REL * smax:
             continue  # would discard a direction that is not plausibly zero
         ratio = float(s[rank - 1] / max(largest_discarded, 1e-300))
-        if ratio >= gap_min:
+        if ratio >= GAP_MIN:
             chosen = (rank, ratio)
             break
     if chosen is None:
@@ -282,10 +283,9 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
     taus = nv[:, :3]
     # nullspace rows are unit vectors of a scale-normalized problem, so the
     # tau-block rank is decided against an absolute floor, not s_max-relative
-    sv = np.linalg.svd(taus, compute_uv=False) if taus.size else np.zeros(0)
+    u, sv, _ = np.linalg.svd(taus)
     k = int(np.sum(sv > 1e-6))
     if k > 0:
-        u, s, vh = np.linalg.svd(taus, full_matrices=True)
         mix = u.conj().T @ nv
         t_rows = mix[:k]
         z_rows = mix[k:]
@@ -517,7 +517,10 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
     t_part = [(ScalarFunction.constant(1.0, domain), ups0)]
     k = 1
     improper = False
-    verify_tol = max(cfg.residual_tol, 1e-6 * (1.0 + v_fun.max_norm()))
+    v_max = v_fun.max_norm()
+    if not np.isfinite(v_max):
+        raise FloatingPointError(f"V is not finite on the domain (max norm {v_max})")
+    verify_tol = max(cfg.residual_tol, 1e-6 * (1.0 + v_max))
     # [Lam, W] = 2 W makes W nilpotent, and every V(t) is similar to W
     if linalg.is_nilpotent(w0, cfg):
         # [Lam, V(t)] = 2 V(t) + t V_t(t), the graded relation [Lam, K_l] = (l+2) K_l
@@ -525,7 +528,7 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
         if lam is not None:
             q_d = SymmetryVectorField(tau=ScalarFunction.polynomial([0.0, 1.0], domain),
                                       gamma=lam)
-            if verify_symmetry(v_fun, q_d, cfg) <= verify_tol:
+            if verify_symmetry(v_fun, q_d) <= verify_tol:
                 lam0 = lam - (np.trace(lam) / n) * np.eye(n)
                 t_part.append((q_d.tau, lam0))
                 notes.append("second t-field tau = t from the graded relation")
@@ -551,7 +554,7 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
             grid = np.linspace(domain[0], domain[1], 2049)
             tau = ScalarFunction.sampled(grid, np.exp(g0 * grid))
             q = SymmetryVectorField(tau=tau, gamma=gamma0)
-            if verify_symmetry(v_fun, q, cfg) <= verify_tol:
+            if verify_symmetry(v_fun, q) <= verify_tol:
                 found.append((tau, gamma0, g0))
         if len(found) > 1:
             raise ClassificationError("both improper branches verified: k >= 3, "
@@ -579,11 +582,18 @@ def _sample_step(count: int, *upsilons) -> float:
     pi / (2 spread) where spread = max Im mu - min Im mu, keeps the phases
     h Im w within a half turn of each other: e^{hY} = -I, as for
     Y = pi [[0, 1], [-1, 0]] and h = 1, would otherwise make every sample equal.
+    A second cut keeps the window (count - 1) h times max |mu_i - mu_j| at most
+    WINDOW_SPREAD, so the window scales like 1 / Y, as t -> a t asks.  Both
+    take the largest spreads over the Y given.
     """
     h = 1.0 / (count - 1)
-    spread = max(float(np.ptp(np.linalg.eigvals(u).imag)) for u in upsilons)
+    mus = [np.linalg.eigvals(u) for u in upsilons]
+    spread = max(float(np.ptp(mu.imag)) for mu in mus)
+    rho = max(float(np.max(np.abs(mu[:, None] - mu[None, :]))) for mu in mus)
     if spread * h > np.pi / 2:
         h = np.pi / (2.0 * spread)
+    if rho * h * (count - 1) > WINDOW_SPREAD:
+        h = WINDOW_SPREAD / (rho * (count - 1))
     return h
 
 
@@ -690,12 +700,12 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
             work = ts.system
             ess = solve_symmetries_sampled(work.V, cfg, fld)
         notes.append("sampled route")
-    resid = ess.verify_against(work.V, cfg)
+    resid = ess.verify_against(work.V)
     if not np.isfinite(resid):
         raise ClassificationError(f"classifying-condition residual of the computed "
                                   f"basis is {resid}; the basis is not verified")
     notes.append(f"classifying-condition residual of the computed basis: {resid:.3g}")
-    label = label_case_n2(ess, v_fun, fld) if n == 2 else None
+    label = label_case_n2(ess, v_fun, fld, cfg) if n == 2 else None
     return ClassificationReport(singular=False, n=n, field=fld,
                                 dim_total=ess.dim_total, k=ess.k, dim_s=ess.dim_s,
                                 dim_ess=ess.dim_ess, case_label=label,
@@ -706,9 +716,7 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
 def _generator_type(g: np.ndarray, cfg: ToleranceConfig, fld: Field) -> str:
     if linalg.is_nilpotent(g, cfg):
         return "nilpotent"
-    evs = np.linalg.eigvals(g.astype(complex))
-    tol = max(100 * cfg.eig_cluster_tol, 1e-6) * max(1.0, float(np.max(np.abs(evs))))
-    if fld is Field.REAL and np.any(np.abs(evs.imag) > tol):
+    if fld is Field.REAL and any(c.promoted for c in linalg.eig_clustered(g, cfg)):
         return "complex_pair"
     return "split"
 
@@ -838,8 +846,7 @@ def _alpha_candidates(v0_a, v0_b, nonzero, cfg, ups_a=None, ups_b=None):
 
 
 def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
-                       fld: Field = Field.COMPLEX, seed: int = 0,
-                       witness_tol: float = 1e-8) -> SimilarityVerdict:
+                       fld: Field = Field.COMPLEX, seed: int = 0) -> SimilarityVerdict:
     """Point-transformation similarity of V = e^{tY}V(0)e^{-tY} systems.
 
     a and b are (upsilon, v0) pairs.  Necessary invariants (dim s, the Jordan
@@ -877,7 +884,7 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
             continue
         alpha_c = complex(alpha)
         witness = _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b,
-                                  max(len_a, len_b) + 1, alpha_c, cfg, rng, witness_tol)
+                                  max(len_a, len_b) + 1, alpha_c, cfg, rng)
         if witness is not None:
             m, gamma, resid = witness
             if fld is Field.REAL:
@@ -893,7 +900,7 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
 
 
 def _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b, count, alpha, cfg, rng,
-                    witness_tol, trials=24):
+                    trials=24):
     """Linear-lift search for (M, Gamma): V_b(t_j) M = a^2 M V_a(a t_j) at
     ``count`` samples and Y_b M = a M (Y_a + Gamma), Gamma in span(s_a).
 
@@ -946,14 +953,13 @@ def _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b, count, alpha, cfg, rng,
             gamma = sum(c * g for c, g in zip(coef, s_a.mats))
         resid = (np.linalg.norm(ups_b - alpha * m @ (ups_a + gamma) @ mi)
                  + np.linalg.norm(v0_b - alpha ** 2 * m @ v0_a @ mi))
-        if resid <= witness_tol * scale:
+        if resid <= WITNESS_TOL * scale:
             return m, gamma, float(resid)
     return None
 
 
 def similar_constant_coeff(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
-                           fld: Field = Field.COMPLEX, seed: int = 0,
-                           witness_tol: float = 1e-8) -> SimilarityVerdict:
+                           fld: Field = Field.COMPLEX, seed: int = 0) -> SimilarityVerdict:
     """Similarity of constant-coefficient systems x_tt = A x_t + B x.
 
     Converts via Y = -A/2, V(0) = B + Y^2, delegates to the structured test,
@@ -965,8 +971,7 @@ def similar_constant_coeff(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TO
     ups_b = -0.5 * a2_mat
     v0_a = b_mat + ups_a @ ups_a
     v0_b = b2_mat + ups_b @ ups_b
-    verdict = similar_structured((ups_a, v0_a), (ups_b, v0_b), cfg, fld, seed,
-                                 witness_tol)
+    verdict = similar_structured((ups_a, v0_a), (ups_b, v0_b), cfg, fld, seed)
     if verdict.outcome != "similar":
         return verdict
     gamma_check = -2.0 * verdict.gamma

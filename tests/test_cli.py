@@ -297,18 +297,19 @@ class TestClassifyCommand:
         assert "numerical failure" in run.stderr
         assert "Traceback" not in run.stderr
 
-    def test_non_finite_residual_exit3(self, tmp_path):
+    def test_wide_eigenvalue_spread_classifies(self, tmp_path):
         # with Y / 100 the same W gives dim_s = 0, and t -> 100 t carries one
-        # algebra onto the other; here the verification residual overflows
-        path = write(tmp_path, "inf.json", {
+        # algebra onto the other; the sampling window shrinks with Y's spread
+        path = write(tmp_path, "wide.json", {
             "n": 3, "field": "real", "class": "Lprime", "domain": [-1, 1],
             "V": {"kind": "conj_exp", "epsilon": 0.0,
                   "upsilon": np.diag([200.0, 0.0, -200.0]).tolist(),
                   "w": (np.ones((3, 3)) - np.eye(3)).tolist()}})
         run = run_cli(["classify", path])
-        assert run.returncode == EXIT_INAPPLICABLE
-        assert "residual" in run.stderr and run.stdout == ""
-        assert "Traceback" not in run.stderr
+        assert run.returncode == EXIT_OK
+        rep = json.loads(run.stdout)
+        assert (rep["k"], rep["dim_s"]) == (1, 0)
+        assert run.stderr == ""
 
 
 class TestIntegrateCommand:

@@ -143,13 +143,15 @@ class TestConjugationAgainstExpm:
                                             (8.0, 10), (8.0, 22), (8.0, 24), (8.0, 56),
                                             (8.0, 59)])
     def test_conjugated_nilpotent_with_a_simple_split(self, scale, seed):
-        # rounding splits the double zero eigenvalue of a C S1 C^-1 into two
-        # simple clusters with cond(S) ~ 1e8; an exponential built on that
-        # eigenbasis loses 9 digits to all of them on these draws
+        # rounding splits the computed double zero eigenvalue of a C S1 C^-1
+        # into two simple ones with cond(S) ~ 1e8, which the staircase still
+        # clusters as one nilpotent; an exponential built on that eigenbasis
+        # would lose 9 digits to all of them on these draws
         rng = np.random.default_rng(seed)
         c = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
         ups = scale * c @ S1 @ np.linalg.inv(c)
-        assert [cl.multiplicity for cl in linalg.eig_clustered(ups)] == [1, 1]
+        assert len(set(np.linalg.eigvals(ups))) == 2
+        assert [cl.multiplicity for cl in linalg.eig_clustered(ups)] == [2]
         ts = np.linspace(-1.0, 1.0, 9)
         ref = np.stack([scipy.linalg.expm(t * ups) for t in ts])
         got = linalg.exp_factory(ups)(ts)
@@ -330,6 +332,12 @@ class TestScalarAndVector:
                                       DOM)
         np.testing.assert_allclose(v.evaluate(0.5), [1.0, 1.0])
         np.testing.assert_allclose(v.derivative(1).evaluate(0.5), [0.0, 2.0])
+
+    @pytest.mark.parametrize("peak", [1e200, 1e300])
+    def test_max_norm_of_huge_finite_values(self, peak):
+        # the squares of these entries overflow; the norm itself does not
+        m = MatrixFunction.constant(peak * np.array([[0.0, 0.6], [0.8, 0.0]]), DOM)
+        assert m.max_norm() == pytest.approx(peak, rel=1e-15)
 
 
 class TestRepresentationClosure:
