@@ -580,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or invalid value anywhere is a numerical failure
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -43,7 +43,6 @@ class IntegrationError(RuntimeError):
 class IntegrationPlan:
     procedure: str  # Singular | OneSymmetry | TwoSymmetry | ConstantDirect
     quadratures: int = 0
-    h_grid: np.ndarray | None = None
     h_values: np.ndarray | None = None
     t_map: np.ndarray | None = None
     lam: np.ndarray | None = None
@@ -215,8 +214,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
         particular = np.einsum("tij,tj->ti", hinv, gvals)
         quad = 2 * n
     plan = IntegrationPlan(procedure="Singular", quadratures=quad,
-                           h_grid=sub, h_values=hvals, t_map=tvals,
-                           quadrature_bound=2 * n,
+                           h_values=hvals, t_map=tvals, quadrature_bound=2 * n,
                            notes=["reduced to the free particle by the combined "
                                   "A-gauge and trace gauge"])
     return SolutionSet(grid=sub, positions=positions, velocities=velocities,
@@ -270,7 +268,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
             f"{dev_b:.3g}); symmetry not verified or numerics insufficient")
     sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar)
     plan = IntegrationPlan(procedure="OneSymmetry", quadratures=1,
-                           h_grid=grid, h_values=hvals, t_map=tmap,
+                           h_values=hvals, t_map=tmap,
                            notes=["constant push-forward coefficients",
                                   f"A~ = {np.array2string(abar, precision=4)}",
                                   f"B~ = {np.array2string(bbar, precision=4)}"])
@@ -376,13 +374,11 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                            eta2_fun.evaluate(probes).reshape(-1)])
     col3 = np.concatenate([np.atleast_1d(q3.tau.evaluate(probes)).astype(complex),
                            q3.eta_function(n, sys.domain).evaluate(probes).reshape(-1)])
-    basis = np.stack([col1, col2], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, col3, rcond=None)
-    aco, bco = complex(coef[0]), complex(coef[1])
-    closure_resid = float(np.linalg.norm(col3 - basis @ coef))
-    if closure_resid > 1e-6 * (1.0 + float(np.linalg.norm(col3))):
+    coef = linalg.span_solve(np.stack([col1, col2], axis=1), col3, 1e-6)
+    if coef is None:
         raise IntegrationError("bracket does not close into the span: "
                                "not a 2-dimensional algebra")
+    aco, bco = complex(coef[0]), complex(coef[1])
     if max(abs(aco), abs(bco)) < 1e-12:
         raise IntegrationError("abelian pair with independent t-components "
                                "cannot occur; numerical failure")
@@ -454,8 +450,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     r = len(chains)
     p_total = sum(len(lengths) for lengths in chains)
     plan = IntegrationPlan(procedure="TwoSymmetry", quadratures=quad,
-                           h_grid=grid, h_values=hvals, t_map=tmap, lam=lam,
-                           modal=modal, block_sizes=sizes,
+                           h_values=hvals, t_map=tmap, lam=lam, modal=modal, block_sizes=sizes,
                            eligible_distinct_divisors=eligible,
                            quadrature_bound=n + p_total - r,
                            notes=[f"Lam eigenvalues {np.round(np.diag(lam), 6)}",

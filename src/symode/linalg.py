@@ -6,6 +6,10 @@ exponential factories t -> exp(t m) and a randomized search for invertible
 elements of affine matrix families.  Everything is a pure function of its
 inputs; matrices are numpy arrays (float64 or complex128), n <= 8.
 
+Every rank, membership and stop decision is one ``cut``: the count of values
+above a threshold and its margin, how near the nearest value on either side
+came to it; ``span_solve`` poses least-squares membership as such a cut.
+
 Every Jordan-structure decision is read from one staircase (``_flag``): the
 Weyr characteristic of the zero eigenvalue (``staircase``), and per
 eigenvalue cluster of m the generalized eigenspace, Weyr characteristic and
@@ -18,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +61,36 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+class Cut(NamedTuple):
+    rank: int  # how many values lie strictly above the threshold
+    margin: float  # >= 1; the nearer of s[rank-1] / threshold and threshold / s[rank]
+
+
+def _ratio(big: float, small: float) -> float:
+    # an empty side, a zero value or a zero threshold decides exactly
+    return big / small if 0.0 < small < math.inf else math.inf
+
+
+def cut(s, threshold: float) -> Cut:
+    """The decision ``s > threshold`` over nonnegative values s in descending
+    order, as an SVD returns them: the count above and the margin, the ratio
+    of the nearest value on either side to the threshold.  The margin is
+    inf where a side is empty or the decision exact, and never NaN."""
+    s = np.asarray(s)
+    rank = int(np.count_nonzero(s > threshold))
+    low = float(s[rank - 1]) if rank else math.inf
+    high = float(s[rank]) if rank < len(s) else 0.0
+    return Cut(rank, min(_ratio(low, threshold), _ratio(threshold, high)))
+
+
+def span_solve(a: np.ndarray, b: np.ndarray, tol: float):
+    """Least-squares x with a x ~ b, or None when b is not in the span of a's
+    columns: the residual ||b - a x|| is above tol (1 + ||b||)."""
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    resid = float(np.linalg.norm(b - a @ x))
+    return None if cut([resid], tol * (1.0 + float(np.linalg.norm(b)))).rank else x
+
+
 def nullspace(a: np.ndarray, rank_tol: float) -> np.ndarray:
     """Orthonormal nullspace basis (columns), relative SV cutoff rank_tol."""
     a = np.atleast_2d(np.asarray(a))
@@ -63,18 +98,8 @@ def nullspace(a: np.ndarray, rank_tol: float) -> np.ndarray:
         return np.eye(a.shape[1], dtype=a.dtype)
     # a tall matrix needs only the thin factors; a wide one the full vh
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > rank_tol * (s[0] if s.size else 0.0)))
+    rank = cut(s, rank_tol * (s[0] if s.size else 0.0)).rank
     return vh[rank:].conj().T
-
-
-def rank_of(a: np.ndarray, rank_tol: float) -> int:
-    a = np.atleast_2d(np.asarray(a))
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -116,8 +141,8 @@ class SubspaceBasis:
         if self.mats:
             self.n = self.mats[0].shape[0]
             flat = np.stack(self.mats).reshape(len(self.mats), -1)
-            gram = flat.conj() @ flat.T
-            if rank_of(gram, 1e-12) != len(self.mats):
+            s = np.linalg.svd(flat.conj() @ flat.T, compute_uv=False)
+            if cut(s, 1e-12 * s[0]).rank != len(self.mats):
                 raise LinalgError("basis elements are not independent (Gram rank deficient)")
             if self.in_sl:
                 for m in self.mats:
@@ -137,12 +162,8 @@ class SubspaceBasis:
     def contains(self, m: np.ndarray, tol: float = 1e-8) -> bool:
         """Membership of span via least-squares projection residual."""
         if not self.mats:
-            return frobenius_norm(m) <= tol
-        a = self.stacked().T
-        v = _vec(m)
-        coef, *_ = np.linalg.lstsq(a, v.astype(a.dtype) if not np.iscomplexobj(v) else v, rcond=None)
-        resid = frobenius_norm(v - a @ coef)
-        return resid <= tol * (1.0 + frobenius_norm(m))
+            return not cut([frobenius_norm(m)], tol).rank
+        return span_solve(self.stacked().T, _vec(m), tol) is not None
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,7 +209,7 @@ def centralizer_basis(mats, restrict_traceless: bool = False, n: int | None = No
             break
         image = (basis @ k - k @ basis).reshape(len(basis), n * n)
         _, s, vh = np.linalg.svd(image.T, full_matrices=False)
-        rank = int(np.sum(s > cfg.rank_tol * bound))
+        rank = cut(s, cfg.rank_tol * bound).rank
         basis = np.tensordot(vh[rank:].conj(), basis, axes=1)
     return SubspaceBasis(mats=list(basis), n=n, in_sl=restrict_traceless)
 
@@ -204,18 +225,18 @@ class EigCluster:
     promoted: bool = False  # real input, nonreal cluster value
 
 
-def _flag(m: np.ndarray, cut: float) -> tuple:
+def _flag(m: np.ndarray, threshold: float) -> tuple:
     """Staircase of m: its zero eigenvalue's Weyr characteristic and flag.
 
     Returns (weyr, q) with weyr = [n_1, .., n_p], n_j = dim ker m^j -
     dim ker m^(j-1) > 0, and q unitary whose first n_1 + .. + n_j columns span
     ker m^j.  Each step takes the SVD of the current block, counts its singular
-    values at or below cut as the next n_j, rotates those null vectors first
+    values at or below threshold as the next n_j, rotates those null vectors first
     and keeps the trailing block (the staircase of Kagstrom & Ruhe, ACM TOMS 6
     (1980); Golub & Wilkinson, SIAM Rev. 18 (1976)).  No power of m is formed,
     so the cut does not drift with cond(m)^j.  The n_j never increase:
     rotated, the kept columns of a block are [X; Y] with n_j rows in X and
-    every singular value above cut, so the next block Y has at most n_j
+    every singular value above threshold, so the next block Y has at most n_j
     singular values at or below it.
     """
     q = np.eye(len(m), dtype=np.result_type(m, np.float64))
@@ -224,7 +245,7 @@ def _flag(m: np.ndarray, cut: float) -> tuple:
     block = m
     while len(block):
         _, s, vh = np.linalg.svd(block)
-        rank = int(np.sum(s > cut))
+        rank = cut(s, threshold).rank
         if rank == len(s):
             break
         q[:, done:] = q[:, done:] @ np.vstack([vh[rank:], vh[:rank]]).conj().T
@@ -261,18 +282,18 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
         vals = np.linalg.eigvals(mc)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR iteration cap
         raise LinalgError(f"eigenvalue iteration failed to converge: {exc}") from exc
-    cut = _eig_cut(m, cfg)
+    threshold = _eig_cut(m, cfg)
     dist = np.abs(vals[:, None] - vals[None, :])
 
     def accept(group):
         mu = complex(np.mean(vals[group]))
-        weyr, q = _flag(mc - mu * np.eye(n), cut)
+        weyr, q = _flag(mc - mu * np.eye(n), threshold)
         spread = float(np.max(np.abs(vals[group] - mu)))
         isolated = 2.0 * spread < np.min(np.abs(np.delete(vals, group) - mu), initial=np.inf)
         if sum(weyr) != len(group) or not isolated:
             return None
         return EigCluster(value=mu, multiplicity=len(group), basis=q[:, :len(group)],
-                          weyr=tuple(weyr), promoted=real_input and abs(mu.imag) > cut)
+                          weyr=tuple(weyr), promoted=real_input and abs(mu.imag) > threshold)
 
     groups = [([i], accept([i])) for i in range(n)]
     while any(c is None for _, c in groups):
@@ -447,7 +468,6 @@ def invertible_in_affine_space(basis, offset: np.ndarray,
     """
     offset = _check_square(offset, "offset")
     basis = [np.asarray(b) for b in basis]
-    n = offset.shape[0]
     rng = np.random.default_rng(seed)
     complex_field = np.iscomplexobj(offset) or any(np.iscomplexobj(b) for b in basis)
 
@@ -459,24 +479,16 @@ def invertible_in_affine_space(basis, offset: np.ndarray,
 
     def invertible(m):
         s = np.linalg.svd(m, compute_uv=False)
-        return s[-1] > cfg.rank_tol * max(s[0], 1.0)
+        return cut(s, cfg.rank_tol * max(s[0], 1.0)).rank == len(s)
 
-    k = len(basis)
-    if k == 0:
+    def draw(grid):
+        return rng.integers(-2, 3, size=len(basis)) if grid else rng.standard_normal(len(basis))
+
+    if not basis:
         return offset if invertible(offset) else None
-    grid_trials = trials // 2
-    for _ in range(grid_trials):
-        coeffs = rng.integers(-2, 3, size=k).astype(float)
-        if complex_field:
-            coeffs = coeffs + 1j * rng.integers(-2, 3, size=k)
-        m = candidate(coeffs)
-        if invertible(m):
-            return m
-    for _ in range(trials - grid_trials):
-        coeffs = rng.standard_normal(k)
-        if complex_field:
-            coeffs = coeffs + 1j * rng.standard_normal(k)
-        m = candidate(coeffs)
+    for trial in range(trials):
+        grid = trial < trials // 2
+        m = candidate(draw(grid) + 1j * draw(grid) if complex_field else draw(grid))
         if invertible(m):
             return m
     return None

@@ -350,8 +350,8 @@ class _TimeFunction:
         kind = CONSTANT if len(c) == 1 and CONSTANT in self.KINDS else POLYNOMIAL
         return cls(kind, self.domain, coeffs=c, note=self.note)
 
-    def max_norm(self, probes: int = 65) -> float:
-        return _max_norm(self.evaluate(np.linspace(self.domain[0], self.domain[1], probes)))
+    def max_norm(self) -> float:
+        return _max_norm(self.evaluate(np.linspace(self.domain[0], self.domain[1], 65)))
 
 
 class ScalarFunction(_TimeFunction):
@@ -471,9 +471,9 @@ class MatrixFunction(_TimeFunction):
         return MatrixFunction(self.kind, new_dom,
                               coeffs=poly_compose_affine(self.coeffs, alpha, beta))
 
-    def is_traceless(self, tol: float = 1e-9, probes: int = 32) -> bool:
-        """max |tr F| <= tol (1 + max ||F||), both over one evaluation at the probes."""
-        vals = self.evaluate(np.linspace(self.domain[0], self.domain[1], probes))
+    def is_traceless(self, tol: float = 1e-9) -> bool:
+        """max |tr F| <= tol (1 + max ||F||), both over one evaluation at 32 probes."""
+        vals = self.evaluate(np.linspace(self.domain[0], self.domain[1], 32))
         traces = np.trace(vals, axis1=1, axis2=2)
         return bool(np.max(np.abs(traces)) <= tol * (1.0 + _max_norm(vals)))
 
@@ -523,7 +523,7 @@ def k_span_length(upsilon: np.ndarray, w: np.ndarray,
         for _ in range(2):
             v = v - (q[:length].conj() @ v) @ q[:length]
         rest = float(np.linalg.norm(v))
-        if rest <= stop:
+        if not linalg.cut([rest], stop).rank:
             break
         q[length] = v / rest
         length += 1

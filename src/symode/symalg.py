@@ -126,10 +126,9 @@ class EssentialAlgebra:
         return self.dim_ess + 2 * self.n
 
 
-def verify_symmetry(v_fun: MatrixFunction, q: SymmetryVectorField,
-                    probes: int = PROBES) -> float:
+def verify_symmetry(v_fun: MatrixFunction, q: SymmetryVectorField) -> float:
     """Residual of the classifying condition, maximized over probe points."""
-    return _classifying_residuals(v_fun, [q], probes)[0]
+    return _classifying_residuals(v_fun, [q])[0]
 
 
 def _probe_values(v_fun: MatrixFunction, lo, hi, probes: int):
@@ -148,9 +147,9 @@ def _spans(fun: MatrixFunction, fields) -> dict:
     return groups
 
 
-def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) -> list:
+def _classifying_residuals(v_fun: MatrixFunction, fields) -> list:
     """Residual of tau V_t = [Gamma, V] - 2 tau_t V + (1/2) tau_ttt E for each
-    (tau, Gamma) field, maximized over the probes of the interval where V and
+    (tau, Gamma) field, maximized over the PROBES of the interval where V and
     tau are both defined.
 
     One pass per such interval: V and V_t come from one ``jet``, the
@@ -161,7 +160,7 @@ def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) 
     n = v_fun.n
     out = [0.0] * len(fields)
     for span, idx in _spans(v_fun, fields).items():
-        ts, v, vt = _probe_values(v_fun, *span, probes)
+        ts, v, vt = _probe_values(v_fun, *span, PROBES)
         gammas = np.stack([fields[i].gamma if fields[i].gamma is not None
                            else np.zeros((n, n)) for i in idx])
         comm = np.einsum("fij,tjk->ftik", gammas, v)
@@ -183,10 +182,9 @@ def _classifying_residuals(v_fun: MatrixFunction, fields, probes: int = PROBES) 
     return out
 
 
-def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction, fields,
-                                probes: int = PROBES) -> list:
+def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction, fields) -> list:
     """Residual of the two classifying conditions for x_tt = A x_t + B x, one
-    per field, maximized over the probes of the interval where A and tau are
+    per field, maximized over the PROBES of the interval where A and tau are
     both defined.
 
     One pass per such interval: A, A_t, B and B_t come from one ``jet`` each,
@@ -201,7 +199,7 @@ def verify_symmetry_homogeneous(a_fun: MatrixFunction, b_fun: MatrixFunction, fi
 
     out = [0.0] * len(fields)
     for span, idx in _spans(a_fun, fields).items():
-        ts = np.linspace(*span, probes)
+        ts = np.linspace(*span, PROBES)
         a, at = a_fun.jet(ts, (0, 1))
         b, bt = b_fun.jet(ts, (0, 1))
         taus = np.stack([fields[i].tau.jet(ts, (0, 1, 2)) for i in idx])[..., None, None]
@@ -253,25 +251,20 @@ def _nullspace_by_spectral_gap(a):
     ncols = vh.shape[0]
     if s.size == 0 or s[0] == 0.0:
         return np.eye(ncols, dtype=a.dtype), np.inf
-    smax = s[0]
-    floor = GAP_FLOOR_REL * smax
-    chosen = None
-    for rank in range(1, len(s) + 1):
-        largest_discarded = s[rank] if rank < len(s) else floor
-        if largest_discarded > GAP_BAND_REL * smax:
-            continue  # would discard a direction that is not plausibly zero
-        ratio = float(s[rank - 1] / max(largest_discarded, 1e-300))
-        if ratio >= GAP_MIN:
-            chosen = (rank, ratio)
-            break
-    if chosen is None:
-        rank = int(np.sum(s > floor))
+    floor = GAP_FLOOR_REL * s[0]
+
+    def gap(rank):
         below = s[rank] if rank < len(s) else floor
-        ratio = float(s[rank - 1] / max(below, 1e-300)) if rank else np.inf
-        chosen = (rank, ratio)
-    rank, ratio = chosen
-    null = vh[rank:].conj().T
-    return null, ratio
+        return below, float(s[rank - 1] / max(below, 1e-300)) if rank else np.inf
+
+    for rank in range(1, len(s) + 1):
+        below, ratio = gap(rank)
+        if below <= GAP_BAND_REL * s[0] and ratio >= GAP_MIN:
+            break
+    else:
+        rank = linalg.cut(s, floor).rank
+        ratio = gap(rank)[1]
+    return vh[rank:].conj().T, ratio
 
 
 def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
@@ -284,7 +277,7 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
     # nullspace rows are unit vectors of a scale-normalized problem, so the
     # tau-block rank is decided against an absolute floor, not s_max-relative
     u, sv, _ = np.linalg.svd(taus)
-    k = int(np.sum(sv > 1e-6))
+    k = linalg.cut(sv, 1e-6).rank
     if k > 0:
         mix = u.conj().T @ nv
         t_rows = mix[:k]
@@ -302,7 +295,8 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
         # orthonormal basis of their span
         flat = np.stack([m.reshape(-1, order="F") for m in s_mats])
         _, sv, vh = np.linalg.svd(flat, full_matrices=False)
-        s_mats = [v.conj().reshape(n, n, order="F") for v in vh[sv > cfg.rank_tol * sv[0]]]
+        s_mats = [v.conj().reshape(n, n, order="F")
+                  for v in vh[:linalg.cut(sv, cfg.rank_tol * sv[0]).rank]]
     if fld is Field.REAL:
         s_mats = [m.real if np.iscomplexobj(m) and np.max(np.abs(m.imag)) < 1e-9 else m
                   for m in s_mats]
@@ -342,13 +336,12 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     w = poly_wronskian(c1, c2)
     basis = np.stack([np.concatenate([c1, np.zeros(2)]),
                       np.concatenate([c2, np.zeros(2)])])
-    coef, *_ = np.linalg.lstsq(basis.T[:, :2].astype(complex), w.astype(complex), rcond=None)
-    a, b = coef
-    resid = np.linalg.norm(w - a * basis[0] - b * basis[1])
-    if resid > 1e-8 * (1.0 + np.linalg.norm(w)):
+    coef = linalg.span_solve(basis.T, w.astype(complex), 1e-8)
+    if coef is None:
         ess.notes.append("t-part bracket did not close on tau components; "
                          "left unnormalized")
         return
+    a, b = coef
     # X = a Q1 + b Q2 carries the derived-algebra direction; Y with ad-bc = 1
     if abs(a) > abs(b):
         c, d = 0.0, 1.0 / a
@@ -420,8 +413,7 @@ def solve_symmetries_traceless_poly(v_fun: MatrixFunction,
 
 def solve_symmetries_sampled(v_fun: MatrixFunction,
                              cfg: ToleranceConfig = DEFAULT_TOL,
-                             fld: Field | None = None,
-                             probes: int = PROBES) -> EssentialAlgebra:
+                             fld: Field | None = None) -> EssentialAlgebra:
     """Discretized classifying-condition solve for sampled traceless V."""
     if v_fun.kind != SAMPLED:
         raise ClassificationError("sampled solver needs a sampled V")
@@ -433,7 +425,7 @@ def solve_symmetries_sampled(v_fun: MatrixFunction,
         raise ClassificationError("input is not traceless; gauge the trace away first")
     if v_fun.max_norm() <= cfg.residual_tol:
         raise ClassificationError("singular class; use singular path")
-    ts, v, vt = _probe_values(v_fun, *v_fun.domain, probes)
+    ts, v, vt = _probe_values(v_fun, *v_fun.domain, PROBES)
     a = _condition_rows(ts, v, vt) / max(1.0, float(np.max(np.abs(v))))
     # finite-difference noise on sampled data pushes the should-be-zero
     # singular values well above machine precision; cut at the dominant
@@ -444,7 +436,6 @@ def solve_symmetries_sampled(v_fun: MatrixFunction,
     if np.isfinite(gap) and gap < 10.0:
         ess.notes.append(f"ill-separated singular values (gap {gap:.2f} < 10); "
                          "dimension inconclusive")
-        ess.confidence_gap = gap
     return ess
 
 
@@ -466,10 +457,8 @@ def _ad_solve(ks, rs):
     a = (linalg.ad_operator(ks.astype(dtype)) / scale).reshape(-1, n * n)
     # column-major vec of each R_j, as ad_operator acts on vec(X)
     b = (np.swapaxes(rs, 1, 2) / scale).astype(dtype).reshape(-1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.linalg.norm(a @ sol - b) > 1e-7 * (1.0 + np.linalg.norm(b)):
-        return None
-    return sol.reshape(n, n, order="F")
+    sol = linalg.span_solve(a, b, 1e-7)
+    return None if sol is None else sol.reshape(n, n, order="F")
 
 
 def classify_structured(eps, upsilon: np.ndarray, w: np.ndarray,

@@ -32,12 +32,13 @@ def barl_doc(a, b, f=(0.0, 0.0)):
     }
 
 
-def run_cli(argv):
-    """``python -m symode.cli argv`` in a fresh process, with this symode on its path."""
+def run_cli(argv, flags=()):
+    """``python flags -m symode.cli argv`` in a fresh process, with this symode on
+    its path."""
     src = str(Path(symode.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "symode.cli", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "symode.cli", *argv],
                           env=env, capture_output=True, text=True)
 
 
@@ -285,17 +286,29 @@ class TestClassifyCommand:
         rep = json.loads(open(out).read())
         assert rep["case"] == "0" and rep["dim_total"] == 5
 
+    @staticmethod
+    def assert_numerical_failure(path):
+        # numpy's overflow is an error, not a warning, with or without -W error
+        for flags in ((), ("-W", "error")):
+            run = run_cli(["classify", path], flags)
+            assert run.returncode == EXIT_NUMERICAL, flags
+            assert "numerical failure" in run.stderr
+            assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
     def test_overflowing_exponential_exit4(self, tmp_path):
-        # e^{800 t} overflows on [-1, 1], and numpy's SVD fails to converge
-        path = write(tmp_path, "ovf.json", {
+        # e^{800 t} overflows on [-1, 1]
+        self.assert_numerical_failure(write(tmp_path, "ovf.json", {
             "n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1],
             "V": {"kind": "conj_exp", "epsilon": 0.0,
                   "upsilon": [[800.0, 0.0], [0.0, -800.0]],
-                  "w": [[0.0, 1.0], [1.0, 0.0]]}})
-        run = run_cli(["classify", path])
-        assert run.returncode == EXIT_NUMERICAL
-        assert "numerical failure" in run.stderr
-        assert "Traceback" not in run.stderr
+                  "w": [[0.0, 1.0], [1.0, 0.0]]}}))
+
+    def test_overflowing_polynomial_exit4(self, tmp_path):
+        # finite coefficients whose values overflow on the domain
+        big = [[1e308, 1e308], [1e308, -1e308]]
+        self.assert_numerical_failure(write(tmp_path, "ovf.json", {
+            "n": 2, "field": "real", "class": "Ldoubleprime", "domain": [-1, 1],
+            "V": {"kind": "polynomial", "coeffs": [big, big]}}))
 
     def test_wide_eigenvalue_spread_classifies(self, tmp_path):
         # with Y / 100 the same W gives dim_s = 0, and t -> 100 t carries one

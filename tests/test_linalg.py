@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +17,48 @@ JORDAN_FAMILIES = [
     ([4], [-1.5]), ([5], [0.5, 0.25, -1.0]), ([2, 1], [1.0, 1.0, 3.0]),
     ([2, 1], [0.5]), ([6], [1.0, -1.0]), ([4, 3], [0.5]), ([5, 2], [-0.3]),
 ]
+
+
+class TestCut:
+    def test_value_at_the_threshold_is_dropped(self):
+        assert linalg.cut([2.0, 1.0, 0.5], 1.0) == (1, 1.0)
+        assert linalg.cut([1.0, 1.0], 1.0).rank == 0
+
+    def test_empty(self):
+        assert linalg.cut([], 1.0) == (0, np.inf)
+        assert linalg.cut(np.zeros(0), 0.0) == (0, np.inf)
+
+    def test_zero_threshold_and_zero_values_decide_exactly(self):
+        assert linalg.cut([0.0, 0.0], 0.0) == (0, np.inf)
+        assert linalg.cut([3.0, 0.0], 0.0) == (1, np.inf)
+        assert linalg.cut([3.0, 0.0], 1.0) == (1, 3.0)
+
+    def test_margin_is_the_nearer_side(self):
+        assert linalg.cut([2.0, 1e-3], 1.0) == (1, 2.0)
+        assert linalg.cut([100.0, 0.5], 1.0) == (1, 2.0)
+        assert linalg.cut([0.25], 1.0) == (0, 4.0)
+        assert linalg.cut([8.0], 2.0) == (1, 4.0)
+
+    @pytest.mark.parametrize("s,threshold", [
+        ([np.inf], 1.0), ([1.0], np.inf), ([np.inf], np.inf), ([np.inf, 0.0], 0.0),
+        ([0.0], 0.0), ([1e300, 1e-300], 1e-310), ([5.0], np.nan),
+    ])
+    def test_never_nan_nor_a_warning(self, s, threshold):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            c = linalg.cut(s, threshold)
+        assert not np.isnan(c.margin) and c.margin >= 1.0
+
+    def test_scale_covariant(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            s = np.sort(rng.lognormal(0.0, 4.0, 8))[::-1]
+            t = float(rng.lognormal(0.0, 4.0))
+            want = linalg.cut(s, t)
+            for a in (1e-8, 1.0, 1e8):
+                got = linalg.cut(a * s, a * t)
+                assert got.rank == want.rank
+                assert got.margin == pytest.approx(want.margin, rel=1e-14)
 
 
 class TestCommutator:
