@@ -438,16 +438,14 @@ def cmd_integrate(args) -> int:
     res_sys = sys_in
     if sol.particular is None and sys_in.cls == BARL:
         res_sys = gauge_f_zero(sys_in, args.grid).system
-    worst = 0.0
-    for j in range(2 * sys_in.n):
-        traj = sol.positions[:, :, j]
-        if sol.particular is not None:
-            traj = traj + sol.particular
-        worst = max(worst, residual(res_sys, traj, sol.grid))
+    trajs = sol.positions
+    if sol.particular is not None:
+        trajs = trajs + sol.particular[:, :, None]
+    worst = residual(res_sys, trajs, sol.grid)
     payload = {
-        "procedure": sol.plan.procedure if sol.plan else sol.method,
+        "procedure": sol.plan.procedure,
         "quadratures": sol.quadratures,
-        "quadrature_bound": sol.plan.quadrature_bound if sol.plan else None,
+        "quadrature_bound": sol.plan.quadrature_bound,
         "residual": worst,
         "grid": [float(t) for t in sol.grid[:: max(1, len(sol.grid) // 128)]],
         "fundamental": [
@@ -458,7 +456,7 @@ def cmd_integrate(args) -> int:
             _encode_array(sol.particular[i])
             for i in range(0, len(sol.grid), max(1, len(sol.grid) // 128))
         ],
-        "notes": sol.plan.notes if sol.plan else [],
+        "notes": sol.plan.notes,
         "tolerances": {"residual_tol": cfg.residual_tol},
     }
     _emit(args, payload)

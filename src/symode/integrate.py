@@ -8,14 +8,19 @@ t-components split the straightening solve into uncoupled blocks ordered by
 the Jordan structure of zeta = eta2 - (tau2/tau1) eta1, with the quadrature
 count bounded by n + p - r when the elementary divisors are distinct.
 
+Both straightening procedures take one path: ``_straightening_start``
+(homogeneous class, chi dropped, A and B on the grid, every field verified),
+then ``_straighten``, which pushes the coefficients forward
+(``gauge.pushforward``), requires them constant, max(|A~ - A~(t0)|,
+|B~ - B~(t0)|) <= 1e4 residual_tol (1 + max|A~(t0)| + max|B~(t0)|) at the
+middle node t0, and pulls back the constant system's companion exponential
+evaluated at T(t).
+
 Each fundamental solve is a linear ODE whose coefficients are tabulated once
 on the grid and its step midpoints and handed to ``numutil.rk4_linear``,
 which composes them as blocked affine RK4 maps;
 right-multiplied equations such as tau H_t = -H eta run on the transpose
-(``gauge.right_fundamental``).  The A~, B~ formula is ``gauge.pushforward``.
-A straightened solve evaluates A and B once on its grid, which also gives
-the verification scale, and builds one companion exponential, evaluated
-at T(t) for the pull-back.
+(``gauge.right_fundamental``).
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, SystemDescriptor,
                     singular_class_test)
 from .matfun import (COEFFICIENT_KINDS, POLYNOMIAL, MatrixFunction, ScalarFunction,
                      poly_der, poly_lincomb, poly_mul, poly_strip, poly_wronskian)
-from .numutil import companion, cumulative_integral, grid_derivative, uniform_grid
+from .numutil import companion, cumulative_integral, trajectory_derivative, uniform_grid
 from .scalars import Field
-from .symalg import SymmetryVectorField, verify_symmetry_homogeneous
+from .symalg import SymmetryVectorField, bracket_normal_partner, verify_symmetry_homogeneous
 
 
 class IntegrationError(RuntimeError):
@@ -42,7 +47,6 @@ class IntegrationError(RuntimeError):
 @dataclass
 class IntegrationPlan:
     procedure: str  # Singular | OneSymmetry | TwoSymmetry | ConstantDirect
-    quadratures: int = 0
     h_values: np.ndarray | None = None
     t_map: np.ndarray | None = None
     lam: np.ndarray | None = None
@@ -55,16 +59,15 @@ class IntegrationPlan:
 
 @dataclass
 class SolutionSet:
-    """Fundamental solutions on a grid, plus an optional particular solution."""
+    """Fundamental solutions on a grid, plus an optional particular solution,
+    and the plan of the procedure that produced them."""
 
     grid: np.ndarray
     positions: np.ndarray  # (m, n, 2n)
     velocities: np.ndarray  # (m, n, 2n)
     particular: np.ndarray | None
-    method: str
     quadratures: int
-    plan: IntegrationPlan | None = None
-    generator: np.ndarray | None = None  # closed-form companion, when exact
+    plan: IntegrationPlan
     t0: float | None = None
 
     @property
@@ -84,25 +87,28 @@ class SolutionSet:
 
 
 def residual(sys: SystemDescriptor, sol, grid) -> float:
-    """Max normalized defect of x_tt = A x_t + B x + f along a trajectory.
+    """Max normalized defect of x_tt = A x_t + B x + f along trajectories.
 
-    sol is either an (m, n) array of values on the grid or a callable
-    returning them.
+    sol is either an (m, n) array of values on the grid, an (m, n, k) stack
+    of k trajectories, or a callable returning either.  Each trajectory's
+    defect is divided by its own max(1, max |x|); the largest is returned.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 8:
         raise IntegrationError("residual grid too coarse (< 8 points)")
     vals = sol(grid) if callable(sol) else np.asarray(sol)
+    stack = vals if vals.ndim == 3 else vals[:, :, None]
     a_fun, b_fun, f_fun = sys.coefficients()
-    d1 = grid_derivative(grid, vals, 1)
-    d2 = grid_derivative(grid, vals, 2)
+    d1 = trajectory_derivative(grid, stack, 1)
+    d2 = trajectory_derivative(grid, stack, 2)
     a = a_fun.evaluate(grid)
     b = b_fun.evaluate(grid)
     f = f_fun.evaluate(grid)
-    defect = d2 - (np.einsum("tij,tj->ti", a, d1) + np.einsum("tij,tj->ti", b, vals) + f)
-    interior = slice(3, -3)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    return float(np.max(np.abs(defect[interior]))) / scale
+    defect = d2 - (np.einsum("tij,tjk->tik", a, d1) + np.einsum("tij,tjk->tik", b, stack)
+                   + f[:, :, None])
+    peak = np.max(np.abs(defect[3:-3]), axis=(0, 1))
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(0, 1)))
+    return float(np.max(peak / scale))
 
 
 def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
@@ -151,16 +157,12 @@ def solve_constant(a_mat: np.ndarray, b_mat: np.ndarray, domain,
     n = a_mat.shape[0]
     lo, hi = float(domain[0]), float(domain[1])
     t0 = 0.5 * (lo + hi)
-    comp = companion(a_mat, b_mat)
-    ef = linalg.exp_factory(comp)
+    ef = linalg.exp_factory(companion(a_mat, b_mat))
     grid = uniform_grid(lo, hi, grid_steps)
     states = ef(grid - t0)
     return SolutionSet(grid=grid, positions=states[:, :n, :],
-                       velocities=states[:, n:, :], particular=None,
-                       method="constant-coefficient companion exponential",
-                       quadratures=0,
-                       plan=IntegrationPlan(procedure="ConstantDirect"),
-                       generator=comp, t0=t0)
+                       velocities=states[:, n:, :], particular=None, quadratures=0,
+                       plan=IntegrationPlan(procedure="ConstantDirect"), t0=t0)
 
 
 def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> SolutionSet:
@@ -213,13 +215,30 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     if not homogeneous:
         particular = np.einsum("tij,tj->ti", hinv, gvals)
         quad = 2 * n
-    plan = IntegrationPlan(procedure="Singular", quadratures=quad,
-                           h_values=hvals, t_map=tvals, quadrature_bound=2 * n,
+    plan = IntegrationPlan(procedure="Singular", h_values=hvals, t_map=tvals,
+                           quadrature_bound=2 * n,
                            notes=["reduced to the free particle by the combined "
                                   "A-gauge and trace gauge"])
     return SolutionSet(grid=sub, positions=positions, velocities=velocities,
-                       particular=particular, method="singular-class reduction",
-                       quadratures=quad, plan=plan)
+                       particular=particular, quadratures=quad, plan=plan)
+
+
+def _straightening_start(sys: SystemDescriptor, fields, grid_steps: int):
+    """The fields without chi, the half-step grid, the grid, and A and B on
+    the grid, for a homogeneous system whose fields all verify; A and B on
+    the grid also give the verification scale."""
+    if sys.cls not in (HOMOGENEOUS, LPRIME, LDOUBLEPRIME):
+        raise IntegrationError("symmetry straightening expects a homogeneous "
+                               "system (gauge f away first)")
+    a_fun, b_fun, _ = sys.coefficients()
+    fields = [q.drop_chi() for q in fields]
+    half = uniform_grid(sys.domain[0], sys.domain[1], 2 * grid_steps)
+    grid = half[::2]
+    a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
+    for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, fields), 1):
+        if res > 100 * sys.cfg.residual_tol * scale:
+            raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
+    return fields, half, grid, a_grid, b_grid
 
 
 def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
@@ -227,55 +246,27 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     """Straighten one symmetry with nonzero t-component and solve.
 
     Steps: drop chi; H from tau y_t + eta y = 0 (transpose of a fundamental
-    matrix); push-forward coefficients, asserted constant; constant solve;
-    T from T_t = 1/tau (the single quadrature); pull back.
+    matrix); T from T_t = 1/tau (the single quadrature); ``_straighten``.
     """
-    if sys.cls not in (HOMOGENEOUS, LPRIME, LDOUBLEPRIME):
-        raise IntegrationError("integrate_one_symmetry expects a homogeneous "
-                               "system (gauge f away first)")
-    cfg = sys.cfg
-    n = sys.n
-    lo, hi = sys.domain
-    a_fun, b_fun, _ = sys.coefficients()
-    q = q.drop_chi()
-    half = uniform_grid(lo, hi, 2 * grid_steps)
-    grid = half[::2]
-    i0 = len(grid) // 2
-    a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
-    res, = verify_symmetry_homogeneous(a_fun, b_fun, [q])
-    if res > 100 * cfg.residual_tol * scale:
-        raise IntegrationError(f"symmetry not verified (residual {res:.3g})")
+    (q,), half, grid, a_grid, b_grid = _straightening_start(sys, [q], grid_steps)
     tau_half = np.real(q.tau.evaluate(half))
     tau = tau_half[::2]
     if np.min(np.abs(tau)) <= 1e-12:
         raise IntegrationError("tau vanishes on the domain")
-    eta_fun = q.eta_function(n, sys.domain)
+    eta_fun = q.eta_function(sys.n, sys.domain)
     eta_half = eta_fun.evaluate(half)
     hvals = right_fundamental(-eta_half / tau_half[:, None, None], grid, sys.field.dtype)
     tmap = cumulative_integral(grid, 1.0 / tau)
-    tmap = tmap - tmap[i0]
-    taut = np.real(q.tau.derivative(1).evaluate(grid))
-    anew, bnew, ht, hinv = _straightened_coefficients(
-        a_grid, b_grid, tau, taut, hvals, eta_half[::2], eta_fun.derivative(1).evaluate(grid))
-    abar, bbar = anew[i0], bnew[i0]
-    dev_a = float(np.max(np.abs(anew - abar)))
-    dev_b = float(np.max(np.abs(bnew - bbar)))
-    tol_a = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(abar))))
-    tol_b = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(bbar))))
-    if dev_a > tol_a or dev_b > tol_b:
-        raise IntegrationError(
-            f"push-forward coefficients are not constant (deviations {dev_a:.3g}, "
-            f"{dev_b:.3g}); symmetry not verified or numerics insufficient")
-    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar)
-    plan = IntegrationPlan(procedure="OneSymmetry", quadratures=1,
-                           h_values=hvals, t_map=tmap,
+    tmap = tmap - tmap[len(grid) // 2]
+    positions, velocities, abar, bbar = _straighten(
+        sys.cfg.residual_tol, a_grid, b_grid, tau, np.real(q.tau.derivative(1).evaluate(grid)),
+        hvals, eta_half[::2], eta_fun.derivative(1).evaluate(grid), tmap)
+    plan = IntegrationPlan(procedure="OneSymmetry", h_values=hvals, t_map=tmap,
                            notes=["constant push-forward coefficients",
                                   f"A~ = {np.array2string(abar, precision=4)}",
                                   f"B~ = {np.array2string(bbar, precision=4)}"])
-    sol.plan = plan
-    sol.quadratures = 1
-    sol.method = "one-symmetry straightening"
-    return sol
+    return SolutionSet(grid=grid, positions=positions, velocities=velocities,
+                       particular=None, quadratures=1, plan=plan)
 
 
 def _coefficients_on(a_fun, b_fun, grid):
@@ -292,36 +283,40 @@ def _coefficients_on(a_fun, b_fun, grid):
     return a, b, 1.0 + sup(b) + sup(a)
 
 
-def _straightened_coefficients(a, b, tau, taut, h, eta, eta_t):
-    """A~, B~ on the grid, H_t and H^-1, for T_t = 1/tau and H solving
-    tau H_t = -H eta; a and b hold A and B on the grid.
+def _straighten(residual_tol, a, b, tau, taut, h, eta, eta_t, tmap):
+    """Positions, velocities, A~(t0) and B~(t0) of x(t) = H^-1(t) x~(T(t)),
+    for H solving tau H_t = -H eta and T_t = 1/tau; a and b hold A and B on
+    the grid, taut and eta_t the t-derivatives.
 
     H_t and H_tt come exactly from that equation rather than from
-    differentiating the solved H.
+    differentiating the solved H.  A~ and B~ must pass the module's constancy
+    bound; x~ are the columns of the constant system's companion exponential
+    anchored at the middle of T's range.
     """
+    n = h.shape[1]
     he = h @ eta
     tc = tau[:, None, None]
     ht = -he / tc
     htt = (taut / tau ** 2)[:, None, None] * he + (he @ eta) / tc ** 2 - (h @ eta_t) / tc
     hinv = np.linalg.inv(h)
-    anew, bnew = pushforward(1.0 / tau, -taut / tau ** 2, h, hinv, ht, htt, a, b)
-    return anew, bnew, ht, hinv
-
-
-def _pullback(grid, tmap, t1, hinv, ht, abar, bbar) -> SolutionSet:
-    """x(t) = H^-1(t) x~(T(t)) for the fundamental solutions of the constant
-    system x~_TT = abar x~_T + bbar x~, the companion exponential anchored at
-    the middle of T's range."""
-    n = hinv.shape[1]
+    t1 = 1.0 / tau
+    anew, bnew = pushforward(t1, -taut / tau ** 2, h, hinv, ht, htt, a, b)
+    i0 = len(tau) // 2
+    abar, bbar = anew[i0], bnew[i0]
+    dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
+    tol = 1e4 * residual_tol * (1.0 + float(np.max(np.abs(bbar)))
+                                + float(np.max(np.abs(abar))))
+    if dev > tol:
+        raise IntegrationError(f"push-forward coefficients are not constant "
+                               f"(deviation {dev:.3g}); symmetry not verified or "
+                               "numerics insufficient")
     hinv_dot = -(hinv @ ht @ hinv)
     ef = linalg.exp_factory(companion(abar, bbar))
     states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
     xpos = states[:, :n, :]
-    xvel = states[:, n:, :]
     positions = hinv @ xpos
-    velocities = hinv_dot @ xpos + (hinv @ xvel) * t1[:, None, None]
-    return SolutionSet(grid=grid, positions=positions, velocities=velocities,
-                       particular=None, method="", quadratures=0)
+    velocities = hinv_dot @ xpos + (hinv @ states[:, n:, :]) * t1[:, None, None]
+    return positions, velocities, abar, bbar
 
 
 def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
@@ -332,25 +327,13 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     The pair is recombined so [Q1', Q2'] = Q1'; zeta = eta2 - (tau2/tau1) eta1
     is conjugated to its (constant) Jordan form Lam by the modal matrix, the
     conjugated eta1 is asserted block-diagonal along Lam's eigenspaces, the
-    straightening fundamental solve splits blockwise, and the rest follows the
-    one-symmetry path with T = tau2/tau1 (no quadrature for the time map).
+    straightening fundamental solve splits blockwise, and ``_straighten``
+    finishes with T = tau2/tau1 (no quadrature for the time map).
     """
-    if sys.cls not in (HOMOGENEOUS, LPRIME, LDOUBLEPRIME):
-        raise IntegrationError("integrate_two_symmetries expects a homogeneous "
-                               "system (gauge f away first)")
+    (q1, q2), half, grid, a_grid, b_grid = _straightening_start(sys, [q1, q2], grid_steps)
     cfg = sys.cfg
     n = sys.n
-    lo, hi = sys.domain
-    a_fun, b_fun, _ = sys.coefficients()
-    q1 = q1.drop_chi()
-    q2 = q2.drop_chi()
-    half = uniform_grid(lo, hi, 2 * grid_steps)
-    grid = half[::2]
     i0 = len(grid) // 2
-    a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
-    for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, [q1, q2]), 1):
-        if res > 100 * cfg.residual_tol * scale:
-            raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
     # tau and eta of both fields on the half-step grid and their
     # t-derivatives on the grid, each evaluated once; the recombined X and Y
     # below are combinations of these arrays
@@ -367,14 +350,14 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     deta1, deta2 = eta1_fun.derivative(1).evaluate(grid), eta2_fun.derivative(1).evaluate(grid)
     # recombine to the bracket-normal form [X, Y] = X
     q3 = bracket(q1, q2, n, sys.domain)
-    probes = np.linspace(lo, hi, 33)
-    col1 = np.concatenate([np.atleast_1d(q1.tau.evaluate(probes)).astype(complex),
-                           eta1_fun.evaluate(probes).reshape(-1)])
-    col2 = np.concatenate([np.atleast_1d(q2.tau.evaluate(probes)).astype(complex),
-                           eta2_fun.evaluate(probes).reshape(-1)])
-    col3 = np.concatenate([np.atleast_1d(q3.tau.evaluate(probes)).astype(complex),
-                           q3.eta_function(n, sys.domain).evaluate(probes).reshape(-1)])
-    coef = linalg.span_solve(np.stack([col1, col2], axis=1), col3, 1e-6)
+    probes = np.linspace(sys.domain[0], sys.domain[1], 33)
+
+    def column(q, eta_fun):
+        return np.concatenate([np.atleast_1d(q.tau.evaluate(probes)).astype(complex),
+                               eta_fun.evaluate(probes).reshape(-1)])
+
+    coef = linalg.span_solve(np.stack([column(q1, eta1_fun), column(q2, eta2_fun)], axis=1),
+                             column(q3, q3.eta_function(n, sys.domain)), 1e-6)
     if coef is None:
         raise IntegrationError("bracket does not close into the span: "
                                "not a 2-dimensional algebra")
@@ -382,10 +365,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     if max(abs(aco), abs(bco)) < 1e-12:
         raise IntegrationError("abelian pair with independent t-components "
                                "cannot occur; numerical failure")
-    if abs(aco) > abs(bco):
-        cco, dco = 0.0, 1.0 / aco
-    else:
-        cco, dco = -1.0 / bco, 0.0
+    cco, dco = bracket_normal_partner(aco, bco)
     tau_x_half = _combine(aco, tau1_half, bco, tau2_half)
     tau_x = tau_x_half[::2]
     if np.min(np.abs(tau_x)) <= 1e-12:
@@ -427,19 +407,10 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                                / tau_half[:, None, None], grid, complex)
     hvals = hcheck @ hhat
     tau = tau_half[::2]
-    # H = Hcheck Hhat solves tau H_t = -H eta1, which gives H_t and H_tt exactly
-    anew, bnew, ht, hinv = _straightened_coefficients(
-        a_grid, b_grid, tau, np.real(_combine(aco, dt1, bco, dt2)), hvals, ex,
-        _combine(aco, deta1, bco, deta2))
-    abar, bbar = anew[i0], bnew[i0]
-    dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
-    tol = 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(bbar)))
-                                    + float(np.max(np.abs(abar))))
-    if dev > tol:
-        raise IntegrationError(f"push-forward coefficients are not constant "
-                               f"(deviation {dev:.3g}); numerical failure")
-    sol = _pullback(grid, tmap, 1.0 / tau, hinv, ht, abar, bbar)
-    positions, velocities = sol.positions, sol.velocities
+    # H = Hcheck Hhat solves tau H_t = -H eta1
+    positions, velocities, _, _ = _straighten(
+        cfg.residual_tol, a_grid, b_grid, tau, np.real(_combine(aco, dt1, bco, dt2)),
+        hvals, ex, _combine(aco, deta1, bco, deta2), tmap)
     if sys.field is Field.REAL and np.max(np.abs(positions.imag)) < 1e-7:
         positions = positions.real
         velocities = velocities.real
@@ -449,15 +420,13 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     eligible = all(len(set(lengths)) == len(lengths) for lengths in chains)
     r = len(chains)
     p_total = sum(len(lengths) for lengths in chains)
-    plan = IntegrationPlan(procedure="TwoSymmetry", quadratures=quad,
-                           h_values=hvals, t_map=tmap, lam=lam, modal=modal, block_sizes=sizes,
-                           eligible_distinct_divisors=eligible,
+    plan = IntegrationPlan(procedure="TwoSymmetry", h_values=hvals, t_map=tmap, lam=lam,
+                           modal=modal, block_sizes=sizes, eligible_distinct_divisors=eligible,
                            quadrature_bound=n + p_total - r,
                            notes=[f"Lam eigenvalues {np.round(np.diag(lam), 6)}",
                                   f"blocks {sizes}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
-                       particular=None, method="two-symmetry straightening",
-                       quadratures=quad, plan=plan)
+                       particular=None, quadratures=quad, plan=plan)
 
 
 def _combine(a, x1, b, x2):
@@ -502,7 +471,5 @@ def integrate_auto(sys: SystemDescriptor, symmetries=(),
     sol.quadratures += extra_quad
     if particular_fun is not None:
         sol.particular = -particular_fun.evaluate(sol.grid)
-    if sol.plan is not None:
-        sol.plan.quadratures = sol.quadratures
-        sol.plan.notes.extend(prov)
+    sol.plan.notes.extend(prov)
     return sol

@@ -70,8 +70,24 @@ def grid_derivative(grid: np.ndarray, values: np.ndarray, order: int = 1,
     roundoff amplification stay balanced.  The weights of every point come
     from one batched ``fd_weights`` call.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values)
+    idx, w = _stencil(np.asarray(grid, dtype=float), order, stencil)
+    return _stencil_sum(w, np.asarray(values), idx)
+
+
+def trajectory_derivative(grid: np.ndarray, trajectories: np.ndarray,
+                          order: int = 1) -> np.ndarray:
+    """``grid_derivative`` of each trajectory of an (m, n, k) stack, with the
+    weights built once.  Each trajectory gets its own stencil product, so
+    each column equals the (m, n) call bitwise; one product over all k n
+    columns would round them differently."""
+    idx, w = _stencil(np.asarray(grid, dtype=float), order, None)
+    trajectories = np.asarray(trajectories)
+    return np.stack([_stencil_sum(w, trajectories[:, :, j], idx)
+                     for j in range(trajectories.shape[2])], axis=2)
+
+
+def _stencil(grid: np.ndarray, order: int, stencil: int | None):
+    """Stencil table idx and Fornberg weights w of ``grid_derivative``."""
     npts = len(grid)
     width = stencil if stencil is not None else order + 4
     width = min(width, npts)
@@ -87,7 +103,7 @@ def grid_derivative(grid: np.ndarray, values: np.ndarray, order: int = 1,
     span = (width - 1) * stride
     lo = np.clip(np.arange(npts) - span // 2, 0, npts - 1 - span)
     idx = lo[:, None] + stride * np.arange(width)
-    return _stencil_sum(fd_weights(grid[idx], grid, order), values, idx)
+    return idx, fd_weights(grid[idx], grid, order)
 
 
 def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

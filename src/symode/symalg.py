@@ -320,6 +320,14 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
     return ess
 
 
+def bracket_normal_partner(a, b):
+    """(c, d) with ad - bc = 1: if [Q1, Q2] = a Q1 + b Q2, then X = a Q1 + b Q2
+    and Y = c Q1 + d Q2 have [X, Y] = X.  The larger of |a|, |b| is divided by."""
+    if abs(a) > abs(b):
+        return 0.0, 1.0 / a
+    return -1.0 / b, 0.0
+
+
 def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     """Recombine the two t-fields so [P, D] = P, with Jordan-splitting cleanup.
 
@@ -342,11 +350,7 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
                          "left unnormalized")
         return
     a, b = coef
-    # X = a Q1 + b Q2 carries the derived-algebra direction; Y with ad-bc = 1
-    if abs(a) > abs(b):
-        c, d = 0.0, 1.0 / a
-    else:
-        c, d = -1.0 / b, 0.0
+    c, d = bracket_normal_partner(a, b)
     tau_x = a * c1 + b * c2
     tau_y = c * c1 + d * c2
     gx = a * g1 + b * g2

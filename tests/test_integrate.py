@@ -96,6 +96,29 @@ class TestResidual:
         with pytest.raises(IntegrationError):
             residual(sys_h, np.zeros((5, 2)), np.linspace(-1, 1, 5))
 
+    @pytest.mark.parametrize("steps", [64, 1024])
+    def test_stack_equals_max_of_columns(self, rng, steps):
+        # exact solutions of x_tt = A x_t + B x + f, 1e-3..1e3 in size: their
+        # residuals are rounding, which a stack must round as each column alone
+        a = 0.5 * rng.standard_normal((3, 3))
+        b = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        f = rng.standard_normal(3)
+        sys_in = SystemDescriptor.bar_l(MatrixFunction.constant(a, DOM),
+                                        MatrixFunction.constant(b, DOM),
+                                        VectorFunction.constant(f, DOM))
+        fundamental = solve_constant(a, b, DOM, grid_steps=steps)
+        grid = fundamental.grid
+        exact = (fundamental.positions * 10.0 ** np.linspace(-3, 3, 6)
+                 - np.linalg.solve(b, f)[None, :, None])
+        # a cubic defect of 1e-4 in every column: only the columns below
+        # size 1 keep it undivided
+        defect = 1e-4 * (grid ** 3)[:, None, None] * np.ones((1, 3, 6))
+        for stack in (exact, exact + defect):
+            columns = [residual(sys_in, stack[:, :, j], grid) for j in range(6)]
+            np.testing.assert_allclose(residual(sys_in, stack, grid), max(columns),
+                                       rtol=1e-14, atol=0)
+        assert max(columns) > 1e-4
+
 
 class TestBracket:
     def test_translation_dilation(self):
@@ -211,6 +234,37 @@ class TestSingular:
         sys_in = SystemDescriptor.lprime(MatrixFunction.constant(S1, DOM))
         with pytest.raises(IntegrationError, match="singular"):
             integrate_singular(sys_in)
+
+
+STRAIGHTENING = {
+    "one": lambda sys_in, q1, q2: integrate_one_symmetry(sys_in, q1),
+    "two": lambda sys_in, q1, q2: integrate_two_symmetries(sys_in, q1, q2),
+}
+
+
+class TestStraighteningRefusals:
+    """Both straightening procedures share one start and its refusals."""
+
+    @staticmethod
+    def fields(gamma1=Z2, gamma2=np.diag([1.5, -0.5])):
+        return (SymmetryVectorField(tau=tau_poly([1.0]), gamma=gamma1),
+                SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=gamma2))
+
+    @pytest.mark.parametrize("procedure", sorted(STRAIGHTENING))
+    def test_inhomogeneous_system_refused(self, procedure):
+        sys_in = SystemDescriptor.bar_l(
+            MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM),
+            VectorFunction.constant(np.array([0.2, -0.1]), DOM))
+        with pytest.raises(IntegrationError, match="expects a homogeneous system"):
+            STRAIGHTENING[procedure](sys_in, *self.fields())
+
+    @pytest.mark.parametrize("procedure, wrong", [("one", 1), ("two", 1), ("two", 2)])
+    def test_unverified_field_refused(self, procedure, wrong):
+        sys_in = homog(MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM))
+        gammas = {"gamma1": Z2, "gamma2": np.diag([1.5, -0.5])}
+        gammas[f"gamma{wrong}"] = S3
+        with pytest.raises(IntegrationError, match=f"^symmetry {wrong} not verified"):
+            STRAIGHTENING[procedure](sys_in, *self.fields(**gammas))
 
 
 class TestOneSymmetry:
