@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 
 from . import casebook
-from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, GaugeError,
+from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, MAX_DIM, GaugeError,
                     SystemDescriptor, gauge_f_zero, reduce, verify_equivalence)
 from .integrate import IntegrationError, integrate_auto, residual
 from .linalg import LinalgError
@@ -61,7 +61,7 @@ SYSTEM_SCHEMA = {
     "type": "object",
     "required": ["n", "field", "class", "domain"],
     "properties": {
-        "n": {"type": "integer", "minimum": 1, "maximum": 8},
+        "n": {"type": "integer", "minimum": 1, "maximum": MAX_DIM},
         "field": {"enum": ["real", "complex"]},
         "class": {"enum": ["barL", "L", "Lprime", "Ldoubleprime"]},
         "domain": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},

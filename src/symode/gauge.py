@@ -16,6 +16,7 @@ specialize to H = T_t^(1/2) C with constant invertible C and
 
 ``reduce`` is the one implementation of the chain, which ``classify`` and
 ``symode gauge`` run; it returns the composite source-to-final transform.
+A system has n <= MAX_DIM = 8; H passes one ``linalg.conditioning`` cut per probe.
 
 The singular subclass (orbit of the free particle) is detected by
 B - (1/2) A_t + (1/4) A^2 being proportional to E with a time-dependent
@@ -50,6 +51,7 @@ HOMOGENEOUS = "L"
 LPRIME = "Lprime"
 LDOUBLEPRIME = "Ldoubleprime"
 
+MAX_DIM = 8  # largest system size n; the linalg kernels take any matrix size
 PROBES = 64
 MIN_LENGTH_FRACTION = 0.125  # shortest zero-free run of the time map, share of the grid
 N_TRAJ = 3  # trajectories pushed through a transform by ``verify_equivalence``
@@ -75,6 +77,8 @@ class SystemDescriptor:
 
     def __post_init__(self):
         self.domain = (float(self.domain[0]), float(self.domain[1]))
+        if self.n > MAX_DIM:
+            raise RepresentationError(f"system size n = {self.n} exceeds the maximum {MAX_DIM}")
         for name in ("A", "B", "f", "V"):
             fun = getattr(self, name)
             if fun is None:
@@ -195,17 +199,20 @@ class EquivalenceTransform:
         return a, b
 
     def validate(self, cfg: ToleranceConfig):
-        lo, hi = self.T.domain
-        ts = np.linspace(lo, hi, PROBES)
+        ts = np.linspace(*self.T.domain, PROBES)
         tt = self.T.derivative(1).evaluate(ts)
         if np.any(np.real(tt) <= 0.0):
             raise GaugeError("T_t must stay positive on the domain "
                              "(pre-compose with t -> -t for orientation reversal)")
-        hvals = self.H.evaluate(ts)
-        dets = np.sort(np.abs(np.linalg.det(hvals)))[::-1]
-        scale = np.max(np.linalg.norm(hvals, axis=(1, 2))) ** self.H.n
-        if linalg.cut(dets, cfg.rank_tol * max(scale, 1.0)).rank < len(dets):
-            raise GaugeError("H loses invertibility on the probe grid")
+        _require_invertible(self.H.evaluate(ts), ts, cfg, "on the probe grid")
+
+
+def _require_invertible(hvals, ts, cfg: ToleranceConfig, where: str) -> None:
+    """GaugeError naming the worst probe unless ``linalg.conditioning`` passes H(t_j)."""
+    c, j, ratio = linalg.conditioning(hvals, cfg.rank_tol)
+    if c.rank < len(hvals):
+        raise GaugeError(f"H loses invertibility {where}: sigma_min / sigma_max = {ratio:.3g} "
+                         f"<= rank_tol = {cfg.rank_tol:.3g} at the probe t = {ts[j]:.6g}")
 
 
 @dataclass
@@ -472,10 +479,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     else:
         half = uniform_grid(lo, hi, 2 * grid_steps)
         hs = right_fundamental(-0.5 * sys.A.evaluate(half), grid, sys.field.dtype)
-        dets = np.sort(np.abs(np.linalg.det(hs)))[::-1]
-        if linalg.cut(dets, cfg.rank_tol).rank < len(dets):
-            raise GaugeError("H lost invertibility during the A-gauge solve "
-                             "(theoretically impossible; numerical failure)")
+        _require_invertible(hs, grid, cfg, "during the A-gauge solve")
         note = "fundamental solve of H_t = -H A/2"
     crit = sys.criterion
     if sys.A.kind == CONSTANT and crit.kind == CONSTANT:

@@ -4,11 +4,11 @@ Nullspaces, commutators, ad-operators and centralizers, clustered
 eigenstructure, Jordan-Chevalley splitting, Taylor scaling-and-squaring
 exponential factories t -> exp(t m) and a randomized search for invertible
 elements of affine matrix families.  Everything is a pure function of its
-inputs; matrices are numpy arrays (float64 or complex128), n <= 8.
+inputs; matrices are numpy arrays (float64 or complex128) of any size.
 
 Every rank, membership and stop decision is one ``cut``: the count of values
 above a threshold and its margin, how near the nearest value on either side
-came to it; ``span_solve`` poses least-squares membership as such a cut.
+came to it; ``span_solve`` (membership) and ``conditioning`` (invertibility) are such cuts.
 
 Every Jordan-structure decision is read from one staircase (``_flag``): the
 Weyr characteristic of the zero eigenvalue (``staircase``), and per
@@ -28,7 +28,6 @@ import numpy as np
 
 from .scalars import DEFAULT_TOL, ToleranceConfig
 
-MAX_DIM = 8
 # exp_factory: Taylor degree and the bound on ||u m||_1 after scaling
 EXP_DEGREE = 18
 EXP_THETA = 1.0
@@ -43,8 +42,6 @@ def _check_square(m: np.ndarray, name: str = "matrix", stack: bool = False) -> n
     m = np.asarray(m)
     if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise LinalgError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[-1] > MAX_DIM:
-        raise LinalgError(f"dimension {m.shape[-1]} exceeds supported maximum {MAX_DIM}")
     return m
 
 
@@ -89,6 +86,16 @@ def span_solve(a: np.ndarray, b: np.ndarray, tol: float):
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = float(np.linalg.norm(b - a @ x))
     return None if cut([resid], tol * (1.0 + float(np.linalg.norm(b)))).rank else x
+
+
+def conditioning(stack: np.ndarray, rank_tol: float) -> tuple:
+    """(cut, j, ratio_j): one cut at rank_tol of the ratios sigma_min / sigma_max
+    of a stack m[j, n, n] (0 for a zero or non-finite m[j]), and the worst m[j].
+    Unlike |det m| the ratio is free of m's scale and size (Higham, 2002)."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[:, None, None], stack, 0.0), compute_uv=False)
+    ratio = np.divide(s[:, -1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] > 0.0)
+    return cut(np.sort(ratio)[::-1], rank_tol), int(np.argmin(ratio)), float(np.min(ratio))
 
 
 def nullspace(a: np.ndarray, rank_tol: float) -> np.ndarray:
@@ -292,8 +299,8 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
         isolated = 2.0 * spread < np.min(np.abs(np.delete(vals, group) - mu), initial=np.inf)
         if sum(weyr) != len(group) or not isolated:
             return None
-        return EigCluster(value=mu, multiplicity=len(group), basis=q[:, :len(group)],
-                          weyr=tuple(weyr), promoted=real_input and abs(mu.imag) > threshold)
+        return EigCluster(mu, len(group), q[:, :len(group)], tuple(weyr),
+                          promoted=real_input and cut([abs(mu.imag)], threshold).rank == 1)
 
     groups = [([i], accept([i])) for i in range(n)]
     while any(c is None for _, c in groups):
@@ -310,6 +317,12 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
                   key=lambda c: (round(c.value.real, 12), round(c.value.imag, 12)))
 
 
+def _real_if_rounding(x: np.ndarray, m: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """x.real when m is real and max |x.imag| <= 1e4 rank_tol (1 + ||m||_F), else x."""
+    bound = 1e4 * cfg.rank_tol * (1.0 + frobenius_norm(m))
+    return x if np.iscomplexobj(m) or cut([np.max(np.abs(x.imag))], bound).rank else x.real
+
+
 def jordan_chevalley(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     """Split m = m_s + m_n into commuting semisimple and nilpotent parts.
 
@@ -320,12 +333,8 @@ def jordan_chevalley(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     clusters = eig_clustered(m, cfg)
     s = np.hstack([c.basis for c in clusters])
     diag = np.concatenate([[c.value] * c.multiplicity for c in clusters])
-    ms = s @ np.diag(diag) @ np.linalg.inv(s)
-    if not np.iscomplexobj(m) and \
-            np.max(np.abs(ms.imag)) < 1e4 * cfg.rank_tol * (1.0 + frobenius_norm(m)):
-        ms = ms.real
-    mn = m - ms
-    return ms, mn
+    ms = _real_if_rounding(s @ np.diag(diag) @ np.linalg.inv(s), m, cfg)
+    return ms, m - ms
 
 
 def staircase(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
@@ -450,11 +459,8 @@ def hat_check_split(upsilon: np.ndarray, lam: np.ndarray,
                 hat_b[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
                     u[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
     hat = s @ hat_b @ sinv
-    if not (np.iscomplexobj(upsilon) or np.iscomplexobj(lam)) and \
-            np.max(np.abs(hat.imag)) < 1e4 * cfg.rank_tol * (1.0 + frobenius_norm(upsilon)):
-        hat = hat.real
-    check = upsilon - hat
-    return hat, check
+    hat = hat if np.iscomplexobj(lam) else _real_if_rounding(hat, upsilon, cfg)
+    return hat, upsilon - hat
 
 
 def invertible_in_affine_space(basis, offset: np.ndarray,

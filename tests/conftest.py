@@ -31,6 +31,21 @@ def random_traceless(rng, n, complex_field=False):
     return m - (np.trace(m) / n) * np.eye(n)
 
 
+def generic_draw(seed, n, complex_field=False):
+    """Traceless Y and W with unit-variance entries, standard complex normal
+    for the complex field; V = e^{tY} W e^{-tY} has the symmetry tau = 1,
+    Gamma = Y."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        m = rng.standard_normal((n, n))
+        if complex_field:
+            m = (m + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+        return m - (np.trace(m) / n) * np.eye(n)
+
+    return draw(), draw()
+
+
 def near_defective_4x4():
     """A 2x2 nilpotent Jordan block in a zero 4x4 matrix, plus Gaussian noise of
     5e-8: the eigenvalues split by about sqrt(5e-8), so any eigenbasis of it is

@@ -13,7 +13,7 @@ from symode import cli
 from symode.cli import EXIT_INAPPLICABLE, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 from symode.scalars import ToleranceConfig
 
-from conftest import S1, S2, defective_zeta_draw
+from conftest import S1, S2, defective_zeta_draw, generic_draw
 from oracles import conj_exp_centralizer_dim
 
 
@@ -364,6 +364,21 @@ class TestIntegrateCommand:
                      "--out", out]) == EXIT_OK
         payload = json.loads(open(out).read())
         assert payload["procedure"] == "TwoSymmetry"
+        assert payload["residual"] < 1e-5
+
+    def test_one_symmetry_at_n6(self, tmp_path):
+        # the 12 x 12 companion exponential of an n = 6 system
+        y, w = generic_draw(0, 6)
+        path = write(tmp_path, "sys.json", {
+            "n": 6, "field": "real", "class": "L", "domain": [-1, 1],
+            "A": {"kind": "constant", "m": np.zeros((6, 6)).tolist()},
+            "B": {"kind": "conj_exp", "epsilon": 0.0, "upsilon": y.tolist(), "w": w.tolist()}})
+        spath = write(tmp_path, "syms.json", [
+            {"tau": {"kind": "polynomial", "coeffs": [1.0]}, "gamma": y.tolist()}])
+        out = str(tmp_path / "sol.json")
+        assert main(["integrate", path, "--symmetries", spath, "--out", out]) == EXIT_OK
+        payload = json.loads(open(out).read())
+        assert payload["procedure"] == "OneSymmetry"
         assert payload["residual"] < 1e-5
 
     def test_defective_zeta_subprocess(self, tmp_path):

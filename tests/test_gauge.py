@@ -10,8 +10,8 @@ from symode.gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
                           apply_equivalence, gauge_A_zero, gauge_f_zero,
                           gauge_traceless, reduce, singular_class_test,
                           verify_equivalence)
-from symode.matfun import MatrixFunction, ScalarFunction, VectorFunction
-from symode.scalars import Field
+from symode.matfun import MatrixFunction, RepresentationError, ScalarFunction, VectorFunction
+from symode.scalars import Field, ToleranceConfig
 from symode.symalg import classify
 from conftest import DOM, E2, S1, S2, S3, Z2
 
@@ -220,6 +220,74 @@ class TestGaugeAZero:
         sys_in = lprime(MatrixFunction.constant(S1, DOM))
         ts = gauge_A_zero(sys_in)
         assert ts.transform.is_identity()
+
+
+class TestInvertibilityOfH:
+    """H is invertible at a probe when sigma_min / sigma_max is above rank_tol:
+    free of the scale of H and of n, where |det H| is not."""
+
+    @staticmethod
+    def transform(h, t=None):
+        return EquivalenceTransform(T=t or ScalarFunction.polynomial([0.0, 1.0], DOM), H=h)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("c", [1e-3, 1e-2, 1e3])
+    def test_scaled_identity(self, c, n):
+        v = MatrixFunction.constant(np.diag(np.arange(n) - 0.5 * (n - 1)), DOM)
+        h = MatrixFunction.constant(c * np.eye(n), DOM)
+        out = apply_equivalence(lprime(v), self.transform(h))
+        np.testing.assert_allclose(out.V.evaluate(0.3), v.evaluate(0.3), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_exponential_time_map(self, n):
+        # T = (e^{2t} - 1) / 2 and H = T_t^{1/2} E = e^t E: {T, t} = -2, so the
+        # free particle goes to V~(T) = -(2 T + 1)^-2 E
+        grid = np.linspace(-1, 1, 4097)
+        tr = self.transform(MatrixFunction.sampled(grid, np.exp(grid)[:, None, None] * np.eye(n)),
+                            ScalarFunction.sampled(grid, 0.5 * (np.exp(2 * grid) - 1)))
+        out = apply_equivalence(lprime(MatrixFunction.zero(n, DOM)), tr)
+        tt = np.linspace(out.domain[0], out.domain[1], 33)
+        np.testing.assert_allclose(out.V.evaluate(tt),
+                                   (-1.0 / (2 * tt + 1) ** 2)[:, None, None] * np.eye(n),
+                                   rtol=1e-5)
+
+    def test_fast_decaying_a_gauge(self):
+        # A = 12 t E: H = e^{-3 t^2} E is perfectly conditioned, while det H
+        # falls to e^{-24} at n = 8
+        n = 8
+        b = np.diag(np.random.default_rng(0).standard_normal(n))
+        sys_in = homog(MatrixFunction.polynomial([np.zeros((n, n)), 12.0 * np.eye(n)], DOM),
+                       MatrixFunction.constant(b, DOM))
+        ts = gauge_A_zero(sys_in)
+        np.testing.assert_allclose(ts.transform.H.evaluate(1.0), np.exp(-3.0) * np.eye(n),
+                                   rtol=1e-8)
+        report = classify(sys_in)
+        assert (report.k, report.dim_s) == (0, 7)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_singular_h_refused_at_its_probe(self, n):
+        # H(t) = diag(1, .., 1, t - t_j) vanishes at the probe t_j; the other
+        # probes are well conditioned
+        t_j = np.linspace(*DOM, gauge.PROBES)[40]
+        coeffs = np.zeros((2, n, n))
+        coeffs[0] = np.diag(np.r_[np.ones(n - 1), -t_j])
+        coeffs[1, -1, -1] = 1.0
+        with pytest.raises(GaugeError, match=f"sigma_min / sigma_max = 0 <= rank_tol = 1e-09 "
+                                             f"at the probe t = {t_j:.6g}$"):
+            self.transform(MatrixFunction.polynomial(coeffs, DOM)).validate(ToleranceConfig())
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_ill_conditioned_h_refused(self, n):
+        h = MatrixFunction.constant(np.diag(np.r_[np.ones(n - 1), 1e-12]), DOM)
+        with pytest.raises(GaugeError, match=r"on the probe grid: sigma_min / sigma_max = 1e-12 "
+                                             r"<= rank_tol = 1e-09 at the probe t = -1$"):
+            apply_equivalence(lprime(MatrixFunction.zero(n, DOM)), self.transform(h))
+
+
+def test_system_size_is_capped_at_eight():
+    assert lprime(MatrixFunction.zero(8, DOM)).n == 8
+    with pytest.raises(RepresentationError, match="n = 9 exceeds the maximum 8"):
+        lprime(MatrixFunction.zero(9, DOM))
 
 
 class TestGaugeTraceless:

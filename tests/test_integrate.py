@@ -10,10 +10,11 @@ from symode.integrate import (IntegrationError, bracket, integrate_auto,
                               solve_constant)
 from symode.matfun import MatrixFunction, ScalarFunction, VectorFunction
 from symode.numutil import uniform_grid
-from symode.scalars import ToleranceConfig
-from symode.symalg import SymmetryVectorField
+from symode.scalars import Field, ToleranceConfig
+from symode.symalg import SymmetryVectorField, classify
 
-from conftest import DOM, E2, S1, S2, S3, Z2, defective_zeta_draw
+from conftest import (DOM, E2, S1, S2, S3, Z2, defective_zeta_draw, generic_draw,
+                      graded_draw)
 from oracles import richardson_error, rk4_reference
 
 
@@ -539,6 +540,84 @@ class TestConvergenceOrder:
                           MatrixFunction.constant(c * E2, DOM))
             res[steps] = column_residuals(sys_h, sol)
         assert res[256] / res[512] >= 8.0
+
+
+class TestUpToEight:
+    """Symmetry integration at n = 5..8, where the companion exponential is
+    2n x 2n: only the system's size is capped at 8."""
+
+    @staticmethod
+    def one_symmetry(seed, n, fld):
+        y, w = generic_draw(seed, n, fld is Field.COMPLEX)
+        sys_in = homog(MatrixFunction.zero(n, DOM), MatrixFunction.conj_exp(0.0, y, w, DOM),
+                       field=fld)
+        return sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=y)
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_one_symmetry_generic(self, n, fld):
+        for seed in range(3):
+            sys_in, q = self.one_symmetry(seed, n, fld)
+            sol = integrate_auto(sys_in, [q])
+            assert sol.plan.procedure == "OneSymmetry"
+            assert column_residuals(sys_in, sol) < 1e-5
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_one_symmetry_fourth_order(self, n, fld):
+        # 1024 steps would reach the finite-difference floor of ``residual``
+        sys_in, q = self.one_symmetry(0, n, fld)
+        res = {steps: column_residuals(sys_in, integrate_auto(sys_in, [q], grid_steps=steps))
+               for steps in (256, 512)}
+        assert res[256] / res[512] >= 8.0
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("shape", ["J_n", "E12+E34+.."])
+    def test_two_symmetries_on_constant_nilpotent(self, shape, n, fld):
+        # V = C N C^-1 with N one full Jordan block or n // 2 blocks of size 2
+        # (and a zero), integrated with the two fields that classify returns
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        nil = np.diag(np.ones(n - 1) if shape == "J_n" else np.arange(1, n) % 2, 1)
+        sys_in = homog(MatrixFunction.zero(n, DOM),
+                       MatrixFunction.constant(c @ nil @ np.linalg.inv(c), DOM), field=fld)
+        report = classify(sys_in)
+        assert report.k == 2
+        fields = [SymmetryVectorField(tau=tau, gamma=gamma)
+                  for tau, gamma in report.essential.t_part]
+        sol = integrate_auto(sys_in, fields)
+        assert sol.plan.procedure == "TwoSymmetry"
+        assert column_residuals(sys_in, sol) < 1e-8
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_solve_constant(self, n, fld):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((2, n, n))
+        if fld is Field.COMPLEX:
+            a, b = a + 1j * rng.standard_normal((n, n)), b + 1j * rng.standard_normal((n, n))
+        sol = solve_constant(a, b, DOM)
+        sys_in = homog(MatrixFunction.constant(a, DOM), MatrixFunction.constant(b, DOM),
+                       field=fld)
+        assert column_residuals(sys_in, sol) < 1e-6
+
+
+@pytest.mark.parametrize("fld", list(Field))
+@pytest.mark.parametrize("n", [3, 6])
+def test_graded_draw_with_both_classified_fields_is_refused(n, fld):
+    # a known refusal, kept visible: the two fields classify returns for a
+    # graded draw do not block-split, while tau = 1, Gamma = Y alone integrates it
+    y, w = graded_draw(0, n)
+    sys_in = homog(MatrixFunction.zero(n, DOM), MatrixFunction.conj_exp(0.0, y, w, DOM),
+                   field=fld)
+    fields = [SymmetryVectorField(tau=tau, gamma=gamma)
+              for tau, gamma in classify(sys_in).essential.t_part]
+    assert len(fields) == 2
+    with pytest.raises(IntegrationError, match="not block-diagonal along the eigenspaces"):
+        integrate_auto(sys_in, fields)
+    sol = integrate_auto(sys_in, [SymmetryVectorField(tau=tau_poly([1.0]), gamma=y)])
+    assert column_residuals(sys_in, sol) < 1e-8
 
 
 class TestInhomogeneousAuto:

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 
 from symode import linalg
+from symode.numutil import companion
+from symode.scalars import ToleranceConfig
 from symode.linalg import (SubspaceBasis, centralizer_basis, commutator, eig_clustered,
                            hat_check_split, invertible_in_affine_space,
                            is_nilpotent, jordan_chevalley, jordan_form, staircase)
@@ -59,6 +61,42 @@ class TestCut:
                 got = linalg.cut(a * s, a * t)
                 assert got.rank == want.rank
                 assert got.margin == pytest.approx(want.margin, rel=1e-14)
+
+
+class TestConditioning:
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_free_of_scale_and_size(self, n):
+        for c in (1e-12, 1.0, 1e12):
+            cut, worst, ratio = linalg.conditioning(c * np.eye(n)[None], 1e-9)
+            assert cut.rank == 1 and worst == 0 and ratio == pytest.approx(1.0)
+
+    def test_names_the_worst_matrix(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-6]), np.diag([2.0, 1.0, 2e-12])])
+        cut, worst, ratio = linalg.conditioning(stack, 1e-9)
+        assert cut.rank == 2 and worst == 2 and ratio == pytest.approx(1e-12)
+        assert cut.margin == pytest.approx(1e3)
+
+    def test_zero_and_non_finite_are_singular(self):
+        stack = np.stack([np.eye(2), np.zeros((2, 2)), np.full((2, 2), np.nan),
+                          np.diag([np.inf, 1.0])])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            cut, worst, ratio = linalg.conditioning(stack, 1e-9)
+        assert (cut.rank, worst, ratio) == (1, 1, 0.0)
+
+
+class TestRealIfRounding:
+    """The imaginary-part drop of ``jordan_chevalley`` and ``hat_check_split``:
+    a cut at 1e4 rank_tol (1 + ||m||_F) that keeps only what lies above it."""
+
+    def test_tie_is_dropped(self):
+        cfg = ToleranceConfig()
+        bound = 1e4 * cfg.rank_tol * (1.0 + 2.0)
+        m = np.diag([2.0, 0.0])
+        x = np.array([[1.0 + 1j * bound, 0.0], [0.0, 1.0]])
+        assert not np.iscomplexobj(linalg._real_if_rounding(x, m, cfg))
+        assert np.iscomplexobj(linalg._real_if_rounding(x * (1 + 1e-15j), m, cfg))
+        assert np.iscomplexobj(linalg._real_if_rounding(x, m.astype(complex), cfg))
 
 
 class TestCommutator:
@@ -377,6 +415,15 @@ class TestMatrixExp:
             assert np.max(np.abs(got - stacked)) <= 1e-13 * np.max(np.abs(stacked))
             assert ef(0.3).shape == (n, n)
             assert ef(ts.reshape(3, 3)).shape == (3, 3, n, n)
+
+    def test_past_eight(self):
+        # the companion matrix of an n = 8 system is 16 x 16
+        rng = np.random.default_rng(13)
+        m = companion(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+        ef = linalg.exp_factory(m)
+        for t in (-1.0, 0.4, 1.0):
+            ref = scipy.linalg.expm(t * m)
+            assert np.max(np.abs(ef(t) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_near_defective_takes_arrays(self):
         m = near_defective_4x4()
