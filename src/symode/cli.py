@@ -430,8 +430,9 @@ def cmd_integrate(args) -> int:
         sol = integrate_auto(sys_in, syms, args.grid)
     except IntegrationError as exc:
         print(f"integration inapplicable: {exc}", file=sys.stderr)
-        print("regular systems require known symmetries with nonzero "
-              "t-components", file=sys.stderr)
+        if not args.symmetries:
+            print("regular systems require known symmetries with nonzero "
+                  "t-components", file=sys.stderr)
         return EXIT_INAPPLICABLE
     # without a particular solution the fundamental columns solve the
     # homogeneous system, which gauge_f_zero returns for barL input

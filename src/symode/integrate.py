@@ -398,8 +398,10 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     offmax = float(np.max(np.abs(np.where(blocks, 0.0, eta_check))))
     if offmax > 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(eta_check)))):
         raise IntegrationError(f"conjugated eta1 is not block-diagonal along the "
-                               f"eigenspaces (off-block max {offmax:.3g}); "
-                               "numerical failure")
+                               f"eigenspaces of zeta (off-block max {offmax:.3g}): "
+                               "the pair does not split the system into blocks; "
+                               "integrate with a single field whose tau has no zero "
+                               "on the domain")
     # the straightening solve tau Hcheck_t = -Hcheck eta_check splits along
     # the blocks: one solve with the off-block part of eta_check left out
     tau_half = np.real(tau_x_half)

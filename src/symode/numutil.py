@@ -7,6 +7,10 @@ fourth-order accurate so their errors sit below the package residual targets.
 The derivative and quadrature kernels evaluate whole grids: one batched
 Fornberg recurrence over the stencils of every point, one batched moment
 solve over every interval, and one stacked contraction with the samples.
+The weights depend only on the grid, the derivative order and the stencil
+width, so each distinct grid's weights are built once and kept in a small
+memo keyed by the grid's bytes (the last ``_PLAN_CAP`` are kept, read-only);
+a warm call returns the same bits as a cold one.
 
 Every ODE the package solves is linear, y' = M(t) y + g(t), and goes through
 ``rk4_linear``: the coefficients are evaluated once, as arrays, on the grid
@@ -22,6 +26,28 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# weights of the most recently used grids, keyed by (grid bytes, order,
+# width) for derivatives and (grid bytes, width) for quadrature; insertion
+# order is recency order.  A race between threads can at most build one twice.
+_PLAN_CAP = 16
+_plans: dict = {}
+
+
+def _plan(key, build) -> np.ndarray:
+    """The weights stored under key, made read-only; build() makes them on a miss.
+
+    The array build returns is stored as it is: ``_stencil_sum`` rounds
+    differently for another memory layout of the same weights.
+    """
+    w = _plans.pop(key, None)
+    if w is None:
+        w = build()
+        w.flags.writeable = False
+    _plans[key] = w
+    if len(_plans) > _PLAN_CAP:
+        _plans.pop(next(iter(_plans)), None)
+    return w
 
 
 def fd_weights(x: np.ndarray, x0, m: int) -> np.ndarray:
@@ -68,7 +94,8 @@ def grid_derivative(grid: np.ndarray, values: np.ndarray, order: int = 1,
     on uniform grids (O(h^3) on nonuniform ones).  On dense grids the stencil
     nodes are strided apart so the h^4 truncation error and the eps/h^m
     roundoff amplification stay balanced.  The weights of every point come
-    from one batched ``fd_weights`` call.
+    from one batched ``fd_weights`` call, made once per distinct grid, order
+    and width.
     """
     idx, w = _stencil(np.asarray(grid, dtype=float), order, stencil)
     return _stencil_sum(w, np.asarray(values), idx)
@@ -103,7 +130,10 @@ def _stencil(grid: np.ndarray, order: int, stencil: int | None):
     span = (width - 1) * stride
     lo = np.clip(np.arange(npts) - span // 2, 0, npts - 1 - span)
     idx = lo[:, None] + stride * np.arange(width)
-    return idx, fd_weights(grid[idx], grid, order)
+    # fd_weights is looked up at build time, so a rebinding of the module
+    # name also sees every cold build
+    return idx, _plan((grid.tobytes(), order, width),
+                      lambda: fd_weights(grid[idx], grid, order))
 
 
 def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -122,17 +152,21 @@ def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     width = min(4, npts)
     lo = np.clip(np.arange(npts - 1) - (width // 2 - 1), 0, npts - width)
     idx = lo[:, None] + np.arange(width)
-    # weights s.t. sum_j w_j f(x_j) = int_{t_i}^{t_{i+1}} p(x) dx for the
-    # interpolating polynomial p: solve the Vandermonde moment systems
-    # powers[i, k, j] = (x_j - xm_i)^k, built by repeated products like np.vander
-    a, b = grid[:-1], grid[1:]
-    xm = 0.5 * (a + b)
-    powers = np.ones((npts - 1, width, width))
-    powers[:, 1:] = (grid[idx] - xm[:, None])[:, None, :]
-    np.multiply.accumulate(powers, axis=1, out=powers)
-    k = np.arange(1, width + 1)
-    moments = ((b - xm)[:, None] ** k - (a - xm)[:, None] ** k) / k
-    w = np.linalg.solve(powers, moments[..., None])[..., 0]
+
+    def moment_weights():
+        # weights s.t. sum_j w_j f(x_j) = int_{t_i}^{t_{i+1}} p(x) dx for the
+        # interpolating polynomial p: solve the Vandermonde moment systems
+        # powers[i, k, j] = (x_j - xm_i)^k, built by repeated products like np.vander
+        a, b = grid[:-1], grid[1:]
+        xm = 0.5 * (a + b)
+        powers = np.ones((npts - 1, width, width))
+        powers[:, 1:] = (grid[idx] - xm[:, None])[:, None, :]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        k = np.arange(1, width + 1)
+        moments = ((b - xm)[:, None] ** k - (a - xm)[:, None] ** k) / k
+        return np.linalg.solve(powers, moments[..., None])[..., 0]
+
+    w = _plan((grid.tobytes(), width), moment_weights)
     out = np.zeros_like(values)
     out[1:] = np.cumsum(_stencil_sum(w, values, idx), axis=0)
     return out
@@ -145,6 +179,8 @@ def _stencil_sum(w: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarr
     ``np.tensordot`` computes, so both round alike.  ``np.einsum`` sums in
     another order, which moves second derivatives by up to 6e-11 relative
     on grids of 257 to 2049 points, where the weights grow like 1/h^2.
+    The rounding also depends on w's memory layout: the strided weights
+    ``fd_weights`` returns and a contiguous copy of them give different bits.
     """
     rows = values[idx].reshape(idx.shape + (-1,))
     return (w[:, None, :] @ rows)[:, 0].reshape(idx.shape[:1] + values.shape[1:])

@@ -13,7 +13,7 @@ from symode import cli
 from symode.cli import EXIT_INAPPLICABLE, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 from symode.scalars import ToleranceConfig
 
-from conftest import S1, S2, defective_zeta_draw, generic_draw
+from conftest import S1, S2, defective_zeta_draw, generic_draw, graded_draw
 from oracles import conj_exp_centralizer_dim
 
 
@@ -404,6 +404,25 @@ class TestIntegrateCommand:
     def test_regular_without_symmetries_exit3(self, case7_doc, capsys):
         assert main(["integrate", case7_doc]) == EXIT_INAPPLICABLE
         assert "nonzero t-components" in capsys.readouterr().err
+
+    def test_graded_pair_refused_exit3(self, tmp_path, capsys):
+        # the two fields classify finds for a graded draw do not split into
+        # blocks: a structural refusal that names the way out
+        y, w = graded_draw(0, 3)
+        path = write(tmp_path, "sys.json", {
+            "n": 3, "field": "real", "class": "L", "domain": [-1, 1],
+            "A": {"kind": "constant", "m": np.zeros((3, 3)).tolist()},
+            "B": {"kind": "conj_exp", "epsilon": 0.0, "upsilon": y.tolist(), "w": w.tolist()}})
+        rep = symode.classify(cli.load_system(path, ToleranceConfig()))
+        spath = write(tmp_path, "syms.json", [
+            {"tau": cli.encode_function(tau), "gamma": cli._encode_array(gamma)}
+            for tau, gamma in rep.essential.t_part])
+        assert main(["integrate", path, "--symmetries", spath]) == EXIT_INAPPLICABLE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("integration inapplicable: ")
+        assert "does not split the system into blocks" in err[0]
+        assert "integrate with a single field" in err[0]
+        assert "numerical failure" not in err[0]
 
     @pytest.mark.parametrize("tau", [{"coeffs": [1.0]}, {"kind": "polynomial"}])
     def test_incomplete_tau_document_exit2(self, case7_doc, tmp_path, capsys, tau):

@@ -6,10 +6,11 @@ import functools
 import numpy as np
 import pytest
 
+from symode import numutil
 from symode.gauge import SystemDescriptor
 from symode.matfun import MatrixFunction, VectorFunction
 from symode.numutil import (companion, cumulative_integral, fd_weights, grid_derivative,
-                            rk4_linear, uniform_grid)
+                            rk4_linear, trajectory_derivative, uniform_grid)
 from symode.scalars import Field
 from oracles import (cumulative_integral_pointwise, fd_weights_1d, grid_derivative_pointwise,
                      pointwise_stencils, rk4_bidirectional)
@@ -281,3 +282,100 @@ def test_kernels_exact_on_cubics(uniform):
     assert np.max(np.abs(grid_derivative(grid, p(grid), 2) - p.deriv(2)(grid))) < 1e-10
     integral = p.integ(lbnd=grid[0])
     assert np.max(np.abs(cumulative_integral(grid, p(grid)) - integral(grid))) < 1e-10
+
+
+# the weight memo: one plan per (grid, order, width) and per quadrature grid
+
+@pytest.fixture
+def cold_plans():
+    numutil._plans.clear()
+    yield numutil._plans
+    numutil._plans.clear()
+
+
+def kernel_calls(grid, values, stack):
+    """Every kernel result on grid: the derivatives at orders 1 and 2 with
+    stencils None, 7 and 9, both trajectory derivatives and the integral."""
+    out = [grid_derivative(grid, values, order, stencil)
+           for order in (1, 2) for stencil in (None, 7, 9)]
+    out += [trajectory_derivative(grid, stack, order) for order in (1, 2)]
+    return out + [cumulative_integral(grid, values)]
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_warm_calls_repeat_cold_bits(uniform, cold_plans, monkeypatch):
+    grid = kernel_grid(257, uniform)
+    values = kernel_values(grid, (3,), True)
+    stack = kernel_values(grid, (2, 3), False)
+    kernel_calls(grid, values, stack)
+    warm = kernel_calls(grid.copy(), values, stack)
+    cold_plans.clear()
+    cold = kernel_calls(grid, values, stack)
+    # and the bits of weights that are built on every call and never stored
+    monkeypatch.setattr(numutil, "_plan", lambda key, build: build())
+    unstored = kernel_calls(grid, values, stack)
+    for w, c, u in zip(warm, cold, unstored):
+        assert np.array_equal(w, c) and np.array_equal(w, u)
+
+
+def test_plans_are_read_only(cold_plans):
+    grid = kernel_grid(65, False)
+    kernel_calls(grid, np.sin(grid), np.sin(grid)[:, None, None] * np.ones((1, 2, 2)))
+    # orders 1, 2 with widths 5, 6, 7, 9 and the quadrature weights
+    assert len(cold_plans) == 7
+    for w in cold_plans.values():
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+
+
+def test_memo_never_exceeds_its_cap(cold_plans):
+    grids = [np.linspace(-1.0, 1.0 + 0.01 * i, 33) for i in range(numutil._PLAN_CAP + 5)]
+    for grid in grids:
+        grid_derivative(grid, np.sin(grid))
+        assert len(cold_plans) <= numutil._PLAN_CAP
+    assert len(cold_plans) == numutil._PLAN_CAP
+    # the least recently used grids went first
+    kept = {key[0] for key in cold_plans}
+    assert grids[-1].tobytes() in kept and grids[4].tobytes() not in kept
+
+
+def test_grids_differing_in_one_node_get_their_own_plans(cold_plans):
+    grid = kernel_grid(129, True)
+    moved = grid.copy()
+    moved[40] += 0.25 * (grid[41] - grid[40])
+    values = np.exp(grid)
+    first = (grid_derivative(grid, values, 2), cumulative_integral(grid, values))
+    second = (grid_derivative(moved, values, 2), cumulative_integral(moved, values))
+    assert len(cold_plans) == 4
+    cold_plans.clear()
+    assert np.array_equal(second[0], grid_derivative(moved, values, 2))
+    assert np.array_equal(second[1], cumulative_integral(moved, values))
+    assert not np.array_equal(first[0], second[0])
+    assert not np.array_equal(first[1], second[1])
+
+
+def test_order_and_width_get_their_own_plans(cold_plans):
+    grid = kernel_grid(129, False)
+    values = np.cos(grid)
+    keys = []
+    for order, stencil in ((1, None), (2, None), (1, 7), (2, 7), (2, 9)):
+        got = grid_derivative(grid, values, order, stencil)
+        keys.append(next(reversed(cold_plans)))
+        assert_close_to_reference(got, grid_derivative_pointwise(
+            reference_stencils(129, False, order, stencil), values))
+    assert len(set(keys)) == len(cold_plans) == 5
+
+
+def test_mutating_the_callers_grid_changes_no_later_result(cold_plans):
+    grid = kernel_grid(129, False)
+    saved = grid.copy()
+    values = np.sin(3.0 * saved)
+    before = (grid_derivative(grid, values, 1), cumulative_integral(grid, values))
+    grid *= 2.0
+    after = (grid_derivative(saved, values, 1), cumulative_integral(saved, values))
+    assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
+    # and the mutated grid is a new grid with plans of its own
+    doubled = grid_derivative(grid, values, 1)
+    cold_plans.clear()
+    assert np.array_equal(doubled, grid_derivative(grid.copy(), values, 1))

@@ -83,20 +83,26 @@ def test_gauge_chain_records_one_span_per_step(tmp_path):
 
 def test_grid_derivative_records_one_fd_weights_span():
     """``grid_derivative`` computes the weights of every grid point in one
-    batched ``fd_weights`` call."""
+    batched ``fd_weights`` call on a grid it has not seen, and none on a repeat
+    call with an equal grid; the traced run sees the cold build."""
     import numpy as np
     from symode import numutil
 
     grid = np.linspace(-1.0, 1.0, 257)
+    numutil._plans.clear()
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
         numutil.grid_derivative(grid, np.sin(grid), 2)
+        first = len(tracer.name)
+        numutil.grid_derivative(grid.copy(), np.sin(grid), 2)
     finally:
         tracer.uninstall()
     spans = [tracer.names[i] for i in tracer.name]
-    assert spans.count("numutil.grid_derivative") == 1
-    assert spans.count("numutil.fd_weights") == 1
+    assert spans[:first].count("numutil.grid_derivative") == 1
+    assert spans[:first].count("numutil.fd_weights") == 1
+    assert spans[first:].count("numutil.grid_derivative") == 1
+    assert spans[first:].count("numutil.fd_weights") == 0
 
 
 def test_exp_factory_records_one_span():
