@@ -21,8 +21,8 @@ from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, MAX_DIM, GaugeError
                     SystemDescriptor, gauge_f_zero, reduce, verify_equivalence)
 from .integrate import IntegrationError, integrate_auto, residual
 from .linalg import LinalgError
-from .matfun import (CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
-                     RepresentationError, ScalarFunction, VectorFunction)
+from .matfun import (CONJ_EXP, POLYNOMIAL, SAMPLED, MatrixFunction, RepresentationError,
+                     ScalarFunction, VectorFunction)
 from .scalars import DEFAULT_TOL, Field, FieldError, ToleranceConfig
 from .symalg import (CASE_BASIS_TEXT, ClassificationError, SymmetryVectorField,
                      classify, similar_constant_coeff, similar_structured)
@@ -34,6 +34,10 @@ EXIT_NUMERICAL = 4
 EXIT_MISMATCH = 5
 
 MIN_GRID = 8  # the smallest --grid every subcommand runs with
+
+# the document kind of a degree-0 vector or matrix function; a scalar constant
+# is a one-row polynomial document
+CONSTANT = "constant"
 
 _NUMBER = {"type": "number"}
 _COMPLEX = {"oneOf": [_NUMBER, {"type": "array", "items": _NUMBER,
@@ -148,10 +152,10 @@ def _encode_array(a):
 def decode_function(doc, cls, domain):
     """A ScalarFunction, VectorFunction or MatrixFunction (cls) from its document."""
     kind = doc["kind"]
+    if kind == CONSTANT and cls.ndim:
+        return cls.constant(_decode_array(doc["m"], cls.ndim), domain)
     if kind not in cls.KINDS:
         raise SchemaError(f"unknown {cls.NAME} kind {kind}")
-    if kind == CONSTANT:
-        return cls.constant(_decode_array(doc["m"], cls.ndim), domain)
     if kind == POLYNOMIAL:
         return cls.polynomial(_decode_array(doc["coeffs"], cls.ndim + 1), domain)
     if kind == CONJ_EXP:
@@ -162,7 +166,7 @@ def decode_function(doc, cls, domain):
 
 def encode_function(fun):
     """The document of a ScalarFunction, VectorFunction or MatrixFunction."""
-    if fun.kind == CONSTANT:
+    if fun.degree() == 0 and fun.ndim:
         return {"kind": CONSTANT, "m": _encode_array(fun.value)}
     if fun.kind == POLYNOMIAL:
         return {"kind": POLYNOMIAL, "coeffs": _encode_array(fun.coeffs)}
@@ -474,14 +478,12 @@ def cmd_similar(args) -> int:
     def as_pair(s):
         if s.cls in (LPRIME, LDOUBLEPRIME):
             if s.V.kind == CONJ_EXP:
-                v0 = (s.V.epsilon * np.eye(s.n) + s.V.w)
-                return ("structured", s.V.upsilon, v0)
-            if s.V.kind == CONSTANT:
-                return ("structured", np.zeros((s.n, s.n)), s.V.value)
+                return (similar_structured, s.V.upsilon, s.V.epsilon * np.eye(s.n) + s.V.w)
+            if s.V.degree() == 0:
+                return (similar_structured, np.zeros((s.n, s.n)), s.V.value)
             return None
-        if s.cls in (HOMOGENEOUS, BARL) and s.A.kind == CONSTANT \
-                and s.B.kind == CONSTANT:
-            return ("constant", s.A.value, s.B.value)
+        if s.cls in (HOMOGENEOUS, BARL) and s.A.degree() == s.B.degree() == 0:
+            return (similar_constant_coeff, s.A.value, s.B.value)
         return None
 
     pa, pb = as_pair(sys_a), as_pair(sys_b)
@@ -492,8 +494,7 @@ def cmd_similar(args) -> int:
         return EXIT_INAPPLICABLE
     fld = Field.COMPLEX if Field.COMPLEX in (sys_a.field, sys_b.field) \
         else sys_a.field
-    test = similar_structured if pa[0] == "structured" else similar_constant_coeff
-    verdict = test(pa[1:], pb[1:], cfg, fld, seed=args.seed)
+    verdict = pa[0](pa[1:], pb[1:], cfg, fld, seed=args.seed)
     payload = {"outcome": verdict.outcome, "notes": verdict.notes}
     if verdict.outcome == "similar":
         payload.update({"alpha": _encode_entry(verdict.alpha),

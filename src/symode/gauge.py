@@ -40,9 +40,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .matfun import (COEFFICIENT_KINDS, CONSTANT, POLYNOMIAL, SAMPLED, MatrixFunction,
-                     RepresentationError, ScalarFunction, VectorFunction,
-                     poly_compose_affine, poly_der, poly_lincomb, poly_mul)
+from .matfun import (POLYNOMIAL, SAMPLED, MatrixFunction, RepresentationError,
+                     ScalarFunction, VectorFunction, poly_compose_affine, poly_der,
+                     poly_lincomb, poly_mul)
 from .numutil import companion, grid_derivative, rk4_linear, uniform_grid
 from .scalars import Field, ToleranceConfig
 
@@ -182,16 +182,16 @@ class EquivalenceTransform:
                    h=None)
 
     def is_identity(self, tol=1e-12):
-        if self.T.kind != POLYNOMIAL or self.T.degree() != 1:
+        if self.T.degree() != 1:
             return False
         if abs(complex(self.T.coeffs[0])) > tol or abs(complex(self.T.coeffs[1]) - 1) > tol:
             return False
-        if self.H.kind != CONSTANT or np.max(np.abs(self.H.value - np.eye(self.H.n))) > tol:
+        if self.H.degree() != 0 or np.max(np.abs(self.H.value - np.eye(self.H.n))) > tol:
             return False
         return self.h is None or self.h.max_norm() <= tol
 
     def is_affine(self):
-        return self.T.kind == POLYNOMIAL and (self.T.degree() or 0) <= 1
+        return self.T.degree() in (0, 1)
 
     def affine_coeffs(self):
         b = complex(self.T.coeffs[0]).real
@@ -227,12 +227,11 @@ def criterion_matrix(sys: SystemDescriptor) -> MatrixFunction:
     if sys.cls in (LPRIME, LDOUBLEPRIME):
         return sys.V
     a_fun, b_fun = sys.A, sys.B
-    if a_fun.kind in COEFFICIENT_KINDS and b_fun.kind in COEFFICIENT_KINDS:
+    if a_fun.kind == b_fun.kind == POLYNOMIAL:
         a = a_fun.coeffs
         coeffs = poly_lincomb([(1.0, b_fun.coeffs), (-0.5, poly_der(a)),
                                (0.25, poly_mul(a, a))])
-        kind = CONSTANT if a_fun.kind == b_fun.kind == CONSTANT else POLYNOMIAL
-        return MatrixFunction(kind, sys.domain, coeffs=coeffs)
+        return MatrixFunction.polynomial(coeffs, sys.domain)
     grid = uniform_grid(*sys.domain, 256)
     avals = a_fun.evaluate(grid)
     at = a_fun.derivative(1).evaluate(grid)
@@ -316,7 +315,7 @@ def apply_equivalence(sys: SystemDescriptor, tr: EquivalenceTransform,
                       grid_steps: int = 1024) -> SystemDescriptor:
     """Push sys forward through tr; representation stays closed when it can.
 
-    Affine T with constant H (constant h) keeps constant/polynomial/
+    Affine T with degree-0 H (and h) keeps polynomial and
     conjugated-exponential coefficients closed; anything else degrades to
     sampled output with a provenance note.
     """
@@ -348,8 +347,8 @@ def apply_equivalence(sys: SystemDescriptor, tr: EquivalenceTransform,
         new_cls = LDOUBLEPRIME if vt.is_traceless(cfg.residual_tol) else LPRIME
         return SystemDescriptor(new_cls, sys.n, sys.field, vt.domain, V=vt, cfg=cfg)
     # barL / L input
-    closed = (tr.is_affine() and tr.H.kind == CONSTANT
-              and (tr.h is None or tr.h.kind == CONSTANT))
+    closed = (tr.is_affine() and tr.H.degree() == 0
+              and (tr.h is None or tr.h.degree() == 0))
     if closed:
         a, b = tr.affine_coeffs()
         hconst = tr.H.value
@@ -386,18 +385,17 @@ def _closed_f_push(sys, a, b, hconst, hshift, bnew):
         base = VectorFunction.sampled(grid, f_src.evaluate(src_t) @ hconst.T / a ** 2)
     else:
         coeffs = poly_mul(hconst[None], f_src.coeffs) / a ** 2
-        base = VectorFunction(f_src.kind, bnew.domain,
-                              coeffs=poly_compose_affine(coeffs, 1.0 / a, -b / a))
+        base = VectorFunction.polynomial(poly_compose_affine(coeffs, 1.0 / a, -b / a),
+                                         bnew.domain)
     if hshift is None or np.max(np.abs(hshift)) == 0.0:
         return base
     # constant h: f~ = base - B~ h
-    if base.kind not in COEFFICIENT_KINDS or bnew.kind not in COEFFICIENT_KINDS:
+    if base.kind != POLYNOMIAL or bnew.kind != POLYNOMIAL:
         grid = np.linspace(bnew.domain[0], bnew.domain[1], 257)
         return VectorFunction.sampled(grid, base.evaluate(grid) - np.einsum(
             "tij,j->ti", bnew.evaluate(grid), hshift))
-    kind = CONSTANT if base.kind == bnew.kind == CONSTANT else POLYNOMIAL
-    return VectorFunction(kind, base.domain, coeffs=poly_lincomb(
-        [(1.0, base.coeffs), (-1.0, poly_mul(bnew.coeffs, hshift[None]))]))
+    return VectorFunction.polynomial(poly_lincomb(
+        [(1.0, base.coeffs), (-1.0, poly_mul(bnew.coeffs, hshift[None]))]), base.domain)
 
 
 def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:
@@ -471,7 +469,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
         out = SystemDescriptor(LPRIME, n, sys.field, sys.domain, V=sys.B, cfg=cfg)
         return TransformedSystem(out, EquivalenceTransform.identity(n, sys.domain),
                                  provenance="A = 0 already; identity transform")
-    if sys.A.kind == CONSTANT:
+    if sys.A.degree() == 0:
         ups = -0.5 * sys.A.value
         ef = linalg.exp_factory(ups)
         hs = ef(grid - t0)
@@ -482,7 +480,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
         _require_invertible(hs, grid, cfg, "during the A-gauge solve")
         note = "fundamental solve of H_t = -H A/2"
     crit = sys.criterion
-    if sys.A.kind == CONSTANT and crit.kind == CONSTANT:
+    if sys.A.degree() == 0 and crit.degree() == 0:
         w = ef(-t0) @ crit.value @ ef(t0)
         vfun = MatrixFunction.conj_exp(0.0, ups, w, sys.domain)
     else:

@@ -33,8 +33,8 @@ from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, SystemDescriptor,
                     gauge_f_zero, pushforward, right_fundamental, schwarzian_time_map,
                     singular_class_test)
-from .matfun import (COEFFICIENT_KINDS, POLYNOMIAL, MatrixFunction, ScalarFunction,
-                     poly_der, poly_lincomb, poly_mul, poly_strip, poly_wronskian)
+from .matfun import (POLYNOMIAL, MatrixFunction, ScalarFunction, poly_der, poly_lincomb,
+                     poly_mul, poly_strip, poly_wronskian)
 from .numutil import companion, cumulative_integral, trajectory_derivative, uniform_grid
 from .scalars import Field
 from .symalg import SymmetryVectorField, bracket_normal_partner, verify_symmetry_homogeneous
@@ -121,8 +121,7 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
     """
     e1 = q1.eta_function(n, domain)
     e2 = q2.eta_function(n, domain)
-    if q1.tau.kind == POLYNOMIAL and q2.tau.kind == POLYNOMIAL \
-            and e1.kind in COEFFICIENT_KINDS and e2.kind in COEFFICIENT_KINDS:
+    if q1.tau.kind == q2.tau.kind == e1.kind == e2.kind == POLYNOMIAL:
         c1, c2 = q1.tau.coeffs.astype(complex), q2.tau.coeffs.astype(complex)
         m1, m2 = e1.coeffs, e2.coeffs
         eta3 = poly_strip(poly_lincomb([

@@ -1,14 +1,14 @@
 """Time-dependent scalar-, vector- and matrix-valued functions.
 
-One implementation, ``_TimeFunction``, holds a function of t in one of four
+One implementation, ``_TimeFunction``, holds a function of t in one of three
 representations; ``ScalarFunction``, ``VectorFunction`` and ``MatrixFunction``
 are thin subclasses that fix the value rank, the kinds admitted and a few
 shape-specific operations.
 
-- constant and polynomial in t (plain power basis, ascending coefficients)
-  share one stacked coefficient array ``coeffs`` of shape
-  ``(deg + 1, *shape)``; a constant is a one-row stack and ``value`` a
-  read-only view of that row.  A scalar constant is a degree-0 polynomial;
+- polynomial in t (plain power basis, ascending coefficients), one stacked
+  coefficient array ``coeffs`` of shape ``(deg + 1, *shape)``.  A constant is
+  a degree-0 polynomial, a one-row stack, in every value rank; ``value`` is a
+  read-only view of the constant term;
 - conjugated exponential eps*E + e^{t Y} W e^{-t Y} (matrices only), with
   e^{tY} from one ``linalg.exp_factory`` (Taylor scaling and squaring) per Y,
   shared by every function derived with the same Y;
@@ -36,11 +36,9 @@ from . import linalg
 from .numutil import grid_derivative
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 
-CONSTANT = "constant"
 POLYNOMIAL = "polynomial"
 CONJ_EXP = "conj_exp"
 SAMPLED = "sampled"
-COEFFICIENT_KINDS = (CONSTANT, POLYNOMIAL)
 
 _HULL_SLACK = 1e-9
 
@@ -65,6 +63,10 @@ def poly_eval(c, t):
     """Horner evaluation at a scalar t or along a 1-D array t (leading axis)."""
     t = np.asarray(t)
     shape = c.shape[1:]
+    if len(c) == 1:  # a constant: c[0] copied along t
+        out = np.empty(t.shape + shape, dtype=np.result_type(c, float))
+        out[...] = c[0]
+        return out[()]
     tt = t.reshape(t.shape + (1,) * len(shape))
     acc = np.zeros(t.shape + shape, dtype=np.result_type(c, float))
     for row in c[::-1]:
@@ -192,7 +194,7 @@ class _TimeFunction:
         self.kind = kind
         self.domain = _check_domain(domain)
         self.note = note
-        if kind in COEFFICIENT_KINDS:
+        if kind == POLYNOMIAL:
             stack = np.stack([np.asarray(c) for c in coeffs])
             if self.ndim == 0:
                 stack = stack.reshape(len(stack))
@@ -227,7 +229,7 @@ class _TimeFunction:
 
     @classmethod
     def constant(cls, value, domain=(-1.0, 1.0)):
-        return cls(CONSTANT, domain, coeffs=[value])
+        return cls.polynomial([value], domain)
 
     @classmethod
     def polynomial(cls, coeffs, domain=(-1.0, 1.0)):
@@ -248,7 +250,7 @@ class _TimeFunction:
 
     @property
     def value(self) -> np.ndarray:
-        """The constant term (the value, for the constant kind)."""
+        """The constant term of a polynomial: its value when the degree is 0."""
         return self.coeffs[0]
 
     @property
@@ -262,7 +264,7 @@ class _TimeFunction:
         return Field.COMPLEX if any(np.iscomplexobj(d) for d in data) else Field.REAL
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.kind in COEFFICIENT_KINDS else None
+        return len(self.coeffs) - 1 if self.kind == POLYNOMIAL else None
 
     def covers(self, domain) -> bool:
         """Whether [domain[0], domain[1]] lies in the domain, within the slack
@@ -282,17 +284,10 @@ class _TimeFunction:
     def __call__(self, t):
         return self.evaluate(t)
 
-    def _coefficient_values(self, kind, c, t):
-        """Values at t of the stack c, as a function of the given coefficient kind."""
-        if kind == CONSTANT:
-            shape = (len(t),) + self.shape if np.ndim(t) else self.shape
-            return np.broadcast_to(c[0], shape).copy()
-        return poly_eval(c, t)
-
     def evaluate(self, t):
         self._in_domain(t)
-        if self.kind in COEFFICIENT_KINDS:
-            return self._coefficient_values(self.kind, self.coeffs, t)
+        if self.kind == POLYNOMIAL:
+            return poly_eval(self.coeffs, t)
         if self.kind == CONJ_EXP:
             ef = self.exp_factory()
             t = np.asarray(t, dtype=float)
@@ -307,8 +302,8 @@ class _TimeFunction:
         ts, one array per order, each bitwise ``derivative(order).evaluate(ts)``.
 
         conj_exp takes all of them from one pair e^{tY}, e^{-tY}: the order-l
-        derivative is e^{tY} ad_Y^l W e^{-tY}.  The coefficient kinds
-        differentiate the coefficient stack in place of building functions.
+        derivative is e^{tY} ad_Y^l W e^{-tY}.  A polynomial differentiates its
+        coefficient stack in place of building functions.
         """
         self._in_domain(ts)
         if self.kind == SAMPLED:
@@ -324,17 +319,16 @@ class _TimeFunction:
                     out[order] = eps * np.eye(self.n) + e @ w @ einv
                 eps, w = 0.0, linalg.commutator(self.upsilon, w)
         else:
-            kind, c = self.kind, self.coeffs
+            c = self.coeffs
             for order in range(max(orders) + 1):
                 if order in orders:
-                    out[order] = self._coefficient_values(kind, c, ts)
+                    out[order] = poly_eval(c, ts)
                 c = poly_strip(poly_der(c))
-                kind = CONSTANT if len(c) == 1 and CONSTANT in self.KINDS else POLYNOMIAL
         return [out[order] for order in orders]
 
     def derivative(self, order: int = 1):
-        """Exact for the closed kinds; a polynomial of degree 0 becomes a constant
-        where the value shape has that kind."""
+        """Exact for the closed kinds; sampled grids differentiate by
+        ``numutil.grid_derivative``."""
         if order == 0:
             return self
         cls = type(self)
@@ -347,8 +341,7 @@ class _TimeFunction:
         c = self.coeffs
         for _ in range(order):
             c = poly_strip(poly_der(c))
-        kind = CONSTANT if len(c) == 1 and CONSTANT in self.KINDS else POLYNOMIAL
-        return cls(kind, self.domain, coeffs=c, note=self.note)
+        return cls(POLYNOMIAL, self.domain, coeffs=c, note=self.note)
 
     def max_norm(self) -> float:
         return _max_norm(self.evaluate(np.linspace(self.domain[0], self.domain[1], 65)))
@@ -361,25 +354,21 @@ class ScalarFunction(_TimeFunction):
     NAME = "scalar"
     KINDS = (POLYNOMIAL, SAMPLED)
 
-    @classmethod
-    def constant(cls, value, domain=(-1.0, 1.0)):
-        return cls.polynomial([value], domain)
-
 
 class VectorFunction(_TimeFunction):
-    """n-vector function of t: constant, polynomial or sampled."""
+    """n-vector function of t: polynomial or sampled."""
 
     ndim = 1
     NAME = "vector"
-    KINDS = (CONSTANT, POLYNOMIAL, SAMPLED)
+    KINDS = (POLYNOMIAL, SAMPLED)
 
 
 class MatrixFunction(_TimeFunction):
-    """n x n matrix function of t in one of the four representations."""
+    """n x n matrix function of t in one of the three representations."""
 
     ndim = 2
     NAME = "matrix"
-    KINDS = (CONSTANT, POLYNOMIAL, CONJ_EXP, SAMPLED)
+    KINDS = (POLYNOMIAL, CONJ_EXP, SAMPLED)
 
     @classmethod
     def conj_exp(cls, epsilon, upsilon, w, domain=(-1.0, 1.0)):
@@ -414,8 +403,8 @@ class MatrixFunction(_TimeFunction):
                     MatrixFunction.sampled(self.grid, f0, note=self.note))
         us = np.trace(self.coeffs, axis1=1, axis2=2) / n
         return (ScalarFunction.polynomial(us, self.domain),
-                MatrixFunction(self.kind, self.domain,
-                               coeffs=self.coeffs - us[:, None, None] * np.eye(n)))
+                MatrixFunction.polynomial(self.coeffs - us[:, None, None] * np.eye(n),
+                                          self.domain))
 
     def trace_part(self):
         return self.trace_split()[0]
@@ -429,14 +418,14 @@ class MatrixFunction(_TimeFunction):
                                            c @ self.w @ cinv, self.domain)
         if self.kind == SAMPLED:
             return MatrixFunction.sampled(self.grid, c @ self.values @ cinv, note=self.note)
-        return MatrixFunction(self.kind, self.domain, coeffs=c @ self.coeffs @ cinv)
+        return MatrixFunction.polynomial(c @ self.coeffs @ cinv, self.domain)
 
     def scale(self, a) -> "MatrixFunction":
         if self.kind == CONJ_EXP:
             return self._same_upsilon(a * self.epsilon, a * self.w)
         if self.kind == SAMPLED:
             return MatrixFunction.sampled(self.grid, a * self.values, note=self.note)
-        return MatrixFunction(self.kind, self.domain, coeffs=a * self.coeffs)
+        return MatrixFunction.polynomial(a * self.coeffs, self.domain)
 
     def add_scalar_identity(self, a) -> "MatrixFunction":
         eye = np.eye(self.n)
@@ -444,8 +433,8 @@ class MatrixFunction(_TimeFunction):
             return self._same_upsilon(self.epsilon + a, self.w)
         if self.kind == SAMPLED:
             return MatrixFunction.sampled(self.grid, self.values + a * eye, note=self.note)
-        return MatrixFunction(self.kind, self.domain,
-                              coeffs=poly_lincomb([(1.0, self.coeffs), (a, eye[None])]))
+        return MatrixFunction.polynomial(poly_lincomb([(1.0, self.coeffs), (a, eye[None])]),
+                                         self.domain)
 
     def compose_affine(self, alpha: float, beta: float) -> "MatrixFunction":
         """G with G(t) = F(alpha*t + beta); domain mapped accordingly."""
@@ -468,8 +457,7 @@ class MatrixFunction(_TimeFunction):
                 new_grid = new_grid[::-1]
                 vals = vals[::-1]
             return MatrixFunction.sampled(new_grid, vals, note=self.note)
-        return MatrixFunction(self.kind, new_dom,
-                              coeffs=poly_compose_affine(self.coeffs, alpha, beta))
+        return MatrixFunction.polynomial(poly_compose_affine(self.coeffs, alpha, beta), new_dom)
 
     def is_traceless(self, tol: float = 1e-9) -> bool:
         """max |tr F| <= tol (1 + max ||F||), both over one evaluation at 32 probes."""

@@ -42,9 +42,8 @@ from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LPRIME, SystemDescriptor, gauge_traceless, reduce,
                     singular_class_test)
 from .linalg import SubspaceBasis
-from .matfun import (COEFFICIENT_KINDS, CONJ_EXP, CONSTANT, POLYNOMIAL, SAMPLED,
-                     MatrixFunction, ScalarFunction, VectorFunction, k_span_length,
-                     poly_lincomb, poly_wronskian)
+from .matfun import (CONJ_EXP, POLYNOMIAL, SAMPLED, MatrixFunction, ScalarFunction,
+                     VectorFunction, k_span_length, poly_lincomb, poly_wronskian)
 from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 
 PROBES = 64
@@ -376,7 +375,7 @@ def solve_symmetries_traceless_poly(v_fun: MatrixFunction,
                                     cfg: ToleranceConfig = DEFAULT_TOL,
                                     fld: Field | None = None,
                                     trace_part=None) -> EssentialAlgebra:
-    """Pointwise solve of the classifying condition for constant or polynomial V.
+    """Pointwise solve of the classifying condition for polynomial V.
 
     With d = max(deg V, deg u), the condition is a polynomial identity of
     degree d + 1 in t, so the ``_condition_rows`` at d + 2 probes vanish iff
@@ -386,8 +385,8 @@ def solve_symmetries_traceless_poly(v_fun: MatrixFunction,
     the same three tau columns for u at the probes; candidates failing it
     drop out of the joint nullspace.
     """
-    if v_fun.kind not in COEFFICIENT_KINDS:
-        raise ClassificationError("polynomial solver needs constant/polynomial V")
+    if v_fun.kind != POLYNOMIAL:
+        raise ClassificationError("polynomial solver needs a polynomial V")
     n = v_fun.n
     fld = fld or v_fun.field
     if trace_part is None and not v_fun.is_traceless(cfg.residual_tol):
@@ -430,7 +429,11 @@ def solve_symmetries_sampled(v_fun: MatrixFunction,
     if v_fun.max_norm() <= cfg.residual_tol:
         raise ClassificationError("singular class; use singular path")
     ts, v, vt = _probe_values(v_fun, *v_fun.domain, PROBES)
-    a = _condition_rows(ts, v, vt) / max(1.0, float(np.max(np.abs(v))))
+    # each probe's n^2 rows over that probe's max(1, max |V(t_j)|): where V
+    # spans orders of magnitude over the domain, one scale for all probes
+    # would sink the rows of the small probes below the gap band
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=(1, 2)))
+    a = _condition_rows(ts, v, vt) / np.repeat(scale, n * n)[:, None]
     # finite-difference noise on sampled data pushes the should-be-zero
     # singular values well above machine precision; cut at the dominant
     # spectral gap inside the plausibly-zero band instead of a fixed level
@@ -667,7 +670,7 @@ def classify(sys: SystemDescriptor) -> ClassificationReport:
         notes.append("gauged A to zero")
     v_fun = work.V
     fld = sys.field
-    if v_fun.kind in (CONJ_EXP, CONSTANT):
+    if v_fun.kind == CONJ_EXP or v_fun.degree() == 0:
         if v_fun.kind == CONJ_EXP:
             ess = _classify_conj_exp(v_fun, cfg, fld, work.domain)
         else:

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from symode.matfun import MatrixFunction
 from symode.scalars import ToleranceConfig
+
+# property tests draw the same examples on every run, a fixed number of them,
+# and keep no example database
+settings.register_profile("symode", derandomize=True, max_examples=100, deadline=None,
+                          database=None)
+settings.load_profile("symode")
 
 S1 = np.array([[0.0, 1.0], [0.0, 0.0]])
 S2 = np.array([[1.0, 0.0], [0.0, -1.0]])

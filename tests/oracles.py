@@ -332,9 +332,9 @@ def solve_symmetries_sampled_per_probe(v_fun, cfg, fld=None, probes=64):
     ts = np.linspace(v_fun.domain[0], v_fun.domain[1], probes)
     v = v_fun.evaluate(ts)
     vt = v_fun.derivative(1).evaluate(ts)
-    scale = max(1.0, float(np.max(np.abs(v))))
     rows = []
     for i, t in enumerate(ts):
+        scale = max(1.0, float(np.max(np.abs(v[i]))))
         block = np.zeros((n * n, 3 + n * n), dtype=v.dtype)
         block[:, 0] = vt[i].reshape(-1, order="F")
         block[:, 1] = (t * vt[i] + 2.0 * v[i]).reshape(-1, order="F")

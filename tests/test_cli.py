@@ -424,6 +424,13 @@ class TestIntegrateCommand:
         assert "integrate with a single field" in err[0]
         assert "numerical failure" not in err[0]
 
+    def test_constant_tau_document_exit2(self, case7_doc, tmp_path, capsys):
+        # a scalar constant is written as a one-row polynomial document
+        spath = write(tmp_path, "syms.json", [{"tau": {"kind": "constant", "m": 1.0},
+                                               "gamma": [[0, 0], [0, 0]]}])
+        assert main(["integrate", case7_doc, "--symmetries", spath]) == EXIT_SCHEMA
+        assert "unknown scalar kind constant" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tau", [{"coeffs": [1.0]}, {"kind": "polynomial"}])
     def test_incomplete_tau_document_exit2(self, case7_doc, tmp_path, capsys, tau):
         spath = write(tmp_path, "syms.json", [{"tau": tau, "gamma": [[0, 0], [0, 0]]}])
@@ -449,6 +456,20 @@ class TestSimilarCommand:
         assert main(["similar", a, b, "--out", out]) == EXIT_OK
         verdict = json.loads(open(out).read())
         assert verdict["outcome"] == "not_similar"
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_degree_zero_polynomial_v(self, tmp_path, rows):
+        # a polynomial document whose content is constant takes the structured
+        # test, as the constant document does
+        def doc(v):
+            coeffs = [v.tolist()] + [np.zeros((2, 2)).tolist()] * (rows - 1)
+            return {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1],
+                    "V": {"kind": "polynomial", "coeffs": coeffs}}
+        a = write(tmp_path, "a.json", doc(S1 + 0.5 * S2))
+        b = write(tmp_path, "b.json", doc(4.0 * (S1 + 0.5 * S2)))
+        out = str(tmp_path / "v.json")
+        assert main(["similar", a, b, "--out", out]) == EXIT_OK
+        assert json.loads(open(out).read())["outcome"] == "similar"
 
     def test_unsupported_rep_exit3(self, tmp_path, capsys):
         grid = np.linspace(-1, 1, 65)

@@ -137,6 +137,18 @@ class TestApplyEquivalence:
         assert out.B.kind == "conj_exp"
         assert verify_equivalence(sys_in, out, tr) < 1e-7
 
+    def test_degree_zero_polynomial_h_takes_the_closed_path(self):
+        # H = polynomial([C, 0]) is the constant C: A stays a degree-0
+        # polynomial and B stays conj_exp, with no push onto a grid
+        sys_in = homog(MatrixFunction.polynomial([0.2 * S2, Z2], DOM),
+                       MatrixFunction.conj_exp(0.3, 0.5 * S2, S1 + 0.2 * S3, DOM))
+        tr = EquivalenceTransform(
+            T=ScalarFunction.polynomial([0.1, 2.0], DOM),
+            H=MatrixFunction.polynomial([np.sqrt(2.0) * E2 + 0.3 * S1, Z2], DOM))
+        out = apply_equivalence(sys_in, tr)
+        assert (out.A.kind, out.A.degree(), out.B.kind) == ("polynomial", 0, "conj_exp")
+        assert verify_equivalence(sys_in, out, tr) < 1e-7
+
     def test_vclass_rejects_vector_shift(self):
         tr = EquivalenceTransform(
             T=ScalarFunction.polynomial([0.0, 1.0], DOM),
@@ -198,6 +210,19 @@ class TestGaugeAZero:
         w_expect = b + ups @ ups
         np.testing.assert_allclose(v.evaluate(0.0), w_expect, atol=1e-9)
         assert verify_equivalence(sys_in, ts.system, ts.transform) < 1e-6
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_degree_zero_polynomial_a_takes_the_closed_form(self, rows):
+        # the route follows the degree: polynomial([A]) and polynomial([A, 0])
+        # are the constant A above
+        ups = 0.5 * S2 + 0.2 * S1
+        pad = [Z2] * (rows - 1)
+        sys_in = homog(MatrixFunction.polynomial([-2 * ups] + pad, DOM),
+                       MatrixFunction.polynomial([S1 + 0.3 * S3] + pad, DOM))
+        ts = gauge_A_zero(sys_in)
+        assert ts.system.V.kind == "conj_exp"
+        assert ts.transform.H.note == "closed-form exp(-(t-t0) A/2)"
+        np.testing.assert_allclose(ts.system.V.upsilon, ups, atol=1e-12)
 
     def test_textbook_shape(self):
         sys_in = homog(MatrixFunction.constant(-2 * S2, DOM),

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from symode.gauge import EquivalenceTransform, SystemDescriptor, apply_equivalence
 from symode.matfun import MatrixFunction, ScalarFunction, k_span_length
+from symode.numutil import uniform_grid
 from symode.scalars import Field
 from symode.symalg import (classify, classify_structured, similar_structured,
                            solve_symmetries_traceless_poly)
@@ -364,6 +365,21 @@ def test_time_scaling_keeps_dim_s(kind, truth, n):
             y, w = scaled_draw(kind, seed, n)
             ess = classify_structured(0.0, a * y, a * a * w)
             assert (ess.k, ess.dim_s) == (1, truth), (a, seed)
+
+
+@pytest.mark.parametrize("a", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_time_scaling_on_sampled_data(n, a):
+    # the same draws sampled: |V| spans orders of magnitude over the domain at
+    # a = 8, so the sampled solve weighs each probe by its own size
+    grid = uniform_grid(-1.0, 1.0, 1024)
+    for seed in (0, 4, 5):
+        for kind, truth in (("block", 1), ("generic", 0)):
+            y, w = scaled_draw(kind, seed, n)
+            v = MatrixFunction.conj_exp(0.0, a * y, a * a * w, DOM).evaluate(grid)
+            rep = classify(SystemDescriptor.ldoubleprime(MatrixFunction.sampled(grid, v)))
+            assert "sampled route" in rep.notes
+            assert (rep.k, rep.dim_s) == (1, truth), (kind, seed)
 
 
 @pytest.mark.parametrize("s", [1, 5, 10, 15, 20, 30, 50, 70])

@@ -4,6 +4,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from symode import linalg
 from symode.cli import decode_function, encode_function
@@ -177,7 +180,7 @@ class TestDifferentiate:
     def test_polynomial_derivative(self):
         f = MatrixFunction.polynomial([Z2, S1], DOM)
         df = f.derivative()
-        assert df.kind == "constant"
+        assert (df.kind, df.degree()) == ("polynomial", 0)
         np.testing.assert_allclose(df.value, S1)
 
     @pytest.mark.parametrize("builder", [
@@ -395,7 +398,8 @@ class TestRepresentationLayer:
     def test_kind_shape_dtype(self, shape_name, kind, cplx):
         f = _build(shape_name, kind, cplx)
         shape = CLASSES[shape_name][1]
-        expect_kind = "polynomial" if (shape_name, kind) == ("scalar", "constant") else kind
+        # a constant is a degree-0 polynomial in every value rank
+        expect_kind = "polynomial" if kind == "constant" else kind
         dtype = np.complex128 if cplx else np.float64
         assert f.kind == expect_kind
         assert f.field.dtype == dtype
@@ -405,12 +409,8 @@ class TestRepresentationLayer:
         assert f.evaluate(ts).dtype == dtype
         for order in (1, 2):
             df = f.derivative(order)
-            # a vector or matrix polynomial differentiated down to degree 0 is a
-            # constant; a scalar constant is a degree-0 polynomial
-            down_to_constant = order == 2 and kind == "polynomial" and shape_name != "scalar"
-            want = "constant" if down_to_constant else f.kind
             assert type(df) is type(f)
-            assert df.kind == want
+            assert df.kind == f.kind
             assert df.evaluate(ts).shape == (5,) + shape
             assert df.evaluate(ts).dtype == dtype
 
@@ -438,6 +438,34 @@ class TestRepresentationLayer:
         with pytest.raises(ValueError):
             f.value[0, 0] = 1.0
         np.testing.assert_array_equal(f.value, S1)
+
+
+_ENTRIES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(rank=st.sampled_from([0, 1, 2]), n=st.integers(1, 4), cplx=st.booleans(),
+       data=st.data())
+def test_constant_is_a_degree_zero_polynomial(rank, n, cplx, data):
+    # constant(c) and polynomial([c, 0 c]) are one function, bit for bit, in
+    # every value rank: values, jets, derivatives and the CLI document
+    shape = (n,) * rank
+    c = data.draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
+    if cplx:
+        c = c + 1j * data.draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
+    cls = (ScalarFunction, VectorFunction, MatrixFunction)[rank]
+    f, g = cls.constant(c, DOM), cls.polynomial([c, 0 * c], DOM)
+    ts = np.linspace(DOM[0], DOM[1], 9)
+
+    def same(x, y):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    same(f.evaluate(ts), g.evaluate(ts))
+    same(f.evaluate(ts), np.broadcast_to(c, (len(ts),) + shape).astype(f.field.dtype))
+    for x, y in zip(f.jet(ts, (0, 1, 2)), g.jet(ts, (0, 1, 2))):
+        same(x, y)
+    for order in (1, 2):
+        same(f.derivative(order).evaluate(ts), g.derivative(order).evaluate(ts))
+    assert json.dumps(encode_function(f)) == json.dumps(encode_function(g))
 
 
 def _entrywise(c):

@@ -289,6 +289,21 @@ class TestClassifyDispatcher:
         assert rep.case_label == "5"
         assert (rep.k, rep.dim_ess) == (1, 3)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_constant_content_takes_one_route(self, n, cplx):
+        # constant(W), polynomial([W]) and polynomial([W, 0 W]) are one function:
+        # one route, one k and dim_s, one residual (in the notes)
+        w = random_traceless(np.random.default_rng(10 * n + cplx), n, cplx) + 0.25 * np.eye(n)
+        fld = Field.COMPLEX if cplx else Field.REAL
+        reports = [classify(SystemDescriptor.lprime(v, field=fld)) for v in (
+            MatrixFunction.constant(w, DOM), MatrixFunction.polynomial([w], DOM),
+            MatrixFunction.polynomial([w, 0 * w], DOM))]
+        assert "structured (t-shift-invariant) route" in reports[0].notes
+        for rep in reports[1:]:
+            assert (rep.notes, rep.k, rep.dim_s) == (reports[0].notes, reports[0].k,
+                                                     reports[0].dim_s)
+
     def test_kernel_field_always_verified(self, cfg, rng):
         for _ in range(5):
             v = MatrixFunction.polynomial(
