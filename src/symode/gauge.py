@@ -123,11 +123,9 @@ class SystemDescriptor:
 
     def coefficients(self):
         """(A, B, f) evaluators normalized across classes (V-classes: A=0, B=V)."""
-        n, dom = self.n, self.domain
-        zero_m = MatrixFunction.zero(n, dom)
-        zero_v = VectorFunction.zero(n, dom)
+        zero_v = VectorFunction.zero(self.n, self.domain)
         if self.cls in (LPRIME, LDOUBLEPRIME):
-            return zero_m, self.V, zero_v
+            return MatrixFunction.zero(self.n, self.domain), self.V, zero_v
         return self.A, self.B, (self.f if self.f is not None else zero_v)
 
     def companion_table(self, ts):
@@ -149,16 +147,9 @@ class SystemDescriptor:
         """True iff the criterion matrix is proportional to E (time-dependent factor)."""
         ts = np.linspace(self.domain[0], self.domain[1], PROBES)
         vals = self.criterion.evaluate(ts)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        tol = self.cfg.residual_tol * scale
-        idx = np.arange(self.n)
-        off = vals.copy()
-        off[:, idx, idx] = 0.0
-        if np.max(np.abs(off)) >= tol:
-            return False
-        diags = vals[:, idx, idx]
-        spread = np.max(np.abs(diags - diags[:, :1]))
-        return bool(spread < tol)
+        tol = self.cfg.residual_tol * max(1.0, float(np.max(np.abs(vals))))
+        # off-diagonal entries and the spread of the diagonal
+        return bool(np.max(np.abs(vals - vals[:, :1, :1] * np.eye(self.n))) < tol)
 
 
 @dataclass
@@ -250,7 +241,8 @@ def pushforward(t1, t2, h, hinv, ht, htt, a, b):
 
     t1, t2 hold T_t, T_tt; h, hinv, ht, htt hold H, H^-1, H_t, H_tt; a, b hold
     A, B, all at the same points t, so the results still have to be composed
-    with T^-1.
+    with T^-1.  Only ``_push_full`` calls it: symmetry straightening reads
+    H_t and H_tt off the ODE H satisfies (``integrate._straightened_coefficients``).
     """
     t1c = t1[:, None, None]
     t2c = t2[:, None, None]
@@ -269,19 +261,13 @@ def _push_full(sys, tr, grid_steps=1024):
         grid = uniform_grid(lo, hi, grid_steps)
     a_fun, b_fun, f_fun = sys.coefficients()
     n = sys.n
-    tvals = np.real(tr.T.evaluate(grid))
-    t1 = np.real(tr.T.derivative(1).evaluate(grid))
-    t2 = np.real(tr.T.derivative(2).evaluate(grid))
-    hmat = tr.H.evaluate(grid)
-    anew, bnew = pushforward(t1, t2, hmat, np.linalg.inv(hmat),
-                             tr.H.derivative(1).evaluate(grid),
-                             tr.H.derivative(2).evaluate(grid),
+    tvals, t1, t2 = np.real(tr.T.jet(grid, (0, 1, 2)))
+    hmat, ht, htt = tr.H.jet(grid, (0, 1, 2))
+    anew, bnew = pushforward(t1, t2, hmat, np.linalg.inv(hmat), ht, htt,
                              a_fun.evaluate(grid), b_fun.evaluate(grid))
     fv = f_fun.evaluate(grid)
     if tr.h is not None:
-        hv = tr.h.evaluate(grid)
-        hv1 = tr.h.derivative(1).evaluate(grid)
-        hv2 = tr.h.derivative(2).evaluate(grid)
+        hv, hv1, hv2 = tr.h.jet(grid, (0, 1, 2))
     else:
         hv = hv1 = hv2 = np.zeros((len(grid), n))
     fnew = (t1[:, None] * np.einsum("tij,tj->ti", hmat, fv)
@@ -333,10 +319,7 @@ def apply_equivalence(sys: SystemDescriptor, tr: EquivalenceTransform,
         lo, hi = sys.domain
         grid = tr.T.grid if tr.T.kind == SAMPLED else uniform_grid(lo, hi, grid_steps)
         grid = grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)]
-        tvals = np.real(tr.T.evaluate(grid))
-        t1 = np.real(tr.T.derivative(1).evaluate(grid))
-        t2 = np.real(tr.T.derivative(2).evaluate(grid))
-        t3 = np.real(tr.T.derivative(3).evaluate(grid))
+        tvals, t1, t2, t3 = np.real(tr.T.jet(grid, (0, 1, 2, 3)))
         sch = t3 / t1 - 1.5 * (t2 / t1) ** 2
         v = sys.V.evaluate(grid)
         cv = c @ v @ np.linalg.inv(c)
@@ -447,6 +430,19 @@ def right_fundamental(m, grid, dtype):
     return np.swapaxes(y, 1, 2)
 
 
+def half_a_fundamental(a_fun: MatrixFunction, grid, dtype):
+    """H with H_t = -(1/2) H A on the uniform ``grid``, H(t0) = E at its middle,
+    with the factory of exp(-t A/2) (None on the RK4 route) and a note naming
+    the route: exp(-(t - t0) A/2) for a degree-0 A, else ``right_fundamental``."""
+    t0 = 0.5 * (grid[0] + grid[-1])
+    if a_fun.degree() == 0:
+        ef = linalg.exp_factory(-0.5 * a_fun.value)
+        return ef(grid - t0), ef, "closed-form exp(-(t-t0) A/2)"
+    half = uniform_grid(grid[0], grid[-1], 2 * (len(grid) - 1))
+    hs = right_fundamental(-0.5 * a_fun.evaluate(half), grid, dtype)
+    return hs, None, "fundamental solve of H_t = -H A/2"
+
+
 def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:
     """Gauge the first-derivative coefficient away: H solves H_t + (1/2) H A = 0.
 
@@ -469,20 +465,13 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
         out = SystemDescriptor(LPRIME, n, sys.field, sys.domain, V=sys.B, cfg=cfg)
         return TransformedSystem(out, EquivalenceTransform.identity(n, sys.domain),
                                  provenance="A = 0 already; identity transform")
-    if sys.A.degree() == 0:
-        ups = -0.5 * sys.A.value
-        ef = linalg.exp_factory(ups)
-        hs = ef(grid - t0)
-        note = "closed-form exp(-(t-t0) A/2)"
-    else:
-        half = uniform_grid(lo, hi, 2 * grid_steps)
-        hs = right_fundamental(-0.5 * sys.A.evaluate(half), grid, sys.field.dtype)
+    hs, ef, note = half_a_fundamental(sys.A, grid, sys.field.dtype)
+    if ef is None:
         _require_invertible(hs, grid, cfg, "during the A-gauge solve")
-        note = "fundamental solve of H_t = -H A/2"
     crit = sys.criterion
-    if sys.A.degree() == 0 and crit.degree() == 0:
+    if ef is not None and crit.degree() == 0:
         w = ef(-t0) @ crit.value @ ef(t0)
-        vfun = MatrixFunction.conj_exp(0.0, ups, w, sys.domain)
+        vfun = MatrixFunction.conj_exp(0.0, -0.5 * sys.A.value, w, sys.domain)
     else:
         cvals = crit.evaluate(grid)
         vals = hs @ cvals @ np.linalg.inv(hs)
@@ -650,7 +639,8 @@ def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
         if src.field is Field.COMPLEX:
             z0[:, k] += 1j * rng.standard_normal(2 * n)
     m, g = src.companion_table(half)
-    traj = rk4_linear(m, z0, grid, len(grid) // 2, g[:, :, None])
+    # a zero forcing table adds nothing, so its maps are not built
+    traj = rk4_linear(m, z0, grid, len(grid) // 2, g[:, :, None] if np.any(g) else None)
     pushed = hvals @ traj[:, :n] + hshift[:, :, None]
     inside = (tvals >= dst.domain[0] - 1e-12) & (tvals <= dst.domain[1] + 1e-12)
     tg = tvals[inside]

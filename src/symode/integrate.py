@@ -10,17 +10,22 @@ count bounded by n + p - r when the elementary divisors are distinct.
 
 Both straightening procedures take one path: ``_straightening_start``
 (homogeneous class, chi dropped, A and B on the grid, every field verified),
-then ``_straighten``, which pushes the coefficients forward
-(``gauge.pushforward``), requires them constant, max(|A~ - A~(t0)|,
-|B~ - B~(t0)|) <= 1e4 residual_tol (1 + max|A~(t0)| + max|B~(t0)|) at the
-middle node t0, and pulls back the constant system's companion exponential
-evaluated at T(t).
+then ``_straighten``, which pushes the coefficients forward, requires them
+constant, max(|A~ - A~(t0)|, |B~ - B~(t0)|) <= 1e4 residual_tol
+(1 + max|A~(t0)| + max|B~(t0)|) at the middle node t0, and pulls back the
+constant system's companion exponential evaluated at T(t).  The push-forward
+reads H_t and H_tt off tau H_t = -H eta and T_t = 1/tau, so no derivative of
+H is formed:
 
-Each fundamental solve is a linear ODE whose coefficients are tabulated once
-on the grid and its step midpoints and handed to ``numutil.rk4_linear``,
-which composes them as blocked affine RK4 maps;
-right-multiplied equations such as tau H_t = -H eta run on the transpose
-(``gauge.right_fundamental``).
+    A~ = H S_A H^-1,  S_A = tau A - 2 eta + tau_t E,
+    B~ = H S_B H^-1,  S_B = tau^2 B + (S_A + eta) eta - tau eta_t,
+
+and (H^-1)_t = eta H^-1 / tau gives the velocities.  For degree-0 tau and
+eta, H = exp(-(t - t0) eta/tau) in closed form.  Every other fundamental
+solve is a linear ODE whose coefficients are tabulated once on the grid and
+its step midpoints and handed to ``numutil.rk4_linear``, which composes them
+as blocked affine RK4 maps; right-multiplied equations such as
+tau H_t = -H eta run on the transpose (``gauge.right_fundamental``).
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ import numpy as np
 
 from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, SystemDescriptor,
-                    gauge_f_zero, pushforward, right_fundamental, schwarzian_time_map,
-                    singular_class_test)
+                    gauge_f_zero, half_a_fundamental, right_fundamental,
+                    schwarzian_time_map, singular_class_test)
 from .matfun import (POLYNOMIAL, MatrixFunction, ScalarFunction, poly_der, poly_lincomb,
                      poly_mul, poly_strip, poly_wronskian)
 from .numutil import companion, cumulative_integral, trajectory_derivative, uniform_grid
@@ -133,14 +138,10 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
             tau=ScalarFunction.polynomial(poly_wronskian(c1, c2), domain),
             eta=MatrixFunction.polynomial(eta3, domain))
     grid = uniform_grid(domain[0], domain[1], 512)
-    t1 = q1.tau.evaluate(grid)
-    t2 = q2.tau.evaluate(grid)
-    dt1 = q1.tau.derivative(1).evaluate(grid)
-    dt2 = q2.tau.derivative(1).evaluate(grid)
-    n1 = e1.evaluate(grid)
-    n2 = e2.evaluate(grid)
-    dn1 = e1.derivative(1).evaluate(grid)
-    dn2 = e2.derivative(1).evaluate(grid)
+    t1, dt1 = q1.tau.jet(grid, (0, 1))
+    t2, dt2 = q2.tau.jet(grid, (0, 1))
+    n1, dn1 = e1.jet(grid, (0, 1))
+    n2, dn2 = e2.jet(grid, (0, 1))
     tau3 = t1 * dt2 - t2 * dt1
     eta3 = (t1[:, None, None] * dn2 - t2[:, None, None] * dn1
             + np.einsum("tij,tjk->tik", n2, n1) - np.einsum("tij,tjk->tik", n1, n2))
@@ -170,6 +171,8 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     M solves y_t + (1/2) A^T y = 0; phi1, phi2 solve phi_tt = U phi with
     U = tr(criterion)/n; the transform (T = phi1/phi2, H = T_t^(1/2) M^T)
     maps the system to x~_t~t~ = f~, integrated by two quadrature layers.
+    M^T is ``gauge.half_a_fundamental``'s H, so
+    (H^-1)_t = (1/2) A H^-1 - (T_tt / 2 T_t) H^-1.
     """
     if not singular_class_test(sys):
         raise IntegrationError("system is not in the singular class")
@@ -179,9 +182,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     half = uniform_grid(lo, hi, 2 * grid_steps)
     grid = half[::2]
     a_fun, _, f_fun = sys.coefficients()
-    # M^T solves (M^T)_t = -(1/2) M^T A
-    a_half = a_fun.evaluate(half)
-    mmat_t = right_fundamental(-0.5 * a_half, grid, sys.field.dtype)
+    mmat_t, _, route = half_a_fundamental(a_fun, grid, sys.field.dtype)
     u = np.real(np.trace(sys.criterion.evaluate(half), axis1=1, axis2=2)) / n
     run = schwarzian_time_map(u, grid)
     if run is None:
@@ -189,21 +190,15 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
                                "length for the time reparametrization")
     sel, tvals, t1, t2 = run
     sub = grid[sel]
-    mt_sel = mmat_t[sel]
-    hvals = np.sqrt(t1)[:, None, None] * mt_sel
+    hvals = np.sqrt(t1)[:, None, None] * mmat_t[sel]
     hinv = np.linalg.inv(hvals)
     fvals = f_fun.evaluate(sub)
-    f_norm = float(np.max(np.abs(fvals))) if fvals.size else 0.0
-    homogeneous = f_norm <= cfg.residual_tol
+    homogeneous = not fvals.size or float(np.max(np.abs(fvals))) <= cfg.residual_tol
     ft_vals = np.einsum("tij,tj->ti", hvals, fvals) / t1[:, None] ** 2
     # two quadrature layers on the reparametrized time grid
     g1 = cumulative_integral(tvals, ft_vals)
     gvals = cumulative_integral(tvals, g1)
-    # H = T_t^(1/2) M^T, so H_t = (T_tt / 2 T_t^(1/2)) M^T - (1/2) T_t^(1/2) M^T A
-    hdot = ((0.5 * t2 / np.sqrt(t1))[:, None, None] * mt_sel
-            - 0.5 * np.sqrt(t1)[:, None, None]
-            * np.einsum("tij,tjk->tik", mt_sel, a_half[::2][sel]))
-    hinv_dot = -(hinv @ hdot @ hinv)
+    hinv_dot = 0.5 * (a_fun.evaluate(sub) @ hinv) - (0.5 * t2 / t1)[:, None, None] * hinv
     # x~ columns: e_j and T e_j; pull back through x = H^-1 x~(T)
     tc = tvals[:, None, None]
     positions = np.concatenate([hinv, hinv * tc], axis=2)
@@ -217,7 +212,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     plan = IntegrationPlan(procedure="Singular", h_values=hvals, t_map=tvals,
                            quadrature_bound=2 * n,
                            notes=["reduced to the free particle by the combined "
-                                  "A-gauge and trace gauge"])
+                                  "A-gauge and trace gauge", route])
     return SolutionSet(grid=sub, positions=positions, velocities=velocities,
                        particular=particular, quadratures=quad, plan=plan)
 
@@ -244,8 +239,9 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
                            grid_steps: int = 1024) -> SolutionSet:
     """Straighten one symmetry with nonzero t-component and solve.
 
-    Steps: drop chi; H from tau y_t + eta y = 0 (transpose of a fundamental
-    matrix); T from T_t = 1/tau (the single quadrature); ``_straighten``.
+    Steps: drop chi; H from tau H_t = -H eta, H(t0) = E (closed form for
+    degree-0 tau and eta, else RK4); T from T_t = 1/tau (the single
+    quadrature); ``_straighten``.
     """
     (q,), half, grid, a_grid, b_grid = _straightening_start(sys, [q], grid_steps)
     tau_half = np.real(q.tau.evaluate(half))
@@ -254,14 +250,22 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
         raise IntegrationError("tau vanishes on the domain")
     eta_fun = q.eta_function(sys.n, sys.domain)
     eta_half = eta_fun.evaluate(half)
-    hvals = right_fundamental(-eta_half / tau_half[:, None, None], grid, sys.field.dtype)
+    i0 = len(grid) // 2
+    if q.tau.degree() == 0 and eta_fun.degree() == 0:
+        gen = -eta_fun.value / tau[i0]
+        hvals = linalg.exp_factory(gen.astype(np.result_type(gen, sys.field.dtype)))(
+            grid - grid[i0])
+        route = "closed-form H = exp(-(t-t0) eta/tau)"
+    else:
+        hvals = right_fundamental(-eta_half / tau_half[:, None, None], grid, sys.field.dtype)
+        route = "fundamental solve of tau H_t = -H eta"
     tmap = cumulative_integral(grid, 1.0 / tau)
-    tmap = tmap - tmap[len(grid) // 2]
+    tmap = tmap - tmap[i0]
     positions, velocities, abar, bbar = _straighten(
         sys.cfg.residual_tol, a_grid, b_grid, tau, np.real(q.tau.derivative(1).evaluate(grid)),
         hvals, eta_half[::2], eta_fun.derivative(1).evaluate(grid), tmap)
     plan = IntegrationPlan(procedure="OneSymmetry", h_values=hvals, t_map=tmap,
-                           notes=["constant push-forward coefficients",
+                           notes=[route, "constant push-forward coefficients",
                                   f"A~ = {np.array2string(abar, precision=4)}",
                                   f"B~ = {np.array2string(bbar, precision=4)}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
@@ -287,19 +291,14 @@ def _straighten(residual_tol, a, b, tau, taut, h, eta, eta_t, tmap):
     for H solving tau H_t = -H eta and T_t = 1/tau; a and b hold A and B on
     the grid, taut and eta_t the t-derivatives.
 
-    H_t and H_tt come exactly from that equation rather than from
-    differentiating the solved H.  A~ and B~ must pass the module's constancy
-    bound; x~ are the columns of the constant system's companion exponential
-    anchored at the middle of T's range.
+    A~ and B~ must pass the module's constancy bound; x~ are the columns of
+    the constant system's companion exponential anchored at the middle of
+    T's range.  (H^-1)_t = eta H^-1 / tau, so the velocities are
+    (eta x + H^-1 x~') / tau.
     """
     n = h.shape[1]
-    he = h @ eta
-    tc = tau[:, None, None]
-    ht = -he / tc
-    htt = (taut / tau ** 2)[:, None, None] * he + (he @ eta) / tc ** 2 - (h @ eta_t) / tc
     hinv = np.linalg.inv(h)
-    t1 = 1.0 / tau
-    anew, bnew = pushforward(t1, -taut / tau ** 2, h, hinv, ht, htt, a, b)
+    anew, bnew = _straightened_coefficients(h, hinv, a, b, tau, taut, eta, eta_t)
     i0 = len(tau) // 2
     abar, bbar = anew[i0], bnew[i0]
     dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
@@ -309,13 +308,22 @@ def _straighten(residual_tol, a, b, tau, taut, h, eta, eta_t, tmap):
         raise IntegrationError(f"push-forward coefficients are not constant "
                                f"(deviation {dev:.3g}); symmetry not verified or "
                                "numerics insufficient")
-    hinv_dot = -(hinv @ ht @ hinv)
     ef = linalg.exp_factory(companion(abar, bbar))
     states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
-    xpos = states[:, :n, :]
-    positions = hinv @ xpos
-    velocities = hinv_dot @ xpos + (hinv @ states[:, n:, :]) * t1[:, None, None]
+    positions = hinv @ states[:, :n, :]
+    velocities = (eta @ positions + hinv @ states[:, n:, :]) / tau[:, None, None]
     return positions, velocities, abar, bbar
+
+
+def _straightened_coefficients(h, hinv, a, b, tau, taut, eta, eta_t):
+    """A~ = H S_A H^-1 and B~ = H S_B H^-1 (module docstring) at each grid
+    point: ``gauge.pushforward`` for T_t = 1/tau, H_t and H_tt taken from
+    tau H_t = -H eta."""
+    tc = tau[:, None, None]
+    s_a = tc * a - 2.0 * eta + taut[:, None, None] * np.eye(h.shape[1])
+    anew = h @ s_a @ hinv
+    s_b = tc ** 2 * b + (s_a + eta) @ eta - tc * eta_t
+    return anew, h @ s_b @ hinv
 
 
 def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
@@ -390,10 +398,8 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     eta_check_half = hhat @ ex_half @ modal
     eta_check = eta_check_half[::2]
     sizes = [sum(lengths) for lengths in chains]
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    blocks = np.zeros((n, n), dtype=bool)
-    for bi in range(len(sizes)):
-        blocks[offs[bi]:offs[bi + 1], offs[bi]:offs[bi + 1]] = True
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # the block of each row
+    blocks = owner[:, None] == owner
     offmax = float(np.max(np.abs(np.where(blocks, 0.0, eta_check))))
     if offmax > 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(eta_check)))):
         raise IntegrationError(f"conjugated eta1 is not block-diagonal along the "

@@ -131,9 +131,12 @@ def _stencil(grid: np.ndarray, order: int, stencil: int | None):
     lo = np.clip(np.arange(npts) - span // 2, 0, npts - 1 - span)
     idx = lo[:, None] + stride * np.arange(width)
     # fd_weights is looked up at build time, so a rebinding of the module
-    # name also sees every cold build
-    return idx, _plan((grid.tobytes(), order, width),
-                      lambda: fd_weights(grid[idx], grid, order))
+    # name also sees every cold build.  Its column is kept alone, as a view
+    # into a buffer of two columns: a view of fd_weights' result would keep
+    # the whole Fornberg table alive, and a contiguous copy rounds
+    # differently in ``_stencil_sum``
+    return idx, _plan((grid.tobytes(), order, width), lambda: np.repeat(
+        fd_weights(grid[idx], grid, order)[..., None], 2, axis=-1)[..., 0])
 
 
 def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

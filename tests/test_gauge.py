@@ -11,6 +11,7 @@ from symode.gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
                           gauge_traceless, reduce, singular_class_test,
                           verify_equivalence)
 from symode.matfun import MatrixFunction, RepresentationError, ScalarFunction, VectorFunction
+from symode.numutil import uniform_grid
 from symode.scalars import Field, ToleranceConfig
 from symode.symalg import classify
 from conftest import DOM, E2, S1, S2, S3, Z2
@@ -224,6 +225,19 @@ class TestGaugeAZero:
         assert ts.transform.H.note == "closed-form exp(-(t-t0) A/2)"
         np.testing.assert_allclose(ts.system.V.upsilon, ups, atol=1e-12)
 
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_h_is_the_half_a_fundamental(self, constant):
+        # gauge_A_zero and integrate_singular share one solve of H_t = -H A/2
+        a = np.array([[0.2, 0.1], [-0.3, 0.1]])
+        a_fun = (MatrixFunction.constant(a, DOM) if constant
+                 else MatrixFunction.polynomial([a, 0.5 * a.T], DOM))
+        ts = gauge_A_zero(homog(a_fun, MatrixFunction.constant(S1, DOM)))
+        grid = uniform_grid(*DOM, 1024)
+        hs, ef, note = gauge.half_a_fundamental(a_fun, grid, float)
+        assert (ef is not None) is constant
+        assert ts.transform.H.note == note
+        np.testing.assert_array_equal(ts.transform.H.evaluate(grid), hs)
+
     def test_textbook_shape(self):
         sys_in = homog(MatrixFunction.constant(-2 * S2, DOM),
                        MatrixFunction.constant(S1, DOM))
@@ -414,6 +428,28 @@ class TestVerifyEquivalence:
         bad = lprime(MatrixFunction.constant(S1 + 0.1 * S1, DOM))
         tr = EquivalenceTransform.identity(2, DOM)
         assert verify_equivalence(src, bad, tr) > 1e-2
+
+    @pytest.mark.parametrize("cls", [HOMOGENEOUS, LPRIME, BARL])
+    def test_zero_forcing_solves_without_forcing_maps(self, cls, monkeypatch):
+        # L and V-class sources (and barL with f = 0) pass no forcing table,
+        # and the trajectories are those of a solve with an all-zero one
+        a = MatrixFunction.polynomial([0.2 * S2, 0.1 * S1], DOM)
+        b = MatrixFunction.constant(S1 + 0.3 * S3, DOM)
+        sys_in = {HOMOGENEOUS: homog(a, b), LPRIME: lprime(b),
+                  BARL: barl(a, b, VectorFunction.zero(2, DOM))}[cls]
+        calls = []
+        solve = gauge.rk4_linear
+
+        def recorded(m, y0, grid, i0=0, g=None):
+            calls.append((m, y0, grid, i0, g, solve(m, y0, grid, i0, g)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(gauge, "rk4_linear", recorded)
+        verify_equivalence(sys_in, sys_in, EquivalenceTransform.identity(2, DOM))
+        (m, y0, grid, i0, g, traj), = calls
+        assert g is None
+        zero = np.zeros(m.shape[:2] + (1,))
+        np.testing.assert_array_equal(traj, solve(m, y0, grid, i0, zero))
 
 
 def pipeline_inputs():

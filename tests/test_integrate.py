@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from symode import linalg
-from symode.gauge import SystemDescriptor
+from symode.casebook import n2_cases
+from symode.gauge import SystemDescriptor, pushforward
 from symode.integrate import _coefficients_on
 from symode.integrate import (IntegrationError, bracket, integrate_auto,
                               integrate_one_symmetry, integrate_singular,
@@ -236,6 +237,24 @@ class TestSingular:
         with pytest.raises(IntegrationError, match="singular"):
             integrate_singular(sys_in)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_constant_a_takes_the_closed_route(self, n):
+        # B - A_t/2 + A^2/4 = (0.5 + 0.2 t) E with a constant A; the same A
+        # sampled takes the RK4 solve of M^T and gives the same columns
+        rng = np.random.default_rng(n)
+        a = 0.5 * rng.standard_normal((n, n))
+        eye = np.eye(n)
+        b = MatrixFunction.polynomial([0.5 * eye - 0.25 * a @ a, 0.2 * eye], DOM)
+        sys_in = homog(MatrixFunction.constant(a, DOM), b)
+        sol = integrate_singular(sys_in)
+        assert "closed-form exp(-(t-t0) A/2)" in sol.plan.notes
+        assert column_residuals(sys_in, sol) < 1e-8
+        grid = np.linspace(*DOM, 65)
+        sampled = integrate_singular(homog(
+            MatrixFunction.sampled(grid, np.broadcast_to(a, (65, n, n))), b))
+        assert "fundamental solve of H_t = -H A/2" in sampled.plan.notes
+        np.testing.assert_allclose(sampled.positions, sol.positions, rtol=0, atol=1e-9)
+
 
 STRAIGHTENING = {
     "one": lambda sys_in, q1, q2: integrate_one_symmetry(sys_in, q1),
@@ -374,6 +393,45 @@ class TestOneSymmetry:
         q = SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=1.5 * S2)
         with pytest.raises(IntegrationError, match="vanishes"):
             integrate_one_symmetry(sys_in, q)
+
+
+class TestStraightenedCoefficients:
+    """A~ and B~ from tau H_t = -H eta are ``gauge.pushforward``'s with H_t and
+    H_tt taken from that equation, at every node."""
+
+    @staticmethod
+    def inputs():
+        for fld in Field:
+            for case in n2_cases(fld):
+                if case.symmetries:
+                    yield case.system, case.symmetries
+            for n in range(5, 9):
+                sys_in, q = TestUpToEight.one_symmetry(0, n, fld)
+                yield sys_in, [q]
+
+    def test_equal_to_the_general_pushforward(self, monkeypatch):
+        from symode import integrate
+        calls = []
+        identity_form = integrate._straightened_coefficients
+
+        def recorded(*args):
+            calls.append((args, identity_form(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(integrate, "_straightened_coefficients", recorded)
+        runs = 0
+        for sys_in, fields in self.inputs():
+            integrate_auto(sys_in, fields)
+            runs += 1
+        assert len(calls) == runs == 20
+        for (h, hinv, a, b, tau, taut, eta, eta_t), pushed in calls:
+            he = h @ eta
+            tc = tau[:, None, None]
+            ht = -he / tc
+            htt = (taut / tau ** 2)[:, None, None] * he + (he @ eta) / tc ** 2 - (h @ eta_t) / tc
+            for new, ref in zip(pushed, pushforward(1.0 / tau, -taut / tau ** 2, h, hinv,
+                                                    ht, htt, a, b)):
+                assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTwoSymmetries:
@@ -570,6 +628,28 @@ class TestUpToEight:
         res = {steps: column_residuals(sys_in, integrate_auto(sys_in, [q], grid_steps=steps))
                for steps in (256, 512)}
         assert res[256] / res[512] >= 8.0
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_closed_and_rk4_routes_agree(self, n, fld):
+        # tau = 1 as a degree-0 polynomial gives H = exp(-(t - t0) Gamma); the
+        # same tau sampled gives the RK4 solve, so the positions of the two
+        # routes differ by RK4's fourth-order error alone
+        sys_in, q = self.one_symmetry(0, n, fld)
+        nodes = uniform_grid(*DOM, 64)
+        sampled = SymmetryVectorField(tau=ScalarFunction.sampled(nodes, np.ones(len(nodes))),
+                                      gamma=q.gamma)
+
+        def gap(steps):
+            closed, solved = (integrate_auto(sys_in, [f], grid_steps=steps)
+                              for f in (q, sampled))
+            assert closed.plan.notes[0] == "closed-form H = exp(-(t-t0) eta/tau)"
+            assert solved.plan.notes[0] == "fundamental solve of tau H_t = -H eta"
+            return (np.max(np.abs(closed.positions - solved.positions))
+                    / np.max(np.abs(closed.positions)))
+
+        assert gap(1024) <= 1e-9
+        assert 14.0 <= gap(256) / gap(512) <= 18.0
 
     @pytest.mark.parametrize("fld", list(Field))
     @pytest.mark.parametrize("n", range(5, 9))
