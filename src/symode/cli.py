@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import casebook
@@ -21,9 +20,9 @@ from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, MAX_DIM, GaugeError
                     SystemDescriptor, gauge_f_zero, reduce, verify_equivalence)
 from .integrate import IntegrationError, integrate_auto, residual
 from .linalg import LinalgError
-from .matfun import (CONJ_EXP, POLYNOMIAL, SAMPLED, MatrixFunction, RepresentationError,
-                     ScalarFunction, VectorFunction)
-from .scalars import DEFAULT_TOL, Field, FieldError, ToleranceConfig
+from .matfun import (CONJ_EXP, POLYNOMIAL, SAMPLED, MatrixFunction, ScalarFunction,
+                     VectorFunction)
+from .scalars import DEFAULT_TOL, Field, ToleranceConfig
 from .symalg import (CASE_BASIS_TEXT, ClassificationError, SymmetryVectorField,
                      classify, similar_constant_coeff, similar_structured)
 
@@ -39,85 +38,78 @@ MIN_GRID = 8  # the smallest --grid every subcommand runs with
 # is a one-row polynomial document
 CONSTANT = "constant"
 
-_NUMBER = {"type": "number"}
-_COMPLEX = {"oneOf": [_NUMBER, {"type": "array", "items": _NUMBER,
-                                "minItems": 2, "maxItems": 2}]}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX}}
-_VECTOR = {"type": "array", "items": _COMPLEX}
+# the coefficient members each class takes, in document order; all but f are
+# required
+CLASS_MEMBERS = {BARL: ("A", "B", "f"), HOMOGENEOUS: ("A", "B"),
+                 LPRIME: ("V",), LDOUBLEPRIME: ("V",)}
 
-_MATFUN_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {"kind": {"enum": ["constant", "polynomial", "conj_exp", "sampled"]}},
-    "allOf": [
-        {"if": {"properties": {"kind": {"const": "constant"}}},
-         "then": {"required": ["m"]}},
-        {"if": {"properties": {"kind": {"const": "polynomial"}}},
-         "then": {"required": ["coeffs"]}},
-        {"if": {"properties": {"kind": {"const": "conj_exp"}}},
-         "then": {"required": ["epsilon", "upsilon", "w"]}},
-        {"if": {"properties": {"kind": {"const": "sampled"}}},
-         "then": {"required": ["t", "values"]}},
-    ],
-}
-
-SYSTEM_SCHEMA = {
-    "type": "object",
-    "required": ["n", "field", "class", "domain"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1, "maximum": MAX_DIM},
-        "field": {"enum": ["real", "complex"]},
-        "class": {"enum": ["barL", "L", "Lprime", "Ldoubleprime"]},
-        "domain": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
-        "A": _MATFUN_SCHEMA, "B": _MATFUN_SCHEMA, "V": _MATFUN_SCHEMA,
-        "f": _MATFUN_SCHEMA,
-    },
-}
-
-SYMMETRY_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["tau"],
-        "properties": {"tau": _MATFUN_SCHEMA, "gamma": _MATRIX,
-                       "chi": _MATFUN_SCHEMA},
-    },
-}
-
-# built once: jsonschema.validate checks the schema itself against the
-# metaschema on every call
-_SYSTEM_VALIDATOR = jsonschema.Draft202012Validator(SYSTEM_SCHEMA)
-_SYMMETRY_VALIDATOR = jsonschema.Draft202012Validator(SYMMETRY_SCHEMA)
-
-
-def _validate(validator, doc):
-    """Raise the error jsonschema.validate(doc, validator.schema) would raise."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is not None:
-        raise error
+ROOT = "<root>"  # the path of a whole document
 
 
 class SchemaError(ValueError):
     pass
 
 
-def _decode_entry(x):
-    if isinstance(x, (int, float)):
-        value = float(x)
-    elif isinstance(x, (list, tuple)) and len(x) == 2:
-        value = complex(float(x[0]), float(x[1]))
-    else:
-        raise SchemaError(f"bad numeric entry {x!r}")
+def _object(doc, where):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(doc).__name__}")
+
+
+def _member(obj, key, where, read=None, *args, required=True):
+    """The member key of the JSON object obj at path where, passed through
+    read(value, *args) when read is given; None for an absent optional member.
+    A fault names the member's path, unless it is a SchemaError from a nested
+    member, which names its own."""
+    path = key if where == ROOT else f"{where}/{key}"
+    if key not in obj:
+        if required:
+            raise SchemaError(f"{path}: required member missing")
+        return None
+    try:
+        return obj[key] if read is None else read(obj[key], *args)
+    except SchemaError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _choice(x, options):
+    if x not in options:
+        raise ValueError(f"expected one of {', '.join(options)}, got {x!r}")
+    return x
+
+
+def _size(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)) \
+            or not 1 <= x <= MAX_DIM or x != int(x):
+        raise ValueError(f"expected an integer in 1..{MAX_DIM}, got {x!r}")
+    return int(x)
+
+
+def _real(x):
+    """A finite JSON number as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    value = float(x)
     if not np.isfinite(value):
-        raise SchemaError(f"non-finite numeric entry {x!r}")
+        raise ValueError(f"non-finite numeric entry {x!r}")
     return value
 
 
-def _decode_grid(data):
-    grid = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise SchemaError("non-finite time value")
-    return grid
+def _decode_entry(x):
+    """A number, or an [re, im] pair as a complex number when im is not 0."""
+    if isinstance(x, list) and len(x) == 2:
+        re, im = _real(x[0]), _real(x[1])
+        return complex(re, im) if im else re
+    return _real(x)
+
+
+def _decode_reals(data, count=None):
+    """A JSON list of finite numbers, count of them if given, as a float array."""
+    if not isinstance(data, list) or count not in (None, len(data)):
+        size = f"{count} " if count else ""
+        raise ValueError(f"expected a list of {size}numbers, got {data!r}")
+    return np.array([_real(t) for t in data], dtype=float)
 
 
 def _decode_array(data, ndim):
@@ -127,13 +119,10 @@ def _decode_array(data, ndim):
         if depth == 0:
             return _decode_entry(x)
         if not isinstance(x, list):
-            raise SchemaError(f"expected a list of numeric entries, got {x!r}")
+            raise ValueError(f"expected a list of numeric entries, got {x!r}")
         return [entries(y, depth - 1) for y in x]
 
-    arr = np.array(entries(data, ndim))
-    if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) == 0.0:
-        arr = arr.real
-    return arr
+    return np.array(entries(data, ndim))
 
 
 def _encode_entry(x):
@@ -149,19 +138,24 @@ def _encode_array(a):
     return entries(np.asarray(a).tolist())
 
 
-def decode_function(doc, cls, domain):
-    """A ScalarFunction, VectorFunction or MatrixFunction (cls) from its document."""
-    kind = doc["kind"]
+def decode_function(doc, cls, domain, where=ROOT):
+    """A ScalarFunction, VectorFunction or MatrixFunction (cls) from the function
+    document doc at path where."""
+    _object(doc, where)
+    kind = _member(doc, "kind", where)
     if kind == CONSTANT and cls.ndim:
-        return cls.constant(_decode_array(doc["m"], cls.ndim), domain)
+        return cls.constant(_member(doc, "m", where, _decode_array, cls.ndim), domain)
     if kind not in cls.KINDS:
-        raise SchemaError(f"unknown {cls.NAME} kind {kind}")
+        raise SchemaError(f"{where}: unknown {cls.NAME} kind {kind}")
     if kind == POLYNOMIAL:
-        return cls.polynomial(_decode_array(doc["coeffs"], cls.ndim + 1), domain)
+        return cls.polynomial(_member(doc, "coeffs", where, _decode_array, cls.ndim + 1),
+                              domain)
     if kind == CONJ_EXP:
-        return cls.conj_exp(_decode_entry(doc["epsilon"]), _decode_array(doc["upsilon"], 2),
-                            _decode_array(doc["w"], 2), domain)
-    return cls.sampled(_decode_grid(doc["t"]), _decode_array(doc["values"], cls.ndim + 1))
+        return cls.conj_exp(_member(doc, "epsilon", where, _decode_entry),
+                            _member(doc, "upsilon", where, _decode_array, 2),
+                            _member(doc, "w", where, _decode_array, 2), domain)
+    return cls.sampled(_member(doc, "t", where, _decode_reals),
+                       _member(doc, "values", where, _decode_array, cls.ndim + 1))
 
 
 def encode_function(fun):
@@ -181,98 +175,99 @@ def encode_function(fun):
 encode_matrix_function = encode_vector_function = encode_scalar_function = encode_function
 
 
-def _read_json(path: str):
-    """The JSON document in the file at path; unreadable input is a SchemaError."""
+def _load(path: str, decode, *args):
+    """decode(doc, *args) for the JSON document doc in the file at path; a file
+    that cannot be read or decoded is a SchemaError that names it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, OSError) as exc:
+    # RecursionError: arrays nested too deep for the parser
+    except (ValueError, OSError, RecursionError) as exc:
         raise SchemaError(f"{path}: unreadable: {exc}") from exc
+    try:
+        return decode(doc, *args)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_system(path: str, cfg: ToleranceConfig) -> SystemDescriptor:
-    return system_from_document(_read_json(path), cfg, origin=path)
+    return _load(path, system_from_document, cfg)
 
 
-def system_from_document(doc, cfg: ToleranceConfig, origin="<doc>") -> SystemDescriptor:
+def system_from_document(doc, cfg: ToleranceConfig) -> SystemDescriptor:
+    """The system of a system document: n, field, class, domain and the
+    coefficient members its class takes."""
+    _object(doc, ROOT)
+    n = _member(doc, "n", ROOT, _size)
+    fld = Field(_member(doc, "field", ROOT, _choice, tuple(f.value for f in Field)))
+    cls = _member(doc, "class", ROOT, _choice, tuple(CLASS_MEMBERS))
+    domain = tuple(_member(doc, "domain", ROOT, _decode_reals, 2))
+    funs = {}
+    for key in ("A", "B", "f", "V"):
+        if key not in CLASS_MEMBERS[cls]:
+            if key in doc:
+                raise SchemaError(f"{key}: class {cls} takes "
+                                  f"{', '.join(CLASS_MEMBERS[cls])}, not {key}")
+            continue
+        fun = _member(doc, key, ROOT, decode_function,
+                      VectorFunction if key == "f" else MatrixFunction, domain, key,
+                      required=key != "f")
+        if fld is Field.REAL and fun is not None and fun.field is Field.COMPLEX:
+            raise SchemaError(f"{key}: complex entries under field real")
+        funs[key] = fun
+    if cls == BARL and funs["f"] is None:
+        funs["f"] = VectorFunction.zero(n, domain)
+    # the class's own rules, such as a traceless V for Ldoubleprime
     try:
-        _validate(_SYSTEM_VALIDATOR, doc)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"{origin}: schema violation at {path}: "
-                          f"{exc.message}") from exc
-    n = int(doc["n"])
-    fld = Field(doc["field"])
-    domain = tuple(_decode_grid(doc["domain"]))
-    cls = doc["class"]
-    try:
-        if cls in (LPRIME, LDOUBLEPRIME):
-            if "V" not in doc:
-                raise SchemaError(f"{origin}: class {cls} needs V")
-            v_fun = decode_function(doc["V"], MatrixFunction, domain)
-            return SystemDescriptor(cls, n, fld, domain, V=v_fun, cfg=cfg)
-        if "A" not in doc or "B" not in doc:
-            raise SchemaError(f"{origin}: class {cls} needs A and B")
-        a_fun = decode_function(doc["A"], MatrixFunction, domain)
-        b_fun = decode_function(doc["B"], MatrixFunction, domain)
-        f_fun = decode_function(doc["f"], VectorFunction, domain) if "f" in doc else None
-        if cls == BARL:
-            return SystemDescriptor(BARL, n, fld, domain, A=a_fun, B=b_fun,
-                                    f=f_fun or VectorFunction.zero(n, domain),
-                                    cfg=cfg)
-        return SystemDescriptor(HOMOGENEOUS, n, fld, domain, A=a_fun, B=b_fun,
-                                cfg=cfg)
-    except (RepresentationError, FieldError, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"{origin}: {exc}") from exc
+        return SystemDescriptor(cls, n, fld, domain, cfg=cfg, **funs)
+    except (ValueError, GaugeError) as exc:
+        raise SchemaError(f"{ROOT}: {exc}") from exc
 
 
 def system_to_document(sys: SystemDescriptor):
     doc = {"n": sys.n, "field": sys.field.value, "class": sys.cls,
            "domain": [sys.domain[0], sys.domain[1]]}
-    if sys.cls in (LPRIME, LDOUBLEPRIME):
-        doc["V"] = encode_function(sys.V)
-    else:
-        doc["A"] = encode_function(sys.A)
-        doc["B"] = encode_function(sys.B)
-        if sys.cls == BARL and sys.f is not None:
-            doc["f"] = encode_function(sys.f)
+    for key in CLASS_MEMBERS[sys.cls]:
+        if getattr(sys, key) is not None:
+            doc[key] = encode_function(getattr(sys, key))
     return doc
 
 
 def load_symmetries(path: str, n: int, domain):
-    """The symmetry fields in the file at path for a system of size n on domain;
-    a field that does not fit the system is a SchemaError."""
-    doc = _read_json(path)
-    try:
-        _validate(_SYMMETRY_VALIDATOR, doc)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{path}: schema violation: {exc.message}") from exc
+    return _load(path, symmetries_from_document, n, domain)
+
+
+def symmetries_from_document(doc, n: int, domain):
+    """The symmetry fields of a symmetry document for a system of size n on
+    domain; a field that does not fit the system is a SchemaError."""
+    if not isinstance(doc, list):
+        raise SchemaError(f"{ROOT}: expected a list of symmetry fields, "
+                          f"got {type(doc).__name__}")
     out = []
-    try:
-        for i, item in enumerate(doc):
-            tau = decode_function(item["tau"], ScalarFunction, domain)
-            gamma = _decode_array(item["gamma"], 2) if "gamma" in item else None
-            chi = decode_function(item["chi"], VectorFunction, domain) if "chi" in item else None
-            if gamma is not None and gamma.shape != (n, n):
-                raise SchemaError(f"symmetry {i}: gamma has shape {gamma.shape}, "
-                                  f"but the system has n = {n}")
-            if chi is not None and chi.n != n:
-                raise SchemaError(f"symmetry {i}: chi has size {chi.n}, "
-                                  f"but the system has n = {n}")
-            for name, fun in (("tau", tau), ("chi", chi)):
-                if fun is not None and not fun.covers(domain):
-                    raise SchemaError(
-                        f"symmetry {i}: {name} is defined on "
-                        f"[{fun.domain[0]:g}, {fun.domain[1]:g}], which does not cover "
-                        f"the domain [{domain[0]:g}, {domain[1]:g}]")
-            out.append(SymmetryVectorField(tau=tau, gamma=gamma, chi=chi))
-    except (RepresentationError, FieldError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    for i, item in enumerate(doc):
+        where = f"symmetry {i}"
+        _object(item, where)
+        tau = _member(item, "tau", where, decode_function, ScalarFunction, domain,
+                      f"{where}/tau")
+        gamma = _member(item, "gamma", where, _decode_array, 2, required=False)
+        chi = _member(item, "chi", where, decode_function, VectorFunction, domain,
+                      f"{where}/chi", required=False)
+        if gamma is not None and gamma.shape != (n, n):
+            raise SchemaError(f"{where}: gamma has shape {gamma.shape}, "
+                              f"but the system has n = {n}")
+        if chi is not None and chi.n != n:
+            raise SchemaError(f"{where}: chi has size {chi.n}, "
+                              f"but the system has n = {n}")
+        for name, fun in (("tau", tau), ("chi", chi)):
+            if fun is not None and not fun.covers(domain):
+                raise SchemaError(
+                    f"{where}: {name} is defined on "
+                    f"[{fun.domain[0]:g}, {fun.domain[1]:g}], which does not cover "
+                    f"the domain [{domain[0]:g}, {domain[1]:g}]")
+        out.append(SymmetryVectorField(tau=tau, gamma=gamma, chi=chi))
     return out
 
 

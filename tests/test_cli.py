@@ -1,12 +1,16 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symode
 from symode import cli
@@ -32,14 +36,135 @@ def barl_doc(a, b, f=(0.0, 0.0)):
     }
 
 
-def run_cli(argv, flags=()):
-    """``python flags -m symode.cli argv`` in a fresh process, with this symode on
-    its path."""
+def fresh_env():
+    """The environment of a fresh process with this symode on its path."""
     src = str(Path(symode.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_cli(argv, flags=()):
+    """``python flags -m symode.cli argv`` in a fresh process."""
     return subprocess.run([sys.executable, *flags, "-m", "symode.cli", *argv],
-                          env=env, capture_output=True, text=True)
+                          env=fresh_env(), capture_output=True, text=True)
+
+
+LP = {"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1],
+      "V": {"kind": "constant", "m": [[0.0, 1.0], [1.0, 0.0]]}}
+
+
+def lp_with_v(**v):
+    return {**LP, "V": v}
+
+
+def without(doc, key):
+    return {k: x for k, x in doc.items() if k != key}
+
+
+ZEROS = [[0.0, 0.0], [0.0, 0.0]]
+BARL = barl_doc(ZEROS, S1)
+
+# documents that break a rule of the decoder, each with the start of the
+# message that names the offending member
+MALFORMED = [
+    pytest.param([LP], "<root>: expected an object", id="top-level-list"),
+    *(pytest.param({**LP, "n": n}, "n: expected an integer in 1..8", id=f"n-{n!r}")
+      for n in ("2", 2.5, True, 0, 9)),
+    pytest.param({**LP, "field": "reals"}, "field: expected one of", id="field"),
+    pytest.param({**LP, "class": "M"}, "class: expected one of", id="class"),
+    pytest.param(without(LP, "domain"), "domain: required member missing", id="no-domain"),
+    pytest.param({**LP, "domain": [-1, 0, 1]}, "domain: expected a list of 2 numbers",
+                 id="domain-3"),
+    pytest.param({**LP, "domain": "[-1, 1]"}, "domain: expected a list of 2 numbers",
+                 id="domain-string"),
+    pytest.param({**LP, "V": ZEROS}, "V: expected an object, got list", id="V-list"),
+    pytest.param(lp_with_v(kind="spline", m=ZEROS), "V: unknown matrix kind spline",
+                 id="unknown-kind"),
+    pytest.param(lp_with_v(m=ZEROS), "V/kind: required member missing", id="no-kind"),
+    pytest.param(lp_with_v(kind="constant"), "V/m: required member missing", id="no-m"),
+    pytest.param(lp_with_v(kind="sampled", values=[ZEROS, ZEROS]),
+                 "V/t: required member missing", id="no-t"),
+    pytest.param(lp_with_v(kind="sampled", t=[-1, 1]), "V/values: required member missing",
+                 id="no-values"),
+    pytest.param(lp_with_v(kind="constant", m=[[0.0, 1.0], [1.0]]), "V/m: ",
+                 id="ragged"),
+    pytest.param(lp_with_v(kind="constant", m=[[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]),
+                 "V: a matrix function cannot take values of shape (2, 3)", id="non-square"),
+    pytest.param(lp_with_v(kind="polynomial", coeffs=[]), "V: ", id="empty-coeffs"),
+    pytest.param(lp_with_v(kind="sampled", t=[0.0], values=[ZEROS]), "V: ",
+                 id="one-point-grid"),
+    pytest.param(lp_with_v(kind="sampled", t=[1.0, 0.0, -1.0], values=[ZEROS] * 3), "V: ",
+                 id="descending-grid"),
+    pytest.param(lp_with_v(kind="sampled", t=[-1.0, True], values=[ZEROS] * 2),
+                 "V/t: expected a number, got True", id="bool-time"),
+    pytest.param(lp_with_v(kind="conj_exp", epsilon=[1.0, 2.0, 3.0], upsilon=ZEROS,
+                           w=ZEROS), "V/epsilon: expected a number", id="epsilon-3"),
+    pytest.param(lp_with_v(kind="conj_exp", epsilon=0.0, upsilon=ZEROS),
+                 "V/w: required member missing", id="no-w"),
+    pytest.param(without(BARL, "B"), "B: required member missing", id="no-B"),
+    # real-field documents refuse complex entries
+    pytest.param(lp_with_v(kind="constant", m=[[[0, 1], 1], [0, 0]]),
+                 "V: complex entries under field real", id="complex-under-real"),
+    pytest.param(lp_with_v(kind="conj_exp", epsilon=[0.0, 1.0], upsilon=ZEROS, w=ZEROS),
+                 "V: complex entries under field real", id="complex-epsilon-under-real"),
+    # a class that contradicts its data
+    pytest.param({**LP, "class": "Ldoubleprime", "V": {"kind": "constant",
+                                                      "m": [[1.0, 1.0], [0.0, 0.0]]}},
+                 "<root>: Ldoubleprime requires traceless V", id="Ldoubleprime-trace"),
+    # each class names its coefficient members
+    pytest.param({**BARL, "class": "L"}, "f: class L takes A, B, not f", id="f-on-L"),
+    pytest.param({**without(BARL, "f"), "class": "L", "V": LP["V"]},
+                 "V: class L takes A, B, not V", id="V-on-L"),
+    pytest.param({**BARL, "V": LP["V"]}, "V: class barL takes A, B, f, not V",
+                 id="V-on-barL"),
+    pytest.param({**LP, "A": LP["V"]}, "A: class Lprime takes V, not A", id="A-on-Lprime"),
+    pytest.param({**LP, "class": "Ldoubleprime", "B": LP["V"]},
+                 "B: class Ldoubleprime takes V, not B", id="B-on-Ldoubleprime"),
+    pytest.param({**LP, "f": BARL["f"]}, "f: class Lprime takes V, not f", id="f-on-Lprime"),
+    # an entry's fault names its member and the file
+    pytest.param(lp_with_v(kind="constant", m=3.0),
+                 "V/m: expected a list of numeric entries, got 3.0", id="m-number"),
+]
+
+
+def _paths(doc, prefix=()):
+    """The path of every member and list item inside the JSON value doc."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+VALID = [
+    LP,
+    BARL,
+    lp_with_v(kind="sampled", t=GRID, values=[[[0.0, 1.0], [t, 0.0]] for t in GRID]),
+    lp_with_v(kind="conj_exp", epsilon=0.0, upsilon=[[1.0, 0.0], [0.0, -1.0]],
+              w=[[0.0, 1.0], [1.0, 0.0]]),
+    {**LP, "class": "Ldoubleprime",
+     "V": {"kind": "polynomial", "coeffs": [[[0.0, 1.0], [1.0, 0.0]], S1.tolist()]}},
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one member dropped, retyped, made non-finite or
+    reversed."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID)))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent, key = reduce(getitem, path[:-1], doc), path[-1]
+    change = draw(st.sampled_from(["drop", "retype", "non-finite", "reverse"]))
+    if change == "drop":
+        del parent[key]
+    elif change == "retype":
+        parent[key] = draw(st.sampled_from(["1", True, None, {}, [], 2.5, [[1.0]]]))
+    elif change == "non-finite":
+        parent[key] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    elif isinstance(parent[key], list):
+        parent[key] = parent[key][::-1]
+    return doc
 
 
 @pytest.fixture
@@ -60,25 +185,51 @@ class TestSchema:
         assert main(["classify", str(path)]) == EXIT_SCHEMA
         assert "schema" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("schema", [cli.SYSTEM_SCHEMA, cli.SYMMETRY_SCHEMA])
-    def test_schemas_are_valid_2020_12(self, schema):
-        jsonschema.Draft202012Validator.check_schema(schema)
-
-    @pytest.mark.parametrize("validator, doc", [
-        (cli._SYSTEM_VALIDATOR, {"n": 2, "field": "real"}),
-        (cli._SYSTEM_VALIDATOR, {"n": 9, "field": "real", "class": "L", "domain": [0, 1]}),
-        (cli._SYSTEM_VALIDATOR, {"n": 2, "field": "real", "class": "Lprime",
-                                 "domain": [-1, 1], "V": {"kind": "sampled", "t": [0]}}),
-        (cli._SYMMETRY_VALIDATOR, [{"gamma": [[1, 0], [0, 1]]}]),
-        (cli._SYMMETRY_VALIDATOR, {"tau": {"kind": "constant", "m": 1}}),
+    @pytest.mark.parametrize("system, symmetries, says", [
+        pytest.param({"n": 2, "field": "real"}, None, "class: required member missing",
+                     id="no-class"),
+        pytest.param({"n": 9, "field": "real", "class": "L", "domain": [0, 1]}, None,
+                     "n: expected an integer in 1..8, got 9", id="n-9"),
+        pytest.param({"n": 2, "field": "real", "class": "Lprime", "domain": [-1, 1],
+                      "V": {"kind": "sampled", "t": [0]}}, None,
+                     "V/values: required member missing", id="no-values"),
+        pytest.param(None, [{"gamma": [[1, 0], [0, 1]]}],
+                     "symmetry 0/tau: required member missing", id="symmetry-no-tau"),
+        pytest.param(None, {"tau": {"kind": "constant", "m": 1}},
+                     "<root>: expected a list of symmetry fields, got dict",
+                     id="symmetries-object"),
     ])
-    def test_prebuilt_validator_raises_what_validate_raises(self, validator, doc):
-        with pytest.raises(jsonschema.ValidationError) as ours:
-            cli._validate(validator, doc)
-        with pytest.raises(jsonschema.ValidationError) as theirs:
-            jsonschema.validate(doc, validator.schema)
-        assert ours.value.message == theirs.value.message
-        assert list(ours.value.absolute_path) == list(theirs.value.absolute_path)
+    def test_document_fault_names_file_and_member(self, case7_doc, tmp_path, capsys,
+                                                  system, symmetries, says):
+        if system is not None:
+            path = write(tmp_path, "system.json", system)
+            argv = ["classify", path]
+        else:
+            path = write(tmp_path, "syms.json", symmetries)
+            argv = ["integrate", case7_doc, "--symmetries", path]
+        assert main(argv) == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"schema error: {path}: {says}\n"
+
+    @pytest.mark.parametrize("doc, says", MALFORMED)
+    def test_malformed_document_exit2(self, tmp_path, capsys, doc, says):
+        path = write(tmp_path, "bad.json", doc)
+        assert main(["classify", path]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {path}: {says}"), err
+        assert len(err.splitlines()) == 1
+
+    def test_malformed_document_no_traceback(self, tmp_path):
+        run = run_cli(["gauge", write(tmp_path, "bad.json", {**LP, "n": True}),
+                       "--target", "a0"])
+        assert run.returncode == EXIT_SCHEMA
+        assert run.stderr.startswith("schema error: ") and "Traceback" not in run.stderr
+
+    @given(doc=mutated_documents())
+    def test_mutated_document_ends_in_an_exit_code(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("mutated") / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) in (EXIT_OK, EXIT_SCHEMA, EXIT_INAPPLICABLE,
+                                                 EXIT_NUMERICAL)
 
     @pytest.mark.parametrize("name, says", [("bom.json", "'utf-8' codec"),
                                             (".", "Is a directory"),
@@ -88,6 +239,13 @@ class TestSchema:
         assert main(["classify", str(tmp_path / name)]) == EXIT_SCHEMA
         err = capsys.readouterr().err
         assert err.startswith("schema error") and says in err
+
+    def test_deeply_nested_json_exit2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["classify", str(path)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {path}: unreadable: ") and "recursion" in err
 
     def test_unreadable_symmetries_exit2(self, case7_doc, tmp_path, capsys):
         assert main(["integrate", case7_doc, "--symmetries", str(tmp_path)]) == EXIT_SCHEMA
@@ -632,9 +790,6 @@ def test_import_loads_no_scipy():
     """Importing the library and its CLI, a conj_exp classification, a
     structured similarity test and an integration of a casebook row load no
     scipy module."""
-    src = str(Path(symode.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, symode, symode.cli\n"
             "from symode import casebook, classify, integrate_auto, similar_structured\n"
             "case = {c.label: c for c in casebook.n2_cases()}['4']\n"
@@ -643,6 +798,14 @@ def test_import_loads_no_scipy():
             "similar_structured((v.upsilon, v.w), (v.upsilon, v.w))\n"
             "integrate_auto(case.system, case.symmetries)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_jsonschema():
+    """The CLI validates documents itself; importing it loads no jsonschema."""
+    code = "import sys, symode.cli\nprint('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
