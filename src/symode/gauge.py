@@ -29,7 +29,11 @@ Schwarzian pair and the trajectories of verify_equivalence) are tabulated
 once on the grid and its step midpoints and solved by
 ``numutil.rk4_linear``, which builds every RK4 step as an affine map and
 composes the maps blockwise in about 2 sqrt(N) stacked matmuls per sweep,
-several initial states at a time as matrix columns.
+several initial states at a time as matrix columns.  Each solve runs in the
+dtype of its coefficients, not of the system's field: the field sets the Lie
+algebra, the data sets the arithmetic, so real coefficients of a complex-field
+system integrate in real arithmetic.  Only ``verify_equivalence`` reads the
+field's dtype, to draw complex initial data for a complex field.
 """
 
 from __future__ import annotations
@@ -419,28 +423,29 @@ def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
                                         "initial data at the left endpoint")
 
 
-def right_fundamental(m, grid, dtype):
-    """H with H_t = H M(t) and H = E at the grid midpoint.
+def right_fundamental(m, grid):
+    """H with H_t = H M(t) and H = E at the grid midpoint, in M's dtype.
 
     M is tabulated on the half-step points of ``grid`` (see ``rk4_linear``);
     the solve runs on the transpose, (H^T)_t = M^T H^T.
     """
-    y = rk4_linear(np.swapaxes(m, 1, 2), np.eye(m.shape[1], dtype=dtype), grid,
-                   len(grid) // 2)
+    y = rk4_linear(np.swapaxes(m, 1, 2), np.eye(m.shape[1]), grid, len(grid) // 2)
     return np.swapaxes(y, 1, 2)
 
 
-def half_a_fundamental(a_fun: MatrixFunction, grid, dtype):
+def half_a_fundamental(a_fun: MatrixFunction, grid):
     """H with H_t = -(1/2) H A on the uniform ``grid``, H(t0) = E at its middle,
-    with the factory of exp(-t A/2) (None on the RK4 route) and a note naming
-    the route: exp(-(t - t0) A/2) for a degree-0 A, else ``right_fundamental``."""
+    in A's dtype, with the factory of exp(-t A/2) (None on the RK4 route), a
+    note naming the route, and A on the grid (None on the closed route):
+    exp(-(t - t0) A/2) for a degree-0 A, else ``right_fundamental`` of A
+    evaluated once on the half-step points."""
     t0 = 0.5 * (grid[0] + grid[-1])
     if a_fun.degree() == 0:
         ef = linalg.exp_factory(-0.5 * a_fun.value)
-        return ef(grid - t0), ef, "closed-form exp(-(t-t0) A/2)"
-    half = uniform_grid(grid[0], grid[-1], 2 * (len(grid) - 1))
-    hs = right_fundamental(-0.5 * a_fun.evaluate(half), grid, dtype)
-    return hs, None, "fundamental solve of H_t = -H A/2"
+        return ef(grid - t0), ef, "closed-form exp(-(t-t0) A/2)", None
+    a_half = a_fun.evaluate(uniform_grid(grid[0], grid[-1], 2 * (len(grid) - 1)))
+    hs = right_fundamental(-0.5 * a_half, grid)
+    return hs, None, "fundamental solve of H_t = -H A/2", a_half[::2]
 
 
 def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:
@@ -465,7 +470,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
         out = SystemDescriptor(LPRIME, n, sys.field, sys.domain, V=sys.B, cfg=cfg)
         return TransformedSystem(out, EquivalenceTransform.identity(n, sys.domain),
                                  provenance="A = 0 already; identity transform")
-    hs, ef, note = half_a_fundamental(sys.A, grid, sys.field.dtype)
+    hs, ef, note, _ = half_a_fundamental(sys.A, grid)
     if ef is None:
         _require_invertible(hs, grid, cfg, "during the A-gauge solve")
     crit = sys.criterion

@@ -26,6 +26,12 @@ solve is a linear ODE whose coefficients are tabulated once on the grid and
 its step midpoints and handed to ``numutil.rk4_linear``, which composes them
 as blocked affine RK4 maps; right-multiplied equations such as
 tau H_t = -H eta run on the transpose (``gauge.right_fundamental``).
+
+The field sets the Lie algebra and the dtype of the results; the data sets
+the arithmetic.  Every solve runs in the dtype of its coefficients and
+symmetry data, so real data integrates in float64 in either field, and a
+procedure casts positions, velocities and particular to the field's dtype
+once, where it returns them (``SolutionSet.in_field``).
 """
 
 from __future__ import annotations
@@ -89,6 +95,26 @@ class SolutionSet:
     def min_abs_wronskian(self) -> float:
         return float(min(abs(self.wronskian(i)) for i in range(0, len(self.grid),
                                                                max(1, len(self.grid) // 32))))
+
+    def in_field(self, fld: Field) -> SolutionSet:
+        """This set with positions, velocities and particular in the field's
+        dtype.  A real field takes the real part of complex arrays whose
+        imaginary part is rounding, at most 1e-7 max(1, max |x|)."""
+        def cast(x):
+            if x is None or x.dtype == fld.dtype:
+                return x
+            if fld is Field.REAL:
+                imag = float(np.max(np.abs(x.imag)))
+                if imag > 1e-7 * max(1.0, float(np.max(np.abs(x)))):
+                    raise IntegrationError(f"solutions of a real-field system have "
+                                           f"imaginary parts up to {imag:.3g}: complex "
+                                           "coefficients or symmetry data")
+                x = x.real
+            return x.astype(fld.dtype)
+
+        self.positions, self.velocities = cast(self.positions), cast(self.velocities)
+        self.particular = cast(self.particular)
+        return self
 
 
 def residual(sys: SystemDescriptor, sol, grid) -> float:
@@ -182,7 +208,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     half = uniform_grid(lo, hi, 2 * grid_steps)
     grid = half[::2]
     a_fun, _, f_fun = sys.coefficients()
-    mmat_t, _, route = half_a_fundamental(a_fun, grid, sys.field.dtype)
+    mmat_t, _, route, a_grid = half_a_fundamental(a_fun, grid)
     u = np.real(np.trace(sys.criterion.evaluate(half), axis1=1, axis2=2)) / n
     run = schwarzian_time_map(u, grid)
     if run is None:
@@ -198,7 +224,8 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     # two quadrature layers on the reparametrized time grid
     g1 = cumulative_integral(tvals, ft_vals)
     gvals = cumulative_integral(tvals, g1)
-    hinv_dot = 0.5 * (a_fun.evaluate(sub) @ hinv) - (0.5 * t2 / t1)[:, None, None] * hinv
+    a_sub = a_fun.evaluate(sub) if a_grid is None else a_grid[sel]
+    hinv_dot = 0.5 * (a_sub @ hinv) - (0.5 * t2 / t1)[:, None, None] * hinv
     # x~ columns: e_j and T e_j; pull back through x = H^-1 x~(T)
     tc = tvals[:, None, None]
     positions = np.concatenate([hinv, hinv * tc], axis=2)
@@ -214,7 +241,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
                            notes=["reduced to the free particle by the combined "
                                   "A-gauge and trace gauge", route])
     return SolutionSet(grid=sub, positions=positions, velocities=velocities,
-                       particular=particular, quadratures=quad, plan=plan)
+                       particular=particular, quadratures=quad, plan=plan).in_field(sys.field)
 
 
 def _straightening_start(sys: SystemDescriptor, fields, grid_steps: int):
@@ -253,11 +280,10 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     i0 = len(grid) // 2
     if q.tau.degree() == 0 and eta_fun.degree() == 0:
         gen = -eta_fun.value / tau[i0]
-        hvals = linalg.exp_factory(gen.astype(np.result_type(gen, sys.field.dtype)))(
-            grid - grid[i0])
+        hvals = linalg.exp_factory(gen)(grid - grid[i0])
         route = "closed-form H = exp(-(t-t0) eta/tau)"
     else:
-        hvals = right_fundamental(-eta_half / tau_half[:, None, None], grid, sys.field.dtype)
+        hvals = right_fundamental(-eta_half / tau_half[:, None, None], grid)
         route = "fundamental solve of tau H_t = -H eta"
     tmap = cumulative_integral(grid, 1.0 / tau)
     tmap = tmap - tmap[i0]
@@ -269,7 +295,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
                                   f"A~ = {np.array2string(abar, precision=4)}",
                                   f"B~ = {np.array2string(bbar, precision=4)}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
-                       particular=None, quadratures=1, plan=plan)
+                       particular=None, quadratures=1, plan=plan).in_field(sys.field)
 
 
 def _coefficients_on(a_fun, b_fun, grid):
@@ -391,8 +417,9 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
             1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(charpolys)))):
         raise IntegrationError("similarity invariants of zeta drift across the "
                                "grid; numerical failure")
-    # complex eigenvalue pairs of a real system keep the complex modal
-    # construction; the pulled-back solutions realify pairwise at the end
+    # zeta with a real spectrum gives a real modal matrix; a nonreal pair
+    # keeps the complex construction, and a real field realifies the
+    # pulled-back solutions at the end
     lam, modal, chains = linalg.jordan_form(zeta[i0], cfg)
     hhat = np.linalg.inv(modal)
     eta_check_half = hhat @ ex_half @ modal
@@ -411,16 +438,19 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     # the blocks: one solve with the off-block part of eta_check left out
     tau_half = np.real(tau_x_half)
     hcheck = right_fundamental(-np.where(blocks, eta_check_half, 0.0)
-                               / tau_half[:, None, None], grid, complex)
+                               / tau_half[:, None, None], grid)
     hvals = hcheck @ hhat
     tau = tau_half[::2]
     # H = Hcheck Hhat solves tau H_t = -H eta1
     positions, velocities, _, _ = _straighten(
         cfg.residual_tol, a_grid, b_grid, tau, np.real(_combine(aco, dt1, bco, dt2)),
         hvals, ex, _combine(aco, deta1, bco, deta2), tmap)
-    if sys.field is Field.REAL and np.max(np.abs(positions.imag)) < 1e-7:
-        positions = positions.real
-        velocities = velocities.real
+    if sys.field is Field.REAL and np.iscomplexobj(modal):
+        # x~ is the real straightened system's companion exponential
+        # conjugated by D = diag(Hhat, Hhat), since H(t0) = Hhat; mixing the
+        # columns by D gives the real fundamental solutions
+        mix = np.kron(np.eye(2), hhat)
+        positions, velocities = positions @ mix, velocities @ mix
     # quadrature accounting from the Jordan structure of Lam: its clusters are
     # distinct eigenvalues, so divisors repeat iff a cluster repeats a length
     quad = sum(sum(lengths) + len(lengths) - 1 for lengths in chains)
@@ -433,7 +463,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                            notes=[f"Lam eigenvalues {np.round(np.diag(lam), 6)}",
                                   f"blocks {sizes}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
-                       particular=None, quadratures=quad, plan=plan)
+                       particular=None, quadratures=quad, plan=plan).in_field(sys.field)
 
 
 def _combine(a, x1, b, x2):
@@ -479,4 +509,4 @@ def integrate_auto(sys: SystemDescriptor, symmetries=(),
     if particular_fun is not None:
         sol.particular = -particular_fun.evaluate(sol.grid)
     sol.plan.notes.extend(prov)
-    return sol
+    return sol.in_field(sys.field)

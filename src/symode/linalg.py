@@ -15,6 +15,13 @@ Weyr characteristic of the zero eigenvalue (``staircase``), and per
 eigenvalue cluster of m the generalized eigenspace, Weyr characteristic and
 Jordan chains of m - mu E (``eig_clustered``, ``jordan_form``,
 ``hat_check_split``).  No power of a matrix is formed.
+
+The arithmetic follows the data: a real matrix is factored in real
+arithmetic wherever its spectrum allows.  Its eigenvalues are computed once in
+complex (the clustering decisions), but a cluster on the real axis takes its
+flag and chains from the real m - mu E, so ``jordan_form`` of a real matrix
+with a real spectrum returns real J and S, and ``exp_factory`` of a real
+matrix is real.
 """
 
 from __future__ import annotations
@@ -223,6 +230,8 @@ def centralizer_basis(mats, restrict_traceless: bool = False, n: int | None = No
 
 @dataclass
 class EigCluster:
+    # the mean of the cluster's computed eigenvalues; a real m gives the float
+    # real part for a cluster that is not promoted, whose flag is then real
     value: complex
     multiplicity: int
     # n x multiplicity, the staircase flag of m - value E: the first
@@ -279,14 +288,15 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
     (u cond)^(1/k).  A group of every eigenvalue that the staircase disputes
     raises ``LinalgError``.  Clusters are ordered by real, then imaginary
     part; each basis holds the flag of kernels of m - mu E.  Nonreal clusters
-    of a real m are flagged promoted.
+    of a real m are flagged promoted; every other cluster of a real m takes
+    mu's real part and its flag from the real m - Re(mu) E, while the
+    grouping, spread and promotion are read from the complex mean mu.
     """
     m = _check_square(m)
     n = m.shape[0]
     real_input = not np.iscomplexobj(m)
-    mc = m.astype(np.complex128)
     try:
-        vals = np.linalg.eigvals(mc)
+        vals = np.linalg.eigvals(m.astype(np.complex128))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR iteration cap
         raise LinalgError(f"eigenvalue iteration failed to converge: {exc}") from exc
     threshold = _eig_cut(m, cfg)
@@ -294,13 +304,14 @@ def eig_clustered(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
 
     def accept(group):
         mu = complex(np.mean(vals[group]))
-        weyr, q = _flag(mc - mu * np.eye(n), threshold)
+        promoted = real_input and cut([abs(mu.imag)], threshold).rank == 1
+        value = mu.real if real_input and not promoted else mu
+        weyr, q = _flag(m - value * np.eye(n), threshold)
         spread = float(np.max(np.abs(vals[group] - mu)))
         isolated = 2.0 * spread < np.min(np.abs(np.delete(vals, group) - mu), initial=np.inf)
         if sum(weyr) != len(group) or not isolated:
             return None
-        return EigCluster(mu, len(group), q[:, :len(group)], tuple(weyr),
-                          promoted=real_input and cut([abs(mu.imag)], threshold).rank == 1)
+        return EigCluster(value, len(group), q[:, :len(group)], tuple(weyr), promoted)
 
     groups = [([i], accept([i])) for i in range(n)]
     while any(c is None for _, c in groups):
@@ -364,17 +375,17 @@ def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
     away from the height-j vectors of the longer chains, so that step j - 1,
     the longer chains and the new tops are independent, and each chain
     descends from its top by a.  chains holds, per cluster in J's order, the
-    lengths of its Jordan blocks, longest first.
+    lengths of its Jordan blocks, longest first.  J and S are real when m is
+    real and no cluster is promoted (a real spectrum), else complex.
     """
     m = _check_square(m)
     n = m.shape[0]
-    mc = m.astype(np.complex128)
     cols = []
     diag = []  # J's diagonal: each column's eigenvalue
     links = []  # J's superdiagonal: 1 where the next column continues the chain
     lengths = []
     for c in eig_clustered(m, cfg):
-        a = mc - c.value * np.eye(n)
+        a = m - c.value * np.eye(n)
         steps = np.cumsum((0,) + c.weyr)
         chains = []  # eigenvector first, so chain[j - 1] is its height-j vector
         for j in range(len(c.weyr), 0, -1):
@@ -393,7 +404,7 @@ def jordan_form(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL):
             links.extend([1.0] * (len(chain) - 1) + [0.0])
         lengths.append([len(chain) for chain in chains])
     s = np.stack(cols, axis=1)
-    j = np.diag(np.array(diag, dtype=np.complex128))
+    j = np.diag(np.array(diag, dtype=s.dtype))
     j += np.diag(links[:-1], 1)
     return j, s, lengths
 

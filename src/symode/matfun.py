@@ -214,8 +214,6 @@ class _TimeFunction:
         else:
             self.grid = np.asarray(grid, dtype=float)
             self.values = np.asarray(values)
-            if len(self.grid) < 2 or np.any(np.diff(self.grid) <= 0):
-                raise RepresentationError("sampled grid must be strictly ascending, >= 2 points")
             if self.values.shape[:1] != self.grid.shape:
                 raise RepresentationError("grid/values length mismatch")
             self._set_shape(self.values.shape[1:])
@@ -238,6 +236,9 @@ class _TimeFunction:
     @classmethod
     def sampled(cls, grid, values, note=""):
         grid = np.asarray(grid, dtype=float)
+        # checked before the grid's ends become the domain
+        if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
+            raise RepresentationError("sampled grid must be strictly ascending, >= 2 points")
         return cls(SAMPLED, (grid[0], grid[-1]), grid=grid, values=values, note=note)
 
     @classmethod

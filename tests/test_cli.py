@@ -218,6 +218,14 @@ class TestSchema:
         assert err.startswith(f"schema error: {path}: {says}"), err
         assert len(err.splitlines()) == 1
 
+    def test_descending_grid_names_the_order(self, tmp_path, capsys):
+        # the grid's order is checked before its ends are read as the domain
+        path = write(tmp_path, "bad.json",
+                     lp_with_v(kind="sampled", t=[1, 0, -1], values=[ZEROS] * 3))
+        assert main(["classify", path]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == (f"schema error: {path}: V: sampled grid must be "
+                                           "strictly ascending, >= 2 points\n")
+
     def test_malformed_document_no_traceback(self, tmp_path):
         run = run_cli(["gauge", write(tmp_path, "bad.json", {**LP, "n": True}),
                        "--target", "a0"])

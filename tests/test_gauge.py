@@ -233,10 +233,15 @@ class TestGaugeAZero:
                  else MatrixFunction.polynomial([a, 0.5 * a.T], DOM))
         ts = gauge_A_zero(homog(a_fun, MatrixFunction.constant(S1, DOM)))
         grid = uniform_grid(*DOM, 1024)
-        hs, ef, note = gauge.half_a_fundamental(a_fun, grid, float)
+        hs, ef, note, a_grid = gauge.half_a_fundamental(a_fun, grid)
         assert (ef is not None) is constant
         assert ts.transform.H.note == note
         np.testing.assert_array_equal(ts.transform.H.evaluate(grid), hs)
+        # the RK4 route hands on A at the grid nodes, bit for bit
+        if constant:
+            assert a_grid is None
+        else:
+            np.testing.assert_array_equal(a_grid, a_fun.evaluate(grid))
 
     def test_textbook_shape(self):
         sys_in = homog(MatrixFunction.constant(-2 * S2, DOM),

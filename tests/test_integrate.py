@@ -730,3 +730,155 @@ class TestRichardson:
                           -omega * np.sin(omega * (fine_grid + 1.0))], axis=1)
         true_fine_err = float(np.max(np.abs(fine - exact)))
         assert 0.2 * true_fine_err < est < 5.0 * true_fine_err
+
+
+def _stored_complex(fun):
+    """The same function with its data stored as complex128."""
+    cast = (MatrixFunction if fun.ndim == 2 else VectorFunction)
+    if fun.kind == "conj_exp":
+        return cast.conj_exp(complex(fun.epsilon), fun.upsilon.astype(complex),
+                             fun.w.astype(complex), fun.domain)
+    return cast.polynomial(fun.coeffs.astype(complex), fun.domain)
+
+
+def _casebook_row(label, forced, stored_complex=False):
+    """Casebook row ``label`` of the complex field, as x_tt = V x or, forced,
+    as x_tt = V x + f; every coefficient and Gamma stored as complex128 when
+    stored_complex is set."""
+    case = next(c for c in n2_cases(Field.COMPLEX) if c.label == label)
+    v, syms = case.system.V, case.symmetries
+    f = VectorFunction.polynomial([np.array([0.3, -0.2]), np.array([0.1, 0.4])], DOM)
+    zero = MatrixFunction.zero(2, DOM)
+    if stored_complex:
+        v, f, zero = _stored_complex(v), _stored_complex(f), _stored_complex(zero)
+        syms = [SymmetryVectorField(tau=q.tau, gamma=np.asarray(q.gamma, dtype=complex))
+                for q in syms]
+    sys_in = (SystemDescriptor.bar_l(zero, v, f, field=Field.COMPLEX) if forced
+              else SystemDescriptor.lprime(v, field=Field.COMPLEX))
+    return sys_in, syms
+
+
+def _singular_system(fld, stored_complex=False):
+    """x_tt = A x_t + B x + f in the singular class with a degree-1 A (the RK4
+    route of the A-gauge): B = u E + A_t / 2 - A^2 / 4."""
+    a0 = np.array([[0.2, 0.1], [-0.3, 0.1]])
+    a1 = 0.5 * a0.T
+    b = [0.6 * E2 + 0.5 * a1 - 0.25 * a0 @ a0, 0.1 * E2 - 0.25 * (a0 @ a1 + a1 @ a0),
+         -0.25 * a1 @ a1]
+    funs = [MatrixFunction.polynomial([a0, a1], DOM), MatrixFunction.polynomial(b, DOM),
+            VectorFunction.polynomial([np.array([0.3, -0.2]), np.array([0.1, 0.4])], DOM)]
+    if stored_complex:
+        funs = [_stored_complex(fun) for fun in funs]
+    return SystemDescriptor.bar_l(*funs, field=fld)
+
+
+def _transition(sol):
+    """The state transition Z(t) Z(t_mid)^-1 of a solution set, free of the
+    basis its columns are written in."""
+    z = np.concatenate([sol.positions, sol.velocities], axis=1)
+    return z @ np.linalg.inv(z[len(z) // 2])
+
+
+def _relative_gap(x, y):
+    return float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
+
+
+class TestArithmeticFollowsTheData:
+    """The field sets the dtype of the results; the coefficients and the
+    symmetry data set the arithmetic of every solve."""
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("procedure", ["singular", "one", "two"])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_results_in_the_fields_dtype(self, fld, procedure, forced):
+        if procedure == "singular":
+            sys_in, syms = _singular_system(fld), []
+            if not forced:
+                sys_in = homog(sys_in.A, sys_in.B, field=fld)
+        else:
+            case = next(c for c in n2_cases(fld) if c.label == ("3" if procedure == "one"
+                                                                 else "7"))
+            syms = case.symmetries
+            sys_in = case.system
+            if forced:
+                sys_in = SystemDescriptor.bar_l(
+                    MatrixFunction.zero(2, DOM), case.system.V,
+                    VectorFunction.constant(np.array([0.2, -0.1]), DOM), field=fld)
+        sol = integrate_auto(sys_in, syms)
+        assert sol.plan.procedure == {"singular": "Singular", "one": "OneSymmetry",
+                                      "two": "TwoSymmetry"}[procedure]
+        assert (sol.particular is not None) is forced
+        for x in (sol.positions, sol.velocities, sol.particular):
+            assert x is None or x.dtype == fld.dtype
+
+    @pytest.mark.parametrize("fld", list(Field))
+    def test_direct_procedures_in_the_fields_dtype(self, fld):
+        cases = {c.label: c for c in n2_cases(fld)}
+        sing = _singular_system(fld)
+        sols = [integrate_singular(homog(sing.A, sing.B, field=fld)),
+                integrate_one_symmetry(cases["3"].system, cases["3"].symmetries[0]),
+                integrate_two_symmetries(cases["7"].system, *cases["7"].symmetries)]
+        for sol in sols:
+            assert sol.positions.dtype == sol.velocities.dtype == fld.dtype
+            assert sol.particular is None
+
+    @pytest.mark.parametrize("label, forced", [("3", False), ("4", False), ("7", False),
+                                               ("3", True), ("7", True)])
+    def test_real_and_complex_storage_agree(self, label, forced):
+        # a complex-field row given real data, and the same row with its
+        # coefficients and Gamma stored as complex128
+        real = integrate_auto(*_casebook_row(label, forced))
+        cplx = integrate_auto(*_casebook_row(label, forced, stored_complex=True))
+        assert real.plan.h_values.dtype == np.float64
+        np.testing.assert_array_equal(real.grid, cplx.grid)
+        assert _relative_gap(_transition(real), _transition(cplx)) <= 1e-12
+        if forced:
+            assert _relative_gap(real.particular, cplx.particular) <= 1e-12
+
+    def test_singular_real_and_complex_storage_agree(self):
+        real = integrate_auto(_singular_system(Field.COMPLEX))
+        cplx = integrate_auto(_singular_system(Field.COMPLEX, stored_complex=True))
+        assert real.plan.h_values.dtype == np.float64
+        assert _relative_gap(real.positions, cplx.positions) <= 1e-12
+        assert _relative_gap(real.velocities, cplx.velocities) <= 1e-12
+        assert _relative_gap(real.particular, cplx.particular) <= 1e-12
+
+    @pytest.mark.parametrize("fld", list(Field))
+    def test_casebook_rows_solve_in_real_arithmetic(self, fld):
+        # a guard with no timing: real rows of either field keep H, the
+        # modal matrix and Lam real, so the solves ran in float64
+        rows = [c for c in n2_cases(fld) if c.symmetries]
+        assert len(rows) == (7 if fld is Field.REAL else 5)
+        for case in rows:
+            plan = integrate_auto(case.system, case.symmetries).plan
+            assert plan.h_values.dtype == np.float64, case.label
+            if plan.procedure == "TwoSymmetry":
+                assert plan.modal.dtype == plan.lam.dtype == np.float64, case.label
+
+    @pytest.mark.parametrize("fld", list(Field))
+    def test_nonreal_spectrum_of_zeta(self, fld):
+        # zeta = Gamma + E/2 has eigenvalues -1/2 +- i and 3/2 +- i, so the
+        # modal matrix is complex; the real field still returns real
+        # fundamental solutions, mixed back by diag(Hhat, Hhat)
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        gamma = np.block([[rot + E2, Z2], [Z2, rot - E2]])
+        v = np.block([[Z2, E2], [Z2, Z2]])  # [Gamma, V] = 2 V
+        sys_in = homog(MatrixFunction.zero(4, DOM), MatrixFunction.constant(v, DOM),
+                       field=fld)
+        sol = integrate_two_symmetries(
+            sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=np.zeros((4, 4))),
+            SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=gamma))
+        assert sol.plan.modal.dtype == np.complex128
+        assert sol.positions.dtype == sol.velocities.dtype == fld.dtype
+        assert column_residuals(sys_in, sol) < 1e-8
+        assert abs(np.linalg.det(sol.state_matrix(len(sol.grid) // 2))) > 0.5
+
+    def test_complex_data_under_the_real_field_refused(self):
+        # V = e^{t S1} W e^{-t S1} has the field tau = 1, Gamma = S1 for any W;
+        # a nonreal W tagged real cannot give real solutions
+        v = MatrixFunction.conj_exp(0.0, S1, (1.0 + 1.0j) * S3, DOM)
+        q = SymmetryVectorField(tau=tau_poly([1.0]), gamma=S1)
+        sol = integrate_auto(SystemDescriptor.lprime(v, field=Field.COMPLEX), [q])
+        assert column_residuals(SystemDescriptor.lprime(v, field=Field.COMPLEX), sol) < 1e-8
+        with pytest.raises(IntegrationError, match="real-field system have imaginary parts"):
+            integrate_auto(SystemDescriptor.lprime(v, field=Field.REAL), [q])

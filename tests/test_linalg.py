@@ -318,6 +318,34 @@ class TestEigAndJordan:
             assert np.linalg.norm(mn - want) <= 1e-6 * np.linalg.norm(want), seed
 
 
+class TestRealArithmetic:
+    """A real matrix is factored in real arithmetic wherever its spectrum allows."""
+
+    @pytest.mark.parametrize("blocks,diag", [([2, 1], [])] + JORDAN_FAMILIES[:7])
+    def test_real_spectrum_gives_real_jordan_form(self, blocks, diag, cfg):
+        for seed in range(10):
+            m = in_random_basis(jordan_matrix(blocks, diag), seed)
+            j, s, chains = jordan_form(m, cfg)
+            assert j.dtype == s.dtype == np.float64, seed
+            assert np.linalg.norm(s @ j @ np.linalg.inv(s) - m) <= 1e-10 * np.linalg.norm(m), seed
+            # the same chains as the factorization of the same matrix stored complex
+            assert chains == jordan_form(m.astype(complex), cfg)[2], seed
+            assert all(not c.promoted and isinstance(c.value, float)
+                       for c in eig_clustered(m, cfg)), seed
+
+    def test_nonreal_pair_stays_complex(self, cfg):
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for seed in range(10):
+            m = in_random_basis(np.block([[rot, np.zeros((2, 1))],
+                                          [np.zeros((1, 2)), np.ones((1, 1))]]), seed)
+            j, s, chains = jordan_form(m, cfg)
+            assert j.dtype == s.dtype == np.complex128, seed
+            assert chains == [[1], [1], [1]], seed
+            np.testing.assert_allclose(np.sort_complex(np.round(np.diag(j), 9)),
+                                       [-1j, 1j, 1.0], atol=1e-9)
+            assert np.linalg.norm(s @ j @ np.linalg.inv(s) - m) <= 1e-10 * np.linalg.norm(m), seed
+
+
 def jordan_matrix(blocks, diag):
     """Nilpotent Jordan blocks of the given sizes, then diag(diag)."""
     m = np.diag(np.r_[np.zeros(sum(blocks)), diag])
