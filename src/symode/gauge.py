@@ -218,10 +218,14 @@ class TransformedSystem:
 
 
 def criterion_matrix(sys: SystemDescriptor) -> MatrixFunction:
-    """B - (1/2) A_t + (1/4) A^2 for barL/L; V itself for the V-classes."""
+    """B - (1/2) A_t + (1/4) A^2 for barL/L; V itself for the V-classes, and
+    B itself when A is the zero polynomial (the forced V-class system
+    x_tt = V x + f), in whatever representation B has."""
     if sys.cls in (LPRIME, LDOUBLEPRIME):
         return sys.V
     a_fun, b_fun = sys.A, sys.B
+    if a_fun.kind == POLYNOMIAL and not np.any(a_fun.coeffs):
+        return b_fun
     if a_fun.kind == b_fun.kind == POLYNOMIAL:
         a = a_fun.coeffs
         coeffs = poly_lincomb([(1.0, b_fun.coeffs), (-0.5, poly_der(a)),

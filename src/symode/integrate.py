@@ -153,7 +153,7 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
     e1 = q1.eta_function(n, domain)
     e2 = q2.eta_function(n, domain)
     if q1.tau.kind == q2.tau.kind == e1.kind == e2.kind == POLYNOMIAL:
-        c1, c2 = q1.tau.coeffs.astype(complex), q2.tau.coeffs.astype(complex)
+        c1, c2 = q1.tau.coeffs, q2.tau.coeffs
         m1, m2 = e1.coeffs, e2.coeffs
         eta3 = poly_strip(poly_lincomb([
             (1.0, poly_mul(c1, poly_der(m2))), (-1.0, poly_mul(c2, poly_der(m1))),
@@ -386,15 +386,14 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     probes = np.linspace(sys.domain[0], sys.domain[1], 33)
 
     def column(q, eta_fun):
-        return np.concatenate([np.atleast_1d(q.tau.evaluate(probes)).astype(complex),
-                               eta_fun.evaluate(probes).reshape(-1)])
+        return np.concatenate([q.tau.evaluate(probes), eta_fun.evaluate(probes).reshape(-1)])
 
     coef = linalg.span_solve(np.stack([column(q1, eta1_fun), column(q2, eta2_fun)], axis=1),
                              column(q3, q3.eta_function(n, sys.domain)), 1e-6)
     if coef is None:
         raise IntegrationError("bracket does not close into the span: "
                                "not a 2-dimensional algebra")
-    aco, bco = complex(coef[0]), complex(coef[1])
+    aco, bco = coef.tolist()
     if max(abs(aco), abs(bco)) < 1e-12:
         raise IntegrationError("abelian pair with independent t-components "
                                "cannot occur; numerical failure")

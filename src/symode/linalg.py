@@ -38,6 +38,8 @@ from .scalars import DEFAULT_TOL, ToleranceConfig
 # exp_factory: Taylor degree and the bound on ||u m||_1 after scaling
 EXP_DEGREE = 18
 EXP_THETA = 1.0
+# (-1)^k, k = 1..EXP_DEGREE: the powers of -u from those of u
+_EXP_SIGNS = (-1.0) ** np.arange(1, EXP_DEGREE + 1)
 
 
 class LinalgError(ValueError):
@@ -420,7 +422,10 @@ def exp_factory(m: np.ndarray):
     26 (2005)).  With ||u m||_1 <= 1 the truncated tail is below 1 / 19!.  No
     eigendecomposition is taken, so nearly defective m loses no digits.  The
     evaluator takes a scalar t or an array of them and returns
-    ``t.shape + (n, n)``; real m gives real results in real arithmetic.
+    ``t.shape + (n, n)``; real m gives real results in real arithmetic.  Its
+    ``pair(t)`` returns (exp(t m), exp(-t m)) from one call: the powers of
+    -u are those of u with alternating signs, so both sums share them, and
+    both stacks are squared together.
     """
     m = _check_square(m)
     n = m.shape[0]
@@ -431,17 +436,34 @@ def exp_factory(m: np.ndarray):
     norm = float(np.linalg.norm(m, 1))
 
     def evaluate(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        reach = float(np.max(np.abs(t), initial=0.0)) * norm
-        s = max(0, math.ceil(math.log2(reach / EXP_THETA))) if reach > 0.0 else 0
-        u = t / 2.0 ** s
-        powers = np.cumprod(np.broadcast_to(u[..., None], t.shape + (EXP_DEGREE,)), axis=-1)
-        out = (powers @ terms[1:] + terms[0]).reshape(t.shape + (n, n))
-        for _ in range(s):
-            out = out @ out
-        return out
+        t, s, powers = _scaled_powers(t, norm)
+        return _squared((powers @ terms[1:] + terms[0]).reshape(t.shape + (n, n)), s)
 
+    def pair(t) -> tuple:
+        t, s, powers = _scaled_powers(t, norm)
+        both = np.stack([powers, powers * _EXP_SIGNS])
+        out = _squared((both @ terms[1:] + terms[0]).reshape((2,) + t.shape + (n, n)), s)
+        return out[0], out[1]
+
+    evaluate.pair = pair
     return evaluate
+
+
+def _scaled_powers(t, norm: float) -> tuple:
+    """t as an array, the squaring count s of ``exp_factory`` for a matrix of
+    1-norm norm, and the powers u^k, k = 1..EXP_DEGREE, of u = t / 2^s."""
+    t = np.asarray(t, dtype=float)
+    reach = float(np.max(np.abs(t), initial=0.0)) * norm
+    s = max(0, math.ceil(math.log2(reach / EXP_THETA))) if reach > 0.0 else 0
+    u = t / 2.0 ** s
+    return t, s, np.cumprod(np.broadcast_to(u[..., None], t.shape + (EXP_DEGREE,)), axis=-1)
+
+
+def _squared(out: np.ndarray, s: int) -> np.ndarray:
+    """out squared s times, each a stacked matmul."""
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def hat_check_split(upsilon: np.ndarray, lam: np.ndarray,
@@ -451,7 +473,10 @@ def hat_check_split(upsilon: np.ndarray, lam: np.ndarray,
     hat keeps blocks (i, j) with mu_i = mu_j + 1 (within eig_cluster_tol
     (1 + |mu_i|)); check keeps the rest.  lam must be semisimple, which the
     staircases of ``eig_clustered`` read as one Weyr step per cluster; then
-    [lam, hat] = hat.
+    [lam, hat] = hat.  The conjugation runs in the dtype of upsilon and of
+    lam's eigenbasis: real upsilon and a real lam with a real spectrum give
+    real hat and check, and a real lam drops an imaginary part of hat at
+    rounding level.
     """
     upsilon = _check_square(upsilon, "upsilon")
     lam = _check_square(lam, "lambda")
@@ -460,7 +485,7 @@ def hat_check_split(upsilon: np.ndarray, lam: np.ndarray,
         raise LinalgError("lambda is not semisimple")
     s = np.hstack([c.basis for c in clusters])
     sinv = np.linalg.inv(s)
-    u = sinv @ upsilon.astype(np.complex128) @ s
+    u = sinv @ upsilon @ s
     sizes = [c.multiplicity for c in clusters]
     offs = np.concatenate([[0], np.cumsum(sizes)])
     hat_b = np.zeros_like(u)

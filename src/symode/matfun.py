@@ -10,13 +10,16 @@ shape-specific operations.
   a degree-0 polynomial, a one-row stack, in every value rank; ``value`` is a
   read-only view of the constant term;
 - conjugated exponential eps*E + e^{t Y} W e^{-t Y} (matrices only), with
-  e^{tY} from one ``linalg.exp_factory`` (Taylor scaling and squaring) per Y,
-  shared by every function derived with the same Y;
-- sampled grids with piecewise-cubic Hermite interpolation: slopes from
-  ``numutil.grid_derivative``, each interval's cubic held in the power basis
-  about its left node and evaluated by Horner (de Boor, *A Practical Guide to
-  Splines*, ch. IV).  Points in the domain slack beyond either end extrapolate
-  the end interval's cubic.
+  e^{tY} and e^{-tY} from one ``pair`` call of one ``linalg.exp_factory``
+  (Taylor scaling and squaring) per Y, shared by every function derived
+  with the same Y;
+- sampled grids: a node of the grid returns its sample, the value the
+  interpolant takes there, and only points between nodes are interpolated,
+  piecewise-cubic Hermite, by a spline built on the first such point: slopes
+  from ``numutil.grid_derivative``, each interval's cubic held in the power
+  basis about its left node and evaluated by Horner (de Boor, *A Practical
+  Guide to Splines*, ch. IV).  Points in the domain slack beyond either end
+  extrapolate the end interval's cubic.
 
 The ``poly_*`` functions are the one polynomial algebra over stacked
 coefficients (Horner evaluation, derivative, affine substitution, linear
@@ -144,18 +147,17 @@ def _hermite_coefficients(grid, values, slopes):
     return excess / dx, (secant - slopes[:-1]) / dx - excess, slopes[:-1], values[:-1]
 
 
-def _hermite_eval(coeffs, grid, t):
-    """The interpolant at t (scalar or array); outside the grid, the end cubics."""
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    i = np.clip(np.searchsorted(grid, flat, side="right") - 1, 0, len(grid) - 2)
+def _hermite_eval(coeffs, grid, flat, left):
+    """The interpolant at the points flat, each with the index of the last node
+    at or before it (-1 before the grid); outside the grid, the end cubics."""
+    i = np.clip(left, 0, len(grid) - 2)
     c3, c2, c1, c0 = coeffs
     s = (flat - grid[i]).reshape((-1,) + (1,) * (c0.ndim - 1))
     out = c3.take(i, axis=0)
     for c in (c2, c1, c0):
         out *= s
         out += c.take(i, axis=0)
-    return out.reshape(t.shape + c0.shape[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +292,27 @@ class _TimeFunction:
         if self.kind == POLYNOMIAL:
             return poly_eval(self.coeffs, t)
         if self.kind == CONJ_EXP:
-            ef = self.exp_factory()
-            t = np.asarray(t, dtype=float)
-            return self.epsilon * np.eye(self.n) + ef(t) @ self.w @ ef(-t)
-        if self._spline is None:
-            self._spline = _hermite_coefficients(
-                self.grid, self.values, grid_derivative(self.grid, self.values, 1))
-        return _hermite_eval(self._spline, self.grid, t)
+            e, einv = self.exp_factory().pair(t)
+            return self.epsilon * np.eye(self.n) + e @ self.w @ einv
+        return self._sampled_eval(t)
+
+    def _sampled_eval(self, t):
+        """The samples at nodes of the grid, the Hermite spline elsewhere."""
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        left = np.searchsorted(self.grid, flat, side="right") - 1
+        # left = -1 before the grid reads the last node, which no such point equals
+        node = self.grid[left] == flat
+        if node.all():
+            out = self.values[left].astype(np.result_type(self.values, float), copy=False)
+        else:
+            if self._spline is None:
+                self._spline = _hermite_coefficients(
+                    self.grid, self.values, grid_derivative(self.grid, self.values, 1))
+            out = _hermite_eval(self._spline, self.grid, flat, left)
+            if node.any():
+                out[node] = self.values[left[node]]
+        return out.reshape(t.shape + self.shape)
 
     def jet(self, ts, orders) -> list:
         """The derivatives of the given orders (0 for the values) at the points
@@ -311,9 +327,7 @@ class _TimeFunction:
             return [self.derivative(order).evaluate(ts) for order in orders]
         out = {}
         if self.kind == CONJ_EXP:
-            ef = self.exp_factory()
-            ts = np.asarray(ts, dtype=float)
-            e, einv = ef(ts), ef(-ts)
+            e, einv = self.exp_factory().pair(ts)
             eps, w = self.epsilon, self.w
             for order in range(max(orders) + 1):
                 if order in orders:

@@ -294,18 +294,32 @@ def _step_maps(a: np.ndarray, b: np.ndarray | None):
     coefficients at the start, midpoint and end of a step, the stages are
     P1 = A0, P2 = A1 + A1 P1/2, P3 = A1 + A1 P2/2 and P4 = A2 + A2 P3, and
     P = E + (P1 + 2 P2 + 2 P3 + P4)/6; q follows the same recurrence from b.
-    Each product is one stacked matmul over all K steps.  q holds the per-step
-    vectors as columns, (K, d, c), and is None when b is.
+    Each product is one stacked matmul over all K steps, and the stages are
+    formed in place in three stacked buffers, each operation in the order
+    of the formula above, so the rounding is that of the formula.  q holds
+    the per-step vectors as columns, (K, d, c), and is None when b is.
     """
     a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
 
     def weighted_stages(s0, s1, s2):
-        s2nd = s1 + 0.5 * (a1 @ s0)
-        s3rd = s1 + 0.5 * (a1 @ s2nd)
-        s4th = s2 + a2 @ s3rd
-        return (s0 + 2.0 * s2nd + 2.0 * s3rd + s4th) / 6.0
+        stage = np.matmul(a1, s0)  # P2 = A1 + A1 P1/2
+        stage *= 0.5
+        stage += s1
+        acc = 2.0 * stage
+        acc += s0
+        nxt = np.matmul(a1, stage)  # P3 = A1 + A1 P2/2
+        nxt *= 0.5
+        nxt += s1
+        np.multiply(nxt, 2.0, out=stage)
+        acc += stage
+        np.matmul(a2, nxt, out=stage)  # P4 = A2 + A2 P3
+        stage += s2
+        acc += stage
+        acc /= 6.0
+        return acc
 
-    p = weighted_stages(a0, a1, a2) + np.eye(a.shape[-1])
+    p = weighted_stages(a0, a1, a2)
+    p += np.eye(a.shape[-1])
     if b is None:
         return p, None
     # per-step vectors as columns, so one matmul serves both shapes of g

@@ -449,3 +449,88 @@ def solve_symmetries_poly_coefficients(v_fun, cfg, fld=None, trace_part=None):
     rows = _solver_rows_poly(coeffs, v_fun.n, trace_rows=trace_part)
     return _build_algebra(nullspace(rows, cfg.rank_tol), v_fun.n, fld or v_fun.field,
                           v_fun.domain, cfg, "exact polynomial coefficient matching")
+
+
+# Coefficient-layer forms that read back or rebuild what symode now keeps:
+# the spline at every point (nodes included), the allocating RK4 stage
+# formula, the complex conjugation of the hat/check split and the
+# criterion matrix built from A and B whatever A is.  The node-exact,
+# in-place and real-arithmetic forms are checked against these.
+
+def hermite_every_point(grid, values, ts):
+    """The Hermite spline with grid_derivative's slopes at every t, nodes
+    included: each interval's cubic in the power basis about its left node,
+    by Horner, and the end cubics beyond either end."""
+    grid = np.asarray(grid, dtype=float)
+    slopes = grid_derivative(grid, values, 1)
+    dx = np.diff(grid).reshape((-1,) + (1,) * (values.ndim - 1))
+    secant = np.diff(values, axis=0) / dx
+    excess = (slopes[:-1] + slopes[1:] - 2.0 * secant) / dx
+    c3, c2, c1, c0 = excess / dx, (secant - slopes[:-1]) / dx - excess, slopes[:-1], values[:-1]
+    t = np.asarray(ts, dtype=float)
+    flat = t.reshape(-1)
+    i = np.clip(np.searchsorted(grid, flat, side="right") - 1, 0, len(grid) - 2)
+    s = (flat - grid[i]).reshape((-1,) + (1,) * (c0.ndim - 1))
+    out = c3.take(i, axis=0)
+    for c in (c2, c1, c0):
+        out *= s
+        out += c.take(i, axis=0)
+    return out.reshape(t.shape + c0.shape[1:])
+
+
+def rk4_step_maps_allocating(a, b):
+    """numutil._step_maps with a new array for every operation of the stages."""
+    a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
+
+    def weighted_stages(s0, s1, s2):
+        s2nd = s1 + 0.5 * (a1 @ s0)
+        s3rd = s1 + 0.5 * (a1 @ s2nd)
+        s4th = s2 + a2 @ s3rd
+        return (s0 + 2.0 * s2nd + 2.0 * s3rd + s4th) / 6.0
+
+    p = weighted_stages(a0, a1, a2) + np.eye(a.shape[-1])
+    if b is None:
+        return p, None
+    b = b[..., None] if b.ndim == 2 else b
+    return p, weighted_stages(b[:-1:2], b[1::2], b[2::2])
+
+
+def hat_check_in_complex(upsilon, lam, cfg):
+    """linalg.hat_check_split with the conjugation always in complex128 and the
+    imaginary part of a real lam's hat dropped at rounding level."""
+    from symode.linalg import _real_if_rounding, eig_clustered
+    clusters = eig_clustered(lam, cfg)
+    s = np.hstack([c.basis for c in clusters])
+    sinv = np.linalg.inv(s)
+    u = sinv @ upsilon.astype(np.complex128) @ s
+    offs = np.concatenate([[0], np.cumsum([c.multiplicity for c in clusters])])
+    hat_b = np.zeros_like(u)
+    for i, ci in enumerate(clusters):
+        for j, cj in enumerate(clusters):
+            if abs(ci.value - (cj.value + 1.0)) <= cfg.eig_cluster_tol * (1.0 + abs(ci.value)):
+                hat_b[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
+                    u[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+    hat = s @ hat_b @ sinv
+    hat = hat if np.iscomplexobj(lam) else _real_if_rounding(hat, upsilon, cfg)
+    return hat, upsilon - hat
+
+
+def criterion_without_the_a_zero_case(sys):
+    """B - A_t / 2 + A^2 / 4 of a barL or L system, A = 0 included: from the
+    coefficients when A and B are polynomials, else sampled on 257 points;
+    V itself for the V-classes."""
+    from symode.matfun import (POLYNOMIAL, MatrixFunction, poly_der, poly_lincomb,
+                               poly_mul)
+    from symode.numutil import uniform_grid
+    if sys.V is not None:
+        return sys.V
+    a_fun, b_fun = sys.A, sys.B
+    if a_fun.kind == b_fun.kind == POLYNOMIAL:
+        a = a_fun.coeffs
+        return MatrixFunction.polynomial(poly_lincomb(
+            [(1.0, b_fun.coeffs), (-0.5, poly_der(a)), (0.25, poly_mul(a, a))]), sys.domain)
+    grid = uniform_grid(*sys.domain, 256)
+    a = a_fun.evaluate(grid)
+    vals = (b_fun.evaluate(grid) - 0.5 * a_fun.derivative(1).evaluate(grid)
+            + 0.25 * np.einsum("tij,tjk->tik", a, a))
+    return MatrixFunction.sampled(grid, vals)

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symode
 from symode import gauge
+from symode.casebook import n2_cases
 from symode.cli import EXIT_OK, main
 from symode.gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
                           EquivalenceTransform, GaugeError, SystemDescriptor,
@@ -15,6 +18,7 @@ from symode.numutil import uniform_grid
 from symode.scalars import Field, ToleranceConfig
 from symode.symalg import classify
 from conftest import DOM, E2, S1, S2, S3, Z2
+from oracles import criterion_without_the_a_zero_case
 
 # tr V / n = (0.5 + 0.5j) + (0.05 + 0.1j) t: complex, so no real time map
 COMPLEX_TRACE_V = [np.array([[1j, 0.3], [0.2, 0.5]]), np.array([[0.1, 0.0], [0.4, 0.2j]])]
@@ -414,6 +418,65 @@ class TestSingularClass:
                     H=MatrixFunction.constant(h_mat, dom))
                 assert singular_class_test(apply_equivalence(singular, tr))
                 assert not singular_class_test(apply_equivalence(regular, tr))
+
+
+def decision_without_the_a_zero_case(sys_in):
+    """``singular`` of a fresh copy of sys_in whose criterion is built from A
+    and B, A = 0 included."""
+    copy = SystemDescriptor(sys_in.cls, sys_in.n, sys_in.field, sys_in.domain, A=sys_in.A,
+                            B=sys_in.B, f=sys_in.f, V=sys_in.V, cfg=sys_in.cfg)
+    copy.__dict__["criterion"] = criterion_without_the_a_zero_case(copy)
+    return copy.singular
+
+
+class TestCriterionWithAZero:
+    """With A = 0 the criterion matrix B - A_t / 2 + A^2 / 4 is B itself: the
+    forced V-class system x_tt = V x + f reads B, in its own representation."""
+
+    F = VectorFunction.polynomial([np.array([0.3, -0.2]), np.array([0.1, 0.4])], DOM)
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "conj_exp", "sampled"])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_b_is_the_criterion(self, kind, forced):
+        grid = np.linspace(-1.0, 1.0, 129)
+        b = {"constant": lambda: MatrixFunction.constant(S1 + 0.2 * S2, DOM),
+             "polynomial": lambda: MatrixFunction.polynomial([S1, S2, S3], DOM),
+             "conj_exp": lambda: MatrixFunction.conj_exp(0.1, 0.7 * S2, S1 + S3, DOM),
+             "sampled": lambda: MatrixFunction.sampled(grid, np.cos(grid)[:, None, None] * S1
+                                                       + S3)}[kind]()
+        zero = MatrixFunction.zero(2, DOM)
+        sys_in = barl(zero, b, self.F) if forced else homog(zero, b)
+        assert gauge.criterion_matrix(sys_in) is b
+        assert sys_in.criterion is b
+        assert sys_in.singular is decision_without_the_a_zero_case(sys_in) is False
+
+    def test_nonzero_a_still_builds_the_criterion(self):
+        a = MatrixFunction.constant(1e-300 * S1, DOM)
+        b = MatrixFunction.conj_exp(0.0, S2, S1, DOM)
+        assert gauge.criterion_matrix(homog(a, b)).kind == "sampled"
+
+    @pytest.mark.parametrize("fld", list(Field))
+    def test_casebook_rows_keep_their_decision(self, fld):
+        for case in n2_cases(fld):
+            for sys_in in (barl(MatrixFunction.zero(2, DOM), case.system.V, self.F, field=fld),
+                           homog(MatrixFunction.zero(2, DOM), case.system.V, field=fld)):
+                assert sys_in.criterion is case.system.V
+                assert sys_in.singular == decision_without_the_a_zero_case(sys_in), case.label
+
+    def test_benchmark_inputs_keep_their_decision(self, monkeypatch):
+        """Every system of the benchmark's integrate and gauge-verify inputs
+        at seeds 0..5, the forced casebook rows with A = 0 among them."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench import docs, workloads
+        count = 0
+        for seed in range(6):
+            documents = ([item["doc"] for item in workloads.integrate_inputs(symode, seed)]
+                         + [doc for _, doc in workloads.gauge_inputs(seed)])
+            for doc in documents:
+                sys_in = docs.build_system(symode, doc)
+                assert sys_in.singular == decision_without_the_a_zero_case(sys_in), (seed, doc)
+                count += sys_in.A is not None and sys_in.criterion is sys_in.B
+        assert count >= 6
 
 
 class TestVerifyEquivalence:

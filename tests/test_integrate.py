@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symode import linalg
+from symode import integrate, linalg
 from symode.casebook import n2_cases
 from symode.gauge import SystemDescriptor, pushforward
 from symode.integrate import _coefficients_on
@@ -741,11 +741,11 @@ def _stored_complex(fun):
     return cast.polynomial(fun.coeffs.astype(complex), fun.domain)
 
 
-def _casebook_row(label, forced, stored_complex=False):
-    """Casebook row ``label`` of the complex field, as x_tt = V x or, forced,
-    as x_tt = V x + f; every coefficient and Gamma stored as complex128 when
+def _casebook_row(label, forced, stored_complex=False, fld=Field.COMPLEX):
+    """Casebook row ``label`` of the field, as x_tt = V x or, forced, as
+    x_tt = V x + f; every coefficient and Gamma stored as complex128 when
     stored_complex is set."""
-    case = next(c for c in n2_cases(Field.COMPLEX) if c.label == label)
+    case = next(c for c in n2_cases(fld) if c.label == label)
     v, syms = case.system.V, case.symmetries
     f = VectorFunction.polynomial([np.array([0.3, -0.2]), np.array([0.1, 0.4])], DOM)
     zero = MatrixFunction.zero(2, DOM)
@@ -753,8 +753,8 @@ def _casebook_row(label, forced, stored_complex=False):
         v, f, zero = _stored_complex(v), _stored_complex(f), _stored_complex(zero)
         syms = [SymmetryVectorField(tau=q.tau, gamma=np.asarray(q.gamma, dtype=complex))
                 for q in syms]
-    sys_in = (SystemDescriptor.bar_l(zero, v, f, field=Field.COMPLEX) if forced
-              else SystemDescriptor.lprime(v, field=Field.COMPLEX))
+    sys_in = (SystemDescriptor.bar_l(zero, v, f, field=fld) if forced
+              else SystemDescriptor.lprime(v, field=fld))
     return sys_in, syms
 
 
@@ -831,6 +831,26 @@ class TestArithmeticFollowsTheData:
         cplx = integrate_auto(*_casebook_row(label, forced, stored_complex=True))
         assert real.plan.h_values.dtype == np.float64
         np.testing.assert_array_equal(real.grid, cplx.grid)
+        assert _relative_gap(_transition(real), _transition(cplx)) <= 1e-12
+        if forced:
+            assert _relative_gap(real.particular, cplx.particular) <= 1e-12
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_bracket_closure_stays_real(self, forced, monkeypatch):
+        # real row 7: the bracket, the closure's least squares and the
+        # recombination coefficients stay real; the same row stored as
+        # complex128 runs all of them in complex arithmetic
+        seen = []
+        partner = integrate.bracket_normal_partner
+        monkeypatch.setattr(integrate, "bracket_normal_partner",
+                            lambda a, b: seen.append((a, b)) or partner(a, b))
+        sys_in, syms = _casebook_row("7", forced, fld=Field.REAL)
+        q3 = bracket(*syms, 2, DOM)
+        assert q3.tau.coeffs.dtype == q3.eta_function(2, DOM).coeffs.dtype == np.float64
+        real = integrate_auto(sys_in, syms)
+        assert len(seen) == 1 and all(type(x) is float for x in seen[0])
+        cplx = integrate_auto(*_casebook_row("7", forced, stored_complex=True))
+        assert real.positions.dtype == np.float64
         assert _relative_gap(_transition(real), _transition(cplx)) <= 1e-12
         if forced:
             assert _relative_gap(real.particular, cplx.particular) <= 1e-12

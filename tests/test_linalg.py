@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from symode import linalg
+from symode import linalg, symalg
+from symode.casebook import n2_cases
 from symode.numutil import companion
-from symode.scalars import ToleranceConfig
+from symode.scalars import Field, ToleranceConfig
 from symode.linalg import (SubspaceBasis, centralizer_basis, commutator, eig_clustered,
                            hat_check_split, invertible_in_affine_space,
                            is_nilpotent, jordan_chevalley, jordan_form, staircase)
 from conftest import E2, S1, S2, S3, Z2, near_defective_4x4, random_traceless
-from oracles import centralizer_dim_bruteforce
+from oracles import centralizer_dim_bruteforce, hat_check_in_complex
 
 JORDAN_FAMILIES = [
     ([3, 1], [1.0, 2.0]), ([2, 2], []), ([3, 2, 1], [0.7, -0.4]),
@@ -463,6 +464,41 @@ class TestMatrixExp:
             np.testing.assert_allclose(g, scipy.linalg.expm(t * m), rtol=1e-13, atol=1e-15)
 
 
+class TestExpPair:
+    """pair(t) gives exp(t m) and exp(-t m) from one set of Taylor powers and
+    one stacked squaring; each matches its own evaluation."""
+
+    @staticmethod
+    def assert_pair_matches(ef, t):
+        e, einv = ef.pair(t)
+        for got, ref in ((e, ef(t)), (einv, ef(-np.asarray(t)))):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_matches_two_evaluations(self, n, cplx):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            m = rng.standard_normal((n, n))
+            if cplx:
+                m = m + 1j * rng.standard_normal((n, n))
+            ef = linalg.exp_factory(m)
+            # ||u m||_1 <= 1 needs s >= 3 squarings at the far end
+            far = 10.0 / np.linalg.norm(m, 1)
+            assert np.ceil(np.log2(far * np.linalg.norm(m, 1))) >= 3
+            for t in (np.linspace(-1.0, 1.0, 9), np.linspace(-far, far, 7),
+                      np.linspace(0.0, 1.0, 6).reshape(2, 3), 0.3, -far, 0.0, np.zeros(4)):
+                self.assert_pair_matches(ef, t)
+            e, einv = ef.pair(0.0)
+            assert np.array_equal(e, np.eye(n)) and np.array_equal(einv, np.eye(n))
+
+    def test_inverse_of_each_other(self):
+        m = near_defective_4x4()
+        e, einv = linalg.exp_factory(m).pair(np.linspace(-1.0, 1.0, 9))
+        assert np.max(np.abs(e @ einv - np.eye(4))) <= 1e-13
+
+
 class TestHatCheckSplit:
     def test_no_unit_gap(self, rng, cfg):
         ups = rng.standard_normal((2, 2))
@@ -509,6 +545,64 @@ class TestHatCheckSplit:
             hat, check = hat_check_split(ups, lam, cfg)
             assert np.linalg.norm(commutator(lam, hat) - hat) \
                 <= 1e-9 * np.linalg.norm(lam) * np.linalg.norm(ups), seed
+
+
+def k2_hat_check_inputs():
+    """(upsilon, lam) of every ``hat_check_split`` call ``_normalize_k2`` makes
+    when the casebook rows of both fields are classified (the k = 2 rows)."""
+    calls = []
+    split = linalg.hat_check_split
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "hat_check_split",
+                   lambda ups, lam, cfg: calls.append((ups, lam)) or split(ups, lam, cfg))
+        for fld in Field:
+            for case in n2_cases(fld):
+                symalg.classify(case.system)
+    return calls
+
+
+class TestHatCheckSplitArithmetic:
+    """The split runs in the dtype of upsilon and lam's eigenbasis; real data
+    stays real and agrees with the conjugation in complex128."""
+
+    @staticmethod
+    def inputs():
+        calls = k2_hat_check_inputs()
+        assert {u.dtype for u, _ in calls} == {np.dtype(float), np.dtype(complex)}
+        out = []
+        rng = np.random.default_rng(3)
+        for ups, lam in calls:
+            out.append((ups, lam))
+            if np.iscomplexobj(ups) and not (np.any(ups.imag) or np.any(lam.imag)):
+                ups, lam = ups.real, lam.real
+                out.append((ups, lam))
+            # the same lam in a random basis, with a generic upsilon
+            c = rng.standard_normal(lam.shape) + 2.0 * np.eye(len(lam))
+            out.append((rng.standard_normal(lam.shape).astype(ups.dtype),
+                        c @ lam @ np.linalg.inv(c)))
+        return out
+
+    def test_real_inputs_give_real_blocks(self, cfg):
+        for ups, lam in self.inputs():
+            hat, check = hat_check_split(ups, lam, cfg)
+            ref_hat, ref_check = hat_check_in_complex(ups, lam, cfg)
+            real = not (np.iscomplexobj(ups) or np.iscomplexobj(lam))
+            assert hat.dtype == check.dtype == (np.float64 if real else np.complex128)
+            assert ref_hat.dtype == hat.dtype
+            scale = max(1.0, float(np.max(np.abs(ups))))
+            assert np.max(np.abs(hat - ref_hat)) <= 1e-12 * scale
+            assert np.max(np.abs(check - ref_check)) <= 1e-12 * scale
+
+    def test_nonreal_spectrum_of_a_real_lam(self, cfg):
+        # eigenvalues 1 +- i and +-i: the basis is complex, the hat real
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        lam = np.block([[np.eye(2) + rot, np.zeros((2, 2))], [np.zeros((2, 2)), rot]])
+        ups = np.random.default_rng(5).standard_normal((4, 4))
+        hat, check = hat_check_split(ups, lam, cfg)
+        ref_hat, _ = hat_check_in_complex(ups, lam, cfg)
+        assert hat.dtype == check.dtype == np.float64
+        assert np.max(np.abs(hat - ref_hat)) <= 1e-12 * np.max(np.abs(ups))
+        assert np.linalg.norm(commutator(lam, hat) - hat) < cfg.residual_tol
 
 
 class TestInvertibleSearch:

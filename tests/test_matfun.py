@@ -14,7 +14,7 @@ from symode.matfun import (MatrixFunction, RepresentationError, ScalarFunction,
                            VectorFunction, kl_sequence, kl_sequence_with_tail,
                            poly_compose_affine, poly_der, poly_eval, poly_mul, poly_wronskian)
 from conftest import DOM, E2, S1, S2, S3, Z2, near_defective_4x4, random_traceless
-from oracles import hermite_probes, hermite_reference, sampled_draw
+from oracles import hermite_every_point, hermite_probes, hermite_reference, sampled_draw
 
 
 class TestEvaluate:
@@ -107,6 +107,70 @@ class TestSampledHermite:
         ts = hermite_probes(grid, rng)
         exact = poly_eval(coeffs, ts)
         assert np.max(np.abs(f.evaluate(ts) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+class TestNodeExactSamples:
+    """A sampled function returns its sample at a node of its grid; the spline,
+    built on the first point between nodes, serves only those points."""
+
+    FUNCTIONS = {0: ScalarFunction, 1: VectorFunction, 2: MatrixFunction}
+
+    @staticmethod
+    def function(shape, cplx, uniform, points=65):
+        rng = np.random.default_rng(points + 10 * len(shape) + 100 * cplx + 1000 * uniform)
+        grid, values = sampled_draw(rng, points, shape, cplx, uniform)
+        return TestNodeExactSamples.FUNCTIONS[len(shape)].sampled(grid, values), rng
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_every_node_returns_its_sample(self, shape, cplx, uniform):
+        f, rng = self.function(shape, cplx, uniform)
+        order = rng.permutation(len(f.grid))
+        for ts, want in ((f.grid, f.values), (f.grid[order], f.values[order]),
+                         (f.grid[[-1, 0, -1]], f.values[[-1, 0, -1]])):
+            got = f.evaluate(ts)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for k in (0, len(f.grid) // 2, len(f.grid) - 1):
+            one = f.evaluate(f.grid[k])
+            assert one.shape == shape and one.tobytes() == f.values[k].tobytes()
+        assert f._spline is None
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_between_nodes_the_spline_bit_for_bit(self, shape, cplx, uniform):
+        f, rng = self.function(shape, cplx, uniform)
+        ts = hermite_probes(f.grid, rng)  # every node, 200 draws, both slacks
+        inner = ts[len(f.grid) + 1:]
+        assert not np.isin(inner, f.grid).any()
+        got = f.evaluate(ts)
+        want = hermite_every_point(f.grid, f.values, inner)
+        assert got[len(f.grid) + 1:].tobytes() == want.tobytes()
+        assert got[:len(f.grid)].tobytes() == f.values.tobytes()
+        assert got[len(f.grid)].tobytes() == f.values[-1].tobytes()
+        for t, ref in zip(inner[-3:], want[-3:]):
+            assert f.evaluate(t).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    def test_integer_samples_come_back_as_float(self, shape):
+        grid = np.linspace(-1.0, 1.0, 9)
+        values = np.arange(9 * int(np.prod(shape))).reshape((9,) + shape) - 20
+        f = self.FUNCTIONS[len(shape)].sampled(grid, values)
+        at_nodes = f.evaluate(grid)
+        assert at_nodes.dtype == np.float64 and np.array_equal(at_nodes, values)
+        at_node = f.evaluate(grid[3])
+        assert at_node.dtype == np.float64 and at_node.shape == shape
+        between = f.evaluate(np.array([grid[0], 0.1, grid[-1]]))
+        assert between.dtype == np.float64
+        assert np.array_equal(between[[0, 2]], values[[0, -1]])
+        assert f.evaluate(0.1).shape == shape
+
+    def test_a_scalar_t_keeps_its_shape(self):
+        f, _ = self.function((3, 3), False, True)
+        assert f.evaluate(f.grid[4]).shape == (3, 3)
+        assert f.evaluate(0.5 * (f.grid[4] + f.grid[5])).shape == (3, 3)
+        assert f.evaluate(f.grid[:6].reshape(2, 3)).shape == (2, 3, 3, 3)
 
 
 class TestConjugationAgainstExpm:

@@ -13,7 +13,7 @@ from symode.numutil import (companion, cumulative_integral, fd_weights, grid_der
                             rk4_linear, trajectory_derivative, uniform_grid)
 from symode.scalars import Field
 from oracles import (cumulative_integral_pointwise, fd_weights_1d, grid_derivative_pointwise,
-                     pointwise_stencils, rk4_bidirectional)
+                     pointwise_stencils, rk4_bidirectional, rk4_step_maps_allocating)
 
 # an interval whose step lengths are not powers of two, so the tabulated and
 # callback steps round differently
@@ -192,6 +192,39 @@ def test_blocked_sweep_under_growth(field):
     assert np.max(np.abs(ref[-1])) > 1e9 * np.max(np.abs(ref[0]))
     node_err = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
     assert np.max(node_err) <= 1e-13
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_in_place_stages_repeat_the_formula_bitwise(d, field, monkeypatch):
+    # the stages in place round as the allocating formula does, so P and q
+    # and every propagated node are bit for bit the same
+    steps = 41
+    rng = np.random.default_rng(d)
+
+    def draw(*shape):
+        x = 0.5 * rng.standard_normal(shape)
+        return x + 0.5j * rng.standard_normal(shape) if field is Field.COMPLEX else x
+
+    t = uniform_grid(*DOM, 2 * steps)[:, None, None]
+    m = draw(d, d) + np.sin(3.0 * t) * draw(d, d)
+    g_vec = np.cos(2.0 * t[:, :, 0]) * draw(d)
+    g_mat = np.cos(2.0 * t) * draw(d, 3)
+    grid = uniform_grid(*DOM, steps)
+    cases = [(draw(d), None), (draw(d), g_vec), (draw(d, 3), None), (draw(d, 3), g_vec[..., None]),
+             (draw(d, 3), g_mat)]
+    for y0, g in cases:
+        for b in (None, g):
+            p, q = numutil._step_maps(m, b)
+            p_ref, q_ref = rk4_step_maps_allocating(m, b)
+            assert p.tobytes() == p_ref.tobytes()
+            assert (q is None and q_ref is None) or q.tobytes() == q_ref.tobytes()
+        for i0 in (0, steps // 2, 13):
+            got = rk4_linear(m, y0, grid, i0, g)
+            with monkeypatch.context() as mp:
+                mp.setattr(numutil, "_step_maps", rk4_step_maps_allocating)
+                ref = rk4_linear(m, y0, grid, i0, g)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_companion_blocks():
