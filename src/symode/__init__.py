@@ -1,7 +1,7 @@
 """Normalization, symmetry classification and integration of normal linear
 systems of second-order ODEs x_tt = A(t) x_t + B(t) x + f(t)."""
 
-from .scalars import Field, FieldError, ToleranceConfig
+from .scalars import Field, ToleranceConfig
 from .matfun import MatrixFunction, ScalarFunction, VectorFunction, kl_sequence
 from .gauge import (EquivalenceTransform, GaugeError, SystemDescriptor,
                     TransformedSystem, apply_equivalence, gauge_A_zero,
@@ -20,7 +20,7 @@ from .integrate import (IntegrationError, IntegrationPlan, SolutionSet, bracket,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "FieldError", "ToleranceConfig",
+    "Field", "ToleranceConfig",
     "MatrixFunction", "ScalarFunction", "VectorFunction", "kl_sequence",
     "SystemDescriptor", "EquivalenceTransform", "TransformedSystem",
     "GaugeError", "apply_equivalence", "gauge_f_zero", "gauge_A_zero",

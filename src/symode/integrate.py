@@ -31,7 +31,9 @@ The field sets the Lie algebra and the dtype of the results; the data sets
 the arithmetic.  Every solve runs in the dtype of its coefficients and
 symmetry data, so real data integrates in float64 in either field, and a
 procedure casts positions, velocities and particular to the field's dtype
-once, where it returns them (``SolutionSet.in_field``).
+once, where it returns them (``SolutionSet.in_field``).  A straightening
+divides its field by the phase of tau(t0) and needs the time map of what is
+left to be real (``_real_time_map``).
 """
 
 from __future__ import annotations
@@ -158,8 +160,6 @@ def bracket(q1: SymmetryVectorField, q2: SymmetryVectorField, n: int,
         eta3 = poly_strip(poly_lincomb([
             (1.0, poly_mul(c1, poly_der(m2))), (-1.0, poly_mul(c2, poly_der(m1))),
             (1.0, poly_mul(m2, m1)), (-1.0, poly_mul(m1, m2))]))
-        if not np.any(eta3.imag):
-            eta3 = eta3.real
         return SymmetryVectorField(
             tau=ScalarFunction.polynomial(poly_wronskian(c1, c2), domain),
             eta=MatrixFunction.polynomial(eta3, domain))
@@ -266,20 +266,24 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
                            grid_steps: int = 1024) -> SolutionSet:
     """Straighten one symmetry with nonzero t-component and solve.
 
-    Steps: drop chi; H from tau H_t = -H eta, H(t0) = E (closed form for
+    Steps: drop chi; divide the field by the phase of tau(t0)
+    (``_phase``); H from tau H_t = -H eta, H(t0) = E (closed form for
     degree-0 tau and eta, else RK4); T from T_t = 1/tau (the single
     quadrature); ``_straighten``.
     """
     (q,), half, grid, a_grid, b_grid = _straightening_start(sys, [q], grid_steps)
-    tau_half = np.real(q.tau.evaluate(half))
-    tau = tau_half[::2]
-    if np.min(np.abs(tau)) <= 1e-12:
-        raise IntegrationError("tau vanishes on the domain")
-    eta_fun = q.eta_function(sys.n, sys.domain)
-    eta_half = eta_fun.evaluate(half)
+    cfg = sys.cfg
     i0 = len(grid) // 2
+    tau_half = q.tau.evaluate(half)
+    if np.min(np.abs(tau_half[::2])) <= 1e-12:
+        raise IntegrationError("tau vanishes on the domain")
+    phase = _phase(tau_half[2 * i0])
+    tau_half = _real_time_map(tau_half / phase, cfg)
+    tau = tau_half[::2]
+    eta_fun = q.eta_function(sys.n, sys.domain)
+    eta_half = eta_fun.evaluate(half) / phase
     if q.tau.degree() == 0 and eta_fun.degree() == 0:
-        gen = -eta_fun.value / tau[i0]
+        gen = -eta_fun.value / phase / tau[i0]
         hvals = linalg.exp_factory(gen)(grid - grid[i0])
         route = "closed-form H = exp(-(t-t0) eta/tau)"
     else:
@@ -288,14 +292,34 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     tmap = cumulative_integral(grid, 1.0 / tau)
     tmap = tmap - tmap[i0]
     positions, velocities, abar, bbar = _straighten(
-        sys.cfg.residual_tol, a_grid, b_grid, tau, np.real(q.tau.derivative(1).evaluate(grid)),
-        hvals, eta_half[::2], eta_fun.derivative(1).evaluate(grid), tmap)
+        cfg.residual_tol, a_grid, b_grid, tau,
+        _real_time_map(q.tau.derivative(1).evaluate(grid) / phase, cfg),
+        hvals, eta_half[::2], eta_fun.derivative(1).evaluate(grid) / phase, tmap)
     plan = IntegrationPlan(procedure="OneSymmetry", h_values=hvals, t_map=tmap,
                            notes=[route, "constant push-forward coefficients",
                                   f"A~ = {np.array2string(abar, precision=4)}",
                                   f"B~ = {np.array2string(bbar, precision=4)}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
                        particular=None, quadratures=1, plan=plan).in_field(sys.field)
+
+
+def _phase(tau0):
+    """tau0 / |tau0|, 1.0 for a real tau0 > 0.  A constant multiple c Q of a
+    symmetry Q is a symmetry too, so a straightening may divide its field by
+    the phase of tau at t0: that leaves a real time map whenever the field is
+    a real one times c."""
+    return tau0 / abs(tau0)
+
+
+def _real_time_map(x, cfg):
+    """tau, tau_t or the time map of a straightening as a real array: an
+    imaginary part at rounding level is dropped (``linalg._real_if_rounding``
+    against max |x|), a larger one refused."""
+    x = linalg._real_if_rounding(x, np.max(np.abs(x)), cfg)
+    if np.iscomplexobj(x):
+        raise IntegrationError("straightening needs a real time map: tau / tau(t0) "
+                               "is not real on the domain")
+    return x
 
 
 def _coefficients_on(a_fun, b_fun, grid):
@@ -398,17 +422,20 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
         raise IntegrationError("abelian pair with independent t-components "
                                "cannot occur; numerical failure")
     cco, dco = bracket_normal_partner(aco, bco)
-    tau_x_half = _combine(aco, tau1_half, bco, tau2_half)
-    tau_x = tau_x_half[::2]
-    if np.min(np.abs(tau_x)) <= 1e-12:
+    tau_x_half = aco * tau1_half + bco * tau2_half
+    if np.min(np.abs(tau_x_half[::2])) <= 1e-12:
         raise IntegrationError("recombined tau1 vanishes inside the domain; "
                                "restrict the domain")
-    tau_y = _combine(cco, tau1, dco, tau2)
-    tmap = np.real(tau_y / tau_x)
+    # X divided by the phase of tau_x(t0) still has [X, Y] = X
+    phase = _phase(tau_x_half[2 * i0])
+    tau_x_half = _real_time_map(tau_x_half / phase, cfg)
+    tau_x = tau_x_half[::2]
+    tau_y = cco * tau1 + dco * tau2
+    tmap = _real_time_map(tau_y / tau_x, cfg)
     # zeta and its constant Jordan data from the midpoint probe
-    ex_half = _combine(aco, eta1_half, bco, eta2_half)
+    ex_half = (aco * eta1_half + bco * eta2_half) / phase
     ex = ex_half[::2]
-    ey = _combine(cco, eta1_half[::2], dco, eta2_half[::2])
+    ey = cco * eta1_half[::2] + dco * eta2_half[::2]
     zeta = ey - (tau_y / tau_x)[:, None, None] * ex
     charpolys = np.stack([np.poly(zeta[i]) for i in range(0, len(grid),
                                                           max(1, len(grid) // 16))])
@@ -435,15 +462,14 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                                "on the domain")
     # the straightening solve tau Hcheck_t = -Hcheck eta_check splits along
     # the blocks: one solve with the off-block part of eta_check left out
-    tau_half = np.real(tau_x_half)
     hcheck = right_fundamental(-np.where(blocks, eta_check_half, 0.0)
-                               / tau_half[:, None, None], grid)
+                               / tau_x_half[:, None, None], grid)
     hvals = hcheck @ hhat
-    tau = tau_half[::2]
     # H = Hcheck Hhat solves tau H_t = -H eta1
     positions, velocities, _, _ = _straighten(
-        cfg.residual_tol, a_grid, b_grid, tau, np.real(_combine(aco, dt1, bco, dt2)),
-        hvals, ex, _combine(aco, deta1, bco, deta2), tmap)
+        cfg.residual_tol, a_grid, b_grid, tau_x,
+        _real_time_map((aco * dt1 + bco * dt2) / phase, cfg),
+        hvals, ex, (aco * deta1 + bco * deta2) / phase, tmap)
     if sys.field is Field.REAL and np.iscomplexobj(modal):
         # x~ is the real straightened system's companion exponential
         # conjugated by D = diag(Hhat, Hhat), since H(t0) = Hhat; mixing the
@@ -463,15 +489,6 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                                   f"blocks {sizes}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
                        particular=None, quadratures=quad, plan=plan).in_field(sys.field)
-
-
-def _combine(a, x1, b, x2):
-    """a x1 + b x2 for values of two fields, real when every imaginary part
-    is below 1e-14."""
-    out = a * x1 + b * x2
-    if np.iscomplexobj(out) and np.max(np.abs(out.imag)) < 1e-14:
-        out = out.real
-    return out
 
 
 def integrate_auto(sys: SystemDescriptor, symmetries=(),

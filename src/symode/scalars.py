@@ -19,10 +19,6 @@ class Field(str, Enum):
         return np.dtype(np.float64 if self is Field.REAL else np.complex128)
 
 
-class FieldError(TypeError):
-    """Raised when complex data is used under a real field tag without promotion."""
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical thresholds used throughout the kernel.

@@ -30,6 +30,13 @@ product each, and no tau terms for the fields with tau = 0.  Every
 nilpotency and zero-eigenvalue decision (the graded relation's prefilter on
 W, the n = 2 generator types, the Jordan structure of V(0) and the alpha
 matching in the similarity test) is read from one ``linalg.staircase``.
+
+The field sets the Lie algebra; the data sets the arithmetic.  The solvers,
+the structured route and the similarity witness compute in the dtype of
+their data (and of alpha, which the real field passes as a float), so real
+data gives a real t-part, s and witness in either field.  Nothing here casts
+data to complex and back; ``linalg._real_if_rounding`` is the one place an
+imaginary part is dropped.
 """
 
 from __future__ import annotations
@@ -72,11 +79,9 @@ class SymmetryVectorField:
             return self.eta
         gamma = self.gamma if self.gamma is not None else np.zeros((n, n))
         if self.tau.kind == POLYNOMIAL:
-            taut = self.tau.derivative(1).coeffs.astype(complex)
-            eta = (0.5 * taut)[:, None, None] * np.eye(n)
+            taut = self.tau.derivative(1).coeffs
+            eta = (0.5 * taut)[:, None, None] * np.eye(n, dtype=np.result_type(taut, gamma))
             eta[0] += gamma
-            if not np.iscomplexobj(gamma) and not np.any(eta.imag):
-                eta = eta.real
             return MatrixFunction.polynomial(eta, domain)
         grid = self.tau.grid
         taut = self.tau.derivative(1).evaluate(grid)
@@ -296,20 +301,12 @@ def _build_algebra(null_vecs, n, fld, domain, cfg, note, gap=None):
         _, sv, vh = np.linalg.svd(flat, full_matrices=False)
         s_mats = [v.conj().reshape(n, n, order="F")
                   for v in vh[:linalg.cut(sv, cfg.rank_tol * sv[0]).rank]]
-    if fld is Field.REAL:
-        s_mats = [m.real if np.iscomplexobj(m) and np.max(np.abs(m.imag)) < 1e-9 else m
-                  for m in s_mats]
     s_basis = SubspaceBasis(mats=s_mats, n=n, in_sl=True)
     t_part = []
     for i in range(k):
         c = t_rows[i, :3]
         gamma = t_rows[i, 3:].reshape(n, n, order="F")
         gamma = gamma - (np.trace(gamma) / n) * np.eye(n)
-        if fld is Field.REAL and np.iscomplexobj(c) \
-                and np.max(np.abs(c.imag)) < 1e-9 \
-                and np.max(np.abs(gamma.imag)) < 1e-9:
-            c = c.real
-            gamma = gamma.real
         t_part.append((ScalarFunction.polynomial(c, domain), gamma))
     notes = [note] if note else []
     ess = EssentialAlgebra(k=k, t_part=t_part, s_basis=s_basis, n=n, field=fld,
@@ -338,12 +335,11 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     (tau1, g1), (tau2, g2) = ess.t_part
     if tau1.kind != POLYNOMIAL or tau2.kind != POLYNOMIAL:
         return
-    c1, c2 = (poly_lincomb([(1.0, tau.coeffs[:3])], 3).astype(complex)
-              for tau in (tau1, tau2))
+    c1, c2 = (poly_lincomb([(1.0, tau.coeffs[:3])], 3) for tau in (tau1, tau2))
     w = poly_wronskian(c1, c2)
     basis = np.stack([np.concatenate([c1, np.zeros(2)]),
                       np.concatenate([c2, np.zeros(2)])])
-    coef = linalg.span_solve(basis.T, w.astype(complex), 1e-8)
+    coef = linalg.span_solve(basis.T, w, 1e-8)
     if coef is None:
         ess.notes.append("t-part bracket did not close on tau components; "
                          "left unnormalized")
@@ -354,8 +350,6 @@ def _normalize_k2(ess: EssentialAlgebra, cfg: ToleranceConfig) -> None:
     tau_y = c * c1 + d * c2
     gx = a * g1 + b * g2
     gy = c * g1 + d * g2
-    if ess.field is Field.REAL:
-        tau_x, tau_y, gx, gy = tau_x.real, tau_y.real, gx.real, gy.real
     try:
         gy_s, gy_n = linalg.jordan_chevalley(gy, cfg)
         if ess.s_basis.contains(gy_n):
@@ -491,10 +485,7 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
     """``classify_structured`` of the conj_exp function v_in on domain."""
     upsilon, w = v_in.upsilon, v_in.w
     n = w.shape[0]
-    tr_w = np.trace(w) / n
-    eps_eff = complex(v_in.epsilon) + complex(tr_w)
-    if abs(eps_eff.imag) < 1e-14:
-        eps_eff = eps_eff.real
+    eps_eff = v_in.epsilon + np.trace(w) / n
     # the same V with W's trace moved into epsilon; it keeps v_in's Y, whose
     # trace the conjugation does not see, and with it v_in's exponential factory
     v_fun = v_in.trace_split()[1].add_scalar_identity(eps_eff)
@@ -530,14 +521,12 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
                 notes.append("second t-field tau = t from the graded relation")
                 k = 2
     if k == 1 and abs(eps_eff) > cfg.residual_tol:
-        branches = []
-        root = np.sqrt(complex(eps_eff))
-        if fld is Field.COMPLEX:
-            branches = [2.0 * root, -2.0 * root]
-        elif isinstance(eps_eff, float) and eps_eff > 0:
-            branches = [2.0 * np.sqrt(eps_eff), -2.0 * np.sqrt(eps_eff)]
-        # real field with eps < 0: the branches would come as a cos/sin pair,
-        # forcing k = 3, impossible for regular systems; skip
+        # a real eps > 0 has a real root; the real field takes no other: with
+        # eps < 0 the branches would come as a cos/sin pair, forcing k = 3,
+        # impossible for regular systems
+        root = np.emath.sqrt(eps_eff)
+        branches = ([2.0 * root, -2.0 * root]
+                    if fld is Field.COMPLEX or np.isrealobj(root) else [])
         found = []
         for g0 in branches:
             # [Gamma0, V0(t)] = e^{g0 t} (V0_t + 2 g0 V0) for tau = e^{g0 t}
@@ -545,8 +534,6 @@ def _classify_conj_exp(v_in: MatrixFunction, cfg: ToleranceConfig, fld: Field,
             if gamma0 is None:
                 continue
             gamma0 = gamma0 - (np.trace(gamma0) / n) * np.eye(n)
-            if np.max(np.abs(gamma0.imag)) < 1e-10:
-                gamma0 = gamma0.real
             grid = np.linspace(domain[0], domain[1], 2049)
             tau = ScalarFunction.sampled(grid, np.exp(g0 * grid))
             q = SymmetryVectorField(tau=tau, gamma=gamma0)
@@ -783,8 +770,10 @@ class SimilarityVerdict:
 
 
 def _spectrum(m: np.ndarray, keep: int) -> np.ndarray:
-    """The keep eigenvalues of m of largest modulus."""
-    evs = np.linalg.eigvals(m.astype(complex))
+    """The keep eigenvalues of m of largest modulus, computed in complex128
+    whatever m's dtype, so that real and complex storage of one matrix read
+    the same eigenvalues."""
+    evs = np.linalg.eigvals(m.astype(np.complex128))
     return evs[np.argsort(np.abs(evs), kind="stable")[len(evs) - keep:]]
 
 
@@ -876,20 +865,17 @@ def similar_structured(a: tuple, b: tuple, cfg: ToleranceConfig = DEFAULT_TOL,
         return SimilarityVerdict("not_similar", obstruction=obstruction)
     rng = np.random.default_rng(seed)
     for alpha in cands:
-        if fld is Field.REAL and abs(np.imag(alpha)) > 1e-10:
-            continue
-        alpha_c = complex(alpha)
+        if fld is Field.REAL:
+            if abs(np.imag(alpha)) > 1e-10:
+                continue
+            alpha = float(np.real(alpha))
+        else:
+            alpha = complex(alpha)
         witness = _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b,
-                                  max(len_a, len_b) + 1, alpha_c, cfg, rng)
+                                  max(len_a, len_b) + 1, alpha, cfg, rng)
         if witness is not None:
             m, gamma, resid = witness
-            if fld is Field.REAL:
-                alpha_out = alpha_c.real
-                m = m.real if np.max(np.abs(m.imag)) < 1e-9 else m
-                gamma = gamma.real if np.max(np.abs(gamma.imag)) < 1e-9 else gamma
-            else:
-                alpha_out = alpha_c
-            return SimilarityVerdict("similar", alpha=alpha_out, m=m, gamma=gamma,
+            return SimilarityVerdict("similar", alpha=alpha, m=m, gamma=gamma,
                                      residual=resid)
     return SimilarityVerdict("inconclusive",
                              notes=["no witness converged within the trial budget"])
@@ -909,8 +895,9 @@ def _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b, count, alpha, cfg, rng,
     """
     n = v0_a.shape[0]
     p = s_a.dim
-    eye = np.eye(n, dtype=complex)
-    ups_a_t = alpha * ups_a.astype(complex)
+    dtype = np.result_type(ups_a, v0_a, ups_b, v0_b, alpha, *s_a.mats)
+    eye = np.eye(n, dtype=dtype)
+    ups_a_t = alpha * ups_a
     step = _sample_step(count, ups_b, ups_a_t)
     _, vbs = k_span_samples(ups_b, v0_b, count, ef_b, step)
     _, vas = k_span_samples(ups_a_t, v0_a, count, step=step)
@@ -919,20 +906,17 @@ def _witness_search(ups_a, v0_a, s_a, ups_b, v0_b, ef_b, count, alpha, cfg, rng,
            for va, vb in zip(vas, vbs)]
     # the sample rows act on M and on each W_i alike
     sample_rows = np.kron(np.eye(1 + p), np.vstack(ops))
-    ups_row = np.zeros((n * n, n * n * (1 + p)), dtype=complex)
-    ups_row[:, :n * n] = np.kron(eye, ups_b.astype(complex)) \
-        - alpha * np.kron(ups_a.astype(complex).T, eye)
+    ups_row = np.zeros((n * n, n * n * (1 + p)), dtype=dtype)
+    ups_row[:, :n * n] = np.kron(eye, ups_b) - alpha * np.kron(ups_a.T, eye)
     for i, s_mat in enumerate(s_a.mats):
-        ups_row[:, (1 + i) * n * n:(2 + i) * n * n] = \
-            -alpha * np.kron(eye, s_mat.astype(complex))
+        ups_row[:, (1 + i) * n * n:(2 + i) * n * n] = -alpha * np.kron(eye, s_mat)
     a_mat = np.vstack([sample_rows, ups_row])
     null = linalg.nullspace(a_mat, 1e-10)
     if null.shape[1] == 0:
         return None
     m_blocks = [null[:n * n, j].reshape(n, n, order="F") for j in range(null.shape[1])]
-    zero = np.zeros((n, n), dtype=complex)
-    s_cols = (np.stack([g.reshape(-1, order="F") for g in s_a.mats], axis=1).astype(complex)
-              if p else None)
+    zero = np.zeros((n, n), dtype=dtype)
+    s_cols = np.stack([g.reshape(-1, order="F") for g in s_a.mats], axis=1) if p else None
     scale = 1.0 + np.linalg.norm(v0_b) + np.linalg.norm(ups_b)
     for _ in range(trials):
         m = linalg.invertible_in_affine_space(m_blocks, zero, cfg,

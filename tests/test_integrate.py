@@ -893,6 +893,29 @@ class TestArithmeticFollowsTheData:
         assert column_residuals(sys_in, sol) < 1e-8
         assert abs(np.linalg.det(sol.state_matrix(len(sol.grid) // 2))) > 0.5
 
+    @pytest.mark.parametrize("label, count, c", [("3", 1, 1j), ("3", 1, np.exp(0.3j)),
+                                                 ("7", 1, 1j), ("7", 2, np.exp(0.3j))])
+    def test_complex_multiples_of_a_field_integrate(self, label, count, c):
+        # c Q is a symmetry whenever Q is; divided by the phase of tau(t0) it
+        # straightens like Q, through one field or through the pair
+        case = next(x for x in n2_cases(Field.COMPLEX) if x.label == label)
+        fields = case.symmetries[:count]
+        scaled = [SymmetryVectorField(tau=tau_poly(c * q.tau.coeffs), gamma=c * q.gamma)
+                  for q in fields]
+        ref = column_residuals(case.system, integrate_auto(case.system, fields))
+        sol = integrate_auto(case.system, scaled)
+        assert sol.plan.procedure == ("OneSymmetry" if count == 1 else "TwoSymmetry")
+        assert column_residuals(case.system, sol) <= max(10.0 * ref, 1e-9)
+
+    def test_nonreal_time_map_refused(self):
+        # tau = 1 + i t with Gamma1 + i Gamma2 from row 7's two fields is a
+        # symmetry, but tau / tau(t0) is not real
+        case = next(x for x in n2_cases(Field.COMPLEX) if x.label == "7")
+        q1, q2 = case.symmetries
+        q = SymmetryVectorField(tau=tau_poly([1.0, 1j]), gamma=q1.gamma + 1j * q2.gamma)
+        with pytest.raises(IntegrationError, match="straightening needs a real time map"):
+            integrate_auto(case.system, [q])
+
     def test_complex_data_under_the_real_field_refused(self):
         # V = e^{t S1} W e^{-t S1} has the field tau = 1, Gamma = S1 for any W;
         # a nonreal W tagged real cannot give real solutions

@@ -3,7 +3,8 @@ import pytest
 
 from symode.matfun import kl_sequence
 from symode.scalars import Field
-from symode.symalg import k_span_centralizer, similar_constant_coeff, similar_structured
+from symode.symalg import (WITNESS_TOL, k_span_centralizer, similar_constant_coeff,
+                           similar_structured)
 
 from conftest import E2, S1, S2, S3, Z2
 
@@ -123,6 +124,47 @@ class TestObstructions:
         assert verdict_c.is_similar
         verdict_r = similar_structured(a, b, cfg, Field.REAL, seed=0)
         assert verdict_r.outcome != "similar" or abs(np.imag(verdict_r.alpha)) < 1e-12
+
+
+class TestRealFieldWitness:
+    """A real-field witness of real data is real: float alpha, float64 M and
+    Gamma, verified within WITNESS_TOL."""
+
+    @staticmethod
+    def real_pairs():
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 2, 3):
+            ups = rng.standard_normal((n, n))
+            ups -= np.trace(ups) / n * np.eye(n)
+            p = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            lam = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+            v0 = p @ np.diag(lam) @ np.linalg.inv(p)
+            alpha = float(rng.uniform(0.5, 1.5))
+            m = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+            mi = np.linalg.inv(m)
+            yield (ups, v0), (alpha * m @ ups @ mi, alpha ** 2 * m @ v0 @ mi)
+
+    def test_structured(self, cfg):
+        for a, b in self.real_pairs():
+            verdict = similar_structured(a, b, cfg, Field.REAL)
+            assert verdict.is_similar
+            assert type(verdict.alpha) is float
+            assert verdict.m.dtype == verdict.gamma.dtype == np.float64
+            mi = np.linalg.inv(verdict.m)
+            resid = (np.linalg.norm(b[0] - verdict.alpha * verdict.m @ (a[0] + verdict.gamma) @ mi)
+                     + np.linalg.norm(b[1] - verdict.alpha ** 2 * verdict.m @ a[1] @ mi))
+            assert resid <= WITNESS_TOL * (1.0 + np.linalg.norm(b[0]) + np.linalg.norm(b[1]))
+
+    def test_constant_coeff(self, cfg):
+        # x_tt = A x_t + B x from each pair: Y = -A/2, V(0) = B + Y^2
+        for (ups_a, v0_a), (ups_b, v0_b) in self.real_pairs():
+            a = (-2.0 * ups_a, v0_a - ups_a @ ups_a)
+            b = (-2.0 * ups_b, v0_b - ups_b @ ups_b)
+            verdict = similar_constant_coeff(a, b, cfg, Field.REAL)
+            assert verdict.is_similar
+            assert type(verdict.alpha) is float
+            assert verdict.m.dtype == verdict.gamma.dtype == np.float64
+            assert verdict.residual <= 1e-7 * (1.0 + np.linalg.norm(b[0]) + np.linalg.norm(b[1]))
 
 
 class TestAlphaMatching:

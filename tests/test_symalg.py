@@ -312,6 +312,36 @@ class TestClassifyDispatcher:
             assert verify_symmetry(v, q) < 1e-12
 
 
+def _data_dtypes(ess):
+    """The dtypes of every t-part tau and Gamma and of the s basis."""
+    taus = [tau.coeffs if tau.kind == "polynomial" else tau.values for tau, _ in ess.t_part]
+    return {np.asarray(x).dtype
+            for x in taus + [gamma for _, gamma in ess.t_part] + list(ess.s_basis.mats)}
+
+
+class TestRealDataStaysReal:
+    """Real coefficients classify in float64 in either field: the t-part and s
+    are never cast to complex and back."""
+
+    def test_casebook_rows(self):
+        for fld in Field:
+            for case in casebook.n2_cases(fld):
+                rep = classify(case.system)
+                assert _data_dtypes(rep.essential) <= {np.dtype(float)}, (fld, case.label)
+
+    def test_improper_draws(self):
+        # V = E/4 + e^{tY} W e^{-tY} with (Y, W) = (S2, S1) in a random basis:
+        # eps > 0 has the real root 1/2, and tau = e^{-t} pairs improperly
+        for fld in Field:
+            for seed in range(3):
+                c = np.random.default_rng(seed).standard_normal((2, 2)) + 2.0 * E2
+                ci = np.linalg.inv(c)
+                v = MatrixFunction.conj_exp(0.25, c @ S2 @ ci, c @ S1 @ ci, DOM)
+                rep = classify(SystemDescriptor.lprime(v, field=fld))
+                assert (rep.k, rep.improper_shift) == (2, True), (fld, seed)
+                assert _data_dtypes(rep.essential) == {np.dtype(float)}, (fld, seed)
+
+
 class TestCaseLabels:
     def test_real_vs_complex_relabeling(self):
         v = MatrixFunction.conj_exp(0.0, Z2, S1 + S3, DOM)
