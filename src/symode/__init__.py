@@ -2,7 +2,7 @@
 systems of second-order ODEs x_tt = A(t) x_t + B(t) x + f(t)."""
 
 from .scalars import Field, ToleranceConfig
-from .matfun import MatrixFunction, ScalarFunction, VectorFunction, kl_sequence
+from .matfun import MatrixFunction, ScalarFunction, VectorFunction
 from .gauge import (EquivalenceTransform, GaugeError, SystemDescriptor,
                     TransformedSystem, apply_equivalence, gauge_A_zero,
                     gauge_f_zero, gauge_traceless, singular_class_test,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "ToleranceConfig",
-    "MatrixFunction", "ScalarFunction", "VectorFunction", "kl_sequence",
+    "MatrixFunction", "ScalarFunction", "VectorFunction",
     "SystemDescriptor", "EquivalenceTransform", "TransformedSystem",
     "GaugeError", "apply_equivalence", "gauge_f_zero", "gauge_A_zero",
     "gauge_traceless", "singular_class_test", "verify_equivalence",

@@ -429,7 +429,7 @@ def cmd_integrate(args) -> int:
         sol = integrate_auto(sys_in, syms, args.grid)
     except IntegrationError as exc:
         print(f"integration inapplicable: {exc}", file=sys.stderr)
-        if not args.symmetries:
+        if not args.symmetries and not sys_in.singular:
             print("regular systems require known symmetries with nonzero "
                   "t-components", file=sys.stderr)
         return EXIT_INAPPLICABLE

@@ -14,6 +14,11 @@ specialize to H = T_t^(1/2) C with constant invertible C and
 
     V~ = T_t^-2 C V C^-1 + ((2 T_t T_ttt - 3 T_tt^2) / (4 T_t^4)) E.
 
+A time map is real (refused when complex at ``EquivalenceTransform``'s
+build), has T_t > 0 at the probes (``validate``) and a strictly increasing
+grid image (``_require_increasing``), so no reader takes its real part or
+re-sorts its image.
+
 ``reduce`` is the one implementation of the chain, which ``classify`` and
 ``symode gauge`` run; it returns the composite source-to-final transform.
 A system has n <= MAX_DIM = 8; H passes one ``linalg.conditioning`` cut per probe.
@@ -160,15 +165,19 @@ class SystemDescriptor:
 class EquivalenceTransform:
     """Point transformation (T, H, h): t~ = T(t), x~ = H(t) x + h(t).
 
-    T must have nonvanishing (positive) derivative on the domain; the
-    square-root branch for the V-class specialization is the principal one,
-    with orientation-reversing T handled by pre-composing t -> -t.
+    T must be real, with positive derivative on the domain; the square-root
+    branch for the V-class specialization is the principal one, with
+    orientation-reversing T handled by pre-composing t -> -t.
     """
 
     T: ScalarFunction
     H: MatrixFunction
     h: VectorFunction | None = None
     branch_note: str = "principal branch; T_t > 0 required"
+
+    def __post_init__(self):
+        if self.T.field is Field.COMPLEX:
+            raise GaugeError("the time map T must be real; this T has complex data")
 
     @classmethod
     def identity(cls, n, domain=(-1.0, 1.0)):
@@ -177,9 +186,7 @@ class EquivalenceTransform:
                    h=None)
 
     def is_identity(self, tol=1e-12):
-        if self.T.degree() != 1:
-            return False
-        if abs(complex(self.T.coeffs[0])) > tol or abs(complex(self.T.coeffs[1]) - 1) > tol:
+        if self.T.degree() != 1 or np.max(np.abs(self.T.coeffs - [0.0, 1.0])) > tol:
             return False
         if self.H.degree() != 0 or np.max(np.abs(self.H.value - np.eye(self.H.n))) > tol:
             return False
@@ -189,17 +196,20 @@ class EquivalenceTransform:
         return self.T.degree() in (0, 1)
 
     def affine_coeffs(self):
-        b = complex(self.T.coeffs[0]).real
-        a = complex(self.T.coeffs[1]).real if self.T.degree() >= 1 else 0.0
+        b = float(self.T.coeffs[0])
+        a = float(self.T.coeffs[1]) if self.T.degree() >= 1 else 0.0
         return a, b
 
     def validate(self, cfg: ToleranceConfig):
+        """T_t > 0 and H invertible at the probes; returns T_t and H there."""
         ts = np.linspace(*self.T.domain, PROBES)
-        tt = self.T.derivative(1).evaluate(ts)
-        if np.any(np.real(tt) <= 0.0):
+        t1 = self.T.derivative(1).evaluate(ts)
+        if np.any(t1 <= 0.0):
             raise GaugeError("T_t must stay positive on the domain "
                              "(pre-compose with t -> -t for orientation reversal)")
-        _require_invertible(self.H.evaluate(ts), ts, cfg, "on the probe grid")
+        hvals = self.H.evaluate(ts)
+        _require_invertible(hvals, ts, cfg, "on the probe grid")
+        return t1, hvals
 
 
 def _require_invertible(hvals, ts, cfg: ToleranceConfig, where: str) -> None:
@@ -259,44 +269,48 @@ def pushforward(t1, t2, h, hinv, ht, htt, a, b):
     return anew, bnew
 
 
+def _push_grid(sys, tr, grid_steps, orders):
+    """The grid of a non-affine push within the system's domain (a sampled
+    T's own grid) and T's jets of ``orders``, from 0, on it."""
+    lo, hi = sys.domain
+    grid = tr.T.grid if tr.T.kind == SAMPLED else uniform_grid(lo, hi, grid_steps)
+    grid = grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)]
+    jets = tr.T.jet(grid, orders)
+    _require_increasing(jets[0], grid)
+    return grid, jets
+
+
+def _require_increasing(tvals, grid):
+    """GaugeError naming the first grid step where T fails to increase."""
+    j = np.flatnonzero(np.diff(tvals) <= 0.0)
+    if len(j):
+        raise GaugeError(f"the time map T does not strictly increase on the grid: "
+                         f"T({grid[j[0] + 1]:.6g}) <= T({grid[j[0]]:.6g})")
+
+
 def _push_full(sys, tr, grid_steps=1024):
     """General push-forward on a grid; returns sampled coefficient functions."""
-    lo, hi = sys.domain
-    if tr.T.kind == SAMPLED:
-        grid = tr.T.grid
-        grid = grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)]
-    else:
-        grid = uniform_grid(lo, hi, grid_steps)
+    grid, (tgrid, t1, t2) = _push_grid(sys, tr, grid_steps, (0, 1, 2))
     a_fun, b_fun, f_fun = sys.coefficients()
-    n = sys.n
-    tvals, t1, t2 = np.real(tr.T.jet(grid, (0, 1, 2)))
     hmat, ht, htt = tr.H.jet(grid, (0, 1, 2))
     anew, bnew = pushforward(t1, t2, hmat, np.linalg.inv(hmat), ht, htt,
                              a_fun.evaluate(grid), b_fun.evaluate(grid))
     fv = f_fun.evaluate(grid)
-    if tr.h is not None:
-        hv, hv1, hv2 = tr.h.jet(grid, (0, 1, 2))
-    else:
-        hv = hv1 = hv2 = np.zeros((len(grid), n))
+    hv, hv1, hv2 = (tr.h.jet(grid, (0, 1, 2)) if tr.h is not None
+                    else np.zeros((3, len(grid), sys.n)))
     fnew = (t1[:, None] * np.einsum("tij,tj->ti", hmat, fv)
             + t1[:, None] * hv2 - t2[:, None] * hv1
             - t1[:, None] ** 2 * np.einsum("tij,tj->ti", anew, hv1)
             - t1[:, None] ** 3 * np.einsum("tij,tj->ti", bnew, hv))
     fnew = fnew / t1[:, None] ** 3
-    order = np.argsort(tvals)
-    tgrid = tvals[order]
     return (tgrid,
-            MatrixFunction.sampled(tgrid, anew[order], note="pushed coefficients"),
-            MatrixFunction.sampled(tgrid, bnew[order], note="pushed coefficients"),
-            VectorFunction.sampled(tgrid, fnew[order], note="pushed coefficients"))
+            MatrixFunction.sampled(tgrid, anew, note="pushed coefficients"),
+            MatrixFunction.sampled(tgrid, bnew, note="pushed coefficients"),
+            VectorFunction.sampled(tgrid, fnew, note="pushed coefficients"))
 
 
-def _extract_constant_c(tr: EquivalenceTransform, cfg: ToleranceConfig):
-    """For V-class transforms: C = T_t^-1/2 H must be constant; ``validate`` checked T_t > 0."""
-    lo, hi = tr.T.domain
-    ts = np.linspace(lo, hi, PROBES)
-    t1 = np.real(tr.T.derivative(1).evaluate(ts))
-    hvals = tr.H.evaluate(ts)
+def _extract_constant_c(t1, hvals, cfg: ToleranceConfig):
+    """For V-class transforms: C = T_t^-1/2 H is constant at ``validate``'s probes."""
     cvals = hvals / np.sqrt(t1)[:, None, None]
     c = cvals.mean(axis=0)
     dev = np.max(np.abs(cvals - c))
@@ -314,26 +328,21 @@ def apply_equivalence(sys: SystemDescriptor, tr: EquivalenceTransform,
     sampled output with a provenance note.
     """
     cfg = sys.cfg
-    tr.validate(cfg)
+    probe_t1, probe_h = tr.validate(cfg)
     if sys.cls in (LPRIME, LDOUBLEPRIME):
         if tr.h is not None and tr.h.max_norm() > cfg.residual_tol:
             raise GaugeError("V-class transforms carry no vector shift")
-        c = _extract_constant_c(tr, cfg)
+        c = _extract_constant_c(probe_t1, probe_h, cfg)
         if tr.is_affine():
             a, b = tr.affine_coeffs()
             vt = sys.V.conjugate(c).scale(1.0 / a ** 2).compose_affine(1.0 / a, -b / a)
-            new_cls = LDOUBLEPRIME if sys.cls == LDOUBLEPRIME else LPRIME
-            return SystemDescriptor(new_cls, sys.n, sys.field, vt.domain, V=vt, cfg=cfg)
-        lo, hi = sys.domain
-        grid = tr.T.grid if tr.T.kind == SAMPLED else uniform_grid(lo, hi, grid_steps)
-        grid = grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)]
-        tvals, t1, t2, t3 = np.real(tr.T.jet(grid, (0, 1, 2, 3)))
+            return SystemDescriptor(sys.cls, sys.n, sys.field, vt.domain, V=vt, cfg=cfg)
+        grid, (tvals, t1, t2, t3) = _push_grid(sys, tr, grid_steps, (0, 1, 2, 3))
         sch = t3 / t1 - 1.5 * (t2 / t1) ** 2
         v = sys.V.evaluate(grid)
         cv = c @ v @ np.linalg.inv(c)
         vt_vals = (cv + 0.5 * sch[:, None, None] * np.eye(sys.n)) / t1[:, None, None] ** 2
-        order = np.argsort(tvals)
-        vt = MatrixFunction.sampled(tvals[order], vt_vals[order],
+        vt = MatrixFunction.sampled(tvals, vt_vals,
                                     note="pushed through non-affine reparametrization")
         new_cls = LDOUBLEPRIME if vt.is_traceless(cfg.residual_tol) else LPRIME
         return SystemDescriptor(new_cls, sys.n, sys.field, vt.domain, V=vt, cfg=cfg)
@@ -523,14 +532,12 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024) -> Transforme
                          "for the trace gauge")
     sel, tvals, t1, _ = run
     sub = grid[sel]
-    shrunk = len(sub) < len(grid)
     vvals = sys.V.evaluate(sub)
     vt_vals = (vvals - u[::2][sel, None, None] * np.eye(n)) / t1[:, None, None] ** 2
-    order = np.argsort(tvals)
-    tgrid = tvals[order]
-    vfun = MatrixFunction.sampled(tgrid, vt_vals[order], note="trace-gauged")
+    _require_increasing(tvals, sub)
+    vfun = MatrixFunction.sampled(tvals, vt_vals, note="trace-gauged")
     try:
-        out = SystemDescriptor(LDOUBLEPRIME, n, sys.field, (tgrid[0], tgrid[-1]),
+        out = SystemDescriptor(LDOUBLEPRIME, n, sys.field, (tvals[0], tvals[-1]),
                                V=vfun, cfg=cfg)
     except GaugeError:
         if u_imag == 0.0:
@@ -540,7 +547,7 @@ def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024) -> Transforme
     tfun = ScalarFunction.sampled(sub, tvals)
     hfun = MatrixFunction.sampled(sub, np.sqrt(t1)[:, None, None] * np.eye(n))
     prov = "trace gauge via the Schwarzian equation"
-    if shrunk:
+    if len(sub) < len(grid):
         prov += f"; domain shrunk to [{sub[0]:g}, {sub[-1]:g}] avoiding phi2 zeros"
     return TransformedSystem(out, EquivalenceTransform(T=tfun, H=hfun), provenance=prov)
 
@@ -632,12 +639,10 @@ def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
     """
     rng = np.random.default_rng(seed)
     n = src.n
-    lo, hi = src.domain
-    tlo = max(lo, tr.T.domain[0])
-    thi = min(hi, tr.T.domain[1])
-    half = uniform_grid(tlo, thi, 2 * grid_steps)
+    half = uniform_grid(max(src.domain[0], tr.T.domain[0]),
+                        min(src.domain[1], tr.T.domain[1]), 2 * grid_steps)
     grid = half[::2]
-    tvals = np.real(tr.T.evaluate(grid))
+    tvals = tr.T.evaluate(grid)
     hvals = tr.H.evaluate(grid)
     hshift = tr.h.evaluate(grid) if tr.h is not None else np.zeros((len(grid), n))
     # the trajectories are the columns of one solve, drawn in the same order

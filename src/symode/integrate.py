@@ -122,14 +122,14 @@ class SolutionSet:
 def residual(sys: SystemDescriptor, sol, grid) -> float:
     """Max normalized defect of x_tt = A x_t + B x + f along trajectories.
 
-    sol is either an (m, n) array of values on the grid, an (m, n, k) stack
-    of k trajectories, or a callable returning either.  Each trajectory's
-    defect is divided by its own max(1, max |x|); the largest is returned.
+    sol is either an (m, n) array of values on the grid or an (m, n, k)
+    stack of k trajectories.  Each trajectory's defect is divided by its own
+    max(1, max |x|); the largest is returned.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 8:
         raise IntegrationError("residual grid too coarse (< 8 points)")
-    vals = sol(grid) if callable(sol) else np.asarray(sol)
+    vals = np.asarray(sol)
     stack = vals if vals.ndim == 3 else vals[:, :, None]
     a_fun, b_fun, f_fun = sys.coefficients()
     d1 = trajectory_derivative(grid, stack, 1)
@@ -209,7 +209,12 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     grid = half[::2]
     a_fun, _, f_fun = sys.coefficients()
     mmat_t, _, route, a_grid = half_a_fundamental(a_fun, grid)
-    u = np.real(np.trace(sys.criterion.evaluate(half), axis1=1, axis2=2)) / n
+    u = np.trace(sys.criterion.evaluate(half), axis1=1, axis2=2) / n
+    u = linalg._real_if_rounding(u, np.max(np.abs(u)), cfg)
+    if np.iscomplexobj(u):
+        raise IntegrationError(f"U = tr(criterion) / n has an imaginary part up to "
+                               f"{np.max(np.abs(u.imag)):.3g} on the domain; the "
+                               "reduction to the free particle needs a real time map")
     run = schwarzian_time_map(u, grid)
     if run is None:
         raise IntegrationError("no zero-free subinterval of the requested minimum "

@@ -481,19 +481,6 @@ class MatrixFunction(_TimeFunction):
         return bool(np.max(np.abs(traces)) <= tol * (1.0 + _max_norm(vals)))
 
 
-def kl_sequence(upsilon: np.ndarray, w: np.ndarray,
-                cfg: ToleranceConfig = DEFAULT_TOL) -> list:
-    """K_0 = W, K_{l+1} = [Y, K_l] for l below the K-span's dimension.
-
-    The terms {K_0..K_{L-1}} span the K-span span{ad_Y^l W}; L <= n^2 - n + 1.
-    A reference helper for tests and the benchmark's tracer: the library
-    reads the K-span through samples of V(t) (``symalg.k_span_samples``),
-    never through these raw terms, whose norms grow like ||ad_Y||^l.
-    """
-    mats, _, _ = kl_sequence_with_tail(upsilon, w, cfg)
-    return mats
-
-
 def k_span_length(upsilon: np.ndarray, w: np.ndarray,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> int:
     """Dimension L of the K-span span{ad_Y^l W}, by Arnoldi on ad_Y from W.
@@ -539,8 +526,9 @@ def kl_sequence_with_tail(upsilon: np.ndarray, w: np.ndarray,
     ||K_L|| / max_l ||K_l||.
 
     L comes from ``k_span_length``; the raw terms from the recursion.  A tail
-    ratio ~0 means the sequence terminates at zero.  Like ``kl_sequence``, a
-    reference helper the library does not call.
+    ratio ~0 means the sequence terminates at zero.  A reference helper: the
+    library reads the K-span through samples of V(t), never through these
+    raw terms, whose norms grow like ||ad_Y||^l.
     """
     upsilon = np.asarray(upsilon)
     w = np.asarray(w)

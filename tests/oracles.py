@@ -10,8 +10,17 @@ import numpy as np
 import scipy.linalg
 from scipy.interpolate import CubicHermiteSpline
 
-from symode.matfun import _HULL_SLACK
+from symode.matfun import _HULL_SLACK, kl_sequence_with_tail
 from symode.numutil import grid_derivative, rk4
+
+
+def kl_sequence(upsilon, w):
+    """K_0 = W, K_{l+1} = [Y, K_l] for l below the K-span's dimension.
+
+    The terms {K_0..K_{L-1}} span the K-span span{ad_Y^l W}; L <= n^2 - n + 1.
+    """
+    mats, _, _ = kl_sequence_with_tail(upsilon, w)
+    return mats
 
 
 def _commutator_rows(mats, n):

@@ -569,7 +569,21 @@ class TestIntegrateCommand:
 
     def test_regular_without_symmetries_exit3(self, case7_doc, capsys):
         assert main(["integrate", case7_doc]) == EXIT_INAPPLICABLE
-        assert "nonzero t-components" in capsys.readouterr().err
+        assert "regular systems require known symmetries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b, cause", [
+        # U = 0.5 + 0.3i gives no real time map
+        ([[[0.5, 0.3], 0.0], [0.0, [0.5, 0.3]]], "imaginary part up to 0.3"),
+        # U = -200 drives phi2 through zero too often
+        ([[-200.0, 0.0], [0.0, -200.0]], "no zero-free subinterval")])
+    def test_singular_refusal_exit3_without_the_symmetry_hint(self, tmp_path, capsys, b,
+                                                              cause):
+        doc = {**barl_doc(np.zeros((2, 2)), np.zeros((2, 2))),
+               "B": {"kind": "constant", "m": b}}
+        assert main(["integrate", write(tmp_path, "sing.json", doc)]) == EXIT_INAPPLICABLE
+        err = capsys.readouterr().err
+        assert err.startswith("integration inapplicable: ") and cause in err
+        assert "symmetries" not in err
 
     def test_graded_pair_refused_exit3(self, tmp_path, capsys):
         # the two fields classify finds for a graded draw do not split into

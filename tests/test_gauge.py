@@ -163,6 +163,53 @@ class TestApplyEquivalence:
             apply_equivalence(lprime(MatrixFunction.constant(S1, DOM)), tr)
 
 
+class TestTimeMapIsRealAndIncreasing:
+    """T is refused when it is complex (at build) and when its image on a
+    non-affine push grid does not strictly increase."""
+
+    GRID = np.linspace(-1.0, 1.0, 8193)
+    B = MatrixFunction.constant(np.array([[0.3, 0.1], [0.2, -0.3]]), DOM)
+
+    @classmethod
+    def source(cls, path):
+        return lprime(cls.B) if path == "V" else homog(MatrixFunction.zero(2, DOM), cls.B)
+
+    @classmethod
+    def oscillating(cls):
+        # T_t = 1 + 2 cos(126 pi t) reads 3 at all 64 probes of ``validate``
+        # and -1 between them
+        return ScalarFunction.sampled(
+            cls.GRID, cls.GRID + np.sin(126 * np.pi * cls.GRID) / (63 * np.pi))
+
+    def test_complex_polynomial_t_refused(self):
+        with pytest.raises(GaugeError, match="time map T must be real"):
+            EquivalenceTransform(T=ScalarFunction.polynomial([0.0, 1.0 + 0.5j], DOM),
+                                 H=MatrixFunction.constant(E2, DOM))
+
+    def test_complex_sampled_t_refused(self):
+        with pytest.raises(GaugeError, match="time map T must be real"):
+            EquivalenceTransform(T=ScalarFunction.sampled(self.GRID, (1.0 + 0.5j) * self.GRID),
+                                 H=MatrixFunction.constant(E2, DOM))
+
+    @pytest.mark.parametrize("path", ["L", "V"])
+    def test_complex_t_refused_by_apply_equivalence(self, path):
+        with pytest.raises(GaugeError, match="time map T must be real"):
+            apply_equivalence(self.source(path), EquivalenceTransform(
+                T=ScalarFunction.polynomial([0.0, 1.0, 0.1j], DOM),
+                H=MatrixFunction.constant(E2, DOM)))
+
+    @pytest.mark.parametrize("path", ["L", "V"])
+    def test_decreasing_image_refused(self, path):
+        t_fun = self.oscillating()
+        probes = np.linspace(*DOM, gauge.PROBES)
+        # H = T_t^(1/2) E at the probes, where the V-class check reads it
+        t1 = t_fun.derivative(1).evaluate(probes)
+        h = (MatrixFunction.sampled(probes, np.sqrt(t1)[:, None, None] * E2) if path == "V"
+             else MatrixFunction.constant(E2, DOM))
+        with pytest.raises(GaugeError, match="time map T does not strictly increase"):
+            apply_equivalence(self.source(path), EquivalenceTransform(T=t_fun, H=h))
+
+
 class TestGaugeFZero:
     def test_already_homogeneous_identity(self):
         sys_in = barl(MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM),

@@ -237,6 +237,28 @@ class TestSingular:
         with pytest.raises(IntegrationError, match="singular"):
             integrate_singular(sys_in)
 
+    @staticmethod
+    def _scalar_u(u):
+        """x_tt = u x in the complex field: singular, with U = u."""
+        return homog(MatrixFunction.zero(2, DOM), MatrixFunction.constant(u * E2, DOM),
+                     field=Field.COMPLEX)
+
+    def test_nonreal_u_refused(self):
+        # the reduction needs a real time map; Re U alone solves another system
+        sys_in = self._scalar_u(0.5 + 0.3j)
+        for solve in (integrate_singular, integrate_auto):
+            with pytest.raises(IntegrationError,
+                               match=r"imaginary part up to 0\.3 .*needs a real time map"):
+                solve(sys_in)
+
+    @pytest.mark.parametrize("u", [0.5, 0.5 + 1e-13j])
+    def test_real_u_integrates(self, u):
+        # an imaginary part at rounding level is dropped by the one cut
+        sys_in = self._scalar_u(u)
+        sol = integrate_auto(sys_in)
+        assert sol.plan.procedure == "Singular"
+        assert column_residuals(sys_in, sol) < 1e-10
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_constant_a_takes_the_closed_route(self, n):
         # B - A_t/2 + A^2/4 = (0.5 + 0.2 t) E with a constant A; the same A

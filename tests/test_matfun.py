@@ -11,10 +11,11 @@ from hypothesis.extra import numpy as hnp
 from symode import linalg
 from symode.cli import decode_function, encode_function
 from symode.matfun import (MatrixFunction, RepresentationError, ScalarFunction,
-                           VectorFunction, kl_sequence, kl_sequence_with_tail,
+                           VectorFunction, kl_sequence_with_tail,
                            poly_compose_affine, poly_der, poly_eval, poly_mul, poly_wronskian)
 from conftest import DOM, E2, S1, S2, S3, Z2, near_defective_4x4, random_traceless
-from oracles import hermite_every_point, hermite_probes, hermite_reference, sampled_draw
+from oracles import (hermite_every_point, hermite_probes, hermite_reference, kl_sequence,
+                     sampled_draw)
 
 
 class TestEvaluate:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from symode.matfun import kl_sequence
 from symode.scalars import Field
 from symode.symalg import (WITNESS_TOL, k_span_centralizer, similar_constant_coeff,
                            similar_structured)
 
 from conftest import E2, S1, S2, S3, Z2
+from oracles import kl_sequence
 
 
 def make_pair(rng, cfg, with_gamma=True, nilpotent=False):

@@ -12,7 +12,8 @@ from symode.symalg import (ClassificationError, SymmetryVectorField, classify,
 
 from conftest import (DOM, E2, S1, S2, S3, Z2, graded_draw, graded_polynomial,
                       random_traceless)
-from oracles import solve_symmetries_poly_coefficients, symmetry_dims_least_squares
+from oracles import (kl_sequence, solve_symmetries_poly_coefficients,
+                     symmetry_dims_least_squares)
 
 
 def tau_poly(coeffs, domain=DOM):
@@ -441,7 +442,6 @@ class TestHigherDimension:
         assert not ess.improper_shift_flag
 
     def test_n4_routes_agree(self):
-        from symode.matfun import kl_sequence
         ups, w = self._n4_pair()
         k1 = kl_sequence(ups, w)[1]
         v_poly = MatrixFunction.polynomial([w, k1], DOM)
