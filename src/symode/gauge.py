@@ -260,7 +260,8 @@ def pushforward(t1, t2, h, hinv, ht, htt, a, b):
     t1, t2 hold T_t, T_tt; h, hinv, ht, htt hold H, H^-1, H_t, H_tt; a, b hold
     A, B, all at the same points t, so the results still have to be composed
     with T^-1.  Only ``_push_full`` calls it: symmetry straightening reads
-    H_t and H_tt off the ODE H satisfies (``integrate._straightened_coefficients``).
+    H_t and H_tt off the ODE H satisfies, at one point
+    (``integrate._coefficients_at_t0``).
     """
     t1c = t1[:, None, None]
     t2c = t2[:, None, None]
@@ -636,6 +637,8 @@ def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
     data at the domain midpoint, maps (t, x) by the transform, differentiates
     the pushed trajectories on the (nonuniform) image grid and returns the
     max defect of the dst equation, each normalized by its trajectory's scale.
+    A T whose image grid does not strictly increase is refused
+    (``_require_increasing``).
     """
     rng = np.random.default_rng(seed)
     n = src.n
@@ -643,6 +646,7 @@ def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
                         min(src.domain[1], tr.T.domain[1]), 2 * grid_steps)
     grid = half[::2]
     tvals = tr.T.evaluate(grid)
+    _require_increasing(tvals, grid)
     hvals = tr.H.evaluate(grid)
     hshift = tr.h.evaluate(grid) if tr.h is not None else np.zeros((len(grid), n))
     # the trajectories are the columns of one solve, drawn in the same order

@@ -9,23 +9,23 @@ the Jordan structure of zeta = eta2 - (tau2/tau1) eta1, with the quadrature
 count bounded by n + p - r when the elementary divisors are distinct.
 
 Both straightening procedures take one path: ``_straightening_start``
-(homogeneous class, chi dropped, A and B on the grid, every field verified),
-then ``_straighten``, which pushes the coefficients forward, requires them
-constant, max(|A~ - A~(t0)|, |B~ - B~(t0)|) <= 1e4 residual_tol
-(1 + max|A~(t0)| + max|B~(t0)|) at the middle node t0, and pulls back the
-constant system's companion exponential evaluated at T(t).  The push-forward
-reads H_t and H_tt off tau H_t = -H eta and T_t = 1/tau, so no derivative of
-H is formed:
+(homogeneous class, chi dropped, every field verified against the scale
+1 + max|B| + max|A|), then the straightened coefficients at the middle node
+t0 (``_coefficients_at_t0``):
 
     A~ = H S_A H^-1,  S_A = tau A - 2 eta + tau_t E,
     B~ = H S_B H^-1,  S_B = tau^2 B + (S_A + eta) eta - tau eta_t,
 
-and (H^-1)_t = eta H^-1 / tau gives the velocities.  For degree-0 tau and
-eta, H = exp(-(t - t0) eta/tau) in closed form.  Every other fundamental
-solve is a linear ODE whose coefficients are tabulated once on the grid and
-its step midpoints and handed to ``numutil.rk4_linear``, which composes them
-as blocked affine RK4 maps; right-multiplied equations such as
-tau H_t = -H eta run on the transpose (``gauge.right_fundamental``).
+the push-forward with T_t = 1/tau and H_t, H_tt read off tau H_t = -H eta,
+where H(t0) = E for one field and Hhat for a pair.  A verified field makes
+them constant, so t0 is the one point where they are read.  ``_straighten``
+pulls the constant system's companion exponential, evaluated at T(t), back
+through H^-1, which solves (H^-1)_t = (eta/tau) H^-1; H itself is never
+formed or inverted.  For degree-0 tau and eta, H^-1 = exp((t - t0) eta/tau)
+in closed form.  Every other fundamental solve is a linear ODE whose
+coefficients are tabulated once on the grid and its step midpoints and
+handed to ``numutil.rk4_linear``, which composes them as blocked affine RK4
+maps.
 
 The field sets the Lie algebra and the dtype of the results; the data sets
 the arithmetic.  Every solve runs in the dtype of its coefficients and
@@ -44,11 +44,12 @@ import numpy as np
 
 from . import linalg
 from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, SystemDescriptor,
-                    gauge_f_zero, half_a_fundamental, right_fundamental,
-                    schwarzian_time_map, singular_class_test)
+                    gauge_f_zero, half_a_fundamental, schwarzian_time_map,
+                    singular_class_test)
 from .matfun import (POLYNOMIAL, MatrixFunction, ScalarFunction, poly_der, poly_lincomb,
                      poly_mul, poly_strip, poly_wronskian)
-from .numutil import companion, cumulative_integral, trajectory_derivative, uniform_grid
+from .numutil import (companion, cumulative_integral, rk4_linear, trajectory_derivative,
+                      uniform_grid)
 from .scalars import Field
 from .symalg import SymmetryVectorField, bracket_normal_partner, verify_symmetry_homogeneous
 
@@ -60,7 +61,7 @@ class IntegrationError(RuntimeError):
 @dataclass
 class IntegrationPlan:
     procedure: str  # Singular | OneSymmetry | TwoSymmetry | ConstantDirect
-    h_values: np.ndarray | None = None
+    hinv_values: np.ndarray | None = None  # H^-1, the map solutions are pulled back through
     t_map: np.ndarray | None = None
     lam: np.ndarray | None = None
     modal: np.ndarray | None = None
@@ -241,7 +242,7 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
     if not homogeneous:
         particular = np.einsum("tij,tj->ti", hinv, gvals)
         quad = 2 * n
-    plan = IntegrationPlan(procedure="Singular", h_values=hvals, t_map=tvals,
+    plan = IntegrationPlan(procedure="Singular", hinv_values=hinv, t_map=tvals,
                            quadrature_bound=2 * n,
                            notes=["reduced to the free particle by the combined "
                                   "A-gauge and trace gauge", route])
@@ -250,9 +251,9 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
 
 
 def _straightening_start(sys: SystemDescriptor, fields, grid_steps: int):
-    """The fields without chi, the half-step grid, the grid, and A and B on
-    the grid, for a homogeneous system whose fields all verify; A and B on
-    the grid also give the verification scale."""
+    """The fields without chi, the half-step grid, the grid, and A and B at its
+    middle node t0, for a homogeneous system whose fields all verify against
+    the scale 1 + max |B| + max |A| (``max_norm``)."""
     if sys.cls not in (HOMOGENEOUS, LPRIME, LDOUBLEPRIME):
         raise IntegrationError("symmetry straightening expects a homogeneous "
                                "system (gauge f away first)")
@@ -260,11 +261,13 @@ def _straightening_start(sys: SystemDescriptor, fields, grid_steps: int):
     fields = [q.drop_chi() for q in fields]
     half = uniform_grid(sys.domain[0], sys.domain[1], 2 * grid_steps)
     grid = half[::2]
-    a_grid, b_grid, scale = _coefficients_on(a_fun, b_fun, grid)
+    scale = 1.0 + b_fun.max_norm() + a_fun.max_norm()
     for i, res in enumerate(verify_symmetry_homogeneous(a_fun, b_fun, fields), 1):
         if res > 100 * sys.cfg.residual_tol * scale:
             raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
-    return fields, half, grid, a_grid, b_grid
+    i0 = len(grid) // 2
+    t0 = grid[i0:i0 + 1]
+    return fields, half, grid, a_fun.evaluate(t0)[0], b_fun.evaluate(t0)[0]
 
 
 def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
@@ -272,12 +275,13 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     """Straighten one symmetry with nonzero t-component and solve.
 
     Steps: drop chi; divide the field by the phase of tau(t0)
-    (``_phase``); H from tau H_t = -H eta, H(t0) = E (closed form for
-    degree-0 tau and eta, else RK4); T from T_t = 1/tau (the single
-    quadrature); ``_straighten``.
+    (``_phase``); H^-1 from (H^-1)_t = (eta/tau) H^-1, H^-1(t0) = E (closed
+    form for degree-0 tau and eta, else RK4); T from T_t = 1/tau (the single
+    quadrature); A~ and B~ at t0, where H = E; ``_straighten``.
     """
-    (q,), half, grid, a_grid, b_grid = _straightening_start(sys, [q], grid_steps)
+    (q,), half, grid, a0, b0 = _straightening_start(sys, [q], grid_steps)
     cfg = sys.cfg
+    n = sys.n
     i0 = len(grid) // 2
     tau_half = q.tau.evaluate(half)
     if np.min(np.abs(tau_half[::2])) <= 1e-12:
@@ -285,24 +289,25 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     phase = _phase(tau_half[2 * i0])
     tau_half = _real_time_map(tau_half / phase, cfg)
     tau = tau_half[::2]
-    eta_fun = q.eta_function(sys.n, sys.domain)
+    eta_fun = q.eta_function(n, sys.domain)
     eta_half = eta_fun.evaluate(half) / phase
     if q.tau.degree() == 0 and eta_fun.degree() == 0:
-        gen = -eta_fun.value / phase / tau[i0]
-        hvals = linalg.exp_factory(gen)(grid - grid[i0])
-        route = "closed-form H = exp(-(t-t0) eta/tau)"
+        hinv = linalg.exp_factory(eta_fun.value / phase / tau[i0])(grid - grid[i0])
+        route = "closed-form H^-1 = exp((t-t0) eta/tau)"
     else:
-        hvals = right_fundamental(-eta_half / tau_half[:, None, None], grid)
-        route = "fundamental solve of tau H_t = -H eta"
+        hinv = rk4_linear(eta_half / tau_half[:, None, None], np.eye(n), grid, i0)
+        route = "fundamental solve of (H^-1)_t = (eta/tau) H^-1"
     tmap = cumulative_integral(grid, 1.0 / tau)
     tmap = tmap - tmap[i0]
-    positions, velocities, abar, bbar = _straighten(
-        cfg.residual_tol, a_grid, b_grid, tau,
-        _real_time_map(q.tau.derivative(1).evaluate(grid) / phase, cfg),
-        hvals, eta_half[::2], eta_fun.derivative(1).evaluate(grid) / phase, tmap)
-    plan = IntegrationPlan(procedure="OneSymmetry", h_values=hvals, t_map=tmap,
-                           notes=[route, "constant push-forward coefficients",
-                                  f"A~ = {np.array2string(abar, precision=4)}",
+    t0 = grid[i0:i0 + 1]
+    e = np.eye(n)
+    abar, bbar = _coefficients_at_t0(
+        e, e, a0, b0, tau[i0],
+        _real_time_map(q.tau.derivative(1).evaluate(t0) / phase, cfg)[0],
+        eta_half[2 * i0], eta_fun.derivative(1).evaluate(t0)[0] / phase)
+    positions, velocities = _straighten(abar, bbar, hinv, eta_half[::2], tau, tmap)
+    plan = IntegrationPlan(procedure="OneSymmetry", hinv_values=hinv, t_map=tmap,
+                           notes=[route, f"A~ = {np.array2string(abar, precision=4)}",
                                   f"B~ = {np.array2string(bbar, precision=4)}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
                        particular=None, quadratures=1, plan=plan).in_field(sys.field)
@@ -327,58 +332,29 @@ def _real_time_map(x, cfg):
     return x
 
 
-def _coefficients_on(a_fun, b_fun, grid):
-    """A and B on the solver grid, and the residual scale 1 + max |B| + max |A|
-    (Frobenius) over every 16th node of the default 1024-step grid, which are
-    ``max_norm``'s 65 probes bit for bit (both grids come from ``linspace``
-    and their step ratio is a power of two)."""
-    a, b = a_fun.evaluate(grid), b_fun.evaluate(grid)
-    probes = slice(None, None, max(1, (len(grid) - 1) // 64))
-
-    def sup(vals):
-        return float(np.max(np.linalg.norm(vals[probes], axis=(1, 2))))
-
-    return a, b, 1.0 + sup(b) + sup(a)
+def _coefficients_at_t0(h0, h0inv, a0, b0, tau0, taut0, eta0, etat0):
+    """A~ = H S_A H^-1 and B~ = H S_B H^-1 (module docstring) from H, H^-1,
+    A, B, tau, tau_t, eta and eta_t at t0: ``gauge.pushforward`` for
+    T_t = 1/tau, with H_t and H_tt taken from tau H_t = -H eta."""
+    s_a = tau0 * a0 - 2.0 * eta0 + taut0 * np.eye(len(a0))
+    s_b = tau0 ** 2 * b0 + (s_a + eta0) @ eta0 - tau0 * etat0
+    return h0 @ s_a @ h0inv, h0 @ s_b @ h0inv
 
 
-def _straighten(residual_tol, a, b, tau, taut, h, eta, eta_t, tmap):
-    """Positions, velocities, A~(t0) and B~(t0) of x(t) = H^-1(t) x~(T(t)),
-    for H solving tau H_t = -H eta and T_t = 1/tau; a and b hold A and B on
-    the grid, taut and eta_t the t-derivatives.
+def _straighten(abar, bbar, hinv, eta, tau, tmap):
+    """Positions and velocities of x(t) = H^-1(t) x~(T(t)) for H^-1 solving
+    (H^-1)_t = eta H^-1 / tau and T_t = 1/tau, on the grid.
 
-    A~ and B~ must pass the module's constancy bound; x~ are the columns of
-    the constant system's companion exponential anchored at the middle of
-    T's range.  (H^-1)_t = eta H^-1 / tau, so the velocities are
-    (eta x + H^-1 x~') / tau.
+    x~ are the columns of the companion exponential of the constant system
+    x~'' = A~ x~' + B~ x~, anchored at the middle of T's range, so the
+    velocities are (eta x + H^-1 x~') / tau.
     """
-    n = h.shape[1]
-    hinv = np.linalg.inv(h)
-    anew, bnew = _straightened_coefficients(h, hinv, a, b, tau, taut, eta, eta_t)
-    i0 = len(tau) // 2
-    abar, bbar = anew[i0], bnew[i0]
-    dev = max(float(np.max(np.abs(anew - abar))), float(np.max(np.abs(bnew - bbar))))
-    tol = 1e4 * residual_tol * (1.0 + float(np.max(np.abs(bbar)))
-                                + float(np.max(np.abs(abar))))
-    if dev > tol:
-        raise IntegrationError(f"push-forward coefficients are not constant "
-                               f"(deviation {dev:.3g}); symmetry not verified or "
-                               "numerics insufficient")
+    n = hinv.shape[1]
     ef = linalg.exp_factory(companion(abar, bbar))
     states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
     positions = hinv @ states[:, :n, :]
     velocities = (eta @ positions + hinv @ states[:, n:, :]) / tau[:, None, None]
-    return positions, velocities, abar, bbar
-
-
-def _straightened_coefficients(h, hinv, a, b, tau, taut, eta, eta_t):
-    """A~ = H S_A H^-1 and B~ = H S_B H^-1 (module docstring) at each grid
-    point: ``gauge.pushforward`` for T_t = 1/tau, H_t and H_tt taken from
-    tau H_t = -H eta."""
-    tc = tau[:, None, None]
-    s_a = tc * a - 2.0 * eta + taut[:, None, None] * np.eye(h.shape[1])
-    anew = h @ s_a @ hinv
-    s_b = tc ** 2 * b + (s_a + eta) @ eta - tc * eta_t
-    return anew, h @ s_b @ hinv
+    return positions, velocities
 
 
 def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
@@ -392,13 +368,14 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     straightening fundamental solve splits blockwise, and ``_straighten``
     finishes with T = tau2/tau1 (no quadrature for the time map).
     """
-    (q1, q2), half, grid, a_grid, b_grid = _straightening_start(sys, [q1, q2], grid_steps)
+    (q1, q2), half, grid, a0, b0 = _straightening_start(sys, [q1, q2], grid_steps)
     cfg = sys.cfg
     n = sys.n
     i0 = len(grid) // 2
-    # tau and eta of both fields on the half-step grid and their
-    # t-derivatives on the grid, each evaluated once; the recombined X and Y
-    # below are combinations of these arrays
+    t0 = grid[i0:i0 + 1]
+    # tau and eta of both fields on the half-step grid and the t-derivatives
+    # of tau on the grid, each evaluated once; the recombined X and Y below
+    # are combinations of these arrays
     tau1_half, tau2_half = q1.tau.evaluate(half), q2.tau.evaluate(half)
     dt1, dt2 = q1.tau.derivative(1).evaluate(grid), q2.tau.derivative(1).evaluate(grid)
     tau1, tau2 = tau1_half[::2], tau2_half[::2]
@@ -409,7 +386,6 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     eta1_fun = q1.eta_function(n, sys.domain)
     eta2_fun = q2.eta_function(n, sys.domain)
     eta1_half, eta2_half = eta1_fun.evaluate(half), eta2_fun.evaluate(half)
-    deta1, deta2 = eta1_fun.derivative(1).evaluate(grid), eta2_fun.derivative(1).evaluate(grid)
     # recombine to the bracket-normal form [X, Y] = X
     q3 = bracket(q1, q2, n, sys.domain)
     probes = np.linspace(sys.domain[0], sys.domain[1], 33)
@@ -465,16 +441,17 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                                "the pair does not split the system into blocks; "
                                "integrate with a single field whose tau has no zero "
                                "on the domain")
-    # the straightening solve tau Hcheck_t = -Hcheck eta_check splits along
-    # the blocks: one solve with the off-block part of eta_check left out
-    hcheck = right_fundamental(-np.where(blocks, eta_check_half, 0.0)
-                               / tau_x_half[:, None, None], grid)
-    hvals = hcheck @ hhat
-    # H = Hcheck Hhat solves tau H_t = -H eta1
-    positions, velocities, _, _ = _straighten(
-        cfg.residual_tol, a_grid, b_grid, tau_x,
-        _real_time_map((aco * dt1 + bco * dt2) / phase, cfg),
-        hvals, ex, (aco * deta1 + bco * deta2) / phase, tmap)
+    # H = Hcheck Hhat solves tau H_t = -H eta1, and the straightening solve
+    # splits along the blocks: H^-1 = modal Hcheck^-1 with one solve of
+    # (Hcheck^-1)_t = (eta_check/tau) Hcheck^-1, its off-block part left out
+    hinv = modal @ rk4_linear(np.where(blocks, eta_check_half, 0.0)
+                              / tau_x_half[:, None, None], np.eye(n), grid, i0)
+    deta1, deta2 = (f.derivative(1).evaluate(t0)[0] for f in (eta1_fun, eta2_fun))
+    abar, bbar = _coefficients_at_t0(
+        hhat, modal, a0, b0, tau_x[i0],
+        _real_time_map((aco * dt1[i0:i0 + 1] + bco * dt2[i0:i0 + 1]) / phase, cfg)[0],
+        ex[i0], (aco * deta1 + bco * deta2) / phase)
+    positions, velocities = _straighten(abar, bbar, hinv, ex, tau_x, tmap)
     if sys.field is Field.REAL and np.iscomplexobj(modal):
         # x~ is the real straightened system's companion exponential
         # conjugated by D = diag(Hhat, Hhat), since H(t0) = Hhat; mixing the
@@ -487,7 +464,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     eligible = all(len(set(lengths)) == len(lengths) for lengths in chains)
     r = len(chains)
     p_total = sum(len(lengths) for lengths in chains)
-    plan = IntegrationPlan(procedure="TwoSymmetry", h_values=hvals, t_map=tmap, lam=lam,
+    plan = IntegrationPlan(procedure="TwoSymmetry", hinv_values=hinv, t_map=tmap, lam=lam,
                            modal=modal, block_sizes=sizes, eligible_distinct_divisors=eligible,
                            quadrature_bound=n + p_total - r,
                            notes=[f"Lam eigenvalues {np.round(np.diag(lam), 6)}",

@@ -704,12 +704,6 @@ def _generator_type(g: np.ndarray, cfg: ToleranceConfig, fld: Field) -> str:
     return "split"
 
 
-CASE_EXPECTATIONS = {
-    "0": (0, 1), "1": (0, 2), "2": (0, 2), "3": (1, 2), "4": (1, 2),
-    "5": (1, 3), "6": (1, 3), "7": (2, 4),
-    "1R": (0, 2), "3R": (1, 2), "5R": (1, 3),
-}
-
 CASE_BASIS_TEXT = {
     "0": "<I>",
     "1": "<I, x2 d_x1>",

@@ -78,6 +78,25 @@ def conj_exp_centralizer_dim(upsilon, w):
     return n * n - rank - 1, gap
 
 
+def conj_exp_transition(upsilon, w, t, t0):
+    """State transition [x; x_t](t0) -> [x; x_t](t) of x_tt = V x with
+    V(t) = expm(tY) W expm(-tY), by scipy's expm.
+
+    x = e^{tY} y turns the system into the constant y_tt = -2 Y y_t
+    + (W - Y^2) y, and [x; x_t] = P(t) [y; y_t] with
+    P = [[e^{tY}, 0], [Y e^{tY}, e^{tY}]].
+    """
+    n = w.shape[0]
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    gen = np.block([[zero, eye], [w - upsilon @ upsilon, -2.0 * upsilon]])
+
+    def lift(s):
+        e = scipy.linalg.expm(s * upsilon)
+        return np.block([[e, zero], [upsilon @ e, e]])
+
+    return lift(t) @ scipy.linalg.expm((t - t0) * gen) @ np.linalg.inv(lift(t0))
+
+
 def symmetry_dims_least_squares(v_eval, vdot_eval, n, grid, complexify=False):
     """(k, dim_s) from the classifying condition sampled pointwise.
 

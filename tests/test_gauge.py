@@ -209,6 +209,13 @@ class TestTimeMapIsRealAndIncreasing:
         with pytest.raises(GaugeError, match="time map T does not strictly increase"):
             apply_equivalence(self.source(path), EquivalenceTransform(T=t_fun, H=h))
 
+    def test_decreasing_image_refused_by_verify_equivalence(self):
+        # the image grid would be differentiated as if it were increasing
+        sys_in = self.source("L")
+        with pytest.raises(GaugeError, match="time map T does not strictly increase"):
+            verify_equivalence(sys_in, sys_in, EquivalenceTransform(
+                T=self.oscillating(), H=MatrixFunction.constant(E2, DOM)))
+
 
 class TestGaugeFZero:
     def test_already_homogeneous_identity(self):

@@ -4,7 +4,6 @@ import pytest
 from symode import integrate, linalg
 from symode.casebook import n2_cases
 from symode.gauge import SystemDescriptor, pushforward
-from symode.integrate import _coefficients_on
 from symode.integrate import (IntegrationError, bracket, integrate_auto,
                               integrate_one_symmetry, integrate_singular,
                               integrate_two_symmetries, residual,
@@ -16,7 +15,7 @@ from symode.symalg import SymmetryVectorField, classify
 
 from conftest import (DOM, E2, S1, S2, S3, Z2, defective_zeta_draw, generic_draw,
                       graded_draw)
-from oracles import richardson_error, rk4_reference
+from oracles import conj_exp_transition, richardson_error, rk4_reference
 
 
 def tau_poly(coeffs, domain=DOM):
@@ -324,8 +323,8 @@ class TestOneSymmetry:
         q = SymmetryVectorField(tau=tau_poly([1.0]), gamma=Z2)
         sol = integrate_one_symmetry(sys_in, q)
         assert column_residuals(sys_in, sol) < 1e-7
-        # straightening is trivial: H = E hence T = t
-        np.testing.assert_allclose(sol.plan.h_values[0], E2, atol=1e-9)
+        # straightening is trivial: H^-1 = E hence T = t
+        np.testing.assert_allclose(sol.plan.hinv_values[0], E2, atol=1e-9)
         np.testing.assert_allclose(sol.plan.t_map,
                                    sol.grid - sol.grid[len(sol.grid) // 2],
                                    atol=1e-9)
@@ -377,8 +376,9 @@ class TestOneSymmetry:
         # factory of the companion matrix, from the matrix alone
         assert [b for b in builds if b[0] == (4, 4)] == [((4, 4), (), {})]
 
-    def test_coefficients_evaluated_on_two_point_sets(self, monkeypatch):
-        # the verification probes and the solver grid, which also gives the scale
+    def test_coefficients_never_evaluated_on_the_grid(self, monkeypatch):
+        # the verification scale (max_norm's 65 points), the verification
+        # probes and the middle node t0, where the straightened A~ and B~ are read
         from symode.symalg import PROBES
         sys_in = homog(MatrixFunction.zero(2, DOM), MatrixFunction.conj_exp(0.3, S2, S1, DOM))
         a_fun, b_fun, _ = sys_in.coefficients()
@@ -390,24 +390,7 @@ class TestOneSymmetry:
 
         record_point_sets(monkeypatch, record)
         integrate_one_symmetry(sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=S2))
-        assert sizes == {"A": [1025, PROBES], "B": [1025, PROBES]}
-
-    @pytest.mark.parametrize("kind", ["constant", "polynomial", "conj_exp", "sampled"])
-    def test_scale_from_the_grid_equals_max_norm(self, kind):
-        rng = np.random.default_rng(4)
-        t = np.linspace(*DOM, 97)[:, None, None]
-        b_fun = {"constant": lambda: MatrixFunction.constant(rng.standard_normal((3, 3)), DOM),
-                 "polynomial": lambda: MatrixFunction.polynomial(
-                     rng.standard_normal((3, 3, 3)), DOM),
-                 "conj_exp": lambda: MatrixFunction.conj_exp(
-                     0.2, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), DOM),
-                 "sampled": lambda: MatrixFunction.sampled(
-                     t[:, 0, 0], rng.standard_normal((3, 3)) * np.cos(2.0 * t)),
-                 }[kind]()
-        a_fun = MatrixFunction.polynomial(rng.standard_normal((2, 3, 3)), DOM)
-        grid = uniform_grid(*DOM, 2048)[::2]
-        _, _, scale = _coefficients_on(a_fun, b_fun, grid)
-        assert scale == 1.0 + b_fun.max_norm() + a_fun.max_norm()
+        assert sizes == {"A": [65, PROBES, 1], "B": [65, PROBES, 1]}
 
     def test_vanishing_tau_rejected(self):
         sys_in = homog(MatrixFunction.zero(2, DOM),
@@ -418,8 +401,8 @@ class TestOneSymmetry:
 
 
 class TestStraightenedCoefficients:
-    """A~ and B~ from tau H_t = -H eta are ``gauge.pushforward``'s with H_t and
-    H_tt taken from that equation, at every node."""
+    """A~ and B~ read at t0 are ``gauge.pushforward``'s there, with H_t and
+    H_tt taken from tau H_t = -H eta."""
 
     @staticmethod
     def inputs():
@@ -432,28 +415,50 @@ class TestStraightenedCoefficients:
                 yield sys_in, [q]
 
     def test_equal_to_the_general_pushforward(self, monkeypatch):
-        from symode import integrate
         calls = []
-        identity_form = integrate._straightened_coefficients
+        read_at_t0 = integrate._coefficients_at_t0
 
         def recorded(*args):
-            calls.append((args, identity_form(*args)))
+            calls.append((args, read_at_t0(*args)))
             return calls[-1][1]
 
-        monkeypatch.setattr(integrate, "_straightened_coefficients", recorded)
+        monkeypatch.setattr(integrate, "_coefficients_at_t0", recorded)
         runs = 0
         for sys_in, fields in self.inputs():
             integrate_auto(sys_in, fields)
             runs += 1
         assert len(calls) == runs == 20
-        for (h, hinv, a, b, tau, taut, eta, eta_t), pushed in calls:
+        for (h, hinv, a, b, tau, taut, eta, eta_t), read in calls:
             he = h @ eta
-            tc = tau[:, None, None]
-            ht = -he / tc
-            htt = (taut / tau ** 2)[:, None, None] * he + (he @ eta) / tc ** 2 - (h @ eta_t) / tc
-            for new, ref in zip(pushed, pushforward(1.0 / tau, -taut / tau ** 2, h, hinv,
-                                                    ht, htt, a, b)):
-                assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+            ht = -he / tau
+            htt = (taut / tau ** 2) * he + (he @ eta) / tau ** 2 - (h @ eta_t) / tau
+            pushed = pushforward(np.array([1.0 / tau]), np.array([-taut / tau ** 2]),
+                                 *(x[None] for x in (h, hinv, ht, htt, a, b)))
+            for new, ref in zip(read, pushed):
+                assert np.max(np.abs(new - ref[0])) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestSampledCoefficients:
+    """A and B given as samples straighten like the functions they sample."""
+
+    @staticmethod
+    def inputs(fld):
+        for case in n2_cases(fld):
+            if case.symmetries:
+                yield case.system, case.symmetries
+        for n in (3, 5):
+            sys_in, q = TestUpToEight.one_symmetry(0, n, fld)
+            yield sys_in, [q]
+
+    @pytest.mark.parametrize("fld", list(Field))
+    def test_resampled_rows_integrate(self, fld):
+        for sys_in, fields in self.inputs(fld):
+            nodes = uniform_grid(*sys_in.domain, 256)
+            a_fun, b_fun, _ = sys_in.coefficients()
+            sampled = homog(MatrixFunction.sampled(nodes, a_fun.evaluate(nodes)),
+                            MatrixFunction.sampled(nodes, b_fun.evaluate(nodes)), field=fld)
+            sol = integrate_auto(sampled, fields)
+            assert column_residuals(sys_in, sol) < 1e-6
 
 
 class TestTwoSymmetries:
@@ -627,8 +632,11 @@ class TestUpToEight:
     2n x 2n: only the system's size is capped at 8."""
 
     @staticmethod
-    def one_symmetry(seed, n, fld):
+    def one_symmetry(seed, n, fld, a=1.0):
+        """generic_draw's V = e^{tY} W e^{-tY} under t -> a t, which scales the
+        draw to (aY, a^2 W), with its field tau = 1, Gamma = aY."""
         y, w = generic_draw(seed, n, fld is Field.COMPLEX)
+        y, w = a * y, a * a * w
         sys_in = homog(MatrixFunction.zero(n, DOM), MatrixFunction.conj_exp(0.0, y, w, DOM),
                        field=fld)
         return sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=y)
@@ -653,8 +661,24 @@ class TestUpToEight:
 
     @pytest.mark.parametrize("fld", list(Field))
     @pytest.mark.parametrize("n", range(5, 9))
+    def test_scaled_draws_match_the_constant_system(self, n, fld):
+        # the state [X; X_t] at both ends of the domain against the transition
+        # of the constant system that x = e^{t aY} y gives, from the same state
+        # at t0; straightening through H and its inverse refused most of these
+        # draws at a >= 4
+        for a in (2.0, 4.0, 6.0, 8.0):
+            sys_in, q = self.one_symmetry(0, n, fld, a)
+            sol = integrate_auto(sys_in, [q])
+            i0 = len(sol.grid) // 2
+            for i in (0, len(sol.grid) - 1):
+                ref = (conj_exp_transition(q.gamma, sys_in.B.w, sol.grid[i], sol.grid[i0])
+                       @ sol.state_matrix(i0))
+                assert np.linalg.norm(sol.state_matrix(i) - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("n", range(5, 9))
     def test_closed_and_rk4_routes_agree(self, n, fld):
-        # tau = 1 as a degree-0 polynomial gives H = exp(-(t - t0) Gamma); the
+        # tau = 1 as a degree-0 polynomial gives H^-1 = exp((t - t0) Gamma); the
         # same tau sampled gives the RK4 solve, so the positions of the two
         # routes differ by RK4's fourth-order error alone
         sys_in, q = self.one_symmetry(0, n, fld)
@@ -665,8 +689,8 @@ class TestUpToEight:
         def gap(steps):
             closed, solved = (integrate_auto(sys_in, [f], grid_steps=steps)
                               for f in (q, sampled))
-            assert closed.plan.notes[0] == "closed-form H = exp(-(t-t0) eta/tau)"
-            assert solved.plan.notes[0] == "fundamental solve of tau H_t = -H eta"
+            assert closed.plan.notes[0] == "closed-form H^-1 = exp((t-t0) eta/tau)"
+            assert solved.plan.notes[0] == "fundamental solve of (H^-1)_t = (eta/tau) H^-1"
             return (np.max(np.abs(closed.positions - solved.positions))
                     / np.max(np.abs(closed.positions)))
 
@@ -851,7 +875,7 @@ class TestArithmeticFollowsTheData:
         # coefficients and Gamma stored as complex128
         real = integrate_auto(*_casebook_row(label, forced))
         cplx = integrate_auto(*_casebook_row(label, forced, stored_complex=True))
-        assert real.plan.h_values.dtype == np.float64
+        assert real.plan.hinv_values.dtype == np.float64
         np.testing.assert_array_equal(real.grid, cplx.grid)
         assert _relative_gap(_transition(real), _transition(cplx)) <= 1e-12
         if forced:
@@ -880,7 +904,7 @@ class TestArithmeticFollowsTheData:
     def test_singular_real_and_complex_storage_agree(self):
         real = integrate_auto(_singular_system(Field.COMPLEX))
         cplx = integrate_auto(_singular_system(Field.COMPLEX, stored_complex=True))
-        assert real.plan.h_values.dtype == np.float64
+        assert real.plan.hinv_values.dtype == np.float64
         assert _relative_gap(real.positions, cplx.positions) <= 1e-12
         assert _relative_gap(real.velocities, cplx.velocities) <= 1e-12
         assert _relative_gap(real.particular, cplx.particular) <= 1e-12
@@ -893,7 +917,7 @@ class TestArithmeticFollowsTheData:
         assert len(rows) == (7 if fld is Field.REAL else 5)
         for case in rows:
             plan = integrate_auto(case.system, case.symmetries).plan
-            assert plan.h_values.dtype == np.float64, case.label
+            assert plan.hinv_values.dtype == np.float64, case.label
             if plan.procedure == "TwoSymmetry":
                 assert plan.modal.dtype == plan.lam.dtype == np.float64, case.label
 
