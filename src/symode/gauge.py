@@ -437,29 +437,21 @@ def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
                                         "initial data at the left endpoint")
 
 
-def right_fundamental(m, grid):
-    """H with H_t = H M(t) and H = E at the grid midpoint, in M's dtype.
-
-    M is tabulated on the half-step points of ``grid`` (see ``rk4_linear``);
-    the solve runs on the transpose, (H^T)_t = M^T H^T.
-    """
-    y = rk4_linear(np.swapaxes(m, 1, 2), np.eye(m.shape[1]), grid, len(grid) // 2)
-    return np.swapaxes(y, 1, 2)
-
-
 def half_a_fundamental(a_fun: MatrixFunction, grid):
     """H with H_t = -(1/2) H A on the uniform ``grid``, H(t0) = E at its middle,
     in A's dtype, with the factory of exp(-t A/2) (None on the RK4 route), a
     note naming the route, and A on the grid (None on the closed route):
-    exp(-(t - t0) A/2) for a degree-0 A, else ``right_fundamental`` of A
-    evaluated once on the half-step points."""
+    exp(-(t - t0) A/2) for a degree-0 A, else one ``rk4_linear`` solve of the
+    transpose, (H^T)_t = -(1/2) A^T H^T, with A evaluated once on the
+    half-step points."""
     t0 = 0.5 * (grid[0] + grid[-1])
     if a_fun.degree() == 0:
         ef = linalg.exp_factory(-0.5 * a_fun.value)
         return ef(grid - t0), ef, "closed-form exp(-(t-t0) A/2)", None
     a_half = a_fun.evaluate(uniform_grid(grid[0], grid[-1], 2 * (len(grid) - 1)))
-    hs = right_fundamental(-0.5 * a_half, grid)
-    return hs, None, "fundamental solve of H_t = -H A/2", a_half[::2]
+    hs = rk4_linear(np.swapaxes(-0.5 * a_half, 1, 2), np.eye(a_half.shape[1]), grid,
+                    len(grid) // 2)
+    return np.swapaxes(hs, 1, 2), None, "fundamental solve of H_t = -H A/2", a_half[::2]
 
 
 def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:

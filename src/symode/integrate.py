@@ -3,29 +3,30 @@
 Singular systems reduce to the free particle by the combined A-gauge and
 trace-gauge (at most 2n quadratures for the inhomogeneity).  A single
 symmetry with nonzero t-component straightens to a constant-coefficient
-system (one quadrature for the time map); two symmetries with independent
-t-components split the straightening solve into uncoupled blocks ordered by
-the Jordan structure of zeta = eta2 - (tau2/tau1) eta1, with the quadrature
-count bounded by n + p - r when the elementary divisors are distinct.
+system (one quadrature for the time map).  Two symmetries with independent
+t-components recombine to [X, Y] = X and straighten by X with the time map
+T = tau_y/tau_x (no quadrature); the Jordan structure of
+zeta = eta_y - (tau_y/tau_x) eta_x, along whose eigenspaces X must split the
+system, is reported and bounds the quadrature count by n + p - r when the
+elementary divisors are distinct.
 
-Both straightening procedures take one path: ``_straightening_start``
+Both procedures straighten one field through one path: ``_straightening_start``
 (homogeneous class, chi dropped, every field verified against the scale
-1 + max|B| + max|A|), then the straightened coefficients at the middle node
-t0 (``_coefficients_at_t0``):
+1 + max|B| + max|A|), then ``_straighten``, which reads the straightened
+coefficients at the middle node t0 (``_coefficients_at_t0``):
 
-    A~ = H S_A H^-1,  S_A = tau A - 2 eta + tau_t E,
-    B~ = H S_B H^-1,  S_B = tau^2 B + (S_A + eta) eta - tau eta_t,
+    A~ = tau A - 2 eta + tau_t E,
+    B~ = tau^2 B + (A~ + eta) eta - tau eta_t,
 
 the push-forward with T_t = 1/tau and H_t, H_tt read off tau H_t = -H eta,
-where H(t0) = E for one field and Hhat for a pair.  A verified field makes
-them constant, so t0 is the one point where they are read.  ``_straighten``
-pulls the constant system's companion exponential, evaluated at T(t), back
-through H^-1, which solves (H^-1)_t = (eta/tau) H^-1; H itself is never
-formed or inverted.  For degree-0 tau and eta, H^-1 = exp((t - t0) eta/tau)
-in closed form.  Every other fundamental solve is a linear ODE whose
-coefficients are tabulated once on the grid and its step midpoints and
-handed to ``numutil.rk4_linear``, which composes them as blocked affine RK4
-maps.
+where H(t0) = E.  A verified field makes them constant, so t0 is the one
+point where they are read.  The constant system's companion exponential,
+evaluated at T(t), is pulled back through H^-1, which solves
+(H^-1)_t = (eta/tau) H^-1; H itself is never formed or inverted.  For
+degree-0 tau and eta of one field, H^-1 = exp((t - t0) eta/tau) in closed
+form.  Every other fundamental solve is a linear ODE whose coefficients are
+tabulated once on the grid and its step midpoints and handed to
+``numutil.rk4_linear``, which composes them as blocked affine RK4 maps.
 
 The field sets the Lie algebra and the dtype of the results; the data sets
 the arithmetic.  Every solve runs in the dtype of its coefficients and
@@ -63,7 +64,7 @@ class IntegrationPlan:
     procedure: str  # Singular | OneSymmetry | TwoSymmetry | ConstantDirect
     hinv_values: np.ndarray | None = None  # H^-1, the map solutions are pulled back through
     t_map: np.ndarray | None = None
-    lam: np.ndarray | None = None
+    lam: np.ndarray | None = None  # a pair's reported Jordan data: zeta = modal lam modal^-1
     modal: np.ndarray | None = None
     block_sizes: list = dc_field(default_factory=list)
     eligible_distinct_divisors: bool | None = None
@@ -275,9 +276,8 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     """Straighten one symmetry with nonzero t-component and solve.
 
     Steps: drop chi; divide the field by the phase of tau(t0)
-    (``_phase``); H^-1 from (H^-1)_t = (eta/tau) H^-1, H^-1(t0) = E (closed
-    form for degree-0 tau and eta, else RK4); T from T_t = 1/tau (the single
-    quadrature); A~ and B~ at t0, where H = E; ``_straighten``.
+    (``_phase``); T from T_t = 1/tau (the single quadrature); ``_straighten``,
+    with H^-1 = exp((t - t0) eta/tau) in closed form for degree-0 tau and eta.
     """
     (q,), half, grid, a0, b0 = _straightening_start(sys, [q], grid_steps)
     cfg = sys.cfg
@@ -290,22 +290,17 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     tau_half = _real_time_map(tau_half / phase, cfg)
     tau = tau_half[::2]
     eta_fun = q.eta_function(n, sys.domain)
-    eta_half = eta_fun.evaluate(half) / phase
+    hinv, route = None, _HINV_SOLVE
     if q.tau.degree() == 0 and eta_fun.degree() == 0:
         hinv = linalg.exp_factory(eta_fun.value / phase / tau[i0])(grid - grid[i0])
         route = "closed-form H^-1 = exp((t-t0) eta/tau)"
-    else:
-        hinv = rk4_linear(eta_half / tau_half[:, None, None], np.eye(n), grid, i0)
-        route = "fundamental solve of (H^-1)_t = (eta/tau) H^-1"
     tmap = cumulative_integral(grid, 1.0 / tau)
     tmap = tmap - tmap[i0]
     t0 = grid[i0:i0 + 1]
-    e = np.eye(n)
-    abar, bbar = _coefficients_at_t0(
-        e, e, a0, b0, tau[i0],
+    hinv, abar, bbar, positions, velocities = _straighten(
+        a0, b0, tau_half, eta_fun.evaluate(half) / phase,
         _real_time_map(q.tau.derivative(1).evaluate(t0) / phase, cfg)[0],
-        eta_half[2 * i0], eta_fun.derivative(1).evaluate(t0)[0] / phase)
-    positions, velocities = _straighten(abar, bbar, hinv, eta_half[::2], tau, tmap)
+        eta_fun.derivative(1).evaluate(t0)[0] / phase, tmap, grid, hinv)
     plan = IntegrationPlan(procedure="OneSymmetry", hinv_values=hinv, t_map=tmap,
                            notes=[route, f"A~ = {np.array2string(abar, precision=4)}",
                                   f"B~ = {np.array2string(bbar, precision=4)}"])
@@ -332,29 +327,39 @@ def _real_time_map(x, cfg):
     return x
 
 
-def _coefficients_at_t0(h0, h0inv, a0, b0, tau0, taut0, eta0, etat0):
-    """A~ = H S_A H^-1 and B~ = H S_B H^-1 (module docstring) from H, H^-1,
-    A, B, tau, tau_t, eta and eta_t at t0: ``gauge.pushforward`` for
-    T_t = 1/tau, with H_t and H_tt taken from tau H_t = -H eta."""
-    s_a = tau0 * a0 - 2.0 * eta0 + taut0 * np.eye(len(a0))
-    s_b = tau0 ** 2 * b0 + (s_a + eta0) @ eta0 - tau0 * etat0
-    return h0 @ s_a @ h0inv, h0 @ s_b @ h0inv
+def _coefficients_at_t0(a0, b0, tau0, taut0, eta0, etat0):
+    """A~ and B~ (module docstring) from A, B, tau, tau_t, eta and eta_t at
+    t0: ``gauge.pushforward`` for T_t = 1/tau and H(t0) = E, with H_t and
+    H_tt taken from tau H_t = -H eta."""
+    abar = tau0 * a0 - 2.0 * eta0 + taut0 * np.eye(len(a0))
+    return abar, tau0 ** 2 * b0 + (abar + eta0) @ eta0 - tau0 * etat0
 
 
-def _straighten(abar, bbar, hinv, eta, tau, tmap):
-    """Positions and velocities of x(t) = H^-1(t) x~(T(t)) for H^-1 solving
-    (H^-1)_t = eta H^-1 / tau and T_t = 1/tau, on the grid.
+_HINV_SOLVE = "fundamental solve of (H^-1)_t = (eta/tau) H^-1"
 
-    x~ are the columns of the companion exponential of the constant system
-    x~'' = A~ x~' + B~ x~, anchored at the middle of T's range, so the
-    velocities are (eta x + H^-1 x~') / tau.
+
+def _straighten(a0, b0, tau_half, eta_half, taut0, etat0, tmap, grid, hinv=None):
+    """H^-1, A~, B~, and the positions and velocities of x(t) = H^-1(t) x~(T(t))
+    on the grid, for the field with tau and eta on the half-step points of
+    ``grid``, tau_t and eta_t at its middle node t0, and its time map T
+    (T_t = 1/tau); a0 and b0 are A and B at t0.
+
+    H^-1 solves (H^-1)_t = (eta/tau) H^-1 with H^-1(t0) = E, by one RK4 solve
+    unless its closed form hinv is given.  x~ are the columns of the
+    companion exponential of x~'' = A~ x~' + B~ x~, anchored at the middle
+    of T's range, so the velocities are (eta x + H^-1 x~') / tau.
     """
-    n = hinv.shape[1]
+    n = len(a0)
+    i0 = len(grid) // 2
+    tau, eta = tau_half[::2], eta_half[::2]
+    if hinv is None:
+        hinv = rk4_linear(eta_half / tau_half[:, None, None], np.eye(n), grid, i0)
+    abar, bbar = _coefficients_at_t0(a0, b0, tau[i0], taut0, eta[i0], etat0)
     ef = linalg.exp_factory(companion(abar, bbar))
     states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
     positions = hinv @ states[:, :n, :]
     velocities = (eta @ positions + hinv @ states[:, n:, :]) / tau[:, None, None]
-    return positions, velocities
+    return hinv, abar, bbar, positions, velocities
 
 
 def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
@@ -362,11 +367,12 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                              grid_steps: int = 1024) -> SolutionSet:
     """Integrate using two symmetries with independent t-components.
 
-    The pair is recombined so [Q1', Q2'] = Q1'; zeta = eta2 - (tau2/tau1) eta1
-    is conjugated to its (constant) Jordan form Lam by the modal matrix, the
-    conjugated eta1 is asserted block-diagonal along Lam's eigenspaces, the
-    straightening fundamental solve splits blockwise, and ``_straighten``
-    finishes with T = tau2/tau1 (no quadrature for the time map).
+    The pair is recombined to X and Y with [X, Y] = X, and X is divided by
+    the phase of tau_x(t0).  zeta = eta_y - (tau_y/tau_x) eta_x has a constant
+    Jordan form Lam = modal^-1 zeta modal, reported with the modal matrix; X
+    must be block-diagonal along Lam's eigenspaces, read on the grid as
+    modal^-1 eta_x modal.  ``_straighten`` then straightens by X, as for one
+    field, with T = tau_y/tau_x (no quadrature for the time map).
     """
     (q1, q2), half, grid, a0, b0 = _straightening_start(sys, [q1, q2], grid_steps)
     cfg = sys.cfg
@@ -424,40 +430,24 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
             1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(charpolys)))):
         raise IntegrationError("similarity invariants of zeta drift across the "
                                "grid; numerical failure")
-    # zeta with a real spectrum gives a real modal matrix; a nonreal pair
-    # keeps the complex construction, and a real field realifies the
-    # pulled-back solutions at the end
+    # zeta with a nonreal pair of eigenvalues has a complex modal matrix;
+    # only this check and the plan read it
     lam, modal, chains = linalg.jordan_form(zeta[i0], cfg)
-    hhat = np.linalg.inv(modal)
-    eta_check_half = hhat @ ex_half @ modal
-    eta_check = eta_check_half[::2]
+    eta_check = np.linalg.inv(modal) @ ex @ modal
     sizes = [sum(lengths) for lengths in chains]
     owner = np.repeat(np.arange(len(sizes)), sizes)  # the block of each row
-    blocks = owner[:, None] == owner
-    offmax = float(np.max(np.abs(np.where(blocks, 0.0, eta_check))))
+    offmax = float(np.max(np.abs(np.where(owner[:, None] == owner, 0.0, eta_check))))
     if offmax > 1e4 * cfg.residual_tol * (1.0 + float(np.max(np.abs(eta_check)))):
         raise IntegrationError(f"conjugated eta1 is not block-diagonal along the "
                                f"eigenspaces of zeta (off-block max {offmax:.3g}): "
                                "the pair does not split the system into blocks; "
                                "integrate with a single field whose tau has no zero "
                                "on the domain")
-    # H = Hcheck Hhat solves tau H_t = -H eta1, and the straightening solve
-    # splits along the blocks: H^-1 = modal Hcheck^-1 with one solve of
-    # (Hcheck^-1)_t = (eta_check/tau) Hcheck^-1, its off-block part left out
-    hinv = modal @ rk4_linear(np.where(blocks, eta_check_half, 0.0)
-                              / tau_x_half[:, None, None], np.eye(n), grid, i0)
     deta1, deta2 = (f.derivative(1).evaluate(t0)[0] for f in (eta1_fun, eta2_fun))
-    abar, bbar = _coefficients_at_t0(
-        hhat, modal, a0, b0, tau_x[i0],
+    hinv, _, _, positions, velocities = _straighten(
+        a0, b0, tau_x_half, ex_half,
         _real_time_map((aco * dt1[i0:i0 + 1] + bco * dt2[i0:i0 + 1]) / phase, cfg)[0],
-        ex[i0], (aco * deta1 + bco * deta2) / phase)
-    positions, velocities = _straighten(abar, bbar, hinv, ex, tau_x, tmap)
-    if sys.field is Field.REAL and np.iscomplexobj(modal):
-        # x~ is the real straightened system's companion exponential
-        # conjugated by D = diag(Hhat, Hhat), since H(t0) = Hhat; mixing the
-        # columns by D gives the real fundamental solutions
-        mix = np.kron(np.eye(2), hhat)
-        positions, velocities = positions @ mix, velocities @ mix
+        (aco * deta1 + bco * deta2) / phase, tmap, grid)
     # quadrature accounting from the Jordan structure of Lam: its clusters are
     # distinct eigenvalues, so divisors repeat iff a cluster repeats a length
     quad = sum(sum(lengths) + len(lengths) - 1 for lengths in chains)
@@ -467,7 +457,7 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     plan = IntegrationPlan(procedure="TwoSymmetry", hinv_values=hinv, t_map=tmap, lam=lam,
                            modal=modal, block_sizes=sizes, eligible_distinct_divisors=eligible,
                            quadrature_bound=n + p_total - r,
-                           notes=[f"Lam eigenvalues {np.round(np.diag(lam), 6)}",
+                           notes=[_HINV_SOLVE, f"Lam eigenvalues {np.round(np.diag(lam), 6)}",
                                   f"blocks {sizes}"])
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
                        particular=None, quadratures=quad, plan=plan).in_field(sys.field)

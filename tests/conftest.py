@@ -97,3 +97,13 @@ def defective_zeta_draw(seed):
     gamma = np.diag([1.0, -1.0, 1.0, -1.0])
     gamma[0, 2] = gamma[1, 3] = 1.0
     return c @ w @ ci, c @ gamma @ ci
+
+
+def nonreal_zeta_draw():
+    """V = E_13 + E_24 at n = 4 and the Gamma of the tau = t field,
+    diag(R + E, R - E) with R the 2x2 rotation generator: [Gamma, V] = 2 V,
+    and with the tau = 1, Gamma = 0 field the recombined zeta = Gamma + E/2
+    has the nonreal eigenvalues -1/2 +- i and 3/2 +- i."""
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    gamma = np.block([[rot + E2, Z2], [Z2, rot - E2]])
+    return np.block([[Z2, E2], [Z2, Z2]]), gamma

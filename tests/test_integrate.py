@@ -14,7 +14,7 @@ from symode.scalars import Field, ToleranceConfig
 from symode.symalg import SymmetryVectorField, classify
 
 from conftest import (DOM, E2, S1, S2, S3, Z2, defective_zeta_draw, generic_draw,
-                      graded_draw)
+                      graded_draw, nonreal_zeta_draw)
 from oracles import conj_exp_transition, richardson_error, rk4_reference
 
 
@@ -401,8 +401,8 @@ class TestOneSymmetry:
 
 
 class TestStraightenedCoefficients:
-    """A~ and B~ read at t0 are ``gauge.pushforward``'s there, with H_t and
-    H_tt taken from tau H_t = -H eta."""
+    """A~ and B~ read at t0 are ``gauge.pushforward``'s there, with H(t0) = E
+    and H_t, H_tt taken from tau H_t = -H eta."""
 
     @staticmethod
     def inputs():
@@ -428,12 +428,12 @@ class TestStraightenedCoefficients:
             integrate_auto(sys_in, fields)
             runs += 1
         assert len(calls) == runs == 20
-        for (h, hinv, a, b, tau, taut, eta, eta_t), read in calls:
-            he = h @ eta
-            ht = -he / tau
-            htt = (taut / tau ** 2) * he + (he @ eta) / tau ** 2 - (h @ eta_t) / tau
+        for (a, b, tau, taut, eta, eta_t), read in calls:
+            e = np.eye(len(a))
+            ht = -eta / tau
+            htt = (taut / tau ** 2) * eta + (eta @ eta) / tau ** 2 - eta_t / tau
             pushed = pushforward(np.array([1.0 / tau]), np.array([-taut / tau ** 2]),
-                                 *(x[None] for x in (h, hinv, ht, htt, a, b)))
+                                 *(x[None] for x in (e, e, ht, htt, a, b)))
             for new, ref in zip(read, pushed):
                 assert np.max(np.abs(new - ref[0])) <= 1e-12 * np.max(np.abs(ref))
 
@@ -462,11 +462,63 @@ class TestSampledCoefficients:
 
 
 class TestTwoSymmetries:
-    def case7(self):
+    @staticmethod
+    def case7():
         sys_in = homog(MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM))
         q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=Z2)
         q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=np.diag([1.5, -0.5]))
         return sys_in, q1, q2
+
+    @staticmethod
+    def sampled_case7():
+        sys_in, q1, q2 = TestTwoSymmetries.case7()
+        grid = np.linspace(DOM[0], DOM[1], 1025)
+        s1, s2 = (SymmetryVectorField(tau=ScalarFunction.sampled(grid, q.tau.evaluate(grid)),
+                                      gamma=q.gamma) for q in (q1, q2))
+        return sys_in, s1, s2
+
+    @staticmethod
+    def constant_pair():
+        # A = 0, B = S1: t-shift plus a genuine dilation-type symmetry
+        sys_in = homog(MatrixFunction.constant(Z2, DOM),
+                       MatrixFunction.constant(S1, DOM))
+        q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=Z2)
+        q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=np.diag([1.5, -0.5]))
+        return sys_in, q1, q2
+
+    @staticmethod
+    def n3_jordan():
+        j3 = np.zeros((3, 3))
+        j3[0, 1] = 1.0
+        sys_in = homog(MatrixFunction.zero(3, DOM), MatrixFunction.constant(j3, DOM))
+        q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=np.zeros((3, 3)))
+        lam = np.diag([2.0, 0.0, 1.0])
+        q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]),
+                                 gamma=lam - np.trace(lam) / 3 * np.eye(3))
+        return sys_in, q1, q2
+
+    @staticmethod
+    def defective(seed):
+        # zeta has two 2x2 Jordan blocks in a random basis
+        v, gamma = defective_zeta_draw(seed)
+        sys_in = homog(MatrixFunction.zero(4, DOM), MatrixFunction.constant(v, DOM))
+        q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=np.zeros((4, 4)))
+        q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=gamma)
+        return sys_in, q1, q2
+
+    @staticmethod
+    def inputs():
+        yield from (TestTwoSymmetries.case7(), TestTwoSymmetries.sampled_case7(),
+                    TestTwoSymmetries.constant_pair(), TestTwoSymmetries.n3_jordan())
+        for seed in range(20):
+            yield TestTwoSymmetries.defective(seed)
+
+    def test_hinv_is_e_at_t0(self):
+        # the pair straightens by X like one field, from H^-1(t0) = E
+        for sys_in, q1, q2 in self.inputs():
+            sol = integrate_two_symmetries(sys_in, q1, q2)
+            hinv0 = sol.plan.hinv_values[len(sol.grid) // 2]
+            assert np.max(np.abs(hinv0 - np.eye(sys_in.n))) <= 1e-14
 
     def test_case7_blocks(self):
         sys_in, q1, q2 = self.case7()
@@ -495,9 +547,7 @@ class TestTwoSymmetries:
     def test_sampled_taus_match_polynomial(self):
         # sampled t-components take the sampled eta and eta_t of both fields
         sys_in, q1, q2 = self.case7()
-        grid = np.linspace(DOM[0], DOM[1], 1025)
-        s1, s2 = (SymmetryVectorField(tau=ScalarFunction.sampled(grid, q.tau.evaluate(grid)),
-                                      gamma=q.gamma) for q in (q1, q2))
+        _, s1, s2 = self.sampled_case7()
         ref = integrate_two_symmetries(sys_in, q1, q2)
         sol = integrate_two_symmetries(sys_in, s1, s2)
         assert sol.positions.dtype == ref.positions.dtype
@@ -516,11 +566,7 @@ class TestTwoSymmetries:
         assert np.max(np.abs(conj[:, 1, 0])) < 1e-6
 
     def test_constant_coefficients_vs_direct(self):
-        # A = -2 S2, B = S1: t-shift plus a genuine dilation-type symmetry
-        sys_in = homog(MatrixFunction.constant(Z2, DOM),
-                       MatrixFunction.constant(S1, DOM))
-        q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=Z2)
-        q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=np.diag([1.5, -0.5]))
+        sys_in, q1, q2 = self.constant_pair()
         sol = integrate_two_symmetries(sys_in, q1, q2)
         ref = solve_constant(Z2, S1, DOM)
         i_mid = len(sol.grid) // 2
@@ -539,24 +585,14 @@ class TestTwoSymmetries:
             integrate_two_symmetries(sys_in, q1, q2)
 
     def test_n3_jordan_case(self):
-        j3 = np.zeros((3, 3))
-        j3[0, 1] = 1.0
-        sys_in = homog(MatrixFunction.zero(3, DOM), MatrixFunction.constant(j3, DOM))
-        q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=np.zeros((3, 3)))
-        lam = np.diag([2.0, 0.0, 1.0])
-        q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]),
-                                 gamma=lam - np.trace(lam) / 3 * np.eye(3))
+        sys_in, q1, q2 = self.n3_jordan()
         sol = integrate_two_symmetries(sys_in, q1, q2)
         assert column_residuals(sys_in, sol) < 1e-6
         assert sol.quadratures <= sol.plan.quadrature_bound == 3
 
     @pytest.mark.parametrize("seed", range(20))
     def test_defective_zeta(self, seed):
-        # zeta has two 2x2 Jordan blocks in a random basis
-        v, gamma = defective_zeta_draw(seed)
-        sys_in = homog(MatrixFunction.zero(4, DOM), MatrixFunction.constant(v, DOM))
-        q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=np.zeros((4, 4)))
-        q2 = SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=gamma)
+        sys_in, q1, q2 = self.defective(seed)
         sol = integrate_auto(sys_in, [q1, q2])
         assert sol.plan.procedure == "TwoSymmetry"
         assert sol.plan.block_sizes == [2, 2]
@@ -924,18 +960,19 @@ class TestArithmeticFollowsTheData:
     @pytest.mark.parametrize("fld", list(Field))
     def test_nonreal_spectrum_of_zeta(self, fld):
         # zeta = Gamma + E/2 has eigenvalues -1/2 +- i and 3/2 +- i, so the
-        # modal matrix is complex; the real field still returns real
-        # fundamental solutions, mixed back by diag(Hhat, Hhat)
-        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        gamma = np.block([[rot + E2, Z2], [Z2, rot - E2]])
-        v = np.block([[Z2, E2], [Z2, Z2]])  # [Gamma, V] = 2 V
+        # modal matrix is complex; it is reported, not multiplied into H^-1,
+        # so the real data straightens in float64 and either field returns
+        # that real solve, cast once
+        v, gamma = nonreal_zeta_draw()
         sys_in = homog(MatrixFunction.zero(4, DOM), MatrixFunction.constant(v, DOM),
                        field=fld)
         sol = integrate_two_symmetries(
             sys_in, SymmetryVectorField(tau=tau_poly([1.0]), gamma=np.zeros((4, 4))),
             SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=gamma))
         assert sol.plan.modal.dtype == np.complex128
+        assert sol.plan.hinv_values.dtype == np.float64
         assert sol.positions.dtype == sol.velocities.dtype == fld.dtype
+        assert np.max(np.abs(np.imag(sol.positions))) == 0.0
         assert column_residuals(sys_in, sol) < 1e-8
         assert abs(np.linalg.det(sol.state_matrix(len(sol.grid) // 2))) > 0.5
 
