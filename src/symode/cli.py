@@ -433,8 +433,9 @@ def cmd_integrate(args) -> int:
             print("regular systems require known symmetries with nonzero "
                   "t-components", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    # without a particular solution the fundamental columns solve the
-    # homogeneous system, which gauge_f_zero returns for barL input
+    # without a particular solution (f within residual_tol) the fundamental
+    # columns solve the homogeneous system, which gauge_f_zero returns for
+    # barL input
     res_sys = sys_in
     if sol.particular is None and sys_in.cls == BARL:
         res_sys = gauge_f_zero(sys_in, args.grid).system
@@ -459,6 +460,8 @@ def cmd_integrate(args) -> int:
         "notes": sol.plan.notes,
         "tolerances": {"residual_tol": cfg.residual_tol},
     }
+    if sol.plan.abar is not None:
+        payload.update(abar=_encode_array(sol.plan.abar), bbar=_encode_array(sol.plan.bbar))
     _emit(args, payload)
     print(f"procedure: {payload['procedure']}; quadratures: {sol.quadratures}; "
           f"residual: {worst:.3g}", file=sys.stderr)

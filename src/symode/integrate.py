@@ -11,7 +11,7 @@ system, is reported and bounds the quadrature count by n + p - r when the
 elementary divisors are distinct.
 
 Both procedures straighten one field through one path: ``_straightening_start``
-(homogeneous class, chi dropped, every field verified against the scale
+(chi dropped, every field verified on the homogeneous part against the scale
 1 + max|B| + max|A|), then ``_straighten``, which reads the straightened
 coefficients at the middle node t0 (``_coefficients_at_t0``):
 
@@ -27,6 +27,12 @@ degree-0 tau and eta of one field, H^-1 = exp((t - t0) eta/tau) in closed
 form.  Every other fundamental solve is a linear ODE whose coefficients are
 tabulated once on the grid and its step midpoints and handed to
 ``numutil.rk4_linear``, which composes them as blocked affine RK4 maps.
+
+Both procedures take forced input x_tt = A x_t + B x + f.  The particular
+solution comes from the fundamental system X by variation of parameters,
+x_p = X c with [X; X_t] c_t = [0; f]: n quadratures anchored at t0, where X
+is anchored, so x_p has zero data there.  They add n to ``quadratures``;
+no particular is made when max |f| on the grid is at most ``residual_tol``.
 
 The field sets the Lie algebra and the dtype of the results; the data sets
 the arithmetic.  Every solve runs in the dtype of its coefficients and
@@ -44,8 +50,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg
-from .gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME, SystemDescriptor,
-                    gauge_f_zero, half_a_fundamental, schwarzian_time_map,
+from .gauge import (BARL, SystemDescriptor, half_a_fundamental, schwarzian_time_map,
                     singular_class_test)
 from .matfun import (POLYNOMIAL, MatrixFunction, ScalarFunction, poly_der, poly_lincomb,
                      poly_mul, poly_strip, poly_wronskian)
@@ -64,6 +69,8 @@ class IntegrationPlan:
     procedure: str  # Singular | OneSymmetry | TwoSymmetry | ConstantDirect
     hinv_values: np.ndarray | None = None  # H^-1, the map solutions are pulled back through
     t_map: np.ndarray | None = None
+    abar: np.ndarray | None = None  # a straightening's constant A~ and B~
+    bbar: np.ndarray | None = None
     lam: np.ndarray | None = None  # a pair's reported Jordan data: zeta = modal lam modal^-1
     modal: np.ndarray | None = None
     block_sizes: list = dc_field(default_factory=list)
@@ -252,13 +259,12 @@ def integrate_singular(sys: SystemDescriptor, grid_steps: int = 1024) -> Solutio
 
 
 def _straightening_start(sys: SystemDescriptor, fields, grid_steps: int):
-    """The fields without chi, the half-step grid, the grid, and A and B at its
-    middle node t0, for a homogeneous system whose fields all verify against
-    the scale 1 + max |B| + max |A| (``max_norm``)."""
-    if sys.cls not in (HOMOGENEOUS, LPRIME, LDOUBLEPRIME):
-        raise IntegrationError("symmetry straightening expects a homogeneous "
-                               "system (gauge f away first)")
-    a_fun, b_fun, _ = sys.coefficients()
+    """The fields without chi, the half-step grid, the grid, A and B at its
+    middle node t0, and f on the grid, for a system whose homogeneous part
+    every field verifies against the scale 1 + max |B| + max |A|
+    (``max_norm``).  f is None unless the system is forced: barL with
+    max |f| on the grid above ``residual_tol``."""
+    a_fun, b_fun, f_fun = sys.coefficients()
     fields = [q.drop_chi() for q in fields]
     half = uniform_grid(sys.domain[0], sys.domain[1], 2 * grid_steps)
     grid = half[::2]
@@ -268,7 +274,10 @@ def _straightening_start(sys: SystemDescriptor, fields, grid_steps: int):
             raise IntegrationError(f"symmetry {i} not verified (residual {res:.3g})")
     i0 = len(grid) // 2
     t0 = grid[i0:i0 + 1]
-    return fields, half, grid, a_fun.evaluate(t0)[0], b_fun.evaluate(t0)[0]
+    fvals = f_fun.evaluate(grid) if sys.cls == BARL else None
+    if fvals is not None and float(np.max(np.abs(fvals))) <= sys.cfg.residual_tol:
+        fvals = None
+    return fields, half, grid, a_fun.evaluate(t0)[0], b_fun.evaluate(t0)[0], fvals
 
 
 def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
@@ -279,7 +288,7 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     (``_phase``); T from T_t = 1/tau (the single quadrature); ``_straighten``,
     with H^-1 = exp((t - t0) eta/tau) in closed form for degree-0 tau and eta.
     """
-    (q,), half, grid, a0, b0 = _straightening_start(sys, [q], grid_steps)
+    (q,), half, grid, a0, b0, fvals = _straightening_start(sys, [q], grid_steps)
     cfg = sys.cfg
     n = sys.n
     i0 = len(grid) // 2
@@ -294,18 +303,15 @@ def integrate_one_symmetry(sys: SystemDescriptor, q: SymmetryVectorField,
     if q.tau.degree() == 0 and eta_fun.degree() == 0:
         hinv = linalg.exp_factory(eta_fun.value / phase / tau[i0])(grid - grid[i0])
         route = "closed-form H^-1 = exp((t-t0) eta/tau)"
-    tmap = cumulative_integral(grid, 1.0 / tau)
-    tmap = tmap - tmap[i0]
+    tmap = cumulative_integral(grid, 1.0 / tau, i0)
     t0 = grid[i0:i0 + 1]
-    hinv, abar, bbar, positions, velocities = _straighten(
+    hinv, abar, bbar, positions, velocities, particular = _straighten(
         a0, b0, tau_half, eta_fun.evaluate(half) / phase,
         _real_time_map(q.tau.derivative(1).evaluate(t0) / phase, cfg)[0],
-        eta_fun.derivative(1).evaluate(t0)[0] / phase, tmap, grid, hinv)
+        eta_fun.derivative(1).evaluate(t0)[0] / phase, tmap, grid, fvals, hinv)
     plan = IntegrationPlan(procedure="OneSymmetry", hinv_values=hinv, t_map=tmap,
-                           notes=[route, f"A~ = {np.array2string(abar, precision=4)}",
-                                  f"B~ = {np.array2string(bbar, precision=4)}"])
-    return SolutionSet(grid=grid, positions=positions, velocities=velocities,
-                       particular=None, quadratures=1, plan=plan).in_field(sys.field)
+                           abar=abar, bbar=bbar, notes=[route])
+    return _solution(sys, grid, positions, velocities, particular, 1, plan)
 
 
 def _phase(tau0):
@@ -338,7 +344,8 @@ def _coefficients_at_t0(a0, b0, tau0, taut0, eta0, etat0):
 _HINV_SOLVE = "fundamental solve of (H^-1)_t = (eta/tau) H^-1"
 
 
-def _straighten(a0, b0, tau_half, eta_half, taut0, etat0, tmap, grid, hinv=None):
+def _straighten(a0, b0, tau_half, eta_half, taut0, etat0, tmap, grid, fvals=None,
+                hinv=None):
     """H^-1, A~, B~, and the positions and velocities of x(t) = H^-1(t) x~(T(t))
     on the grid, for the field with tau and eta on the half-step points of
     ``grid``, tau_t and eta_t at its middle node t0, and its time map T
@@ -346,8 +353,15 @@ def _straighten(a0, b0, tau_half, eta_half, taut0, etat0, tmap, grid, hinv=None)
 
     H^-1 solves (H^-1)_t = (eta/tau) H^-1 with H^-1(t0) = E, by one RK4 solve
     unless its closed form hinv is given.  x~ are the columns of the
-    companion exponential of x~'' = A~ x~' + B~ x~, anchored at the middle
+    companion exponential S of x~'' = A~ x~' + B~ x~, anchored at the middle
     of T's range, so the velocities are (eta x + H^-1 x~') / tau.
+
+    With f on the grid (fvals), the last result is the particular x_p = X c,
+    else None.  [X; X_t] = L S with L = [[H^-1, 0], [eta H^-1, H^-1] / tau],
+    so c_t = [X; X_t]^-1 [0; f] = S^-1 [0; tau H f], with S^-1 the
+    exponential at -T (``exp_factory``'s pair) and one solve with H^-1.  A
+    solve with [X; X_t] itself, whose condition number reaches 1e17 on the
+    scaled test draws at a = 4, loses up to 2e-3 of the particular there.
     """
     n = len(a0)
     i0 = len(grid) // 2
@@ -356,10 +370,15 @@ def _straighten(a0, b0, tau_half, eta_half, taut0, etat0, tmap, grid, hinv=None)
         hinv = rk4_linear(eta_half / tau_half[:, None, None], np.eye(n), grid, i0)
     abar, bbar = _coefficients_at_t0(a0, b0, tau[i0], taut0, eta[i0], etat0)
     ef = linalg.exp_factory(companion(abar, bbar))
-    states = ef(tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap))))
+    shift = tmap - 0.5 * (float(np.min(tmap)) + float(np.max(tmap)))
+    states, inverse = (ef(shift), None) if fvals is None else ef.pair(shift)
     positions = hinv @ states[:, :n, :]
     velocities = (eta @ positions + hinv @ states[:, n:, :]) / tau[:, None, None]
-    return hinv, abar, bbar, positions, velocities
+    if inverse is None:
+        return hinv, abar, bbar, positions, velocities, None
+    hf = np.linalg.solve(hinv, fvals[..., None]) * tau[:, None, None]
+    c = cumulative_integral(grid, (inverse[:, :, n:] @ hf)[..., 0], i0)
+    return hinv, abar, bbar, positions, velocities, np.einsum("tij,tj->ti", positions, c)
 
 
 def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
@@ -374,7 +393,8 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
     modal^-1 eta_x modal.  ``_straighten`` then straightens by X, as for one
     field, with T = tau_y/tau_x (no quadrature for the time map).
     """
-    (q1, q2), half, grid, a0, b0 = _straightening_start(sys, [q1, q2], grid_steps)
+    (q1, q2), half, grid, a0, b0, fvals = _straightening_start(sys, [q1, q2],
+                                                                grid_steps)
     cfg = sys.cfg
     n = sys.n
     i0 = len(grid) // 2
@@ -444,57 +464,55 @@ def integrate_two_symmetries(sys: SystemDescriptor, q1: SymmetryVectorField,
                                "integrate with a single field whose tau has no zero "
                                "on the domain")
     deta1, deta2 = (f.derivative(1).evaluate(t0)[0] for f in (eta1_fun, eta2_fun))
-    hinv, _, _, positions, velocities = _straighten(
+    hinv, abar, bbar, positions, velocities, particular = _straighten(
         a0, b0, tau_x_half, ex_half,
         _real_time_map((aco * dt1[i0:i0 + 1] + bco * dt2[i0:i0 + 1]) / phase, cfg)[0],
-        (aco * deta1 + bco * deta2) / phase, tmap, grid)
+        (aco * deta1 + bco * deta2) / phase, tmap, grid, fvals)
     # quadrature accounting from the Jordan structure of Lam: its clusters are
     # distinct eigenvalues, so divisors repeat iff a cluster repeats a length
     quad = sum(sum(lengths) + len(lengths) - 1 for lengths in chains)
     eligible = all(len(set(lengths)) == len(lengths) for lengths in chains)
     r = len(chains)
     p_total = sum(len(lengths) for lengths in chains)
-    plan = IntegrationPlan(procedure="TwoSymmetry", hinv_values=hinv, t_map=tmap, lam=lam,
-                           modal=modal, block_sizes=sizes, eligible_distinct_divisors=eligible,
+    plan = IntegrationPlan(procedure="TwoSymmetry", hinv_values=hinv, t_map=tmap,
+                           abar=abar, bbar=bbar, lam=lam, modal=modal, block_sizes=sizes,
+                           eligible_distinct_divisors=eligible,
                            quadrature_bound=n + p_total - r,
                            notes=[_HINV_SOLVE, f"Lam eigenvalues {np.round(np.diag(lam), 6)}",
                                   f"blocks {sizes}"])
+    return _solution(sys, grid, positions, velocities, particular, quad, plan)
+
+
+def _solution(sys: SystemDescriptor, grid, positions, velocities, particular,
+              quadratures: int, plan: IntegrationPlan) -> SolutionSet:
+    """A straightening's solution set, cast once to the field's dtype; a
+    particular solution adds the n quadratures that formed it."""
+    if particular is not None:
+        quadratures += sys.n
+        plan.notes.append(f"particular solution by variation of parameters: "
+                          f"{sys.n} quadratures from t0")
     return SolutionSet(grid=grid, positions=positions, velocities=velocities,
-                       particular=None, quadratures=quad, plan=plan).in_field(sys.field)
+                       particular=particular, quadratures=quadratures,
+                       plan=plan).in_field(sys.field)
 
 
 def integrate_auto(sys: SystemDescriptor, symmetries=(),
                    grid_steps: int = 1024):
     """Dispatch: singular path, else one or two verified symmetries.
 
-    Inhomogeneous regular systems are homogenized first (gauge_f_zero); the
-    extra particular-solution work is recorded as n quadratures.
+    Every procedure takes forced (barL) input itself: the singular one by its
+    two quadrature layers, a straightening by variation of parameters from
+    the fundamental system it builds, recorded as n quadratures, with the
+    particular's data zero at the middle node t0.
     """
     if singular_class_test(sys):
         return integrate_singular(sys, grid_steps)
-    work = sys
-    extra_quad = 0
-    prov = []
-    particular_fun = None
-    if sys.cls == BARL:
-        ts = gauge_f_zero(sys, grid_steps)
-        work = ts.system
-        if ts.transform.h is not None:  # f was removed
-            extra_quad = sys.n
-            particular_fun = ts.transform.h  # carries minus the particular solution
-            prov.append("homogenized by subtracting a particular solution")
     usable = [q for q in symmetries
               if abs(np.max(np.abs(q.tau.evaluate(
-                  np.linspace(*work.domain, 17))))) > 1e-9]
+                  np.linspace(*sys.domain, 17))))) > 1e-9]
     if len(usable) >= 2:
-        sol = integrate_two_symmetries(work, usable[0], usable[1], grid_steps)
-    elif len(usable) == 1:
-        sol = integrate_one_symmetry(work, usable[0], grid_steps)
-    else:
-        raise IntegrationError(
-            "regular systems need known symmetries with nonzero t-components")
-    sol.quadratures += extra_quad
-    if particular_fun is not None:
-        sol.particular = -particular_fun.evaluate(sol.grid)
-    sol.plan.notes.extend(prov)
-    return sol.in_field(sys.field)
+        return integrate_two_symmetries(sys, usable[0], usable[1], grid_steps)
+    if len(usable) == 1:
+        return integrate_one_symmetry(sys, usable[0], grid_steps)
+    raise IntegrationError(
+        "regular systems need known symmetries with nonzero t-components")

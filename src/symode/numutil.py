@@ -139,13 +139,14 @@ def _stencil(grid: np.ndarray, order: int, stencil: int | None):
         fd_weights(grid[idx], grid, order)[..., None], 2, axis=-1)[..., 0])
 
 
-def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+def cumulative_integral(grid: np.ndarray, values: np.ndarray, i0: int = 0) -> np.ndarray:
     """Cumulative integral along axis 0, exact for cubics on each interval.
 
     Each interval [t_i, t_{i+1}] integrates the degree-3 interpolant through
     the four nearest nodes (Fornberg-style moment weights), giving a globally
-    fourth-order antiderivative with F(grid[0]) = 0.  The moment systems of
-    all intervals are solved in one batch.
+    fourth-order antiderivative with F(grid[i0]) = 0: the interval integrals
+    are summed outward from node i0 in both directions.  The moment systems
+    of all intervals are solved in one batch.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
@@ -170,8 +171,10 @@ def cumulative_integral(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.linalg.solve(powers, moments[..., None])[..., 0]
 
     w = _plan((grid.tobytes(), width), moment_weights)
+    pieces = _stencil_sum(w, values, idx)
     out = np.zeros_like(values)
-    out[1:] = np.cumsum(_stencil_sum(w, values, idx), axis=0)
+    out[i0 + 1:] = np.cumsum(pieces[i0:], axis=0)
+    out[:i0] = -np.cumsum(pieces[:i0][::-1], axis=0)[::-1]
     return out
 
 

@@ -11,7 +11,7 @@ import scipy.linalg
 from scipy.interpolate import CubicHermiteSpline
 
 from symode.matfun import _HULL_SLACK, kl_sequence_with_tail
-from symode.numutil import grid_derivative, rk4
+from symode.numutil import _stencil_sum, grid_derivative, rk4, rk4_linear, uniform_grid
 
 
 def kl_sequence(upsilon, w):
@@ -95,6 +95,67 @@ def conj_exp_transition(upsilon, w, t, t0):
         return np.block([[e, zero], [upsilon @ e, e]])
 
     return lift(t) @ scipy.linalg.expm((t - t0) * gen) @ np.linalg.inv(lift(t0))
+
+
+def duhamel_particular(upsilon, w, f_coeffs, t, t0):
+    """x(t) of x_tt = V x + f(t) with zero data at t0, for V(t) = expm(tY) W
+    expm(-tY) and the polynomial f(t) = sum_k f_coeffs[k] t^k, exactly.
+
+    x = e^{tY} y turns the system into y_tt = -2 Y y_t + (W - Y^2) y + u_0,
+    where u_j = e^{-tY} f^(j) solve u_j' = -Y u_j + u_{j+1} and u_d' = -Y u_d
+    for f of degree d.  The state (y, y_t, u_0, .., u_d) solves a constant
+    system, so one scipy expm of its generator is the Duhamel integral
+    (Van Loan, IEEE Trans. Automat. Control 23 (1978)).
+    """
+    n = w.shape[0]
+    f_coeffs = np.asarray(f_coeffs)
+    blocks = 2 + len(f_coeffs)
+    gen = np.zeros((blocks * n, blocks * n), dtype=np.result_type(upsilon, w, f_coeffs))
+    eye = np.eye(n)
+    gen[:n, n:2 * n] = eye
+    gen[n:2 * n, :n] = w - upsilon @ upsilon
+    gen[n:2 * n, n:2 * n] = -2.0 * upsilon
+    gen[n:2 * n, 2 * n:3 * n] = eye
+    for j in range(2, blocks):
+        gen[j * n:(j + 1) * n, j * n:(j + 1) * n] = -upsilon
+        if j + 1 < blocks:
+            gen[j * n:(j + 1) * n, (j + 1) * n:(j + 2) * n] = eye
+    back = scipy.linalg.expm(-t0 * upsilon)
+    derivs = [np.polynomial.polynomial.polyval(t0, np.polynomial.polynomial.polyder(
+        f_coeffs, j, axis=0)) for j in range(len(f_coeffs))]
+    start = np.concatenate([np.zeros(2 * n)] + [back @ d for d in derivs])
+    state = scipy.linalg.expm((t - t0) * gen) @ start
+    return scipy.linalg.expm(t * upsilon) @ state[:n]
+
+
+def particular_by_rk4(sys, grid_steps, i0):
+    """x of x_tt = A x_t + B x + f with zero data at grid node i0: the companion
+    system tabulated on the half-step points and one ``rk4_linear`` solve, the
+    route integration took before it formed particulars by quadrature."""
+    half = uniform_grid(sys.domain[0], sys.domain[1], 2 * grid_steps)
+    m, g = sys.companion_table(half)
+    return rk4_linear(m, np.zeros(2 * sys.n), half[::2], i0, g)[:, :sys.n]
+
+
+def cumulative_integral_from_the_left(grid, values):
+    """``numutil.cumulative_integral`` as it was before it took an anchor: the
+    same batched moment weights, summed from grid[0] alone."""
+    grid = np.asarray(grid, dtype=float)
+    npts = len(grid)
+    width = min(4, npts)
+    lo = np.clip(np.arange(npts - 1) - (width // 2 - 1), 0, npts - width)
+    idx = lo[:, None] + np.arange(width)
+    a, b = grid[:-1], grid[1:]
+    xm = 0.5 * (a + b)
+    powers = np.ones((npts - 1, width, width))
+    powers[:, 1:] = (grid[idx] - xm[:, None])[:, None, :]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    k = np.arange(1, width + 1)
+    moments = ((b - xm)[:, None] ** k - (a - xm)[:, None] ** k) / k
+    w = np.linalg.solve(powers, moments[..., None])[..., 0]
+    out = np.zeros_like(values)
+    out[1:] = np.cumsum(_stencil_sum(w, values, idx), axis=0)
+    return out
 
 
 def symmetry_dims_least_squares(v_eval, vdot_eval, n, grid, complexify=False):

@@ -518,6 +518,9 @@ class TestIntegrateCommand:
         assert payload["procedure"] == "OneSymmetry"
         assert payload["quadratures"] == 1
         assert payload["residual"] < 1e-5
+        # tau = 1, Gamma = Y: A~ = -2Y and B~ = W - Y^2
+        np.testing.assert_allclose(payload["abar"], [[-2.0, 0.0], [0.0, 2.0]], atol=1e-12)
+        np.testing.assert_allclose(payload["bbar"], [[-1.0, 1.0], [0.0, -1.0]], atol=1e-12)
 
     def test_two_symmetry_path(self, case7_doc, tmp_path):
         syms = [{"tau": {"kind": "polynomial", "coeffs": [1.0]},

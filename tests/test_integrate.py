@@ -15,7 +15,8 @@ from symode.symalg import SymmetryVectorField, classify
 
 from conftest import (DOM, E2, S1, S2, S3, Z2, defective_zeta_draw, generic_draw,
                       graded_draw, nonreal_zeta_draw)
-from oracles import conj_exp_transition, richardson_error, rk4_reference
+from oracles import (conj_exp_transition, duhamel_particular, particular_by_rk4,
+                     richardson_error, rk4_reference)
 
 
 def tau_poly(coeffs, domain=DOM):
@@ -290,14 +291,6 @@ class TestStraighteningRefusals:
     def fields(gamma1=Z2, gamma2=np.diag([1.5, -0.5])):
         return (SymmetryVectorField(tau=tau_poly([1.0]), gamma=gamma1),
                 SymmetryVectorField(tau=tau_poly([0.0, 1.0]), gamma=gamma2))
-
-    @pytest.mark.parametrize("procedure", sorted(STRAIGHTENING))
-    def test_inhomogeneous_system_refused(self, procedure):
-        sys_in = SystemDescriptor.bar_l(
-            MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM),
-            VectorFunction.constant(np.array([0.2, -0.1]), DOM))
-        with pytest.raises(IntegrationError, match="expects a homogeneous system"):
-            STRAIGHTENING[procedure](sys_in, *self.fields())
 
     @pytest.mark.parametrize("procedure, wrong", [("one", 1), ("two", 1), ("two", 2)])
     def test_unverified_field_refused(self, procedure, wrong):
@@ -643,7 +636,7 @@ class TestDispatcher:
             VectorFunction.constant(np.array([0.2, -0.1]), DOM))
         q1 = SymmetryVectorField(tau=tau_poly([1.0]), gamma=Z2)
         sol = integrate_auto(sys_in, [q1])
-        assert sol.quadratures == 1 + 2  # one for T, n for the homogenization
+        assert sol.quadratures == 1 + 2  # one for T, n for the particular
 
 
 class TestConvergenceOrder:
@@ -783,6 +776,9 @@ def test_graded_draw_with_both_classified_fields_is_refused(n, fld):
 
 
 class TestInhomogeneousAuto:
+    """A straightening adds the particular solution of a forced system by
+    variation of parameters: n quadratures anchored at the middle node t0."""
+
     def test_particular_attached_and_residual(self):
         sys_in = SystemDescriptor.bar_l(
             MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM),
@@ -793,6 +789,54 @@ class TestInhomogeneousAuto:
         for j in range(4):
             traj = sol.positions[:, :, j] + sol.particular
             assert residual(sys_in, traj, sol.grid) < 1e-5
+
+    @pytest.mark.parametrize("procedure", sorted(STRAIGHTENING))
+    def test_forced_input_through_both_procedures(self, procedure):
+        sys_in = SystemDescriptor.bar_l(
+            MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM),
+            VectorFunction.constant(np.array([0.2, -0.1]), DOM))
+        fields = TestStraighteningRefusals.fields()
+        base = STRAIGHTENING[procedure](homog(sys_in.A, sys_in.B), *fields).quadratures
+        sol = STRAIGHTENING[procedure](sys_in, *fields)
+        assert sol.quadratures == base + 2
+        assert residual(sys_in, sol.positions + sol.particular[:, :, None], sol.grid) < 1e-5
+
+    @pytest.mark.parametrize("fld", list(Field))
+    def test_casebook_rows_match_the_rk4_particular(self, fld):
+        # the same particular, zero data at t0, by RK4 on the companion system;
+        # real data makes it in float64 in either field, so it is cast exactly
+        rows = [c.label for c in n2_cases(fld) if c.symmetries]
+        for label in rows:
+            sys_in, syms = _casebook_row(label, True, fld=fld)
+            sol = integrate_auto(sys_in, syms)
+            i0 = len(sol.grid) // 2
+            assert np.all(sol.particular[i0] == 0.0), label
+            assert np.all(np.imag(sol.particular) == 0.0), label
+            ref = particular_by_rk4(sys_in, 1024, i0)
+            assert _relative_gap(sol.particular, ref) <= 1e-9, label
+        assert {"3", "7"} <= set(rows)
+
+    @pytest.mark.parametrize("fld", list(Field))
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_scaled_draws_match_the_duhamel_integral(self, n, fld):
+        # TestUpToEight's draws under t -> a t with a degree-1 f, against the
+        # exact particular with zero data at t0; the bound at a = 4 leaves n = 8
+        # out (its particular reads 2.7e-7 in the complex field)
+        rng = np.random.default_rng(n)
+        f_coeffs = rng.standard_normal((2, n))
+        for a, bound in ((1.0, 1e-9), (2.0, 1e-9), (4.0, 1e-7)):
+            if a == 4.0 and n == 8:
+                continue
+            sys_h, q = TestUpToEight.one_symmetry(0, n, fld, a)
+            sys_in = SystemDescriptor.bar_l(sys_h.A, sys_h.B,
+                                            VectorFunction.polynomial(f_coeffs, DOM), field=fld)
+            sol = integrate_auto(sys_in, [q])
+            i0 = len(sol.grid) // 2
+            for i in (0, 256, 768, 1024):  # t = -1, -0.5, 0.5, 1
+                ref = duhamel_particular(q.gamma, sys_h.B.w, f_coeffs, sol.grid[i],
+                                         sol.grid[i0])
+                gap = np.linalg.norm(sol.particular[i] - ref) / np.linalg.norm(ref)
+                assert gap <= bound, (a, i, gap)
 
 
 class TestRichardson:

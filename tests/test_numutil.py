@@ -12,8 +12,9 @@ from symode.matfun import MatrixFunction, VectorFunction
 from symode.numutil import (companion, cumulative_integral, fd_weights, grid_derivative,
                             rk4_linear, trajectory_derivative, uniform_grid)
 from symode.scalars import Field
-from oracles import (cumulative_integral_pointwise, fd_weights_1d, grid_derivative_pointwise,
-                     pointwise_stencils, rk4_bidirectional, rk4_step_maps_allocating)
+from oracles import (cumulative_integral_from_the_left, cumulative_integral_pointwise,
+                     fd_weights_1d, grid_derivative_pointwise, pointwise_stencils,
+                     rk4_bidirectional, rk4_step_maps_allocating)
 
 # an interval whose step lengths are not powers of two, so the tabulated and
 # callback steps round differently
@@ -306,6 +307,26 @@ def test_cumulative_integral_matches_pointwise_loop(npts, uniform, shape, cplx):
                               cumulative_integral_pointwise(grid, values))
 
 
+@pytest.mark.parametrize("npts,uniform,shape,cplx", KERNEL_CASES)
+def test_cumulative_integral_from_the_left_unchanged(npts, uniform, shape, cplx):
+    grid = kernel_grid(npts, uniform)
+    values = kernel_values(grid, shape, cplx)
+    np.testing.assert_array_equal(cumulative_integral(grid, values, 0),
+                                  cumulative_integral_from_the_left(grid, values))
+
+
+@pytest.mark.parametrize("npts,uniform,shape,cplx", KERNEL_CASES)
+def test_cumulative_integral_anchored_inside(npts, uniform, shape, cplx):
+    # F anchored at an interior node is the left-anchored F less its value there
+    grid = kernel_grid(npts, uniform)
+    values = kernel_values(grid, shape, cplx)
+    left = cumulative_integral(grid, values)
+    for i0 in (1, npts // 2, npts - 1):
+        got = cumulative_integral(grid, values, i0)
+        assert np.all(got[i0] == 0.0)
+        assert np.max(np.abs(got - (left - left[i0]))) <= 1e-14 * np.max(np.abs(left))
+
+
 @pytest.mark.parametrize("uniform", [True, False])
 def test_kernels_exact_on_cubics(uniform):
     grid = kernel_grid(65, uniform)
@@ -315,6 +336,9 @@ def test_kernels_exact_on_cubics(uniform):
     assert np.max(np.abs(grid_derivative(grid, p(grid), 2) - p.deriv(2)(grid))) < 1e-10
     integral = p.integ(lbnd=grid[0])
     assert np.max(np.abs(cumulative_integral(grid, p(grid)) - integral(grid))) < 1e-10
+    for i0 in (1, 32, 64):
+        integral = p.integ(lbnd=grid[i0])
+        assert np.max(np.abs(cumulative_integral(grid, p(grid), i0) - integral(grid))) < 1e-10
 
 
 # the weight memo: one plan per (grid, order, width) and per quadrature grid
