@@ -29,16 +29,22 @@ factor; the +1/4 A^2 sign is the convention adopted throughout (re-derived
 from H_t = -(1/2) H A).  That criterion matrix is built once per system and
 kept on the descriptor (``SystemDescriptor.criterion``).
 
-The linear ODEs here (the particular solution, H_t = -(1/2) H A, the
-Schwarzian pair and the trajectories of verify_equivalence) are tabulated
-once on the grid and its step midpoints and solved by
-``numutil.rk4_linear``, which builds every RK4 step as an affine map and
-composes the maps blockwise in about 2 sqrt(N) stacked matmuls per sweep,
-several initial states at a time as matrix columns.  Each solve runs in the
-dtype of its coefficients, not of the system's field: the field sets the Lie
-algebra, the data sets the arithmetic, so real coefficients of a complex-field
-system integrate in real arithmetic.  Only ``verify_equivalence`` reads the
-field's dtype, to draw complex initial data for a complex field.
+The linear ODEs here (the companion system, H_t = -(1/2) H A and the
+Schwarzian pair) are tabulated once on the grid and its step midpoints and
+solved by ``numutil.rk4_linear``, which builds every RK4 step as a linear map
+and composes the maps blockwise in about 2 sqrt(N) stacked matmuls per sweep,
+several initial states at a time as matrix columns.  The companion system is
+solved once per system and grid, anchored at the middle node t0 like every
+other solve: ``SystemDescriptor.propagator`` keeps its fundamental matrix Phi,
+Phi(t0) = E, and the particular state psi, psi(t0) = 0, from one solve of
+[[M, g], [0, 0]].  ``gauge_f_zero`` takes its particular solution from psi
+and hands Phi to the homogeneous system it returns, and the trajectories of
+``verify_equivalence`` are Phi z0 + psi, so the f-step and the checks of it
+and of the next step share one solve.  Each solve runs in the dtype of its
+coefficients, not of the system's field: the field sets the Lie algebra, the
+data sets the arithmetic, so real coefficients of a complex-field system
+integrate in real arithmetic.  Only ``verify_equivalence`` reads the field's
+dtype, to draw complex initial data for a complex field.
 """
 
 from __future__ import annotations
@@ -83,6 +89,9 @@ class SystemDescriptor:
     f: VectorFunction | None = None
     V: MatrixFunction | None = None
     cfg: ToleranceConfig = dc_field(default_factory=ToleranceConfig)
+    # (lo, hi, grid_steps) -> (Phi, psi) of ``propagator``
+    _propagators: dict = dc_field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         self.domain = (float(self.domain[0]), float(self.domain[1]))
@@ -138,14 +147,42 @@ class SystemDescriptor:
         return self.A, self.B, (self.f if self.f is not None else zero_v)
 
     def companion_table(self, ts):
-        """M and g of z' = M z + g on the state z = (x, x_t), tabulated at ts."""
+        """The first-order form tabulated at ts: M of z' = M z on z = (x, x_t),
+        or [[M, g], [0, 0]] on (x, x_t, 1), g = (0, f), when f is nonzero
+        somewhere in ts (``numutil.companion``)."""
         a_fun, b_fun, f_fun = self.coefficients()
         fv = f_fun.evaluate(ts)
-        return (companion(a_fun.evaluate(ts), b_fun.evaluate(ts)),
-                np.concatenate([np.zeros_like(fv), fv], axis=1))
+        return companion(a_fun.evaluate(ts), b_fun.evaluate(ts), fv if np.any(fv) else None)
 
     # memos of the descriptor's own data: a race between threads can at most
-    # compute one twice
+    # compute one twice.  ``gauge_f_zero`` hands the criterion and the
+    # fundamental matrices to the L system it returns, which has the same A and B
+    def propagator(self, lo: float, hi: float, grid_steps: int):
+        """(Phi, psi) of the companion system on ``uniform_grid(lo, hi, grid_steps)``,
+        made on first use per grid and then kept, read-only.
+
+        Phi is the fundamental matrix with Phi(t0) = E at the middle node t0,
+        psi the particular state with psi(t0) = 0, None when f is zero on the
+        grid, so every solution is z = Phi z(t0) + psi.  Both come from one
+        ``rk4_linear`` solve of ``companion_table`` from E; only Phi and psi
+        are kept.
+        """
+        key = (float(lo), float(hi), int(grid_steps))
+        kept = self._propagators.get(key)
+        if kept is None:
+            half = uniform_grid(lo, hi, 2 * grid_steps)
+            grid = half[::2]
+            m = self.companion_table(half)
+            ys = rk4_linear(m, np.eye(m.shape[-1]), grid, len(grid) // 2)
+            d = 2 * self.n
+            kept = (np.ascontiguousarray(ys[:, :d, :d]),
+                    np.ascontiguousarray(ys[:, :d, d]) if m.shape[-1] > d else None)
+            for arr in kept:
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._propagators[key] = kept
+        return kept
+
     @cached_property
     def criterion(self) -> MatrixFunction:
         """``criterion_matrix(self)``, built on first use and then kept."""
@@ -402,8 +439,10 @@ def _closed_f_push(sys, a, b, hconst, hshift, bnew):
 def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:
     """Remove the inhomogeneity by subtracting a particular solution.
 
-    The particular solution starts from zero data at the left endpoint; the
-    transform carries its negative as the vector shift.
+    The particular solution is ``sys.propagator``'s psi, with zero data at
+    the middle node t0 of the grid; the transform carries its negative as the
+    vector shift.  The homogeneous system returned keeps sys's criterion and
+    fundamental matrices: it has the same A and B.
     """
     if sys.cls != BARL:
         raise GaugeError("gauge_f_zero expects a barL system")
@@ -411,30 +450,30 @@ def gauge_f_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     n = sys.n
     lo, hi = sys.domain
     f_fun = sys.f if sys.f is not None else VectorFunction.zero(n, sys.domain)
+    if f_fun.max_norm() <= cfg.residual_tol:
+        tr = EquivalenceTransform.identity(n, sys.domain)
+        prov = "already homogeneous; identity transform"
+    else:
+        try:
+            _, psi = sys.propagator(lo, hi, grid_steps)
+        except (FloatingPointError, OverflowError) as exc:  # pragma: no cover
+            raise GaugeError(f"ODE step failure in particular solution: {exc}") from exc
+        if not np.all(np.isfinite(psi)):
+            raise GaugeError("ODE step failure: non-finite particular solution")
+        tr = EquivalenceTransform(
+            T=ScalarFunction.polynomial([0.0, 1.0], sys.domain),
+            H=MatrixFunction.constant(np.eye(n), sys.domain),
+            h=VectorFunction.sampled(uniform_grid(lo, hi, grid_steps), -psi[:, :n],
+                                     note="minus the particular solution"))
+        prov = ("subtracted the particular solution with zero data at the "
+                "midpoint t0 of the grid")
     out_sys = SystemDescriptor(HOMOGENEOUS, n, sys.field, sys.domain,
                                A=sys.A, B=sys.B, cfg=cfg)
-    if "criterion" in vars(sys):  # same A and B, so the same criterion
+    if "criterion" in vars(sys):
         out_sys.criterion = sys.criterion
-    if f_fun.max_norm() <= cfg.residual_tol:
-        return TransformedSystem(out_sys, EquivalenceTransform.identity(n, sys.domain),
-                                 provenance="already homogeneous; identity transform")
-    half = uniform_grid(lo, hi, 2 * grid_steps)
-    grid = half[::2]
-    m, g = sys.companion_table(half)
-    try:
-        traj = rk4_linear(m, np.zeros(2 * n), grid, 0, g)
-    except (FloatingPointError, OverflowError) as exc:  # pragma: no cover
-        raise GaugeError(f"ODE step failure in particular solution: {exc}") from exc
-    if not np.all(np.isfinite(traj)):
-        raise GaugeError("ODE step failure: non-finite particular solution")
-    part = traj[:, :n]
-    tr = EquivalenceTransform(
-        T=ScalarFunction.polynomial([0.0, 1.0], sys.domain),
-        H=MatrixFunction.constant(np.eye(n), sys.domain),
-        h=VectorFunction.sampled(grid, -part, note="minus the particular solution"))
-    return TransformedSystem(out_sys, tr,
-                             provenance="subtracted the particular solution with zero "
-                                        "initial data at the left endpoint")
+    out_sys._propagators.update((key, (phi, None))
+                                for key, (phi, _) in list(sys._propagators.items()))
+    return TransformedSystem(out_sys, tr, provenance=prov)
 
 
 def half_a_fundamental(a_fun: MatrixFunction, grid):
@@ -625,8 +664,9 @@ def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
                        grid_steps: int = 1024) -> float:
     """Push random src trajectories through tr and measure the dst residual.
 
-    Integrates N_TRAJ trajectories, the columns of one solve, from random
-    data at the domain midpoint, maps (t, x) by the transform, differentiates
+    Forms N_TRAJ trajectories Phi z0 + psi from random data z0 at the middle
+    node t0, with src's kept ``propagator`` on the grid (built on first use
+    for this grid), maps (t, x) by the transform, differentiates
     the pushed trajectories on the (nonuniform) image grid and returns the
     max defect of the dst equation, each normalized by its trajectory's scale.
     A T whose image grid does not strictly increase is refused
@@ -634,23 +674,23 @@ def verify_equivalence(src: SystemDescriptor, dst: SystemDescriptor,
     """
     rng = np.random.default_rng(seed)
     n = src.n
-    half = uniform_grid(max(src.domain[0], tr.T.domain[0]),
-                        min(src.domain[1], tr.T.domain[1]), 2 * grid_steps)
-    grid = half[::2]
+    lo, hi = max(src.domain[0], tr.T.domain[0]), min(src.domain[1], tr.T.domain[1])
+    grid = uniform_grid(lo, hi, grid_steps)
     tvals = tr.T.evaluate(grid)
     _require_increasing(tvals, grid)
     hvals = tr.H.evaluate(grid)
     hshift = tr.h.evaluate(grid) if tr.h is not None else np.zeros((len(grid), n))
-    # the trajectories are the columns of one solve, drawn in the same order
-    # as one solve per trajectory would draw them
+    # the trajectories are the columns of one product, drawn in the same
+    # order as one solve per trajectory would draw them
     z0 = np.empty((2 * n, N_TRAJ), dtype=src.field.dtype)
     for k in range(N_TRAJ):
         z0[:, k] = rng.standard_normal(2 * n)
         if src.field is Field.COMPLEX:
             z0[:, k] += 1j * rng.standard_normal(2 * n)
-    m, g = src.companion_table(half)
-    # a zero forcing table adds nothing, so its maps are not built
-    traj = rk4_linear(m, z0, grid, len(grid) // 2, g[:, :, None] if np.any(g) else None)
+    phi, psi = src.propagator(lo, hi, grid_steps)
+    traj = phi @ z0
+    if psi is not None:
+        traj += psi[:, :, None]
     pushed = hvals @ traj[:, :n] + hshift[:, :, None]
     inside = (tvals >= dst.domain[0] - 1e-12) & (tvals <= dst.domain[1] + 1e-12)
     tg = tvals[inside]

@@ -26,7 +26,7 @@ evaluated at T(t), is pulled back through H^-1, which solves
 degree-0 tau and eta of one field, H^-1 = exp((t - t0) eta/tau) in closed
 form.  Every other fundamental solve is a linear ODE whose coefficients are
 tabulated once on the grid and its step midpoints and handed to
-``numutil.rk4_linear``, which composes them as blocked affine RK4 maps.
+``numutil.rk4_linear``, which composes them as blocked linear RK4 maps.
 
 Both procedures take forced input x_tt = A x_t + B x + f.  The particular
 solution comes from the fundamental system X by variation of parameters,

@@ -12,12 +12,13 @@ width, so each distinct grid's weights are built once and kept in a small
 memo keyed by the grid's bytes (the last ``_PLAN_CAP`` are kept, read-only);
 a warm call returns the same bits as a cold one.
 
-Every ODE the package solves is linear, y' = M(t) y + g(t), and goes through
+Every ODE the package solves is linear, y' = M(t) y, and goes through
 ``rk4_linear``: the coefficients are evaluated once, as arrays, on the grid
-and its step midpoints.  An RK4 step of a linear system is an affine map
-y -> P y + q, so the maps of all steps are built as batched array products
-and composed blockwise, about 2 sqrt(N) stacked matmuls per sweep of N
-steps, with no Python right-hand side.  ``rk4`` is the general callback
+and its step midpoints.  A forcing g enters as the last column of
+[[M, g], [0, 0]] on (y, 1).  An RK4 step of a linear system is a linear map
+y -> P y, so the maps of all steps are built as batched array products and
+composed blockwise, about 2 sqrt(N) stacked matmuls per sweep of N steps,
+with no Python right-hand side.  ``rk4`` is the general callback
 form, y' = f(t, y).
 """
 
@@ -214,134 +215,115 @@ def rk4(f, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def rk4_linear(m: np.ndarray, y0: np.ndarray, grid: np.ndarray, i0: int = 0,
-               g: np.ndarray | None = None) -> np.ndarray:
-    """Classic RK4 for the linear system y' = M(t) y + g(t) on a uniform grid.
+def rk4_linear(m: np.ndarray, y0: np.ndarray, grid: np.ndarray, i0: int = 0) -> np.ndarray:
+    """Classic RK4 for the linear system y' = M(t) y on a uniform grid.
 
-    m (and g, when given) hold M (and g) tabulated on the 2N+1 points
-    ``uniform_grid(grid[0], grid[-1], 2N)``: the N+1 nodes of ``grid`` with
-    the step midpoints, where RK4 evaluates, in between.  y0 is a vector or a
-    matrix whose columns are propagated together; g holds vectors, added to
-    every column, or matrices shaped like y0.  Integrates from grid[i0] in
-    both directions.
+    m holds M tabulated on the 2N+1 points ``uniform_grid(grid[0], grid[-1],
+    2N)``: the N+1 nodes of ``grid`` with the step midpoints, where RK4
+    evaluates, in between.  y0 is a vector or a matrix whose columns are
+    propagated together.  Integrates from grid[i0] in both directions.  A
+    forced system y' = M y + g is the linear system [[M, g], [0, 0]] on
+    (y, 1) (``companion`` with f).
 
-    An RK4 step of a linear system is an affine map y -> P y + q.  The maps
-    of every step on each side of i0 are built at once by ``_step_maps`` and
+    An RK4 step of a linear system is a linear map y -> P y.  The maps of
+    every step on each side of i0 are built at once by ``_step_maps`` and
     composed by ``_sweep`` in blocks, about 2 sqrt(N) stacked matmuls per
     direction in place of one per step.
     """
     steps = len(grid) - 1
-    if len(m) != 2 * steps + 1 or (g is not None and len(g) != 2 * steps + 1):
+    if len(m) != 2 * steps + 1:
         raise ValueError("coefficients must be tabulated on the 2N+1 half-step points")
     h = (grid[-1] - grid[0]) / steps
-    y0 = np.asarray(y0, dtype=np.result_type(y0, m, 0.0 if g is None else g))
+    y0 = np.asarray(y0, dtype=np.result_type(y0, m, 0.0))
     out = np.empty((steps + 1,) + y0.shape, dtype=y0.dtype)
     out[i0] = y0
     # forward from node i0 over m[2 i0:], backward over m[2 i0::-1]
     for step, window, dest in ((h, slice(2 * i0, None), out[i0 + 1:]),
                                (-h, slice(2 * i0, None, -1), out[:i0][::-1])):
         if len(dest):
-            p, q = _step_maps(step * m[window], None if g is None else step * g[window])
-            dest[...] = _sweep(p, q, y0).reshape(dest.shape)
+            dest[...] = _sweep(_step_maps(step * m[window]), y0).reshape(dest.shape)
     return out
 
 
-def _sweep(p: np.ndarray, q: np.ndarray | None, y0: np.ndarray) -> np.ndarray:
-    """States y_1..y_K of y_{k+1} = P[k] y_k + q[k] from y_0 = y0, as columns.
+def _sweep(p: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """States y_1..y_K of y_{k+1} = P[k] y_k from y_0 = y0, as columns.
 
     The K maps are cut into blocks of L = ceil(sqrt(K)) steps.  The prefix
-    maps y -> Phi y + r inside every block grow by one stacked matmul per
-    in-block index, over all blocks at once; a sequential pass over the
-    block-end maps gives each block's entry state, and one stacked
-    Phi @ entry + r yields every node: about 2 sqrt(K) Python-level calls
-    instead of K, for about twice the flops.  q holds column vectors
-    (K, d, c) or is None; the result is (K, d, c), c = 1 for a vector y0.
+    maps inside every block grow by one stacked matmul per in-block index,
+    over all blocks at once; a sequential pass over the block-end maps gives
+    each block's entry state, and one stacked product of the prefix maps
+    with the entry states yields every node: about 2 sqrt(K) Python-level
+    calls instead of K, for about twice the flops.  The result is (K, d, c),
+    c = 1 for a vector y0.
     """
     steps, d = p.shape[:2]
     width = math.isqrt(steps - 1) + 1
     blocks = -(-steps // width)
-
-    def blocked(x, dtype):
-        # zero maps pad the last block; the nodes they give are dropped
-        out = np.zeros((blocks * width,) + x.shape[1:], dtype=dtype)
-        out[:steps] = x
-        return out.reshape((blocks, width) + x.shape[1:])
-
-    pb = blocked(p, p.dtype)
+    # zero maps pad the last block; the nodes they give are dropped
+    pb = np.zeros((blocks * width, d, d), dtype=p.dtype)
+    pb[:steps] = p
+    pb = pb.reshape((blocks, width, d, d))
     phi = pb.copy()
     for j in range(1, width):
         np.matmul(pb[:, j], phi[:, j - 1], out=phi[:, j])
-    r = None
-    if q is not None:
-        r = blocked(q, np.result_type(p, q))
-        for j in range(1, width):
-            r[:, j] += pb[:, j] @ r[:, j - 1]
     y = y0.reshape(d, -1)
     entry = np.empty((blocks,) + y.shape, dtype=y.dtype)
     entry[0] = y
     for b in range(1, blocks):
         np.matmul(phi[b - 1, -1], entry[b - 1], out=entry[b])
-        if r is not None:
-            entry[b] += r[b - 1, -1]
     out = phi @ entry[:, None]
-    if r is not None:
-        out += r
     return out.reshape((blocks * width,) + y.shape)[:steps]
 
 
-def _step_maps(a: np.ndarray, b: np.ndarray | None):
-    """(P, q) with P[k] y + q[k] the RK4 step k of y' = a y + b on the index grid.
+def _step_maps(a: np.ndarray) -> np.ndarray:
+    """P with P[k] y the RK4 step k of y' = a y on the index grid.
 
-    a (and b) hold h M (and h g), signed with the direction of the sweep, at
-    the 2K+1 start, mid and end points of K unit steps.  With A0, A1, A2 the
-    coefficients at the start, midpoint and end of a step, the stages are
-    P1 = A0, P2 = A1 + A1 P1/2, P3 = A1 + A1 P2/2 and P4 = A2 + A2 P3, and
-    P = E + (P1 + 2 P2 + 2 P3 + P4)/6; q follows the same recurrence from b.
-    Each product is one stacked matmul over all K steps, and the stages are
-    formed in place in three stacked buffers, each operation in the order
-    of the formula above, so the rounding is that of the formula.  q holds
-    the per-step vectors as columns, (K, d, c), and is None when b is.
+    a holds h M, signed with the direction of the sweep, at the 2K+1 start,
+    mid and end points of K unit steps.  With A0, A1, A2 the coefficients at
+    the start, midpoint and end of a step, the stages are P1 = A0,
+    P2 = A1 + A1 P1/2, P3 = A1 + A1 P2/2 and P4 = A2 + A2 P3, and
+    P = E + (P1 + 2 P2 + 2 P3 + P4)/6.  Each product is one stacked matmul
+    over all K steps, and the stages are formed in place in three stacked
+    buffers, each operation in the order of the formula above, so the
+    rounding is that of the formula.
     """
     a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
-
-    def weighted_stages(s0, s1, s2):
-        stage = np.matmul(a1, s0)  # P2 = A1 + A1 P1/2
-        stage *= 0.5
-        stage += s1
-        acc = 2.0 * stage
-        acc += s0
-        nxt = np.matmul(a1, stage)  # P3 = A1 + A1 P2/2
-        nxt *= 0.5
-        nxt += s1
-        np.multiply(nxt, 2.0, out=stage)
-        acc += stage
-        np.matmul(a2, nxt, out=stage)  # P4 = A2 + A2 P3
-        stage += s2
-        acc += stage
-        acc /= 6.0
-        return acc
-
-    p = weighted_stages(a0, a1, a2)
-    p += np.eye(a.shape[-1])
-    if b is None:
-        return p, None
-    # per-step vectors as columns, so one matmul serves both shapes of g
-    b = b[..., None] if b.ndim == 2 else b
-    return p, weighted_stages(b[:-1:2], b[1::2], b[2::2])
+    stage = np.matmul(a1, a0)  # P2 = A1 + A1 P1/2
+    stage *= 0.5
+    stage += a1
+    acc = 2.0 * stage
+    acc += a0
+    nxt = np.matmul(a1, stage)  # P3 = A1 + A1 P2/2
+    nxt *= 0.5
+    nxt += a1
+    np.multiply(nxt, 2.0, out=stage)
+    acc += stage
+    np.matmul(a2, nxt, out=stage)  # P4 = A2 + A2 P3
+    stage += a2
+    acc += stage
+    acc /= 6.0
+    acc += np.eye(a.shape[-1])
+    return acc
 
 
-def companion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def companion(a: np.ndarray, b: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
     """[[0, E], [B, A]], the first-order form z' = M z of x_tt = A x_t + B x.
 
     z = (x, x_t); a and b are n x n matrices or stacks (..., n, n) of them.
+    With f, n-vectors or a stack of them, the forced x_tt = A x_t + B x + f
+    is the linear system [[0, E, 0], [B, A, f], [0, 0, 0]] on (x, x_t, 1).
     """
     a, b = np.asarray(a), np.asarray(b)
     n = a.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-2] + (2 * n, 2 * n),
-                   dtype=np.result_type(a, b, float))
-    out[..., :n, n:] = np.eye(n)
-    out[..., n:, :n] = b
-    out[..., n:, n:] = a
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
+    d = 2 * n if f is None else 2 * n + 1
+    dtype = np.result_type(a, b, float) if f is None else np.result_type(a, b, f, float)
+    out = np.zeros(shape + (d, d), dtype=dtype)
+    out[..., :n, n:2 * n] = np.eye(n)
+    out[..., n:2 * n, :n] = b
+    out[..., n:2 * n, n:2 * n] = a
+    if f is not None:
+        out[..., n:2 * n, 2 * n] = f
     return out
 
 

@@ -11,7 +11,8 @@ import scipy.linalg
 from scipy.interpolate import CubicHermiteSpline
 
 from symode.matfun import _HULL_SLACK, kl_sequence_with_tail
-from symode.numutil import _stencil_sum, grid_derivative, rk4, rk4_linear, uniform_grid
+from symode.numutil import (_stencil_sum, companion, grid_derivative, rk4, rk4_linear,
+                            uniform_grid)
 
 
 def kl_sequence(upsilon, w):
@@ -129,12 +130,60 @@ def duhamel_particular(upsilon, w, f_coeffs, t, t0):
 
 
 def particular_by_rk4(sys, grid_steps, i0):
-    """x of x_tt = A x_t + B x + f with zero data at grid node i0: the companion
-    system tabulated on the half-step points and one ``rk4_linear`` solve, the
-    route integration took before it formed particulars by quadrature."""
+    """x of x_tt = A x_t + B x + f with zero data at grid node i0: the forced
+    companion system [[M, g], [0, 0]] tabulated on the half-step points and one
+    ``rk4_linear`` solve from (x, x_t, 1) = (0, 0, 1), the route integration
+    took before it formed particulars by quadrature."""
+    a_fun, b_fun, f_fun = sys.coefficients()
     half = uniform_grid(sys.domain[0], sys.domain[1], 2 * grid_steps)
-    m, g = sys.companion_table(half)
-    return rk4_linear(m, np.zeros(2 * sys.n), half[::2], i0, g)[:, :sys.n]
+    m = companion(a_fun.evaluate(half), b_fun.evaluate(half), f_fun.evaluate(half))
+    y0 = np.zeros(2 * sys.n + 1)
+    y0[-1] = 1.0
+    return rk4_linear(m, y0, half[::2], i0)[:, :sys.n]
+
+
+def trajectories_by_sweep(sys, z0, lo, hi, grid_steps, i0=None):
+    """The companion states from z0 (a state or states as columns) at node i0,
+    by default the middle node, of ``uniform_grid(lo, hi, grid_steps)``: one
+    ``rk4_linear`` sweep of z0 itself (with a row of ones under it when the
+    table carries f), the per-call solve ``verify_equivalence`` made before
+    systems kept a propagator."""
+    half = uniform_grid(lo, hi, 2 * grid_steps)
+    grid = half[::2]
+    m = sys.companion_table(half)
+    z0 = np.asarray(z0)
+    y0 = np.concatenate([z0, np.ones((m.shape[-1] - len(z0),) + z0.shape[1:])])
+    return rk4_linear(m, y0, grid, len(grid) // 2 if i0 is None else i0)[:, :len(z0)]
+
+
+def verify_residual_by_sweep(src, dst, tr, seed=0, grid_steps=1024):
+    """``gauge.verify_equivalence`` with its trajectories from
+    ``trajectories_by_sweep``: the same draws of z0, transform and residual."""
+    from symode.gauge import N_TRAJ
+    from symode.scalars import Field
+    rng = np.random.default_rng(seed)
+    n = src.n
+    lo, hi = max(src.domain[0], tr.T.domain[0]), min(src.domain[1], tr.T.domain[1])
+    grid = uniform_grid(lo, hi, grid_steps)
+    z0 = np.empty((2 * n, N_TRAJ), dtype=src.field.dtype)
+    for k in range(N_TRAJ):
+        z0[:, k] = rng.standard_normal(2 * n)
+        if src.field is Field.COMPLEX:
+            z0[:, k] += 1j * rng.standard_normal(2 * n)
+    traj = trajectories_by_sweep(src, z0, lo, hi, grid_steps)
+    tvals = tr.T.evaluate(grid)
+    pushed = tr.H.evaluate(grid) @ traj[:, :n]
+    if tr.h is not None:
+        pushed = pushed + tr.h.evaluate(grid)[:, :, None]
+    inside = (tvals >= dst.domain[0] - 1e-12) & (tvals <= dst.domain[1] + 1e-12)
+    tg, xg = tvals[inside], pushed[inside]
+    d1 = grid_derivative(tg, xg, 1, stencil=7)
+    d2 = grid_derivative(tg, xg, 2, stencil=9)
+    a_fun, b_fun, f_fun = dst.coefficients()
+    defect = d2 - (a_fun.evaluate(tg) @ d1 + b_fun.evaluate(tg) @ xg
+                   + f_fun.evaluate(tg)[:, :, None])
+    scale = np.maximum(1.0, np.max(np.abs(xg), axis=(0, 1)))
+    return float(np.max(np.max(np.abs(defect[4:-4]), axis=(0, 1)) / scale))
 
 
 def cumulative_integral_from_the_left(grid, values):
@@ -231,7 +280,7 @@ def rk4_bidirectional(f, y0, grid, i0):
     """Callback RK4 from an interior anchor grid[i0] outwards in both directions.
 
     The reference for ``numutil.rk4_linear``, which takes the same steps as
-    affine maps built from tabulated coefficients.
+    linear maps built from tabulated coefficients.
     """
     grid = np.asarray(grid, dtype=float)
     fwd = rk4(f, y0, grid[i0:])
@@ -567,21 +616,28 @@ def hermite_every_point(grid, values, ts):
     return out.reshape(t.shape + c0.shape[1:])
 
 
-def rk4_step_maps_allocating(a, b):
+def rk4_step_maps_allocating(a):
     """numutil._step_maps with a new array for every operation of the stages."""
     a0, a1, a2 = a[:-1:2], a[1::2], a[2::2]
+    s2nd = a1 + 0.5 * (a1 @ a0)
+    s3rd = a1 + 0.5 * (a1 @ s2nd)
+    s4th = a2 + a2 @ s3rd
+    return (a0 + 2.0 * s2nd + 2.0 * s3rd + s4th) / 6.0 + np.eye(a.shape[-1])
 
-    def weighted_stages(s0, s1, s2):
-        s2nd = s1 + 0.5 * (a1 @ s0)
-        s3rd = s1 + 0.5 * (a1 @ s2nd)
-        s4th = s2 + a2 @ s3rd
-        return (s0 + 2.0 * s2nd + 2.0 * s3rd + s4th) / 6.0
 
-    p = weighted_stages(a0, a1, a2) + np.eye(a.shape[-1])
-    if b is None:
-        return p, None
-    b = b[..., None] if b.ndim == 2 else b
-    return p, weighted_stages(b[:-1:2], b[1::2], b[2::2])
+def augmented(m, g, y0):
+    """y' = M y + g as the linear system of ``numutil.rk4_linear``:
+    (y, s)' = [[M, G], [0, 0]] (y, s) with s constant.  g holds vectors, as
+    (K, d) or (K, d, 1), added to every column of y0 (s = 1 in each column), or
+    matrices shaped like y0, one forcing per column (s = E).  Returns the table
+    and the initial data; the first len(y0) rows of the solution are y."""
+    g = g[..., None] if g.ndim == 2 else g
+    d, c = m.shape[-1], g.shape[-1]
+    s0 = np.ones((1,) + np.shape(y0)[1:]) if c == 1 else np.eye(c)
+    out = np.zeros(m.shape[:1] + (d + c, d + c), dtype=np.result_type(m, g))
+    out[:, :d, :d] = m
+    out[:, :d, d:] = g
+    return out, np.concatenate([y0, s0], axis=0)
 
 
 def hat_check_in_complex(upsilon, lam, cfg):

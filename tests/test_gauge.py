@@ -14,11 +14,12 @@ from symode.gauge import (BARL, HOMOGENEOUS, LDOUBLEPRIME, LPRIME,
                           gauge_traceless, reduce, singular_class_test,
                           verify_equivalence)
 from symode.matfun import MatrixFunction, RepresentationError, ScalarFunction, VectorFunction
-from symode.numutil import uniform_grid
+from symode.numutil import companion, uniform_grid
 from symode.scalars import Field, ToleranceConfig
 from symode.symalg import classify
 from conftest import DOM, E2, S1, S2, S3, Z2
-from oracles import criterion_without_the_a_zero_case
+from oracles import (criterion_without_the_a_zero_case, trajectories_by_sweep,
+                     verify_residual_by_sweep)
 
 # tr V / n = (0.5 + 0.5j) + (0.05 + 0.1j) t: complex, so no real time map
 COMPLEX_TRACE_V = [np.array([[1j, 0.3], [0.2, 0.5]]), np.array([[0.1, 0.0], [0.4, 0.2j]])]
@@ -230,22 +231,26 @@ class TestGaugeFZero:
         sys_in = barl(MatrixFunction.zero(2, DOM), MatrixFunction.zero(2, DOM),
                       VectorFunction.constant(c, DOM))
         ts = gauge_f_zero(sys_in)
-        # particular solution c (t - t_lo)^2 / 2; the transform carries its
-        # negative as the shift
-        tq = 0.5
-        expected = -c * (tq - DOM[0]) ** 2 / 2.0
-        np.testing.assert_allclose(ts.transform.h.evaluate(tq), expected,
-                                   atol=1e-8)
+        # particular solution c (t - t0)^2 / 2 with zero data at the midpoint
+        # t0; the transform carries its negative as the shift
+        t0 = 0.5 * (DOM[0] + DOM[1])
+        assert np.all(ts.transform.h.evaluate(t0) == 0.0)
+        for tq in (-0.75, 0.5, 1.0):
+            np.testing.assert_allclose(ts.transform.h.evaluate(tq), -c * (tq - t0) ** 2 / 2.0,
+                                       atol=1e-8)
         assert verify_equivalence(sys_in, ts.system, ts.transform) < 1e-6
 
     def test_triangular_quadrature_example(self):
         f = VectorFunction.constant(np.array([0.0, 1.0]), DOM)
         sys_in = barl(MatrixFunction.zero(2, DOM), MatrixFunction.constant(S1, DOM), f)
         ts = gauge_f_zero(sys_in)
+        # x2 = (t - t0)^2 / 2 and x1 = (t - t0)^4 / 24, zero data at t0
+        t0 = 0.5 * (DOM[0] + DOM[1])
+        assert np.all(ts.transform.h.evaluate(t0) == 0.0)
         t = np.linspace(-1, 1, 9)
         part = -np.stack([ts.transform.h.evaluate(tv) for tv in t])
-        np.testing.assert_allclose(part[:, 1], (t - DOM[0]) ** 2 / 2.0, atol=1e-8)
-        np.testing.assert_allclose(part[:, 0], (t - DOM[0]) ** 4 / 24.0, atol=1e-7)
+        np.testing.assert_allclose(part[:, 1], (t - t0) ** 2 / 2.0, atol=1e-8)
+        np.testing.assert_allclose(part[:, 0], (t - t0) ** 4 / 24.0, atol=1e-7)
         assert verify_equivalence(sys_in, ts.system, ts.transform) < 1e-6
 
 
@@ -553,25 +558,158 @@ class TestVerifyEquivalence:
 
     @pytest.mark.parametrize("cls", [HOMOGENEOUS, LPRIME, BARL])
     def test_zero_forcing_solves_without_forcing_maps(self, cls, monkeypatch):
-        # L and V-class sources (and barL with f = 0) pass no forcing table,
-        # and the trajectories are those of a solve with an all-zero one
+        # L and V-class sources (and barL with f = 0) keep no particular and
+        # solve the plain companion table, and their fundamental matrices are
+        # those of a build with an all-zero f column
         a = MatrixFunction.polynomial([0.2 * S2, 0.1 * S1], DOM)
         b = MatrixFunction.constant(S1 + 0.3 * S3, DOM)
         sys_in = {HOMOGENEOUS: homog(a, b), LPRIME: lprime(b),
                   BARL: barl(a, b, VectorFunction.zero(2, DOM))}[cls]
-        calls = []
+        tables = []
         solve = gauge.rk4_linear
 
-        def recorded(m, y0, grid, i0=0, g=None):
-            calls.append((m, y0, grid, i0, g, solve(m, y0, grid, i0, g)))
-            return calls[-1][-1]
+        def recorded(m, y0, grid, i0=0):
+            tables.append(m.shape)
+            return solve(m, y0, grid, i0)
 
         monkeypatch.setattr(gauge, "rk4_linear", recorded)
         verify_equivalence(sys_in, sys_in, EquivalenceTransform.identity(2, DOM))
-        (m, y0, grid, i0, g, traj), = calls
-        assert g is None
-        zero = np.zeros(m.shape[:2] + (1,))
-        np.testing.assert_array_equal(traj, solve(m, y0, grid, i0, zero))
+        assert tables == [(2049, 4, 4)]
+        phi, psi = sys_in.propagator(*DOM, 1024)
+        assert psi is None
+        half = uniform_grid(*DOM, 2048)
+        a_fun, b_fun, _ = sys_in.coefficients()
+        zero_f = solve(companion(a_fun.evaluate(half), b_fun.evaluate(half),
+                                 np.zeros((len(half), 2))), np.eye(5), half[::2], 512)
+        assert np.all(zero_f[:, :4, 4] == 0.0)
+        np.testing.assert_array_equal(phi, zero_f[:, :4, :4])
+
+
+def forced_inputs(kind, field, n=3, seed=4):
+    """barL systems with f != 0 and A, B, f constant, polynomial or sampled;
+    complex data in the complex field."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = 0.5 * rng.standard_normal(shape)
+        return x + 0.5j * rng.standard_normal(shape) if field is Field.COMPLEX else x
+
+    if kind == "constant":
+        a, b = MatrixFunction.constant(draw(n, n), DOM), MatrixFunction.constant(draw(n, n), DOM)
+        f = VectorFunction.constant(draw(n), DOM)
+    elif kind == "polynomial":
+        a = MatrixFunction.polynomial([draw(n, n), draw(n, n)], DOM)
+        b = MatrixFunction.polynomial([draw(n, n), draw(n, n), draw(n, n)], DOM)
+        f = VectorFunction.polynomial([draw(n), draw(n)], DOM)
+    else:
+        t = np.linspace(*DOM, 97)
+        a = MatrixFunction.sampled(t, draw(n, n) + np.sin(t)[:, None, None] * draw(n, n))
+        b = MatrixFunction.sampled(t, draw(n, n) + np.cos(t)[:, None, None] * draw(n, n))
+        f = VectorFunction.sampled(t, np.outer(np.exp(0.3 * t), draw(n)))
+    return barl(a, b, f, field=field)
+
+
+class TestPropagator:
+    """``SystemDescriptor.propagator``: one solve per system and grid, shared
+    by gauge_f_zero, the L system it returns and verify_equivalence."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        calls = []
+        build = SystemDescriptor.companion_table
+
+        def counted(sys, ts):
+            calls.append((id(sys), len(ts), ts[0], ts[-1]))
+            return build(sys, ts)
+
+        monkeypatch.setattr(SystemDescriptor, "companion_table", counted)
+        return calls
+
+    def test_chain_builds_one_table_per_system(self, tables):
+        # the chain as the benchmark runs it: each step, then its verify
+        src = pipeline_inputs()[BARL]
+        systems, work = [src], src
+        for step in (gauge_f_zero, gauge_A_zero, gauge_traceless):
+            ts = step(work)
+            assert verify_equivalence(work, ts.system, ts.transform) <= 10 * src.cfg.residual_tol
+            work = ts.system
+            systems.append(work)
+        # barL builds one table, which its L system shares; Lprime builds its own
+        assert [key[0] for key in tables] == [id(systems[0]), id(systems[2])]
+        assert len(set(tables)) == len(tables)
+
+    def test_reduce_then_verify_builds_one_table(self, tables):
+        src = pipeline_inputs()[BARL]
+        ts = reduce(src, LDOUBLEPRIME)
+        assert verify_equivalence(src, ts.system, ts.transform) <= 10 * src.cfg.residual_tol
+        assert [key[0] for key in tables] == [id(src)]
+
+    def test_the_homogeneous_system_shares_phi(self):
+        src = pipeline_inputs()[BARL]
+        phi, psi = src.propagator(*DOM, 1024)
+        out = gauge_f_zero(src).system
+        assert not phi.flags.writeable and not psi.flags.writeable
+        assert phi.flags.c_contiguous and psi.flags.c_contiguous
+        phi_out, psi_out = out.propagator(*DOM, 1024)
+        assert phi_out is phi and psi_out is None
+        # zero data at the middle node
+        assert np.array_equal(phi[512], np.eye(4)) and np.all(psi[512] == 0.0)
+
+    def test_descriptor_shared_between_threads(self, tables):
+        """Threads that verify against one descriptor read one residual; the
+        memo is filled once per thread at most."""
+        import sys as interpreter
+        import threading
+
+        ts = gauge_f_zero(pipeline_inputs()[BARL])
+        shared = pipeline_inputs()[BARL]
+        tables.clear()
+        residuals = []
+        threads = [threading.Thread(target=lambda: residuals.append(
+            verify_equivalence(shared, ts.system, ts.transform))) for _ in range(4)]
+        interval = interpreter.getswitchinterval()
+        interpreter.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            interpreter.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(residuals) == 4 and len(set(residuals)) == 1
+        assert 1 <= len(tables) <= 4 and list(shared._propagators) == [(*DOM, 1024)]
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "sampled"])
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_matches_the_per_call_sweep(self, kind, field):
+        src = forced_inputs(kind, field)
+        rng = np.random.default_rng(11)
+        z0 = rng.standard_normal((6, 3))
+        if field is Field.COMPLEX:
+            z0 = z0 + 1j * rng.standard_normal((6, 3))
+        for sys in (src, gauge_f_zero(src).system):
+            phi, psi = sys.propagator(*DOM, 1024)
+            got = phi @ z0 + (0.0 if psi is None else psi[:, :, None])
+            ref = trajectories_by_sweep(sys, z0, *DOM, 1024)
+            assert got.dtype == ref.dtype
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "sampled"])
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_verify_reads_the_per_call_residual(self, kind, field):
+        src = forced_inputs(kind, field)
+        ts = gauge_f_zero(src)
+        # a verify at another grid builds its own entry.  At 64 steps the
+        # residual is the truncation error both solves share; at 1024 it is
+        # the rounding noise of the second derivative, about 2e-10, which any
+        # change in the order of the products moves by as much
+        got = verify_equivalence(src, ts.system, ts.transform, grid_steps=64)
+        ref = verify_residual_by_sweep(src, ts.system, ts.transform, grid_steps=64)
+        assert abs(got - ref) <= 1e-12
+        assert sorted(src._propagators) == [(*DOM, 64), (*DOM, 1024)]
+        assert verify_equivalence(src, ts.system, ts.transform) <= 1e-9
+        assert verify_residual_by_sweep(src, ts.system, ts.transform) <= 1e-9
 
 
 def pipeline_inputs():

@@ -12,9 +12,10 @@ from symode.matfun import MatrixFunction, VectorFunction
 from symode.numutil import (companion, cumulative_integral, fd_weights, grid_derivative,
                             rk4_linear, trajectory_derivative, uniform_grid)
 from symode.scalars import Field
-from oracles import (cumulative_integral_from_the_left, cumulative_integral_pointwise,
-                     fd_weights_1d, grid_derivative_pointwise, pointwise_stencils,
-                     rk4_bidirectional, rk4_step_maps_allocating)
+from oracles import (augmented, cumulative_integral_from_the_left,
+                     cumulative_integral_pointwise, fd_weights_1d, grid_derivative_pointwise,
+                     pointwise_stencils, rk4_bidirectional, rk4_step_maps_allocating,
+                     trajectories_by_sweep)
 
 # an interval whose step lengths are not powers of two, so the tabulated and
 # callback steps round differently
@@ -55,10 +56,12 @@ def callback_solve(sys, z0, grid, i0):
     return rk4_bidirectional(f, z0, grid, i0)
 
 
-def tabulated_solve(sys, z0, steps, i0):
-    half = uniform_grid(*DOM, 2 * steps)
-    m, g = sys.companion_table(half)
-    return rk4_linear(m, z0, half[::2], i0, g if np.ndim(z0) == 1 else g[:, :, None])
+def linear_solve(m, y0, grid, i0, g=None):
+    """``rk4_linear`` of y' = M y + g; a forcing g through ``oracles.augmented``."""
+    if g is None:
+        return rk4_linear(m, y0, grid, i0)
+    table, start = augmented(m, g, y0)
+    return rk4_linear(table, start, grid, i0)[:, :len(y0)]
 
 
 def initial_state(field, columns, seed=5):
@@ -91,7 +94,7 @@ def assert_matches_callback(kind, field, columns, anchor, steps):
     i0 = {"left": 0, "middle": steps // 2, "right": steps}[anchor]
     z0 = initial_state(field, columns)
     ref = callback_solve(sys, z0, grid, i0)
-    got = tabulated_solve(sys, z0, steps, i0)
+    got = trajectories_by_sweep(sys, z0, *DOM, steps, i0)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -101,7 +104,7 @@ def assert_matches_callback(kind, field, columns, anchor, steps):
 def test_tabulated_richardson_order_four(kind, field):
     sys = forced_system(kind, field)
     z0 = initial_state(field, 2)
-    sols = [tabulated_solve(sys, z0, steps, steps // 2) for steps in (40, 80, 160)]
+    sols = [trajectories_by_sweep(sys, z0, *DOM, steps, steps // 2) for steps in (40, 80, 160)]
     # differences of successive halvings at the common nodes shrink by 2^4
     d1 = np.max(np.abs(sols[0] - sols[1][::2]))
     d2 = np.max(np.abs(sols[1][::2] - sols[2][::4]))
@@ -129,7 +132,7 @@ def test_constant_step_is_the_fourth_order_taylor_map(field, backward):
 
 def test_real_state_under_complex_coefficients_stays_complex():
     sys = forced_system("polynomial", Field.COMPLEX)
-    traj = tabulated_solve(sys, np.zeros(4), 64, 0)
+    traj = trajectories_by_sweep(sys, np.zeros(4), *DOM, 64, 0)
     assert np.iscomplexobj(traj) and np.max(np.abs(traj.imag)) > 0.0
 
 
@@ -178,7 +181,7 @@ def test_blocked_sweep_matches_callback(steps, field, columns, forced, anchor):
     m, g, y0 = tabulated_table(steps, field, columns, forced)
     i0 = {"left": 0, "middle": steps // 2, "right": steps}[anchor]
     ref = indexed_callback_solve(m, y0, steps, i0, g)
-    got = rk4_linear(m, y0, uniform_grid(*DOM, steps), i0, g)
+    got = linear_solve(m, y0, uniform_grid(*DOM, steps), i0, g)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -189,7 +192,7 @@ def test_blocked_sweep_under_growth(field):
     # keeps its own relative accuracy, the decayed early ones included
     m, g, y0 = tabulated_table(1024, field, 3, True, growth=12.0)
     ref = indexed_callback_solve(m, y0, 1024, 0, g)
-    got = rk4_linear(m, y0, uniform_grid(*DOM, 1024), 0, g)
+    got = linear_solve(m, y0, uniform_grid(*DOM, 1024), 0, g)
     assert np.max(np.abs(ref[-1])) > 1e9 * np.max(np.abs(ref[0]))
     node_err = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
     assert np.max(node_err) <= 1e-13
@@ -198,8 +201,9 @@ def test_blocked_sweep_under_growth(field):
 @pytest.mark.parametrize("d", range(2, 17))
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_in_place_stages_repeat_the_formula_bitwise(d, field, monkeypatch):
-    # the stages in place round as the allocating formula does, so P and q
-    # and every propagated node are bit for bit the same
+    # the stages in place round as the allocating formula does, so P and
+    # every propagated node are bit for bit the same; a forcing g enters
+    # through the table [[M, g], [0, 0]] (``oracles.augmented``)
     steps = 41
     rng = np.random.default_rng(d)
 
@@ -215,16 +219,15 @@ def test_in_place_stages_repeat_the_formula_bitwise(d, field, monkeypatch):
     cases = [(draw(d), None), (draw(d), g_vec), (draw(d, 3), None), (draw(d, 3), g_vec[..., None]),
              (draw(d, 3), g_mat)]
     for y0, g in cases:
-        for b in (None, g):
-            p, q = numutil._step_maps(m, b)
-            p_ref, q_ref = rk4_step_maps_allocating(m, b)
-            assert p.tobytes() == p_ref.tobytes()
-            assert (q is None and q_ref is None) or q.tobytes() == q_ref.tobytes()
+        table, start = (m, y0) if g is None else augmented(m, g, y0)
+        for tab in (m, table):
+            p = numutil._step_maps(tab)
+            assert p.tobytes() == rk4_step_maps_allocating(tab).tobytes()
         for i0 in (0, steps // 2, 13):
-            got = rk4_linear(m, y0, grid, i0, g)
+            got = rk4_linear(table, start, grid, i0)
             with monkeypatch.context() as mp:
                 mp.setattr(numutil, "_step_maps", rk4_step_maps_allocating)
-                ref = rk4_linear(m, y0, grid, i0, g)
+                ref = rk4_linear(table, start, grid, i0)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
