@@ -38,13 +38,15 @@ solved once per system and grid, anchored at the middle node t0 like every
 other solve: ``SystemDescriptor.propagator`` keeps its fundamental matrix Phi,
 Phi(t0) = E, and the particular state psi, psi(t0) = 0, from one solve of
 [[M, g], [0, 0]].  ``gauge_f_zero`` takes its particular solution from psi
-and hands Phi to the homogeneous system it returns, and the trajectories of
-``verify_equivalence`` are Phi z0 + psi, so the f-step and the checks of it
-and of the next step share one solve.  Each solve runs in the dtype of its
-coefficients, not of the system's field: the field sets the Lie algebra, the
-data sets the arithmetic, so real coefficients of a complex-field system
-integrate in real arithmetic.  Only ``verify_equivalence`` reads the field's
-dtype, to draw complex initial data for a complex field.
+and hands Phi to the homogeneous system it returns, ``gauge_A_zero`` hands
+that Phi, conjugated by its gauge, to the Lprime system it returns, and the
+trajectories of ``verify_equivalence`` are Phi z0 + psi, so the gauge chain
+and the checks of its three steps share one solve.  Each solve runs in the
+dtype of its coefficients, not of the system's field: the field sets the Lie
+algebra, the data sets the arithmetic, so real coefficients of a
+complex-field system integrate in real arithmetic.  Only
+``verify_equivalence`` reads the field's dtype, to draw complex initial data
+for a complex field.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class SystemDescriptor:
 
     # memos of the descriptor's own data: a race between threads can at most
     # compute one twice.  ``gauge_f_zero`` hands the criterion and the
-    # fundamental matrices to the L system it returns, which has the same A and B
+    # fundamental matrices to the L system it returns, which has the same A and
+    # B, and ``gauge_A_zero`` the conjugated fundamental matrices to its Lprime
     def propagator(self, lo: float, hi: float, grid_steps: int):
         """(Phi, psi) of the companion system on ``uniform_grid(lo, hi, grid_steps)``,
         made on first use per grid and then kept, read-only.
@@ -165,7 +168,9 @@ class SystemDescriptor:
         psi the particular state with psi(t0) = 0, None when f is zero on the
         grid, so every solution is z = Phi z(t0) + psi.  Both come from one
         ``rk4_linear`` solve of ``companion_table`` from E; only Phi and psi
-        are kept.
+        are kept.  The systems that ``gauge_f_zero`` and ``gauge_A_zero``
+        return find Phi kept for the grid of their step, derived from their
+        source's, and build nothing.
         """
         key = (float(lo), float(hi), int(grid_steps))
         kept = self._propagators.get(key)
@@ -497,7 +502,10 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
     """Gauge the first-derivative coefficient away: H solves H_t + (1/2) H A = 0.
 
     The result is the V-class system with V = H (B - (1/2)A_t + (1/4)A^2) H^-1;
-    constant coefficients stay in conjugated-exponential closed form.
+    constant coefficients stay in conjugated-exponential closed form.  When
+    sys keeps a ``propagator`` for the step's grid, the result keeps its Phi
+    conjugated by the gauge (``_gauged_fundamental``), with no psi; the
+    identity paths pass nothing on.
     """
     if sys.cls not in (HOMOGENEOUS, BARL):
         if sys.cls in (LPRIME, LDOUBLEPRIME):
@@ -515,7 +523,7 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
         out = SystemDescriptor(LPRIME, n, sys.field, sys.domain, V=sys.B, cfg=cfg)
         return TransformedSystem(out, EquivalenceTransform.identity(n, sys.domain),
                                  provenance="A = 0 already; identity transform")
-    hs, ef, note, _ = half_a_fundamental(sys.A, grid)
+    hs, ef, note, a_grid = half_a_fundamental(sys.A, grid)
     if ef is None:
         _require_invertible(hs, grid, cfg, "during the A-gauge solve")
     crit = sys.criterion
@@ -528,8 +536,26 @@ def gauge_A_zero(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSy
         vfun = MatrixFunction.sampled(grid, vals)
     hfun = MatrixFunction.sampled(grid, hs, note=note)
     out = SystemDescriptor(LPRIME, n, sys.field, sys.domain, V=vfun, cfg=cfg)
+    key = (lo, hi, int(grid_steps))
+    if key in sys._propagators:
+        phi = sys._propagators[key][0]
+        out._propagators[key] = (
+            _gauged_fundamental(phi, hs, sys.A.value if a_grid is None else a_grid), None)
     tr = EquivalenceTransform(T=ScalarFunction.polynomial([0.0, 1.0], sys.domain), H=hfun)
     return TransformedSystem(out, tr, provenance=f"A-gauge with H(t0)=E at t0={t0:g}")
+
+
+def _gauged_fundamental(phi, hs, a):
+    """Phi' = K Phi K(t0)^-1, read-only: the fundamental matrix of the gauged
+    companion system, whose state K z, K = [[H, 0], [H_t, H]], is that of
+    x' = H x.  H_t = -(1/2) H A, with A on the grid (or constant), and
+    H(t0) = E, so K(t0)^-1 = [[E, 0], [A(t0)/2, E]] and no inverse is taken."""
+    n = hs.shape[-1]
+    top = phi[:, :n]
+    out = np.concatenate([hs @ top, -0.5 * (hs @ a) @ top + hs @ phi[:, n:]], axis=1)
+    out[:, :, :n] += out[:, :, n:] @ (0.5 * (a if a.ndim == 2 else a[len(a) // 2]))
+    out.flags.writeable = False
+    return out
 
 
 def gauge_traceless(sys: SystemDescriptor, grid_steps: int = 1024) -> TransformedSystem:

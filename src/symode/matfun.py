@@ -18,7 +18,9 @@ shape-specific operations.
   piecewise-cubic Hermite, by a spline built on the first such point: slopes
   from ``numutil.grid_derivative``, each interval's cubic held in the power
   basis about its left node and evaluated by Horner (de Boor, *A Practical
-  Guide to Splines*, ch. IV).  Points in the domain slack beyond either end
+  Guide to Splines*, ch. IV).  In a point set that needs the spline, Horner
+  at s = 0 returns the sample itself at every node but the last, so only
+  that one is patched.  Points in the domain slack beyond either end
   extrapolate the end interval's cubic.
 
 The ``poly_*`` functions are the one polynomial algebra over stacked
@@ -310,8 +312,9 @@ class _TimeFunction:
                 self._spline = _hermite_coefficients(
                     self.grid, self.values, grid_derivative(self.grid, self.values, 1))
             out = _hermite_eval(self._spline, self.grid, flat, left)
-            if node.any():
-                out[node] = self.values[left[node]]
+            # Horner at s = 0 returns the sample c0 exactly at every node but
+            # the last, which is read off the last cubic at s = h
+            out[node & (left == len(self.grid) - 1)] = self.values[-1]
         return out.reshape(t.shape + self.shape)
 
     def jet(self, ts, orders) -> list:

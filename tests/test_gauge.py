@@ -610,8 +610,9 @@ def forced_inputs(kind, field, n=3, seed=4):
 
 
 class TestPropagator:
-    """``SystemDescriptor.propagator``: one solve per system and grid, shared
-    by gauge_f_zero, the L system it returns and verify_equivalence."""
+    """``SystemDescriptor.propagator``: one solve per gauge chain and grid,
+    shared by gauge_f_zero, the L system it returns, the Lprime system of the
+    A-step (conjugated by its gauge) and verify_equivalence."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -634,9 +635,9 @@ class TestPropagator:
             assert verify_equivalence(work, ts.system, ts.transform) <= 10 * src.cfg.residual_tol
             work = ts.system
             systems.append(work)
-        # barL builds one table, which its L system shares; Lprime builds its own
-        assert [key[0] for key in tables] == [id(systems[0]), id(systems[2])]
-        assert len(set(tables)) == len(tables)
+        # barL builds the one table of the chain: its L system shares Phi, and
+        # the Lprime system keeps Phi conjugated by the A-gauge
+        assert [key[0] for key in tables] == [id(systems[0])]
 
     def test_reduce_then_verify_builds_one_table(self, tables):
         src = pipeline_inputs()[BARL]
@@ -694,6 +695,40 @@ class TestPropagator:
             ref = trajectories_by_sweep(sys, z0, *DOM, 1024)
             assert got.dtype == ref.dtype
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "sampled"])
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_lprime_keeps_the_gauged_phi(self, kind, field, tables):
+        src = forced_inputs(kind, field)
+        out = gauge_A_zero(gauge_f_zero(src).system).system
+        phi, psi = out.propagator(*DOM, 1024)
+        assert [key[0] for key in tables] == [id(src)]  # only the barL input's build
+        assert psi is None and list(out._propagators) == [(*DOM, 1024)]
+        assert not phi.flags.writeable and phi.flags.c_contiguous
+        assert np.max(np.abs(phi[512] - np.eye(6))) <= 1e-15
+        ref = trajectories_by_sweep(out, np.eye(6), *DOM, 8192)[::8]
+        # sampled A: the criterion of the L system reads A_t off grid_derivative's
+        # samples, so the Lprime V, read off 97 nodes, is L's gauge image to
+        # about 2e-8 and its solutions are Phi' to about 2e-9
+        bound = 1e-8 if kind == "sampled" else 1e-10
+        assert np.max(np.abs(phi - ref)) <= bound * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["direct", "a_zero"])
+    def test_no_phi_to_pass_on(self, kind, tables):
+        # an L input that kept no Phi, and an A-step whose A is already zero
+        # (the identity path), leave the Lprime system to build its own table
+        src = pipeline_inputs()[BARL]
+        if kind == "direct":
+            lsys = pipeline_inputs()[HOMOGENEOUS]
+        else:
+            lsys = gauge_f_zero(barl(MatrixFunction.zero(2, DOM), src.B, src.f)).system
+            assert lsys._propagators
+        out = gauge_A_zero(lsys).system
+        assert out._propagators == {}
+        ts = gauge_traceless(out)
+        tables.clear()
+        assert verify_equivalence(out, ts.system, ts.transform) <= 10 * src.cfg.residual_tol
+        assert [key[0] for key in tables] == [id(out)]
 
     @pytest.mark.parametrize("kind", ["constant", "polynomial", "sampled"])
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

@@ -167,6 +167,30 @@ class TestNodeExactSamples:
         assert np.array_equal(between[[0, 2]], values[[0, -1]])
         assert f.evaluate(0.1).shape == shape
 
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_nodes_of_a_half_step_grid_read_their_samples(self, shape, cplx, integer):
+        # the half-step points of a companion table: every other point a
+        # node, the last node included; the interior nodes come off Horner
+        # at s = 0, the last one from its sample
+        grid = np.linspace(-1.0, 1.0, 33)
+        if integer:
+            values = np.arange(33 * int(np.prod(shape))).reshape((33,) + shape) % 7 - 3
+        else:
+            f, _ = self.function(shape, cplx, True, points=33)
+            grid, values = f.grid, f.values
+        f = self.FUNCTIONS[len(shape)].sampled(grid, values)
+        half = np.linspace(grid[0], grid[-1], 2 * len(grid) - 1)
+        half[::2] = grid
+        got = f.evaluate(half)
+        assert f._spline is not None
+        assert got.dtype == np.result_type(values, float)
+        assert np.array_equal(got[::2], values)
+        assert got[-1].tobytes() == values[-1].astype(got.dtype).tobytes()
+        if not integer:
+            assert got[::2].tobytes() == values.tobytes()
+
     def test_a_scalar_t_keeps_its_shape(self):
         f, _ = self.function((3, 3), False, True)
         assert f.evaluate(f.grid[4]).shape == (3, 3)
